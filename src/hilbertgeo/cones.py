@@ -9,14 +9,12 @@ the domain along its defining slice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .convex import _as_array, _eps, _nullspace
+from .convex import _as_array, _eps, _hull_facets
 from .errors import (
     DegenerateInput,
     GeometryError,
@@ -89,9 +87,10 @@ def build_cone(generators, eps=None):
     """Polyhedral cone spanned by the given generator rays.
 
     Properness is certified: the generators must span the space (else the
-    cone is flat) and admit a strictly separating functional (else it is
-    not pointed).  Facets are enumerated brute force as supporting
-    hyperplanes through the origin and dim-1 independent generators.
+    cone is flat) and the origin must be a vertex of the convex hull of
+    the origin and the generators (else the cone is not pointed).  The
+    cone's facets are that hull's facets through the origin; functionals
+    are their inward normals, scaled to 1 at the generators' centroid.
     """
     eps_v = _eps(eps)
     G = np.atleast_2d(_as_array(generators, "generators"))
@@ -103,33 +102,17 @@ def build_cone(generators, eps=None):
         raise DegenerateInput("zero generator ray")
     if np.linalg.matrix_rank(G, tol=1e-9) < D:
         raise DegenerateInput("generators do not span the space")
-    # pointedness: a functional uniformly positive on all generators
-    res = linprog(np.zeros(D), A_ub=-G, b_ub=-np.ones(m),
-                  bounds=[(None, None)] * D, method="highs")
-    if res.status != 0:
+    # row 0 is the origin; equality sets range over every generator
+    pts = np.vstack([np.zeros(D), G])
+    verts, A, _, sets = _hull_facets(pts, eps_v, candidates=np.arange(m + 1))
+    if verts[0] != 0:
         raise DegenerateInput("cone is not pointed")
-    found = {}
-    for T in itertools.combinations(range(m), D - 1):
-        sub = G[list(T)]
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[-1] <= 1e-9 * max(1.0, s[0]):
-            continue  # rays do not span a hyperplane through 0
-        normal = _nullspace(sub)[:, 0]
-        r = G @ normal
-        hi, lo = r.max(), r.min()
-        if hi > eps_v and lo < -eps_v:
-            continue
-        if lo < -eps_v:
-            normal, r = -normal, -r
-        eq = frozenset(int(j) for j in range(m) if abs(r[j]) <= eps_v)
-        if eq not in found:
-            found[eq] = normal
-    if not found:
-        raise DegenerateInput("no supporting facet found")
     center = G.mean(axis=0)
     rows = []
-    for key in sorted(found, key=lambda s: tuple(sorted(s))):
-        ell = found[key]
+    for normal, key in zip(A, sets):
+        if 0 not in key:
+            continue  # a facet of the hull away from the apex
+        ell = -normal
         scale = float(ell @ center)
         if scale <= eps_v:
             raise GeometryError("generator centroid is not interior")

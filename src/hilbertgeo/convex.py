@@ -6,9 +6,12 @@ lattice are derived at build time and cached.  A domain may sit inside a
 higher-dimensional ambient space, for example the standard 2-simplex in
 R^3, so "interior" always means interior relative to the affine hull.
 
-Intended scale is ambient dimension <= 4 and a few dozen vertices, where
-brute-force facet enumeration over vertex subsets is fast and exact enough
-at the shared tolerance EPS_GEO (overridable via the HG_EPS env var).
+Extreme points and facets come from one Qhull convex hull (Barber, Dobkin
+& Huhdanpaa, ACM TOMS 1996) in the chart of the affine hull; coplanar
+Qhull simplices are grouped into facets by the vertices within the shared
+tolerance EPS_GEO (overridable via the HG_EPS env var) of their plane.
+Domains of a few hundred vertices in ambient dimension <= 4 build in
+milliseconds.  scipy is imported only by the functions that need it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import defaults
 from .errors import (
@@ -63,14 +65,16 @@ def _as_array(p, name="point"):
 
 def _lex_unique(points, tol):
     """Sort rows lexicographically and drop rows within tol of a kept row."""
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    kept = []
-    for row in pts:
-        if any(np.linalg.norm(row - k) <= tol for k in kept):
-            continue
-        kept.append(row)
-    return np.array(kept)
+    from scipy.spatial import cKDTree
+
+    pts = points[np.lexsort(points.T[::-1])]
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    keep = np.ones(len(pts), dtype=bool)
+    # pairs are (i, j) with i < j; visiting them by j settles keep[i] first
+    for i, j in pairs[np.lexsort(pairs.T)]:
+        if keep[i]:
+            keep[j] = False
+    return pts[keep]
 
 
 def _affine_rank(points, tol):
@@ -102,76 +106,69 @@ def _nullspace(M, tol=1e-12):
     return vt[rank:].T
 
 
-def _extreme_mask(lv):
-    """Marks rows that are not convex combinations of the other rows."""
-    m, d = lv.shape
-    if m <= d + 1:
-        return np.ones(m, dtype=bool)
-    mask = np.ones(m, dtype=bool)
-    for i in range(m):
-        others = np.delete(lv, i, axis=0)
-        A_eq = np.vstack([others.T, np.ones(m - 1)])
-        b_eq = np.concatenate([lv[i], [1.0]])
-        res = linprog(
-            np.zeros(m - 1),
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * (m - 1),
-            method="highs",
-        )
-        if res.status == 0:
-            mask[i] = False
-        elif res.status != 2:
-            raise GeometryError(f"extreme point test: LP status {res.status}")
-    return mask
+def _qhull(cls, *args):
+    """A scipy.spatial Qhull object, with Qhull failures (flat input, an
+    interior point that is not clearly inside) raised as DegenerateInput."""
+    from scipy.spatial import QhullError
+
+    try:
+        return cls(*args)
+    except QhullError as exc:
+        raise DegenerateInput(f"Qhull: {str(exc).splitlines()[0]}") from None
 
 
-def _facets_bruteforce(lv, tol):
-    """Supporting hyperplanes through intrinsic_dim vertices, one-sided test.
+def _hull_facets(points, tol, candidates=None):
+    """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    Returns unit outward normals A, offsets b (A u <= b on the polytope) and
-    the list of vertex index sets with equality, one per facet.
+    Coplanar Qhull simplices are grouped by their equality set: the
+    candidate rows (default: the hull vertices) within tol of the
+    simplex's plane, plus the simplex's own vertices.  A hull vertex whose
+    facets share another hull vertex lies within tol of the hull of the
+    other points and is dropped.  Returns the remaining hull vertices in
+    ascending order, unit outward normals A and offsets b (A u <= b on
+    the hull) and the equality sets, all in row numbering, one entry per
+    facet in the order of tuple(sorted(set)).
     """
-    m, d = lv.shape
+    from scipy.spatial import ConvexHull
+
+    hull = _qhull(ConvexHull, points)
+    hull_verts = np.sort(hull.vertices).tolist()
+    rows = np.array(hull_verts) if candidates is None else candidates
+    eq = hull.equations
+    near = np.abs(points[rows] @ eq[:, :-1].T + eq[:, -1]) <= tol
+    sets = [frozenset(rows[near[:, k]].tolist()) | frozenset(simplex.tolist())
+            for k, simplex in enumerate(hull.simplices)]
+    facets_on = {}
+    for S in set(sets):
+        for v in S:
+            facets_on.setdefault(v, []).append(S)
+    hull_set = frozenset(hull_verts)
+    verts = [v for v in hull_verts
+             if frozenset.intersection(*facets_on[v]) & hull_set == {v}]
+    flat = hull_set.difference(verts)
     found = {}
-    for T in itertools.combinations(range(m), d):
-        pts = lv[list(T)]
-        if d == 1:
-            normal = np.array([1.0])
-        else:
-            diffs = pts[1:] - pts[0]
-            s_vals = np.linalg.svd(diffs, compute_uv=False)
-            if s_vals[-1] <= tol * max(1.0, s_vals[0]):
-                continue  # subset does not span a hyperplane
-            normal = _nullspace(diffs)[:, 0]
-        r = lv @ normal - float(pts[0] @ normal)
-        hi, lo = r.max(), r.min()
-        if hi > tol and lo < -tol:
-            continue  # hyperplane cuts the vertex set
-        if hi > tol:
-            normal = -normal
-            r = -r
-        offset = float(np.mean(lv[list(T)] @ normal))
-        eq = frozenset(int(j) for j in range(m) if abs(r[j]) <= tol)
-        if eq not in found:
-            found[eq] = (normal, offset)
-    if not found:
-        raise DegenerateInput("no supporting facet found")
+    for k, S in enumerate(sets):
+        found.setdefault(S - flat, k)
     keys = sorted(found, key=lambda s: tuple(sorted(s)))
-    A = np.array([found[k][0] for k in keys])
-    b = np.array([found[k][1] for k in keys])
-    return A, b, keys
+    first = [found[key] for key in keys]
+    return np.array(verts), eq[first, :-1], -eq[first, -1], keys
 
 
 def _close_under_intersection(facet_sets):
+    """Every nonempty intersection of facets.  Intersecting each new set
+    with the facets that share a vertex with it reaches all of them."""
+    touching = {}
+    for F in facet_sets:
+        for v in F:
+            touching.setdefault(v, []).append(F)
     sets = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
         new = set()
         for s in frontier:
-            for t in sets:
+            for t in {F for v in s for F in touching[v]}:
                 u = s & t
-                if u and u not in sets and u not in new:
+                if u and u not in sets:
                     new.add(u)
         sets |= new
         frontier = new
@@ -309,6 +306,8 @@ class JoinRegion:
         self._Vb = np.atleast_2d(face_b.vertices)
 
     def __call__(self, p, margin=1e-10):
+        from scipy.optimize import linprog
+
         z = _as_array(p)
         ka, kb = len(self._Va), len(self._Vb)
         n = ka + kb
@@ -446,19 +445,6 @@ class ConvexDomain:
         s = self._slacks(self.to_local(p))
         return s.min() >= -eps and abs(s.min()) <= eps
 
-    def boundary_distance(self, p):
-        """Distance to the boundary from an interior point (polytopes use
-        the exact facet slack minimum; ellipsoids a radial estimate)."""
-        if self.kind == "polytope":
-            return self.min_slack(p)
-        q = _as_array(p) - self.center
-        r = np.linalg.norm(self._chol_solve(q))
-        if r == 0.0:
-            s = np.linalg.svd(self.shape, compute_uv=False)
-            return float(np.sqrt(s[-1]))
-        proj = self.center + q / r
-        return float(np.linalg.norm(proj - _as_array(p)) * np.sign(1.0 - r))
-
     def centroid(self):
         if self.kind == "polytope":
             return self.vertices.mean(axis=0)
@@ -483,13 +469,6 @@ class ConvexDomain:
         if self.kind != "polytope":
             raise Unsupported("ellipsoids have no polytopal face lattice")
         return self._lattice
-
-    def tight_facets(self, p, eps=None):
-        """Indices of facets within eps of p (polytope only)."""
-        eps = _eps(eps)
-        u = self.to_local(p)
-        s = self._b - self._A @ u
-        return frozenset(int(i) for i in np.nonzero(np.abs(s) <= eps)[0])
 
     def boundary_face_of(self, p, eps=None):
         """The face whose relative interior contains the boundary point p."""
@@ -687,6 +666,9 @@ class ConvexDomain:
 
         The result lives in coordinates of subspace ∩ affine hull; raises
         EmptyIntersection when that set misses the relative interior."""
+        from scipy.optimize import linprog
+        from scipy.spatial import HalfspaceIntersection
+
         eps_v = _eps(eps)
         p0 = _as_array(point, "point")
         S = np.atleast_2d(_as_array(spans, "spans"))
@@ -724,7 +706,7 @@ class ConvexDomain:
             raise EmptyIntersection("section plane is outside a facet")
         G, h, norms = G[~flat], h[~flat], norms[~flat]
         # Chebyshev margin: is there an interior point of the slice
-        k, mr = G.shape
+        mr = G.shape[1]
         A_ub = np.hstack([G, norms[:, None]])
         c = np.zeros(mr + 1)
         c[-1] = -1.0
@@ -733,18 +715,14 @@ class ConvexDomain:
                       method="highs")
         if res.status != 0 or -res.fun <= eps_v:
             raise EmptyIntersection("subspace misses the relative interior")
-        # brute-force vertex enumeration of {G r <= h}
-        cands = []
-        for T in itertools.combinations(range(k), mr):
-            GT = G[list(T)]
-            if abs(np.linalg.det(GT)) <= 1e-12:
-                continue
-            rT = np.linalg.solve(GT, h[list(T)])
-            if np.all(G @ rT <= h + 1e-9 * max(1.0, np.abs(h).max())):
-                cands.append(rT)
-        if not cands:
-            raise EmptyIntersection("section has no vertices")
-        verts = _lex_unique(np.array(cands), 1e-9)
+        # vertices of {G r <= h}, seen from the Chebyshev centre
+        if mr == 1:
+            t = h / G[:, 0]
+            verts = np.array([[t[G[:, 0] < 0].max()], [t[G[:, 0] > 0].min()]])
+        else:
+            verts = _qhull(HalfspaceIntersection, np.hstack([G, -h[:, None]]),
+                           res.x[:mr]).intersections
+        verts = _lex_unique(verts, 1e-9)
         return Section(domain=build_polytope(verts, eps), origin=q0, basis=W)
 
     def _ellipsoid_section(self, q0, W):
@@ -832,8 +810,12 @@ class ConvexDomain:
 def build_polytope(points, eps=None):
     """Open polytope from a point cloud.
 
-    Non-extreme and duplicate points are dropped; facets and the face
-    lattice are derived by brute-force supporting-hyperplane enumeration.
+    Duplicate points (within eps) are dropped and the rest sorted
+    lexicographically; the vertices are the extreme points among them, in
+    that order.  Facets are the Qhull hull facets of the vertices in the
+    chart of their affine hull, one per set of vertices within eps of a
+    facet plane, sorted by that set; the face lattice is every nonempty
+    intersection of facets.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
@@ -847,27 +829,37 @@ def build_polytope(points, eps=None):
         raise DegenerateInput(
             "affine hull is a point or a segment in ambient dim >= 2")
     lv = (P - origin) @ basis
-    keep = _extreme_mask(lv)
+    if d == 1:
+        keep = np.sort([np.argmin(lv[:, 0]), np.argmax(lv[:, 0])])
+        A = np.sign(lv[keep] - lv[keep[::-1]])  # +1 at the larger end
+        b = A[:, 0] * lv[keep, 0]
+        facet_sets = [frozenset([0]), frozenset([1])]
+    else:
+        keep, A, b, hull_sets = _hull_facets(lv, eps_v)
+        renumber = {int(j): i for i, j in enumerate(keep)}
+        facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
     V = P[keep]
     lv = lv[keep]
-    A, b, facet_sets = _facets_bruteforce(lv, eps_v)
-    face_sets = _close_under_intersection(facet_sets)
-    faces = []
-    for S in sorted(face_sets, key=lambda s: tuple(sorted(s))):
-        idx = tuple(sorted(S))
-        pts_local = lv[list(idx)]
-        fdim = _affine_rank(pts_local, eps_v)
-        fids = frozenset(i for i, E in enumerate(facet_sets) if S <= E)
-        nw = A[sorted(fids)].mean(axis=0)
-        ob = float(b[sorted(fids)].mean())
-        nn = np.linalg.norm(nw)
-        nw, ob = nw / nn, ob / nn
-        N = basis @ nw
-        faces.append(Face(
-            indices=idx, dim=fdim, point_key=None,
-            vertices=V[list(idx)], normal=N,
-            offset=ob + float(N @ origin), facet_ids=fids,
-        ))
+    incident = {}  # vertex -> indices of the facets through it
+    for i, E in enumerate(facet_sets):
+        for v in E:
+            incident.setdefault(v, set()).add(i)
+    face_idx = sorted(tuple(sorted(S))
+                      for S in _close_under_intersection(facet_sets))
+    fids = [frozenset(set.intersection(*(incident[v] for v in idx)))
+            for idx in face_idx]
+    # a face's supporting hyperplane is the normalised mean of its facets'
+    member = np.zeros((len(face_idx), len(facet_sets)))
+    for r, F in enumerate(fids):
+        member[r, list(F)] = 1.0
+    nw, ob = member @ A, member @ b
+    nn = np.linalg.norm(nw, axis=1)
+    N = (nw / nn[:, None]) @ basis.T
+    offsets = ob / nn + N @ origin
+    faces = [Face(indices=idx, dim=_affine_rank(lv[list(idx)], eps_v),
+                  point_key=None, vertices=V[list(idx)], normal=N[r],
+                  offset=float(offsets[r]), facet_ids=fids[r])
+             for r, idx in enumerate(face_idx)]
     lattice = FaceLattice(faces)
     # sanity: the 0-faces are exactly the vertices
     zero = {f.indices[0] for f in lattice.of_dim(0)}

@@ -61,10 +61,6 @@ class XNotInteriorOfCone(GeometryError):
     """Reference element of a cone ratio is not interior."""
 
 
-class DomainContainsOriginDirectionConflict(GeometryError):
-    """Cone construction cannot separate the domain from the origin."""
-
-
 class PointAtInfinity(GeometryError):
     """Projective image has no affine representative in this chart."""
 
@@ -83,10 +79,6 @@ class NotInteriorOfCone(GeometryError):
 
 class ImageEscapedDomain(GeometryError):
     """A mapped sample left the target domain."""
-
-
-class DimensionMismatch(GeometryError):
-    """Operands live in incompatible dimensions."""
 
 
 class ParseError(ValueError):

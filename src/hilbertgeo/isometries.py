@@ -433,6 +433,7 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
     m = len(va)
     if len(vb) != m:
         return PlaneClassification("not-isometric", None, math.inf)
+    va_h = np.hstack([va, np.ones((m, 1))])  # homogeneous vertex block
     for shift in range(m):
         for orient in (1, -1):
             order = [(shift + orient * i) % m for i in range(m)]
@@ -446,13 +447,14 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
                 cand = fit_projective(src, tgt)
             except (DegenerateBasis, DegenerateInput):
                 continue
-            try:
-                vert_dev = max(
-                    float(np.linalg.norm(cand(va[i]) - w[i]))
-                    for i in range(m)
-                )
-            except PointAtInfinity:
+            # every vertex image at once, by the PointAtInfinity rule of
+            # ProjectiveMap.__call__
+            h = va_h @ cand.matrix.T
+            h /= np.max(np.abs(h), axis=1, keepdims=True)
+            if np.any(np.abs(h[:, -1]) <= 1e-12):
                 continue
+            vert_dev = float(np.max(np.linalg.norm(h[:, :-1] / h[:, -1:] - w,
+                                                   axis=1)))
             if vert_dev > tol:
                 continue
             dev = _verify_candidate(dom_a, dom_b, cand, rng)
