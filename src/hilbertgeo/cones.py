@@ -94,7 +94,7 @@ def build_cone(generators, eps=None):
     """
     eps_v = _eps(eps)
     G = np.atleast_2d(_as_array(generators, "generators"))
-    m, D = G.shape
+    D = G.shape[1]
     if D < 2:
         raise Unsupported("cones need ambient dimension >= 2")
     norms = np.linalg.norm(G, axis=1)
@@ -102,9 +102,9 @@ def build_cone(generators, eps=None):
         raise DegenerateInput("zero generator ray")
     if np.linalg.matrix_rank(G, tol=1e-9) < D:
         raise DegenerateInput("generators do not span the space")
-    # row 0 is the origin; equality sets range over every generator
+    # row 0 is the origin
     pts = np.vstack([np.zeros(D), G])
-    verts, A, _, sets = _hull_facets(pts, eps_v, candidates=np.arange(m + 1))
+    verts, A, _, sets = _hull_facets(pts, eps_v)
     if verts[0] != 0:
         raise DegenerateInput("cone is not pointed")
     center = G.mean(axis=0)

@@ -117,33 +117,34 @@ def _qhull(cls, *args):
         raise DegenerateInput(f"Qhull: {str(exc).splitlines()[0]}") from None
 
 
-def _hull_facets(points, tol, candidates=None):
+def _hull_facets(points, tol):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    Coplanar Qhull simplices are grouped by their equality set: the
-    candidate rows (default: the hull vertices) within tol of the
-    simplex's plane, plus the simplex's own vertices.  A hull vertex whose
-    facets share another hull vertex lies within tol of the hull of the
-    other points and is dropped.  Returns the remaining hull vertices in
-    ascending order, unit outward normals A and offsets b (A u <= b on
-    the hull) and the equality sets, all in row numbering, one entry per
-    facet in the order of tuple(sorted(set)).
+    Coplanar Qhull simplices are grouped by their equality set: the hull
+    vertices within tol of the simplex's plane, plus the simplex's own
+    vertices.  A hull vertex whose facets share another hull vertex lies
+    within tol of the hull of the other points and is dropped; a facet
+    whose Qhull plane runs through a dropped vertex is refitted to its
+    kept vertices.  Returns the remaining hull vertices in ascending
+    order, unit outward normals A and offsets b (A u <= b on the hull)
+    and the equality sets, all in row numbering, one entry per facet in
+    the order of tuple(sorted(set)).
     """
     from scipy.spatial import ConvexHull
 
     hull = _qhull(ConvexHull, points)
-    hull_verts = np.sort(hull.vertices).tolist()
-    rows = np.array(hull_verts) if candidates is None else candidates
+    hull_verts = np.sort(hull.vertices)
     eq = hull.equations
-    near = np.abs(points[rows] @ eq[:, :-1].T + eq[:, -1]) <= tol
-    sets = [frozenset(rows[near[:, k]].tolist()) | frozenset(simplex.tolist())
+    near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
+    sets = [frozenset(hull_verts[near[:, k]].tolist())
+            | frozenset(simplex.tolist())
             for k, simplex in enumerate(hull.simplices)]
     facets_on = {}
     for S in set(sets):
         for v in S:
             facets_on.setdefault(v, []).append(S)
-    hull_set = frozenset(hull_verts)
-    verts = [v for v in hull_verts
+    hull_set = frozenset(hull_verts.tolist())
+    verts = [v for v in hull_verts.tolist()
              if frozenset.intersection(*facets_on[v]) & hull_set == {v}]
     flat = hull_set.difference(verts)
     found = {}
@@ -151,7 +152,15 @@ def _hull_facets(points, tol, candidates=None):
         found.setdefault(S - flat, k)
     keys = sorted(found, key=lambda s: tuple(sorted(s)))
     first = [found[key] for key in keys]
-    return np.array(verts), eq[first, :-1], -eq[first, -1], keys
+    A, b = eq[first, :-1], -eq[first, -1]
+    for i, key in enumerate(keys):
+        if flat.intersection(hull.simplices[first[i]].tolist()):
+            P = points[sorted(key)]
+            c = P.mean(axis=0)
+            n = np.linalg.svd(P - c)[2][-1]
+            A[i] = n if n @ A[i] > 0 else -n
+            b[i] = A[i] @ c
+    return np.array(verts), A, b, keys
 
 
 def _close_under_intersection(facet_sets):

@@ -75,11 +75,16 @@ class ProjectiveMap:
         p = _as_array(p, "point")
         if p.size != self.dim:
             raise DegenerateInput("point dimension does not match the map")
-        h = self.matrix @ np.concatenate([p, [1.0]])
-        h = h / np.max(np.abs(h))
-        if abs(h[-1]) <= 1e-12:
+        return self.apply(p[None, :])[0]
+
+    def apply(self, P):
+        """Images of the rows of P; PointAtInfinity if any image lies on
+        the hyperplane at infinity."""
+        h = np.hstack([P, np.ones((len(P), 1))]) @ self.matrix.T
+        h = h / np.max(np.abs(h), axis=1, keepdims=True)
+        if np.any(np.abs(h[:, -1]) <= 1e-12):
             raise PointAtInfinity("image lies on the hyperplane at infinity")
-        return h[:-1] / h[-1]
+        return h[:, :-1] / h[:, -1:]
 
     def inverse(self):
         return ProjectiveMap(np.linalg.inv(self.matrix))
@@ -433,7 +438,6 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
     m = len(va)
     if len(vb) != m:
         return PlaneClassification("not-isometric", None, math.inf)
-    va_h = np.hstack([va, np.ones((m, 1))])  # homogeneous vertex block
     for shift in range(m):
         for orient in (1, -1):
             order = [(shift + orient * i) % m for i in range(m)]
@@ -447,14 +451,11 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
                 cand = fit_projective(src, tgt)
             except (DegenerateBasis, DegenerateInput):
                 continue
-            # every vertex image at once, by the PointAtInfinity rule of
-            # ProjectiveMap.__call__
-            h = va_h @ cand.matrix.T
-            h /= np.max(np.abs(h), axis=1, keepdims=True)
-            if np.any(np.abs(h[:, -1]) <= 1e-12):
+            try:
+                vert_dev = float(np.max(np.linalg.norm(cand.apply(va) - w,
+                                                       axis=1)))
+            except PointAtInfinity:
                 continue
-            vert_dev = float(np.max(np.linalg.norm(h[:, :-1] / h[:, -1:] - w,
-                                                   axis=1)))
             if vert_dev > tol:
                 continue
             dev = _verify_candidate(dom_a, dom_b, cand, rng)

@@ -107,13 +107,29 @@ def test_cube_with_junk_points():
 def test_points_within_tolerance_outside_the_hull_are_not_vertices():
     # Qhull makes each of these a hull vertex; within 1e-9 of an edge or a
     # facet it is not extreme at the shared tolerance
-    square = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+    # and the facets run through the kept vertices, not the dropped point
+    square = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
     for off in (1e-12, 1e-10):
-        assert f_vector(square + [[0.5, 1 + off]]) == {0: 4, 1: 4}
-    for extra in ([0.5, 0.5, 1 + 1e-12], [0.5, 1 + 1e-12, 1 + 1e-12]):
+        dom = build_polytope(np.vstack([square, [0.5, 1 + off]]))
+        assert dom.face_lattice().counts() == {0: 4, 1: 4}
+        assert_facets_exact(dom)
+    for extra in ([0.5, 0.5, 1 + 1e-10], [0.5, 1 + 1e-10, 1 + 1e-10],
+                  [0.5, 0.5, 1 + 1e-12], [0.5, 1 + 1e-12, 1 + 1e-12]):
         dom = build_polytope(np.vstack([CUBE, extra]))
         assert np.array_equal(dom.vertices, CUBE)
         assert dom.face_lattice().counts() == {0: 8, 1: 12, 2: 6}
+        assert_facets_exact(dom)
+
+
+def assert_facets_exact(dom):
+    """A, b equal the reference planes through the kept vertices."""
+    ref = reference_facets(dom.vertices)
+    keys = sorted(ref, key=lambda s: tuple(sorted(s)))
+    assert dom._facet_sets == keys
+    normals = (dom._basis @ dom._A.T).T
+    offsets = dom._b + normals @ dom._origin
+    assert np.allclose(normals, [ref[k][0] for k in keys], rtol=0, atol=1e-14)
+    assert np.allclose(offsets, [ref[k][1] for k in keys], rtol=0, atol=1e-14)
 
 
 def test_octahedron():
