@@ -21,6 +21,7 @@ from .errors import (
     Unsupported,
     XNotInteriorOfCone,
 )
+from .metric import _funk_sum
 
 __all__ = [
     "Cone",
@@ -35,8 +36,12 @@ def _lorentz_q(z):
     return float(z[0] * z[0] - z[1:] @ z[1:])
 
 
-def _lorentz_b(x, y):
-    return float(x[0] * y[0] - x[1:] @ y[1:])
+def _lorentz_scale(x, y):
+    """min_scale(x, y) on the Lorentz cone, for interior x."""
+    qx = _lorentz_q(x)
+    B = float(x[0] * y[0] - x[1:] @ y[1:])
+    disc = max(B * B - qx * _lorentz_q(y), 0.0)
+    return float((B + math.sqrt(disc)) / qx)
 
 
 @dataclass(eq=False)
@@ -76,11 +81,7 @@ class Cone:
             num = self.functionals @ y
             den = self.functionals @ x
             return float(np.max(num / den))
-        qx = _lorentz_q(x)
-        qy = _lorentz_q(y)
-        B = _lorentz_b(x, y)
-        disc = max(B * B - qx * qy, 0.0)
-        return float((B + math.sqrt(disc)) / qx)
+        return _lorentz_scale(x, y)
 
 
 def build_cone(generators, eps=None):
@@ -160,10 +161,15 @@ def lorentz_cone(n):
 
 
 def cone_distance(cone, x, y):
-    """Projective order metric between interior points of the cone."""
+    """Projective order metric between interior points; on a polyhedral
+    cone it is the Funk sum of the functionals, as for polytopes."""
     x = _as_array(x, "x")
     y = _as_array(y, "y")
-    if not cone.contains_interior(y):
-        raise XNotInteriorOfCone("y must be interior to the cone")
-    return float(math.log(cone.min_scale(x, y))
-                 + math.log(cone.min_scale(y, x)))
+    for p, name in ((x, "x"), (y, "y")):
+        if not cone.contains_interior(p):
+            raise XNotInteriorOfCone(f"{name} must be interior to the cone")
+    if cone.kind == "polyhedral":
+        L = cone.functionals
+        return _funk_sum(L @ x, L @ y, L @ (x - y))
+    return float(math.log(_lorentz_scale(x, y))
+                 + math.log(_lorentz_scale(y, x)))

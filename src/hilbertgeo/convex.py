@@ -538,20 +538,14 @@ class ConvexDomain:
         """Intersection parameters of {u + t du} with the local body.
         Returns (t_lo, t_hi) with t_lo < 0 < t_hi for interior u."""
         if self.kind == "polytope":
-            t_lo, t_hi = -np.inf, np.inf
             denom = self._A @ du
-            slack = self._b - self._A @ u
-            for i in range(len(denom)):
-                if abs(denom[i]) <= 1e-14 * max(1.0, np.linalg.norm(du)):
-                    continue  # parallel facet
-                t = slack[i] / denom[i]
-                if denom[i] > 0:
-                    t_hi = min(t_hi, t)
-                else:
-                    t_lo = max(t_lo, t)
-            if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
+            # facets with |denom| at round-off level count as parallel
+            live = np.abs(denom) > 1e-14 * max(1.0, np.linalg.norm(du))
+            t = (self._b - self._A @ u)[live] / denom[live]
+            up = denom[live] > 0
+            if up.all() or not up.any():
                 raise GeometryError("line escapes the polytope")
-            return float(t_lo), float(t_hi)
+            return float(t[~up].max()), float(t[up].min())
         # ellipsoid: qf(u + t du - c) = 1 in ambient coordinates
         w = self._chol_solve(self.to_ambient(u) - self.center)
         dw = self._chol_solve(self._basis @ du)

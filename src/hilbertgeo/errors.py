@@ -73,10 +73,6 @@ class NotInSimplex(GeometryError):
     """Point is not in the open standard simplex."""
 
 
-class NotInteriorOfCone(GeometryError):
-    """Point is not in the open cone."""
-
-
 class ImageEscapedDomain(GeometryError):
     """A mapped sample left the target domain."""
 

@@ -2,8 +2,9 @@
 
 The distance between interior points x, y is the natural log of the cross
 ratio of (alpha, x, y, beta) where alpha, beta are the boundary endpoints
-of the chord through x and y, alpha on the x side.  Everything here is
-exact projective geometry on top of the chord clipping in convex.py.
+of the chord through x and y, alpha on the x side.  With facet slacks s it
+is the sum of the two Funk distances, log max s(x)/s(y) + log max s(y)/s(x)
+(Papadopoulos & Troyanov 2014), for polytopes and polyhedral cones alike.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateInput,
     GeometryError,
+    NonFinite,
     NotCollinear,
     NotOnBoundary,
 )
@@ -68,13 +70,25 @@ def cross_ratio(a, x, y, b, eps=None):
     return float((np.linalg.norm(a - y) * np.linalg.norm(b - x)) / (ax * by))
 
 
+def _funk_sum(sx, sy, delta):
+    """log max_i sx_i/sy_i + log max_j sy_j/sx_j, with delta = sx - sy
+    taken from the points' difference so that close pairs keep digits."""
+    return float(np.log1p(np.max(delta / sy)) + np.log1p(np.max(-delta / sx)))
+
+
 def distance(domain, x, y, eps=None):
-    """Hilbert distance between interior points of the domain."""
+    """Hilbert distance between interior points of the domain: the Funk
+    sum of facet slacks on polytopes, the chord cross ratio on ellipsoids."""
     x = _as_array(x, "x")
     y = _as_array(y, "y")
     if np.array_equal(x, y):
         domain._require_interior(x, eps, "x")
         return 0.0
+    if domain.kind == "polytope":
+        sx = domain._slacks(domain._require_interior(x, eps, "x"))
+        sy = domain._slacks(domain._require_interior(y, eps, "y"))
+        # from y - x, not uy - ux, which loses digits in the chart shift
+        return _funk_sum(sx, sy, domain._A @ (domain._basis.T @ (y - x)))
     t_lo, t_hi = domain.chord_params(x, y, eps)
     # chord parametrized with x at 0 and y at 1; endpoints outside [0, 1]
     return float(math.log((1.0 - t_lo) / (-t_lo) * (t_hi / (t_hi - 1.0))))
@@ -244,33 +258,20 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
 def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     """Boundary polyline of the metric ball, for 2-dimensional domains.
 
-    Bisects the monotone map t -> d(center, center + t u) along n_dirs
-    local directions; returns ambient points in cyclic order.
+    The chord's cross ratio is solved for the point at radius R along
+    n_dirs local directions; returns ambient points in cyclic order.
     """
     if domain.intrinsic_dim != 2:
         raise DegenerateInput("metric balls are rendered for 2-dim domains")
+    if not math.isfinite(radius):
+        raise NonFinite("radius is not finite")
     if radius <= 0.0:
         raise DegenerateInput("radius must be positive")
-    c = _as_array(center, "center")
-    u0 = domain._require_interior(c, eps, "center")
-    out = []
-    for k in range(n_dirs):
-        th = 2.0 * math.pi * k / n_dirs
-        du = np.array([math.cos(th), math.sin(th)])
-        _, t_hi = domain._clip_line(u0, du)
-        lo, hi = 0.0, t_hi
-        c_amb = domain.to_ambient(u0)
-        for _ in range(60):
-            tm = 0.5 * (lo + hi)
-            p = domain.to_ambient(u0 + tm * du)
-            try:
-                inside = distance(domain, c_amb, p, eps) < radius
-            except GeometryError:
-                hi = tm
-                continue
-            if inside:
-                lo = tm
-            else:
-                hi = tm
-        out.append(domain.to_ambient(u0 + 0.5 * (lo + hi) * du))
-    return np.array(out)
+    u0 = domain._require_interior(_as_array(center, "center"), eps, "center")
+    th = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    t_lo, t_hi = np.array([domain._clip_line(u0, du) for du in dirs]).T
+    # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
+    t = (t_hi * -t_lo * -math.expm1(-radius)
+         / (t_hi * math.exp(-radius) - t_lo))
+    return domain._origin + (u0 + t[:, None] * dirs) @ domain._basis.T

@@ -18,6 +18,7 @@ from hilbertgeo.errors import (
     DegenerateInput,
     DimensionOutOfRange,
     EmptyIntersection,
+    GeometryError,
     NonFinite,
     NotOnBoundary,
     NotOpposite,
@@ -105,6 +106,39 @@ def test_chord_rejects_bad_points():
         dom.chord_through([1.0, 0.0], [0.0, 0.0])  # boundary start
     with pytest.raises(PointNotInterior):
         dom.chord_through([3.0, 0.0], [0.0, 0.0])
+
+
+def _clip_line_by_facet(dom, u, du):
+    """The per-facet loop _clip_line replaced, kept as its reference."""
+    t_lo, t_hi = -np.inf, np.inf
+    denom = dom._A @ du
+    slack = dom._b - dom._A @ u
+    for i in range(len(denom)):
+        if abs(denom[i]) <= 1e-14 * max(1.0, np.linalg.norm(du)):
+            continue  # parallel facet
+        t = slack[i] / denom[i]
+        if denom[i] > 0:
+            t_hi = min(t_hi, t)
+        else:
+            t_lo = max(t_lo, t)
+    return t_lo, t_hi
+
+
+def test_clip_line_matches_per_facet_reference():
+    rng = np.random.default_rng(31)
+    doms = [square(), build_polytope(rng.normal(size=(12, 2))),
+            build_polytope(rng.normal(size=(30, 3))), standard_simplex(3)]
+    for dom in doms:
+        for _ in range(50):
+            u = dom.to_local(dom.sample_interior(rng, 1, pull=0.1))
+            du = rng.normal(size=dom.intrinsic_dim)
+            # along a facet: that facet's denominator is at round-off level
+            facet = dom._A[rng.integers(len(dom._A))]
+            along = du - (du @ facet) * facet
+            for d in (du, along, 1e-9 * du):
+                assert dom._clip_line(u, d) == _clip_line_by_facet(dom, u, d)
+        with pytest.raises(GeometryError, match="escapes"):
+            dom._clip_line(u, 1e-16 * du)
 
 
 def test_ellipsoid_chord_and_boundary_face():

@@ -162,6 +162,16 @@ def test_cli_render_writes_parseable_svg(square_file, tmp_path, capsys):
     assert "line" in tags
 
 
+def test_cli_render_rejects_non_finite_radius(square_file, tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    code = main(["render", "--domain", square_file, "--out", str(out),
+                 "--ball", "0,0,nan"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_console_script_entry_point(square_file):
     proc = subprocess.run(
         [sys.executable, "-m", "hilbertgeo.cli", "distance",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from hilbertgeo import (
     asymptotic_profile,
     build_ellipsoid,
     build_polytope,
+    cone_distance,
+    cone_over,
     cross_ratio,
     distance,
     gromov_product,
@@ -20,12 +23,18 @@ from hilbertgeo import (
 )
 from hilbertgeo.errors import (
     DegenerateDenominator,
+    NonFinite,
     NotCollinear,
     NotOnBoundary,
     PointNotInterior,
 )
 
 SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+PENTAGON = [[math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)]
+            for k in range(5)]
+# irregular, listed in counterclockwise order
+OCTAGON = [[1.0, 0.1], [0.8, 0.7], [0.2, 1.1], [-0.5, 0.9], [-1.1, 0.3],
+           [-0.9, -0.6], [-0.2, -1.0], [0.6, -0.8]]
 
 
 def square():
@@ -184,10 +193,87 @@ def test_asymptotic_rejects_interior_targets():
 
 
 def test_hilbert_ball_radius():
-    dom = square()
     center = np.array([0.2, -0.1])
-    ring = hilbert_ball(dom, center, 0.8, n_dirs=24)
-    assert len(ring) == 24
-    for p in ring:
-        assert dom.contains_interior(p, 1e-12)
-        assert abs(distance(dom, center, p) - 0.8) < 1e-6
+    domains = [square(), build_polytope(PENTAGON),
+               build_ellipsoid([0, 0], np.eye(2))]
+    for dom in domains:
+        for radius in (0.05, 0.8, 20.0):
+            ring = hilbert_ball(dom, center, radius, n_dirs=24)
+            assert len(ring) == 24
+            for p in ring:
+                assert dom.contains_interior(p, 1e-12)
+                # Rounding p's coordinates moves its radius by about an
+                # ulp over its slack: about 1e-7 at R = 20, where the
+                # slack is near e^-20, and far below 1e-12 at R <= 0.8.
+                tol = 1e-12 + 16 * 2.0 ** -53 / dom.min_slack(p)
+                assert abs(distance(dom, center, p) - radius) < tol
+        # exp(R) overflows: the points reach the boundary, finite
+        ring = hilbert_ball(dom, center, 1000.0, n_dirs=24)
+        assert np.all(np.isfinite(ring))
+        assert all(dom.min_slack(p) > -1e-15 for p in ring)
+
+
+def test_hilbert_ball_rejects_non_finite_radius():
+    for radius in (math.nan, math.inf):
+        with pytest.raises(NonFinite):
+            hilbert_ball(square(), [0.0, 0.0], radius)
+
+
+def _exact_distance(vertices, x, y):
+    """50-digit Funk sum over the edges of a convex polygon given in
+    cyclic order; the float inputs convert to mpf exactly."""
+    with mpmath.workdps(50):
+        V = [[mpmath.mpf(c) for c in v] for v in vertices]
+        x, y = ([mpmath.mpf(float(c)) for c in p] for p in (x, y))
+        sx, sy = [], []
+        for p, q in zip(V, V[1:] + V[:1]):
+            a = (p[1] - q[1], q[0] - p[0])  # inward for counterclockwise
+            sx.append(a[0] * (x[0] - p[0]) + a[1] * (x[1] - p[1]))
+            sy.append(a[0] * (y[0] - p[0]) + a[1] * (y[1] - p[1]))
+        return (mpmath.log(max(u / v for u, v in zip(sx, sy)))
+                + mpmath.log(max(v / u for u, v in zip(sx, sy))))
+
+
+def test_distance_matches_mpmath_oracle():
+    rng = np.random.default_rng(2014)
+    pairs = []
+    for _ in range(5):
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        x = rng.uniform(-0.5, 0.5, size=2)
+        pairs.append((SQUARE, x, x + 1e-14 * u))
+        x = rng.uniform(-0.3, 0.3, size=2)
+        pairs.append((OCTAGON, x, x + 1e-13 * u))
+    # 1e-15 from the top edge; an axis-parallel edge keeps the stored
+    # slack exact, so the check sees the kernel and not facet round-off
+    pairs.append((SQUARE, [0.3, 1 - 1e-15], [-0.2, 1 - 3e-15]))
+    pairs.append((SQUARE, [0.3, 1 - 1e-15], [-0.2, 0.1]))
+    for verts, x, y in pairs:
+        want = _exact_distance(verts, x, y)
+        got = distance(build_polytope(verts), x, y)
+        assert float(abs(got - want) / want) <= 1e-13
+
+
+def test_distance_is_exactly_symmetric():
+    rng = np.random.default_rng(17)
+    for verts in (SQUARE, PENTAGON, OCTAGON):
+        dom = build_polytope(verts)
+        for _ in range(50):
+            x, y = dom.sample_interior(rng, 2)
+            assert distance(dom, x, y) == distance(dom, y, x)
+        x = dom.sample_interior(rng, 1)
+        assert distance(dom, x, x + 1e-14) == distance(dom, x + 1e-14, x)
+
+
+def test_cone_over_polygon_reproduces_distance():
+    # Both sides evaluate one Funk sum; their facet normals come from two
+    # Qhull runs and agree to an ulp or so on these polygons.
+    rng = np.random.default_rng(23)
+    for verts in (SQUARE, PENTAGON, OCTAGON):
+        dom = build_polytope(verts)
+        cone = cone_over(dom)
+        for _ in range(100):
+            x, y = dom.sample_interior(rng, 2, pull=0.05)
+            want = distance(dom, x, y)
+            got = cone_distance(cone, cone.embed(x), cone.embed(y))
+            assert abs(got - want) <= 1e-15 * want
