@@ -54,6 +54,7 @@ from .metric import (
     asymptotic_profile,
     cross_ratio,
     distance,
+    distances,
     gromov_product,
     hilbert_ball,
     is_rigid_chord,
@@ -71,7 +72,8 @@ __all__ = [
     "axis_coords", "axis_coords_inv", "asymptotic_profile",
     "build_cone", "build_ellipsoid", "build_polytope", "classify_2d",
     "clr", "clr_inv", "cone_distance", "cone_over", "cross_ratio",
-    "distance", "domain_to_dict", "fit_projective", "focusing_probe",
+    "distance", "distances", "domain_to_dict", "fit_projective",
+    "focusing_probe",
     "gromov_product", "hilbert_ball", "is_cone_3d", "is_rigid_chord",
     "load_domain", "lorentz_cone", "minkowski_functional", "parse_domain",
     "projectivity_check", "reciprocal_map", "render_svg",

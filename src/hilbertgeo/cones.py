@@ -170,6 +170,6 @@ def cone_distance(cone, x, y):
             raise XNotInteriorOfCone(f"{name} must be interior to the cone")
     if cone.kind == "polyhedral":
         L = cone.functionals
-        return _funk_sum(L @ x, L @ y, L @ (x - y))
+        return float(_funk_sum(L @ x, L @ y, L @ (x - y)))
     return float(math.log(_lorentz_scale(x, y))
                  + math.log(_lorentz_scale(y, x)))

@@ -410,15 +410,24 @@ class ConvexDomain:
     # ---------------------------------------------------------------- charts
 
     def to_local(self, p):
-        return self._basis.T @ (_as_array(p) - self._origin)
+        """Chart coordinates of a point, or of each row of an array."""
+        return (_as_array(p) - self._origin) @ self._basis
 
     def to_ambient(self, u):
-        return self._origin + self._basis @ _as_array(u)
+        return self._origin + _as_array(u) @ self._basis.T
 
     def hull_residual(self, p):
         """Euclidean distance from p to the affine hull."""
-        d = _as_array(p) - self._origin
-        return float(np.linalg.norm(d - self._basis @ (self._basis.T @ d)))
+        return float(self._hull_residuals(_as_array(p)[None, :])[0])
+
+    def _hull_residuals(self, P):
+        """Distances of the rows of P to the affine hull.  A full-dimensional
+        domain's hull is the whole space: its residual would be pure
+        round-off, which an absolute eps rejects at large scale."""
+        if self.intrinsic_dim == self.ambient_dim:
+            return np.zeros(len(P))
+        D = P - self._origin
+        return np.linalg.norm(D - (D @ self._basis) @ self._basis.T, axis=1)
 
     def project_to_hull(self, p):
         d = _as_array(p) - self._origin
@@ -427,14 +436,17 @@ class ConvexDomain:
     # ------------------------------------------------------------ predicates
 
     def _slacks(self, u):
+        """Facet slacks b - A u (polytope) or 1 - |L^-1 (p - c)|
+        (ellipsoid) of a local point, or of each row of an array."""
         if self.kind == "polytope":
-            return self._b - self._A @ u
-        r = np.linalg.norm(self._chol_solve(self.to_ambient(u) - self.center))
-        return np.array([1.0 - r])
+            return self._b - u @ self._A.T
+        w = self._chol_solve(self.to_ambient(u) - self.center)
+        return 1.0 - np.linalg.norm(w, axis=-1, keepdims=True)
 
     def _chol_solve(self, v):
-        # L^-1 v where shape = L L^T, so |L^-1 (p - c)| < 1 is the interior
-        return np.linalg.solve(self._chol, v)
+        # L^-1 v (each row of v) where shape = L L^T, so |L^-1 (p - c)| < 1
+        # is the interior
+        return np.linalg.solve(self._chol, v.T).T
 
     def min_slack(self, p):
         """Smallest facet slack (polytope) or 1 - radial coordinate
@@ -546,17 +558,30 @@ class ConvexDomain:
             if up.all() or not up.any():
                 raise GeometryError("line escapes the polytope")
             return float(t[~up].max()), float(t[up].min())
-        # ellipsoid: qf(u + t du - c) = 1 in ambient coordinates
-        w = self._chol_solve(self.to_ambient(u) - self.center)
-        dw = self._chol_solve(self._basis @ du)
-        a = float(dw @ dw)
-        bq = 2.0 * float(w @ dw)
-        c0 = float(w @ w) - 1.0
-        disc = bq * bq - 4.0 * a * c0
-        if a <= 0.0 or disc <= 0.0:
+        t_lo, t_hi = self._ellipsoid_chords(u, du)
+        if not -np.inf < t_lo < t_hi < np.inf:
             raise GeometryError("degenerate chord direction")
-        root = np.sqrt(disc)
-        return float((-bq - root) / (2 * a)), float((-bq + root) / (2 * a))
+        return float(t_lo), float(t_hi)
+
+    def _ellipsoid_chords(self, u, du):
+        """(t_lo, t_hi) where the lines u + t du (local points, or rows)
+        cross the ellipsoid |w| = 1, w = L^-1 (p - c).
+
+        The roots q/a and c0/q of a t^2 + 2 b t + c0 keep the digits that
+        (-b +- root) / a loses on a short dw.  A zero du gives (-inf, inf),
+        the whole line; a line that misses the body gives nan.
+        """
+        w = self._chol_solve(self.to_ambient(u) - self.center)
+        dw = self._chol_solve(du @ self._basis.T)
+        a = np.sum(dw * dw, axis=-1)
+        b = np.sum(w * dw, axis=-1)
+        c0 = np.sum(w * w, axis=-1) - 1.0
+        moving = a > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(b * b - a * c0), b))
+            r1, r2 = q / a, c0 / q
+        return (np.where(moving, np.minimum(r1, r2), -np.inf),
+                np.where(moving, np.maximum(r1, r2), np.inf))
 
     def chord_params(self, x, y, eps=None):
         """(t_lo, t_hi) clipping the line through interior x, y, with x at

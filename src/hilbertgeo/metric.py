@@ -5,6 +5,12 @@ ratio of (alpha, x, y, beta) where alpha, beta are the boundary endpoints
 of the chord through x and y, alpha on the x side.  With facet slacks s it
 is the sum of the two Funk distances, log max s(x)/s(y) + log max s(y)/s(x)
 (Papadopoulos & Troyanov 2014), for polytopes and polyhedral cones alike.
+
+distances(domain, X, Y) takes N pairs as the rows of two N x ambient
+arrays and returns their N distances in one batch of array operations:
+the Funk sum on polytopes, the log1p form of the chord cross ratio on
+ellipsoids.  All 2N points are checked before any distance is taken.
+distance is its one-pair wrapper.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from .errors import (
     NonFinite,
     NotCollinear,
     NotOnBoundary,
+    PointNotInterior,
 )
 
 __all__ = [
     "cross_ratio",
     "distance",
+    "distances",
     "gromov_product",
     "Rigidity",
     "is_rigid_chord",
@@ -71,33 +79,67 @@ def cross_ratio(a, x, y, b, eps=None):
 
 
 def _funk_sum(sx, sy, delta):
-    """log max_i sx_i/sy_i + log max_j sy_j/sx_j, with delta = sx - sy
-    taken from the points' difference so that close pairs keep digits."""
-    return float(np.log1p(np.max(delta / sy)) + np.log1p(np.max(-delta / sx)))
+    """log max_i sx_i/sy_i + log max_j sy_j/sx_j over the last axis, with
+    delta = sx - sy taken from the points' difference so that close pairs
+    keep digits."""
+    return (np.log1p(np.max(delta / sy, axis=-1))
+            + np.log1p(np.max(-delta / sx, axis=-1)))
+
+
+def _reject(bad, n, error, what):
+    """Raise error for the first flagged row of a stacked [X; Y] block of
+    n pairs, naming the point as x or y (x[i] or y[i] when n > 1)."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, row = ("x", i) if i < n else ("y", i - n)
+        raise error(f"{name}[{row}] {what}" if n > 1 else f"{name} {what}")
+
+
+def distances(domain, X, Y, eps=None):
+    """Hilbert distances d(X[i], Y[i]) between rows of interior points.
+
+    X and Y are N x ambient arrays, or single points; returns N distances.
+    Every point is checked before any distance is taken: NonFinite for a
+    NaN or infinite coordinate, PointNotInterior for a point farther than
+    eps from the affine hull or not strictly interior.  Polytopes take the
+    Funk sum of the facet slacks, ellipsoids the cross ratio of the chord
+    as log1p(-1/t_lo) + log1p(1/(t_hi - 1)), with x at t = 0 and y at 1.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if (X.shape != Y.shape or X.ndim not in (1, 2)
+            or X.shape[-1] != domain.ambient_dim):
+        raise DegenerateInput(
+            f"x and y must be matching rows of {domain.ambient_dim} "
+            "coordinates")
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    n = len(X)
+    P = np.vstack([X, Y])
+    _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+            "contains non-finite coordinates")
+    _reject(domain._hull_residuals(P) > _eps(eps), n, PointNotInterior,
+            "is off the affine hull")
+    U = domain.to_local(P)
+    S = domain._slacks(U)
+    _reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
+            "is not strictly interior")
+    # from Y - X, not U[n:] - U[:n], which loses digits in the chart shift
+    dU = (Y - X) @ domain._basis
+    if domain.kind == "polytope":
+        return _funk_sum(S[:n], S[n:], dU @ domain._A.T)
+    t_lo, t_hi = domain._ellipsoid_chords(U[:n], dU)
+    return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
 
 
 def distance(domain, x, y, eps=None):
-    """Hilbert distance between interior points of the domain: the Funk
-    sum of facet slacks on polytopes, the chord cross ratio on ellipsoids."""
-    x = _as_array(x, "x")
-    y = _as_array(y, "y")
-    if np.array_equal(x, y):
-        domain._require_interior(x, eps, "x")
-        return 0.0
-    if domain.kind == "polytope":
-        sx = domain._slacks(domain._require_interior(x, eps, "x"))
-        sy = domain._slacks(domain._require_interior(y, eps, "y"))
-        # from y - x, not uy - ux, which loses digits in the chart shift
-        return _funk_sum(sx, sy, domain._A @ (domain._basis.T @ (y - x)))
-    t_lo, t_hi = domain.chord_params(x, y, eps)
-    # chord parametrized with x at 0 and y at 1; endpoints outside [0, 1]
-    return float(math.log((1.0 - t_lo) / (-t_lo) * (t_hi / (t_hi - 1.0))))
+    """Hilbert distance between two interior points; see distances."""
+    return float(distances(domain, x, y, eps)[0])
 
 
 def gromov_product(domain, p, x, y, eps=None):
     """(d(p,x) + d(p,y) - d(x,y)) / 2."""
-    return 0.5 * (distance(domain, p, x, eps) + distance(domain, p, y, eps)
-                  - distance(domain, x, y, eps))
+    d = distances(domain, [p, p, x], [x, y, y], eps)
+    return float(0.5 * (d[0] + d[1] - d[2]))
 
 
 @dataclass(eq=False)

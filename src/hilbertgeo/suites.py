@@ -34,7 +34,13 @@ from .isometries import (
     variation_norm,
     vinberg_star,
 )
-from .metric import asymptotic_profile, cross_ratio, distance, is_rigid_chord
+from .metric import (
+    asymptotic_profile,
+    cross_ratio,
+    distance,
+    distances,
+    is_rigid_chord,
+)
 
 __all__ = [
     "SUITES",
@@ -161,20 +167,16 @@ def run_metric_axioms(seed=0, samples=1000):
     metrics = {}
     passed = True
     for name, dom in domains.items():
-        max_sym = 0.0
-        min_slack = math.inf
-        min_pos = math.inf
-        max_self = 0.0
-        for _ in range(samples):
-            x, y, z = dom.sample_interior(rng, 3, pull=0.02)
-            dxy = distance(dom, x, y)
-            dyx = distance(dom, y, x)
-            dxz = distance(dom, x, z)
-            dyz = distance(dom, y, z)
-            max_sym = max(max_sym, abs(dxy - dyx))
-            min_slack = min(min_slack, dxy + dyz - dxz)
-            min_pos = min(min_pos, dxy)
-            max_self = max(max_self, distance(dom, x, x))
+        X, Y, Z = np.reshape(
+            [dom.sample_interior(rng, 3, pull=0.02) for _ in range(samples)],
+            (samples, 3, dom.ambient_dim)).transpose(1, 0, 2)
+        dxy = distances(dom, X, Y)
+        max_sym = float(np.max(np.abs(dxy - distances(dom, Y, X)),
+                               initial=0.0))
+        min_slack = float(np.min(dxy + distances(dom, Y, Z)
+                                 - distances(dom, X, Z), initial=math.inf))
+        min_pos = float(np.min(dxy, initial=math.inf))
+        max_self = float(np.max(distances(dom, X, X), initial=0.0))
         ok = (max_sym <= tol_sym and min_slack >= -tol_tri
               and min_pos > 0.0 and max_self == 0.0)
         passed = passed and ok
@@ -198,32 +200,32 @@ def run_projective_invariance(seed=0, samples=200):
     n_simplex = (samples - n_square) // 2
     n_disk = samples - n_square - n_simplex
     square, simplex, disk = _square(), standard_simplex(2), _disk()
-    worst = {"square": 0.0, "simplex": 0.0, "disk": 0.0}
+    pairs = {"square": [], "simplex": [], "disk": []}  # rows x, y, gx, gy
+
+    def draw(family, dom, g):
+        for _ in range(pairs_per):
+            x, y = dom.sample_interior(rng, 2, pull=0.02)
+            pairs[family].append((x, y, g(x), g(y)))
+
     blocks = _d4_blocks()
     for _ in range(n_square):
         B = blocks[rng.integers(0, len(blocks))]
         M = np.eye(3)
         M[:2, :2] = B
-        g = ProjectiveMap(M)
-        for _ in range(pairs_per):
-            x, y = square.sample_interior(rng, 2, pull=0.02)
-            dev = abs(distance(square, x, y) - distance(square, g(x), g(y)))
-            worst["square"] = max(worst["square"], dev)
+        draw("square", square, ProjectiveMap(M))
     for _ in range(n_simplex):
         d = np.exp(rng.normal(0.0, 1.0, size=3))
         P = np.eye(3)[rng.permutation(3)]
-        g = simplex_projective(P @ np.diag(d))
-        for _ in range(pairs_per):
-            x, y = simplex.sample_interior(rng, 2, pull=0.02)
-            dev = abs(distance(simplex, x, y)
-                      - distance(simplex, g(x), g(y)))
-            worst["simplex"] = max(worst["simplex"], dev)
+        draw("simplex", simplex, simplex_projective(P @ np.diag(d)))
     for _ in range(n_disk):
-        g = _disk_mobius(rng)
-        for _ in range(pairs_per):
-            x, y = disk.sample_interior(rng, 2, pull=0.02)
-            dev = abs(distance(disk, x, y) - distance(disk, g(x), g(y)))
-            worst["disk"] = max(worst["disk"], dev)
+        draw("disk", disk, _disk_mobius(rng))
+    worst = {}
+    for family, dom in (("square", square), ("simplex", simplex),
+                        ("disk", disk)):
+        X, Y, GX, GY = np.reshape(pairs[family],
+                                  (-1, 4, dom.ambient_dim)).transpose(1, 0, 2)
+        dev = np.abs(distances(dom, X, Y) - distances(dom, GX, GY))
+        worst[family] = float(np.max(dev, initial=0.0))
     overall = max(worst.values())
     return _report("projective-invariance", seed, samples,
                    {"distance_deviation": tol}, overall <= tol,
@@ -310,32 +312,22 @@ def run_cone_slice(seed=0, samples=1000):
     rng = np.random.default_rng(seed)
     tol = 1e-9
     groups = {}
-    simplex = standard_simplex(2)
-    orthant = cone_over(simplex)
-    dev = 0.0
-    for _ in range(samples):
-        x, y = simplex.sample_interior(rng, 2, pull=0.02)
-        dev = max(dev, abs(cone_distance(orthant, orthant.embed(x),
-                                         orthant.embed(y))
-                           - distance(simplex, x, y)))
-    groups["simplex-orthant"] = dev
-    square = _square()
-    sq_cone = cone_over(square)
-    dev = 0.0
-    for _ in range(samples):
-        x, y = square.sample_interior(rng, 2, pull=0.02)
-        dev = max(dev, abs(cone_distance(sq_cone, sq_cone.embed(x),
-                                         sq_cone.embed(y))
-                           - distance(square, x, y)))
-    groups["square-lifted"] = dev
-    disk = _disk()
-    lor = lorentz_cone(3)
-    dev = 0.0
-    for _ in range(samples):
-        x, y = disk.sample_interior(rng, 2, pull=0.02)
-        dev = max(dev, abs(cone_distance(lor, lor.embed(x), lor.embed(y))
-                           - distance(disk, x, y)))
-    groups["disk-lorentz"] = dev
+    simplex, square = standard_simplex(2), _square()
+    for group, dom, cone in (
+            ("simplex-orthant", simplex, cone_over(simplex)),
+            ("square-lifted", square, cone_over(square)),
+            ("disk-lorentz", _disk(), lorentz_cone(3))):
+        X, Y, cone_d = [], [], []
+        for _ in range(samples):
+            x, y = dom.sample_interior(rng, 2, pull=0.02)
+            X.append(x)
+            Y.append(y)
+            cone_d.append(cone_distance(cone, cone.embed(x), cone.embed(y)))
+        shape = (samples, dom.ambient_dim)
+        dev = np.abs(np.array(cone_d)
+                     - distances(dom, np.reshape(X, shape),
+                                 np.reshape(Y, shape)))
+        groups[group] = float(np.max(dev, initial=0.0))
     overall = max(groups.values())
     return _report("cone-slice", seed, samples, {"deviation": tol},
                    overall <= tol,

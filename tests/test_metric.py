@@ -16,6 +16,7 @@ from hilbertgeo import (
     cone_over,
     cross_ratio,
     distance,
+    distances,
     gromov_product,
     hilbert_ball,
     is_rigid_chord,
@@ -234,6 +235,23 @@ def _exact_distance(vertices, x, y):
                 + mpmath.log(max(v / u for u, v in zip(sx, sy))))
 
 
+def _exact_ellipse_distance(center, shape, x, y):
+    """50-digit cross ratio of the chord of {(p-c)^T S^-1 (p-c) < 1}
+    through x and y, with x at t = 0 and y at t = 1."""
+    with mpmath.workdps(50):
+        c, x, y = (mpmath.matrix([mpmath.mpf(float(v)) for v in p])
+                   for p in (center, x, y))
+        Si = mpmath.matrix([[mpmath.mpf(float(v)) for v in row]
+                            for row in shape]) ** -1
+        w, d = x - c, y - x
+        a = (d.T * Si * d)[0]
+        b = (w.T * Si * d)[0]
+        c0 = (w.T * Si * w)[0] - 1
+        root = mpmath.sqrt(b * b - a * c0)
+        t_lo, t_hi = (-b - root) / a, (-b + root) / a
+        return mpmath.log((1 - t_lo) / -t_lo * t_hi / (t_hi - 1))
+
+
 def test_distance_matches_mpmath_oracle():
     rng = np.random.default_rng(2014)
     pairs = []
@@ -252,6 +270,27 @@ def test_distance_matches_mpmath_oracle():
         want = _exact_distance(verts, x, y)
         got = distance(build_polytope(verts), x, y)
         assert float(abs(got - want) / want) <= 1e-13
+    # close pairs on the unit disk and on a tilted ellipse
+    rot = np.array([[math.cos(0.7), -math.sin(0.7)],
+                    [math.sin(0.7), math.cos(0.7)]])
+    for center, shape in (([0.0, 0.0], np.eye(2)),
+                          ([0.3, -0.2], rot @ np.diag([2.0, 0.25]) @ rot.T)):
+        dom = build_ellipsoid(center, shape)
+        for sep in (1e-4, 1e-10, 1e-14):
+            for _ in range(4):
+                x = dom.sample_interior(rng, 1, pull=0.3)
+                u = rng.normal(size=2)
+                y = x + sep * u / np.linalg.norm(u)
+                want = _exact_ellipse_distance(center, shape, x, y)
+                got = distance(dom, x, y)
+                assert float(abs(got - want) / want) <= 1e-13
+    # 1e-6 and 3e-8 from the disk's edge, on an axis so that |w|^2 - 1 is
+    # exact: the near chord end needs the cancellation-free root
+    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
+    for x, y in (([1 - 2**-20, 0.0], [1 - 2**-20 - 1e-3, 5e-4]),
+                 ([0.0, 2**-25 - 1], [2e-4, 2**-25 - 1 + 1e-4])):
+        want = _exact_ellipse_distance([0.0, 0.0], np.eye(2), x, y)
+        assert float(abs(distance(disk, x, y) - want) / want) <= 1e-13
 
 
 def test_distance_is_exactly_symmetric():
@@ -277,3 +316,107 @@ def test_cone_over_polygon_reproduces_distance():
             want = distance(dom, x, y)
             got = cone_distance(cone, cone.embed(x), cone.embed(y))
             assert abs(got - want) <= 1e-15 * want
+
+
+def _distance_by_row(dom, x, y):
+    """Reference for one polytope pair: the Funk sum of its facet slacks,
+    one matrix-vector product per point."""
+    sx = dom._b - dom._A @ dom.to_local(x)
+    sy = dom._b - dom._A @ dom.to_local(y)
+    delta = dom._A @ (dom._basis.T @ (y - x))
+    return math.log1p(max(delta / sy)) + math.log1p(max(-delta / sx))
+
+
+def _chord_distance(dom, x, y):
+    """Reference for one ellipsoid pair: the textbook roots of the chord
+    quadratic and one log of the cross ratio."""
+    L = dom._chol
+    w = np.linalg.solve(L, x - dom.center)
+    dw = np.linalg.solve(L, y - x)
+    a, b, c0 = dw @ dw, 2.0 * (w @ dw), w @ w - 1.0
+    root = math.sqrt(b * b - 4.0 * a * c0)
+    t_lo, t_hi = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
+    return math.log((1.0 - t_lo) / (-t_lo) * (t_hi / (t_hi - 1.0)))
+
+
+def _cube():
+    return build_polytope([[sx, sy, sz] for sx in (-1, 1)
+                           for sy in (-1, 1) for sz in (-1, 1)])
+
+
+def _cross_polytope():
+    return build_polytope(np.vstack([np.eye(4), -np.eye(4)]))
+
+
+def test_distances_match_per_row_reference():
+    # Batched matrix products sum in another order than one row at a
+    # time, so rows agree to round-off, not bitwise.
+    rng = np.random.default_rng(41)
+    for dom in (square(), standard_simplex(2), _cube(), _cross_polytope()):
+        X = dom.sample_interior(rng, 100)
+        Y = dom.sample_interior(rng, 100)
+        got = distances(dom, X, Y)
+        assert got.shape == (100,)
+        for d, x, y in zip(got, X, Y):
+            want = _distance_by_row(dom, x, y)
+            assert abs(d - want) <= 1e-13 * want
+    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
+    X = disk.sample_interior(rng, 100, pull=0.02)
+    Y = disk.sample_interior(rng, 100, pull=0.02)
+    for d, x, y in zip(distances(disk, X, Y), X, Y):
+        want = _chord_distance(disk, x, y)
+        assert abs(d - want) <= 1e-13 * want
+
+
+def test_distances_diagonal_and_symmetry():
+    rng = np.random.default_rng(43)
+    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
+    for dom in (square(), standard_simplex(2), _cube(), _cross_polytope(),
+                disk):
+        X = dom.sample_interior(rng, 50)
+        Y = dom.sample_interior(rng, 50)
+        assert np.all(distances(dom, X, X) == 0.0)
+        if dom.kind == "polytope":
+            assert np.array_equal(distances(dom, X, Y), distances(dom, Y, X))
+
+
+def test_distances_reject_any_bad_row():
+    rng = np.random.default_rng(47)
+    dom = square()
+    X = dom.sample_interior(rng, 20)
+    Y = dom.sample_interior(rng, 20)
+    for which in ("x", "y"):
+        Xb, Yb = X.copy(), Y.copy()
+        (Xb if which == "x" else Yb)[7] = [1.0, 0.2]  # on an edge
+        with pytest.raises(PointNotInterior, match=rf"^{which}\[7\] is not"):
+            distances(dom, Xb, Yb)
+        (Xb if which == "x" else Yb)[7] = [0.1, math.nan]
+        with pytest.raises(NonFinite, match=rf"^{which}\[7\]"):
+            distances(dom, Xb, Yb)
+    # an embedded domain still checks the affine hull
+    s2 = standard_simplex(2)
+    with pytest.raises(PointNotInterior, match="^y is off the affine hull"):
+        distances(s2, [0.2, 0.3, 0.5], [0.2, 0.3, 0.6])
+
+
+def test_distances_of_single_points_have_one_row():
+    got = distances(square(), [0.1, 0.2], [-0.3, 0.4])
+    assert got.shape == (1,)
+    assert got[0] == distance(square(), [0.1, 0.2], [-0.3, 0.4])
+
+
+def test_distance_at_large_scale_and_offset():
+    # A full-dimensional domain has no hull residual to test: at 1e9 and
+    # 1e12 the round-off of (p - origin) exceeded the absolute 1e-9.
+    quad = np.array([[0.0, 0.0], [2.0, 0.3], [1.7, 1.5], [0.2, 1.1]])
+    shift = np.array([3.0, -2.0])
+    rng = np.random.default_rng(53)
+    unit = build_polytope(quad)
+    X = unit.sample_interior(rng, 200, pull=0.05)
+    Y = unit.sample_interior(rng, 200, pull=0.05)
+    want = distances(unit, X, Y)
+    for s in (1e9, 1e12):
+        dom = build_polytope(s * (quad + shift))
+        got = distances(dom, s * (X + shift), s * (Y + shift))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
