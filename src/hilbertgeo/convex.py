@@ -6,17 +6,22 @@ lattice are derived at build time and cached.  A domain may sit inside a
 higher-dimensional ambient space, for example the standard 2-simplex in
 R^3, so "interior" always means interior relative to the affine hull.
 
-Extreme points and facets come from one Qhull convex hull (Barber, Dobkin
-& Huhdanpaa, ACM TOMS 1996) in the chart of the affine hull; coplanar
-Qhull simplices are grouped into facets by the vertices within the shared
-tolerance EPS_GEO (overridable via the HG_EPS env var) of their plane.
-Domains of a few hundred vertices in ambient dimension <= 4 build in
-milliseconds.  scipy is imported only by the functions that need it.
+Extreme points and facets come from one convex hull in the chart of the
+affine hull: a numpy monotone chain (Andrew, Inf. Process. Lett. 9, 1979)
+in the plane, Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) from
+dimension 3.  Coplanar hull simplices are grouped into facets by the
+vertices within the shared tolerance EPS_GEO (overridable via the HG_EPS
+env var) of their plane, and face dimensions are read off the face
+lattice.  Domains of a few hundred vertices in ambient dimension <= 4
+build in milliseconds.  scipy is imported only by the functions that need
+it; a plane domain is built, and its distances and chord rigidity found,
+without it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,14 +69,29 @@ def _as_array(p, name="point"):
 
 
 def _lex_unique(points, tol):
-    """Sort rows lexicographically and drop rows within tol of a kept row."""
-    from scipy.spatial import cKDTree
+    """Sort rows lexicographically and drop rows within tol of a kept row.
 
+    Rows i < j are within tol when the sum of squared coordinate
+    differences, added in column order, is <= tol^2 (cKDTree.query_pairs'
+    test).  Such rows have first coordinates within tol, so each row is
+    compared only with the earlier rows of that window of the sorted
+    first column, k rows back in the k-th sweep.
+    """
     pts = points[np.lexsort(points.T[::-1])]
-    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    back = np.arange(len(pts)) - np.searchsorted(pts[:, 0], pts[:, 0] - tol)
+    pairs = []
+    for k in range(1, int(back.max(initial=0)) + 1):
+        j = np.nonzero(back >= k)[0]
+        diff = pts[j] - pts[j - k]
+        d2 = diff[:, 0] * diff[:, 0]
+        for c in range(1, pts.shape[1]):
+            d2 += diff[:, c] * diff[:, c]
+        j = j[d2 <= tol * tol]
+        pairs.append(np.column_stack([j - k, j]))
+    pairs = np.vstack([np.empty((0, 2), dtype=int)] + pairs)
     keep = np.ones(len(pts), dtype=bool)
     # pairs are (i, j) with i < j; visiting them by j settles keep[i] first
-    for i, j in pairs[np.lexsort(pairs.T)]:
+    for i, j in pairs[np.lexsort(pairs.T)].tolist():
         if keep[i]:
             keep[j] = False
     return pts[keep]
@@ -117,28 +137,72 @@ def _qhull(cls, *args):
         raise DegenerateInput(f"Qhull: {str(exc).splitlines()[0]}") from None
 
 
+def _monotone_chain(points):
+    """Convex hull of points in the plane by Andrew's monotone chain
+    (Inf. Process. Lett. 9, 1979), in Qhull's form: the hull vertices in
+    ascending order, the edges as index pairs, and their equations
+    n.u + c <= 0 with unit outward n.  A repeated point is one vertex
+    (its first row), and, as in Qhull's precision merging, a point within
+    the distance round-off (about 4 ulp of the largest coordinate) of the
+    line through its neighbours is not a vertex."""
+    order = np.lexsort(points.T[::-1])
+    S = points[order]
+    order = order[np.r_[True, np.any(S[1:] != S[:-1], axis=1)]].tolist()
+    width = 4.0 * np.finfo(float).eps * float(np.abs(points).max())
+    pts = points.tolist()
+
+    def half(seq):
+        chain = []
+        for k in seq:
+            px, py = pts[k]
+            while len(chain) >= 2:
+                ox, oy = pts[chain[-2]]
+                ax, ay = pts[chain[-1]]
+                bx, by = px - ox, py - oy
+                if (ax - ox) * by - (ay - oy) * bx > width * math.hypot(bx, by):
+                    break
+                chain.pop()
+            chain.append(k)
+        return chain
+
+    ring = half(order)[:-1] + half(order[::-1])[:-1]  # counterclockwise
+    if len(ring) < 3:
+        raise DegenerateInput("points are collinear")
+    R = points[ring]
+    d = np.roll(R, -1, axis=0) - R
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    eq = np.column_stack([n, -np.sum(n * R, axis=1)])
+    return np.sort(ring), np.column_stack([ring, np.roll(ring, -1)]), eq
+
+
 def _hull_facets(points, tol):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    Coplanar Qhull simplices are grouped by their equality set: the hull
-    vertices within tol of the simplex's plane, plus the simplex's own
-    vertices.  A hull vertex whose facets share another hull vertex lies
-    within tol of the hull of the other points and is dropped; a facet
-    whose Qhull plane runs through a dropped vertex is refitted to its
-    kept vertices.  Returns the remaining hull vertices in ascending
-    order, unit outward normals A and offsets b (A u <= b on the hull)
-    and the equality sets, all in row numbering, one entry per facet in
-    the order of tuple(sorted(set)).
+    The hull comes from the monotone chain in the plane and from Qhull in
+    dimension 3 and up.  Coplanar hull simplices are grouped by their
+    equality set: the hull vertices within tol of the simplex's plane,
+    plus the simplex's own vertices.  A hull vertex whose facets share
+    another hull vertex lies within tol of the hull of the other points
+    and is dropped; a facet whose hull plane runs through a dropped vertex
+    is refitted to its kept vertices, and a facet left with no kept
+    vertex raises DegenerateInput.  Returns the remaining hull vertices in
+    ascending order, unit outward normals A and offsets b (A u <= b on the
+    hull) and the equality sets, all in row numbering, one entry per facet
+    in the order of tuple(sorted(set)).
     """
-    from scipy.spatial import ConvexHull
+    if points.shape[1] == 2:
+        hull_verts, simplices, eq = _monotone_chain(points)
+    else:
+        from scipy.spatial import ConvexHull
 
-    hull = _qhull(ConvexHull, points)
-    hull_verts = np.sort(hull.vertices)
-    eq = hull.equations
+        hull = _qhull(ConvexHull, points)
+        hull_verts, simplices, eq = (np.sort(hull.vertices), hull.simplices,
+                                     hull.equations)
     near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
     sets = [frozenset(hull_verts[near[:, k]].tolist())
             | frozenset(simplex.tolist())
-            for k, simplex in enumerate(hull.simplices)]
+            for k, simplex in enumerate(simplices)]
     facets_on = {}
     for S in set(sets):
         for v in S:
@@ -150,11 +214,14 @@ def _hull_facets(points, tol):
     found = {}
     for k, S in enumerate(sets):
         found.setdefault(S - flat, k)
+    if frozenset() in found:
+        # the absolute tol dropped every vertex of a facet
+        raise DegenerateInput("a hull facet keeps no vertex")
     keys = sorted(found, key=lambda s: tuple(sorted(s)))
     first = [found[key] for key in keys]
     A, b = eq[first, :-1], -eq[first, -1]
     for i, key in enumerate(keys):
-        if flat.intersection(hull.simplices[first[i]].tolist()):
+        if flat.intersection(simplices[first[i]].tolist()):
             P = points[sorted(key)]
             c = P.mean(axis=0)
             n = np.linalg.svd(P - c)[2][-1]
@@ -840,10 +907,13 @@ def build_polytope(points, eps=None):
 
     Duplicate points (within eps) are dropped and the rest sorted
     lexicographically; the vertices are the extreme points among them, in
-    that order.  Facets are the Qhull hull facets of the vertices in the
-    chart of their affine hull, one per set of vertices within eps of a
-    facet plane, sorted by that set; the face lattice is every nonempty
-    intersection of facets.
+    that order.  Facets are the hull facets of the vertices in the chart
+    of their affine hull (monotone chain in the plane, Qhull from
+    dimension 3), one per set of vertices within eps of a facet plane,
+    sorted by that set; the face lattice is every nonempty intersection of
+    facets, and a face has one dimension more than its largest proper
+    subface.  A cloud whose hull keeps no vertex of some facet at the
+    absolute eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
@@ -884,14 +954,24 @@ def build_polytope(points, eps=None):
     nn = np.linalg.norm(nw, axis=1)
     N = (nw / nn[:, None]) @ basis.T
     offsets = ob / nn + N @ origin
-    faces = [Face(indices=idx, dim=_affine_rank(lv[list(idx)], eps_v),
+    # a face has one dimension more than its largest proper subface, and
+    # each proper subface runs through one of the face's vertices
+    dims = {}
+    through = {}  # vertex -> faces through it, smaller ones first
+    for idx in sorted(face_idx, key=len):
+        S = frozenset(idx)
+        sub = [dims[G] for v in idx for G in through.get(v, ()) if G < S]
+        dims[S] = 1 + max(sub) if sub else 0
+        for v in idx:
+            through.setdefault(v, []).append(S)
+    faces = [Face(indices=idx, dim=dims[frozenset(idx)],
                   point_key=None, vertices=V[list(idx)], normal=N[r],
                   offset=float(offsets[r]), facet_ids=fids[r])
              for r, idx in enumerate(face_idx)]
     lattice = FaceLattice(faces)
     # sanity: the 0-faces are exactly the vertices
-    zero = {f.indices[0] for f in lattice.of_dim(0)}
-    if zero != set(range(len(V))):
+    zero = {f.indices for f in lattice.of_dim(0)}
+    if zero != {(i,) for i in range(len(V))}:
         raise GeometryError("face lattice lost a vertex")
     return ConvexDomain(
         "polytope", vertices=V, origin=origin, basis=basis, lv=lv,

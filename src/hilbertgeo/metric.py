@@ -193,30 +193,23 @@ def is_rigid_chord(domain, x, y, eps=None, gap_tol=1e-9):
 
     The chord is flexible exactly when some plane through it meets the
     two endpoint faces in segments; in that case a witness point off the
-    chord with additive distances is found by bisection toward the chord
-    inside the cutting plane.
+    chord with additive distances is found by bisection toward the
+    chord's midpoint along the domain's ray from it in that plane.
     """
     chord = domain.chord_through(x, y, eps)
     z0 = _deviation_direction(chord, eps)
     if z0 is None:
         return Rigidity(rigid=True, chord=chord)
-    section = domain.cross_section(chord.x, np.array([chord.beta - chord.alpha, z0]), eps)
-    xs = section.from_ambient(chord.x)
-    ys = section.from_ambient(chord.y)
     d_xy = distance(domain, chord.x, chord.y, eps)
-    mid = 0.5 * (xs + ys)
-    u = ys - xs
-    perp = np.array([-u[1], u[0]])
-    perp = perp / np.linalg.norm(perp)
+    mid = 0.5 * (chord.x + chord.y)
     for sgn in (1.0, -1.0):
         try:
-            exit_len = section.domain.ray(mid, sgn * perp, eps).length
+            exit_len = domain.ray(mid, sgn * z0, eps).length
         except GeometryError:
             continue
         frac = 0.5
         for _ in range(40):
-            zs = mid + frac * exit_len * sgn * perp
-            z = section.to_ambient(zs)
+            z = mid + frac * exit_len * sgn * z0
             try:
                 gap = abs(distance(domain, chord.x, z, eps)
                           + distance(domain, z, chord.y, eps) - d_xy)

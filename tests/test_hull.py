@@ -1,5 +1,5 @@
-"""The Qhull-backed construction against a brute-force reference, and the
-face, cone and section counts it must reproduce."""
+"""The hull-backed construction against brute-force and Qhull references,
+and the face, cone and section counts it must reproduce."""
 
 import itertools
 import os
@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 import hilbertgeo
 from hilbertgeo import (
@@ -18,7 +18,8 @@ from hilbertgeo import (
     cone_over,
     standard_simplex,
 )
-from hilbertgeo.convex import _hull_facets, _lex_unique
+from hilbertgeo import convex
+from hilbertgeo.convex import _affine_rank, _hull_facets, _lex_unique
 from hilbertgeo.errors import DegenerateInput
 
 TOL = 1e-9
@@ -167,7 +168,7 @@ def test_large_polygon_and_cloud():
 def test_flat_input_is_degenerate():
     with pytest.raises(DegenerateInput):
         build_polytope([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, 2.0]])
-    with pytest.raises(DegenerateInput):  # Qhull's own flatness error
+    with pytest.raises(DegenerateInput):  # the monotone chain's own check
         _hull_facets(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), TOL)
 
 
@@ -184,6 +185,111 @@ def test_lex_unique_keeps_the_first_of_each_cluster():
     kept = _lex_unique(pts, 1e-9)
     # 0.6e-9 is within tol of the kept 0; 1.2e-9 is not
     assert np.array_equal(kept, [[0.0, 0.0], [1.2e-9, 0.0], [5.0, 5.0]])
+
+
+def reference_lex_unique(points, tol):
+    """The cKDTree version of _lex_unique."""
+    pts = points[np.lexsort(points.T[::-1])]
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    keep = np.ones(len(pts), dtype=bool)
+    for i, j in pairs[np.lexsort(pairs.T)]:
+        if keep[i]:
+            keep[j] = False
+    return pts[keep]
+
+
+def test_lex_unique_matches_kdtree_reference():
+    rng = np.random.default_rng(24)
+    for d in (1, 2, 3, 4):
+        for spread in (0.3, 0.7, 1.0, 3.0):
+            # clusters whose points sit about spread * tol apart
+            centres = rng.normal(size=(int(rng.integers(1, 15)), d))
+            pts = np.repeat(centres, rng.integers(1, 6, len(centres)), axis=0)
+            pts = pts + spread * TOL * rng.uniform(-1, 1, pts.shape)
+            assert np.array_equal(_lex_unique(pts, TOL),
+                                  reference_lex_unique(pts, TOL))
+            # grids with spacing at, below and above tol, shifted and
+            # jittered, and one column of equal first coordinates
+            n = 6 if d < 4 else 4
+            grid = np.stack(np.meshgrid(*[np.arange(n)] * d), -1).reshape(-1, d)
+            for step in (0.5 * TOL, TOL, 1.5 * TOL):
+                for pts in (grid * step, grid * step + 0.1,
+                            grid * step + 0.2 * step * rng.normal(size=grid.shape),
+                            np.c_[np.zeros(40), rng.uniform(0, 5 * TOL, (40, d - 1))]):
+                    pts = pts[rng.permutation(len(pts))]
+                    assert np.array_equal(_lex_unique(pts, TOL),
+                                          reference_lex_unique(pts, TOL))
+
+
+def qhull_triple(points):
+    """Qhull's hull in the form of _monotone_chain's result."""
+    hull = ConvexHull(points)
+    return np.sort(hull.vertices), hull.simplices, hull.equations
+
+
+def hull_or_degenerate(points):
+    try:
+        return _hull_facets(points, TOL)
+    except DegenerateInput:
+        return None
+
+
+def test_plane_hull_matches_qhull_reference(monkeypatch):
+    """The monotone chain and Qhull give _hull_facets the same facets, on
+    deduplicated points as build_polytope passes them.  (Of two raw points
+    within round-off of each other, the one Qhull keeps as a vertex
+    depends on its insertion order.)"""
+    rng = np.random.default_rng(25)
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        for _ in range(30):
+            m = int(rng.integers(3, 13))
+            th = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+            V = np.c_[rng.uniform(1.0, 2.0) * np.cos(th), np.sin(th)] * scale
+            junk = rng.dirichlet(np.ones(m), size=int(rng.integers(0, 5))) @ V
+            P = np.vstack([V, 0.5 * junk + 0.5 * V.mean(axis=0)])
+            k = int(rng.integers(m))
+            q, r = V[k], V[(k + 1) % m]
+            out = np.array([r[1] - q[1], q[0] - r[0]])
+            out /= np.linalg.norm(out)
+            on_edge = q + rng.uniform(0.1, 0.9) * (r - q)
+            cases = [P] + [np.vstack([P, on_edge + off * out])
+                           for off in (1e-12, 1e-10, 1e-8)]
+            cases.append(np.vstack([P, q + 1e-13 * rng.normal(size=2)]))
+            for C in cases:
+                C = _lex_unique(C - C.mean(axis=0), TOL)
+                got = hull_or_degenerate(C)
+                with monkeypatch.context() as mp:
+                    mp.setattr(convex, "_monotone_chain", qhull_triple)
+                    ref = hull_or_degenerate(C)
+                if ref is None:  # a tiny polygon, flat at the absolute tol
+                    assert got is None
+                    continue
+                verts, A, b, sets = got
+                ref_verts, ref_A, ref_b, ref_sets = ref
+                assert np.array_equal(verts, ref_verts)
+                assert sets == ref_sets
+                assert np.abs(A - ref_A).max() <= 1e-14
+                assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(C).max()
+
+
+def test_facet_left_without_vertices_is_degenerate():
+    # four points on a small arc: at the absolute tolerance the middle
+    # points are flat, and so is every vertex of one hull edge
+    arc = np.array([[-0.6455, 0.7662], [-0.7018, 0.7150],
+                    [-0.7054, 0.7115], [-0.7639, 0.6482]]) * 1.93e-6
+    with pytest.raises(DegenerateInput):
+        build_polytope(arc)
+
+
+def test_face_dimensions_match_affine_rank():
+    rng = np.random.default_rng(26)
+    u = rng.normal(size=(60, 3))
+    clouds = [random_polygon(rng) for _ in range(10)]
+    clouds += [rng.normal(size=(12, 3)), u / np.linalg.norm(u, axis=1)[:, None],
+               CUBE, np.vstack([np.eye(4), -np.eye(4)]), np.eye(5)]
+    for P in clouds:
+        for f in build_polytope(P).face_lattice():
+            assert f.dim == _affine_rank(f.vertices, TOL)
 
 
 def test_cone_facet_counts():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import hilbertgeo
 from hilbertgeo import Cone, domain_to_dict, parse_domain
 from hilbertgeo.cli import main
 from hilbertgeo.errors import ParseError, ValidationError
@@ -179,6 +181,34 @@ def test_console_script_entry_point(square_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert abs(float(proc.stdout) - math.log(9.0)) < 1e-11
+
+
+def test_plane_commands_do_not_load_scipy(square_file, tmp_path):
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({
+        "kind": "polytope",
+        "vertices": [[0, 0], [3, 0], [2.5, 2], [-0.5, 1.5]]}))
+    svg = tmp_path / "square.svg"
+    commands = [
+        ["distance", "--domain", square_file, "--x=-0.5,0", "--y=0.5,0.1"],
+        ["rigid", "--domain", square_file, "--x=-0.5,0", "--y=0.5,0"],
+        ["classify", "--a", square_file, "--b", str(quad)],
+        ["render", "--domain", square_file, "--out", str(svg),
+         "--ball", "0,0,0.5", "--chord=-0.5,0;0.5,0.2"],
+        ["check", "plane-classifier"],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from hilbertgeo.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(json.dumps([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy']))\n")
+    src = os.path.dirname(os.path.dirname(hilbertgeo.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert json.loads(out) == []
 
 
 def test_suite_reports_are_deterministic_and_json_safe():

@@ -22,6 +22,7 @@ from hilbertgeo import (
     is_rigid_chord,
     standard_simplex,
 )
+from hilbertgeo.convex import ConvexDomain
 from hilbertgeo.errors import (
     DegenerateDenominator,
     NonFinite,
@@ -29,6 +30,7 @@ from hilbertgeo.errors import (
     NotOnBoundary,
     PointNotInterior,
 )
+from hilbertgeo.suites import run_rigidity
 
 SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 PENTAGON = [[math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)]
@@ -159,6 +161,28 @@ def test_rigidity_cube_facet_to_facet():
     r = is_rigid_chord(cube, [0.0, 0.0, -0.5], [0.1, 0.2, 0.5])
     assert not r.rigid
     assert r.additivity_gap <= 1e-9
+
+
+def test_rigidity_does_not_cut_a_cross_section(monkeypatch):
+    def no_cut(*args, **kwargs):
+        raise AssertionError("cross_section called")
+
+    monkeypatch.setattr(ConvexDomain, "cross_section", no_cut)
+    report = run_rigidity()
+    assert report["pass"]
+    assert [c["rigid"] for c in report["metrics"].values()] == [
+        False, True, True, False]
+    cube = build_polytope([[sx, sy, sz] for sx in (-1, 1)
+                           for sy in (-1, 1) for sz in (-1, 1)])
+    for dom, x, y in ((square(), [-0.5, 0.0], [0.5, 0.0]),
+                      (cube, [0.0, 0.0, -0.5], [0.1, 0.2, 0.5])):
+        r = is_rigid_chord(dom, x, y)
+        x, y, z = np.asarray(x), np.asarray(y), r.witness
+        gap = distance(dom, x, z) + distance(dom, z, y) - distance(dom, x, y)
+        assert abs(gap) <= 1e-9
+        u = (y - x) / np.linalg.norm(y - x)
+        off = (z - x) - ((z - x) @ u) * u
+        assert np.linalg.norm(off) > 1e-3  # off the chord
 
 
 def test_asymptotic_same_point_stays_bounded():
