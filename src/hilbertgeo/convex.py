@@ -461,6 +461,9 @@ class ConvexDomain:
             self._b = data["b"]
             self._facet_sets = data["facet_sets"]
             self._lattice = data["lattice"]
+            # round-off floor of the on-boundary tests, see _tight_tol
+            self._slack_floor = 64.0 * np.finfo(float).eps * max(
+                float(np.abs(self._lv).max()), float(np.abs(self._b).max()))
             self.ambient_dim = self.vertices.shape[1]
             self.intrinsic_dim = self._basis.shape[1]
         else:
@@ -531,7 +534,19 @@ class ConvexDomain:
         if self.hull_residual(p) > eps:
             return False
         s = self._slacks(self.to_local(p))
-        return s.min() >= -eps and abs(s.min()) <= eps
+        tol = self._tight_tol(eps)
+        return s.min() >= -tol and abs(s.min()) <= tol
+
+    def _tight_tol(self, eps):
+        """The slack tolerance of the on-boundary tests: eps, but never
+        below 64 ulp of the polytope's largest vertex chart coordinate or
+        facet offset.  A computed boundary point's slacks carry about 2 ulp
+        of that magnitude of round-off, which passes the absolute eps from
+        scale about 1e6 up; below about 1e5 the floor is under eps and
+        changes nothing."""
+        if self.kind != "polytope":
+            return eps
+        return max(eps, self._slack_floor)
 
     def centroid(self):
         if self.kind == "polytope":
@@ -584,9 +599,10 @@ class ConvexDomain:
             )
         u = self.to_local(p)
         s = self._b - self._A @ u
-        if s.min() < -eps:
+        tol = self._tight_tol(eps)
+        if s.min() < -tol:
             raise NotOnBoundary("point is outside the domain")
-        tight = [i for i in range(len(s)) if abs(s[i]) <= eps]
+        tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
         if not tight:
             raise NotOnBoundary("point is interior")
         common = frozenset.intersection(*[self._facet_sets[i] for i in tight])
@@ -606,9 +622,10 @@ class ConvexDomain:
             return False
         u = self.to_local(p)
         s = self._b - self._A @ u
-        if s.min() < -eps:
+        tol = self._tight_tol(eps)
+        if s.min() < -tol:
             return False
-        tight = frozenset(i for i in range(len(s)) if abs(s[i]) <= eps)
+        tight = frozenset(i for i in range(len(s)) if abs(s[i]) <= tol)
         return tight == face.facet_ids and len(tight) > 0
 
     # ----------------------------------------------------------------- chords

@@ -81,6 +81,29 @@ def test_boundary_face_of_square():
         dom.boundary_face_of([2.0, 0.0])
 
 
+def test_chord_ends_find_their_faces_at_large_scale():
+    # A chord end's slacks carry about 2 ulp of the coordinates' size of
+    # round-off: 2e-7 at 1e9, which the absolute 1e-9 read as a point
+    # inside or outside the square.
+    rng = np.random.default_rng(7)
+    unit = square()
+    for s in (1.0, 1e9, 1e12):
+        dom = build_polytope(np.array(SQUARE) * s)
+        for _ in range(100):
+            x, y = rng.uniform(-0.8, 0.8, (2, 2))
+            want = unit.chord_through(x, y)
+            got = dom.chord_through(s * x, s * y)
+            assert got.face_alpha.indices == want.face_alpha.indices
+            assert got.face_beta.indices == want.face_beta.indices
+            assert dom.on_boundary(got.alpha) and dom.on_boundary(got.beta)
+            assert dom.in_relative_interior(got.face_alpha, got.alpha)
+    # at desk scale the floor is far below eps: 1e-8 off an edge is off
+    for p in ([1.0 + 1e-8, 0.3], [1.0 - 1e-8, 0.3]):
+        with pytest.raises(NotOnBoundary):
+            unit.boundary_face_of(p)
+        assert not unit.on_boundary(p)
+
+
 def test_face_relative_interior_membership():
     dom = square()
     edge = dom.boundary_face_of([1.0, 0.3])

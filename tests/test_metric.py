@@ -185,6 +185,22 @@ def test_rigidity_does_not_cut_a_cross_section(monkeypatch):
         assert np.linalg.norm(off) > 1e-3  # off the chord
 
 
+def test_rigidity_at_large_scale():
+    # Every chord between two open edges of the square is flexible, at
+    # any scale; at 1e9 the chord ends used to raise NotOnBoundary.
+    rng = np.random.default_rng(11)
+    for s in (1e9, 1e12):
+        dom = build_polytope(np.array(SQUARE) * s)
+        for _ in range(40):
+            x, y = s * rng.uniform(-0.7, 0.7, (2, 2))
+            r = is_rigid_chord(dom, x, y)
+            assert not r.rigid
+            z = r.witness
+            gap = distance(dom, x, z) + distance(dom, z, y) - distance(dom, x, y)
+            assert abs(gap) <= 1e-9
+        assert is_rigid_chord(dom, [0.5 * s, 0.5 * s], [0.0, 0.0]).rigid
+
+
 def test_asymptotic_same_point_stays_bounded():
     prof = asymptotic_profile(square(), [-0.3, -0.2], [0.4, 0.1],
                               [1.0, 1.0], [1.0, 1.0])
