@@ -6,7 +6,14 @@ cones with the order metric, explicit isometries of the simplex and of
 self-dual cones, and seeded numeric suites over the library's claims.
 """
 
-from .cones import Cone, build_cone, cone_distance, cone_over, lorentz_cone
+from .cones import (
+    Cone,
+    build_cone,
+    cone_distance,
+    cone_distances,
+    cone_over,
+    lorentz_cone,
+)
 from .convex import (
     Chord,
     ConvexDomain,
@@ -71,7 +78,8 @@ __all__ = [
     "GeometryError", "ParseError", "ValidationError",
     "axis_coords", "axis_coords_inv", "asymptotic_profile",
     "build_cone", "build_ellipsoid", "build_polytope", "classify_2d",
-    "clr", "clr_inv", "cone_distance", "cone_over", "cross_ratio",
+    "clr", "clr_inv", "cone_distance", "cone_distances", "cone_over",
+    "cross_ratio",
     "distance", "distances", "domain_to_dict", "fit_projective",
     "focusing_probe",
     "gromov_product", "hilbert_ball", "is_cone_3d", "is_rigid_chord",

@@ -9,7 +9,7 @@ the domain along its defining slice.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +18,11 @@ from .convex import _as_array, _eps, _hull_facets
 from .errors import (
     DegenerateInput,
     GeometryError,
+    NonFinite,
     Unsupported,
     XNotInteriorOfCone,
 )
-from .metric import _funk_sum
+from .metric import _funk_sum, _reject
 
 __all__ = [
     "Cone",
@@ -29,19 +30,40 @@ __all__ = [
     "cone_over",
     "lorentz_cone",
     "cone_distance",
+    "cone_distances",
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(n):
+    J = -np.ones(n)
+    J[0] = 1.0
+    J.flags.writeable = False
+    return J
+
+
+def _lorentz_form(x, y):
+    """x_1 y_1 - <x_2..n, y_2..n> of two points, or of matching rows."""
+    return (x * y) @ _signature(x.shape[-1])
+
+
 def _lorentz_q(z):
-    return float(z[0] * z[0] - z[1:] @ z[1:])
+    return _lorentz_form(z, z)
 
 
 def _lorentz_scale(x, y):
-    """min_scale(x, y) on the Lorentz cone, for interior x."""
+    """min_scale(x, y) on the Lorentz cone, for interior x; points or rows."""
     qx = _lorentz_q(x)
-    B = float(x[0] * y[0] - x[1:] @ y[1:])
-    disc = max(B * B - qx * _lorentz_q(y), 0.0)
-    return float((B + math.sqrt(disc)) / qx)
+    B = _lorentz_form(x, y)
+    disc = np.maximum(B * B - qx * _lorentz_q(y), 0.0)
+    return (B + np.sqrt(disc)) / qx
+
+
+def _with_one(p, first=False):
+    """A point, or each row, with a coordinate 1 appended (or prepended)."""
+    p = _as_array(p)
+    one = np.ones(p.shape[:-1] + (1,))
+    return np.concatenate([one, p] if first else [p, one], axis=-1)
 
 
 @dataclass(eq=False)
@@ -49,8 +71,9 @@ class Cone:
     """A proper cone, either polyhedral (generators and facet functionals)
     or the Lorentz cone { x : x_1 >= |x_2..n| }.
 
-    embed, when set, maps points of the originating bounded domain onto
-    the slice of the cone that reproduces its Hilbert metric.
+    embed, when set, maps points of the originating bounded domain (or the
+    rows of an array of them) onto the slice of the cone that reproduces
+    its Hilbert metric.
     """
 
     kind: str
@@ -60,13 +83,19 @@ class Cone:
     embed: object = field(default=None, repr=False)
     lifted: bool = False
 
-    def contains_interior(self, x):
-        x = _as_array(x, "x")
-        if x.size != self.dim:
-            raise DegenerateInput("point dimension does not match the cone")
+    def _interior(self, X):
+        """Interior test of a point, or of each row, without checks."""
         if self.kind == "polyhedral":
-            return bool(np.min(self.functionals @ x) > 0.0)
-        return x[0] > 0.0 and _lorentz_q(x) > 0.0
+            return np.min(X @ self.functionals.T, axis=-1) > 0.0
+        return (X[..., 0] > 0.0) & (_lorentz_q(X) > 0.0)
+
+    def contains_interior(self, x):
+        """Whether x, or each row of x, is interior to the cone."""
+        x = _as_array(x, "x")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise DegenerateInput("point dimension does not match the cone")
+        ok = self._interior(x)
+        return ok if x.ndim > 1 else bool(ok)
 
     def min_scale(self, x, y):
         """Smallest lambda with lambda*x - y in the closed cone.
@@ -75,13 +104,15 @@ class Cone:
         """
         x = _as_array(x, "x")
         y = _as_array(y, "y")
+        if x.ndim != 1:
+            raise DegenerateInput("min_scale takes single points")
         if not self.contains_interior(x):
             raise XNotInteriorOfCone("x must be interior to the cone")
         if self.kind == "polyhedral":
             num = self.functionals @ y
             den = self.functionals @ x
             return float(np.max(num / den))
-        return _lorentz_scale(x, y)
+        return float(_lorentz_scale(x, y))
 
 
 def build_cone(generators, eps=None):
@@ -126,26 +157,41 @@ def cone_over(domain, eps=None):
     """The cone over a polytope domain, with the slice embedding attached.
 
     If the affine hull avoids the origin the vertices themselves generate
-    the cone and points embed as themselves; otherwise the domain is
-    lifted by an appended coordinate 1.
+    the cone and points embed as themselves; otherwise the domain, which
+    must then be full-dimensional, is lifted by an appended coordinate 1.
+    The cone's facets are spanned by the generators of the domain's
+    facets, so no hull is built: each functional is the null vector of one
+    facet's generators, scaled to 1 at the generators' centroid.  The null
+    vector is taken from the first generator and the differences of the
+    others from it, each scaled to unit length, which keeps it accurate on
+    short facets, whose generators are nearly parallel.
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
-    eps_v = _eps(eps)
-    origin = np.zeros(domain.ambient_dim)
-    if domain.hull_residual(origin) > eps_v:
+    lifted = domain.hull_residual(np.zeros(domain.ambient_dim)) <= _eps(eps)
+    if not lifted:
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")
-        cone = build_cone(domain.vertices, eps)
-        cone.embed = lambda p: _as_array(p)
-        cone.lifted = False
-        return cone
-    lifted = np.hstack([domain.vertices,
-                        np.ones((len(domain.vertices), 1))])
-    cone = build_cone(lifted, eps)
-    cone.embed = lambda p: np.concatenate([_as_array(p), [1.0]])
-    cone.lifted = True
-    return cone
+        G, embed = domain.vertices, _as_array
+    else:
+        if domain.intrinsic_dim != domain.ambient_dim:
+            raise DegenerateInput("generators do not span the space")
+        G, embed = _with_one(domain.vertices), _with_one
+    facets = [sorted(F) for F in domain._facet_sets]
+    by_size = {}
+    for i, F in enumerate(facets):
+        by_size.setdefault(len(F), []).append(i)
+    L = np.empty((len(facets), G.shape[1]))
+    for rows in by_size.values():
+        # one stacked SVD per facet size: the last right singular vector
+        # spans the null space of the facet's generators
+        M = G[[facets[i] for i in rows]]
+        M[:, 1:] -= M[:, :1]
+        M /= np.linalg.norm(M, axis=2, keepdims=True)
+        L[rows] = np.linalg.svd(M)[2][:, -1]
+    L /= (L @ G.mean(axis=0))[:, None]
+    return Cone(kind="polyhedral", dim=G.shape[1], generators=G,
+                functionals=L, embed=embed, lifted=lifted)
 
 
 def lorentz_cone(n):
@@ -153,23 +199,41 @@ def lorentz_cone(n):
     of the rest.  Its unit-height slice is the open round ball."""
     if n < 2:
         raise Unsupported("Lorentz cone needs dimension >= 2")
-
-    def embed(p):
-        return np.concatenate([[1.0], _as_array(p)])
-
-    return Cone(kind="lorentz", dim=n, embed=embed)
+    return Cone(kind="lorentz", dim=n,
+                embed=lambda p: _with_one(p, first=True))
 
 
 def cone_distance(cone, x, y):
-    """Projective order metric between interior points; on a polyhedral
-    cone it is the Funk sum of the functionals, as for polytopes."""
-    x = _as_array(x, "x")
-    y = _as_array(y, "y")
-    for p, name in ((x, "x"), (y, "y")):
-        if not cone.contains_interior(p):
-            raise XNotInteriorOfCone(f"{name} must be interior to the cone")
+    """Projective order metric between two interior points; see
+    cone_distances, of which this is the one-pair wrapper."""
+    return float(cone_distances(cone, x, y)[0])
+
+
+def cone_distances(cone, X, Y):
+    """Projective order metric d(X[i], Y[i]) between rows of interior
+    points: on a polyhedral cone the Funk sum of the functionals, as for
+    polytopes, on the Lorentz cone ln min_scale(x, y) + ln min_scale(y, x).
+
+    X and Y are N x dim arrays, or single points; returns N distances.
+    Every point is checked first: NonFinite, or XNotInteriorOfCone naming
+    the first offending row.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape != Y.shape or X.ndim not in (1, 2) or X.shape[-1] != cone.dim:
+        raise DegenerateInput(
+            f"x and y must be matching rows of {cone.dim} coordinates")
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    n = len(X)
+    P = np.vstack([X, Y])
+    _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+            "contains non-finite coordinates")
+    _reject(~cone._interior(P), n, XNotInteriorOfCone,
+            "must be interior to the cone")
     if cone.kind == "polyhedral":
         L = cone.functionals
-        return float(_funk_sum(L @ x, L @ y, L @ (x - y)))
-    return float(math.log(_lorentz_scale(x, y))
-                 + math.log(_lorentz_scale(y, x)))
+        S = P @ L.T
+        return _funk_sum(S[:n], S[n:], (X - Y) @ L.T)
+    # both directions in one call: rows [X; Y] against [Y; X]
+    s = np.log(_lorentz_scale(P, np.vstack([Y, X])))
+    return s[:n] + s[n:]

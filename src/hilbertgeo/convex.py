@@ -8,14 +8,15 @@ R^3, so "interior" always means interior relative to the affine hull.
 
 Extreme points and facets come from one convex hull in the chart of the
 affine hull: a numpy monotone chain (Andrew, Inf. Process. Lett. 9, 1979)
-in the plane, Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) from
-dimension 3.  Coplanar hull simplices are grouped into facets by the
-vertices within the shared tolerance EPS_GEO (overridable via the HG_EPS
-env var) of their plane, and face dimensions are read off the face
-lattice.  Domains of a few hundred vertices in ambient dimension <= 4
-build in milliseconds.  scipy is imported only by the functions that need
-it; a plane domain is built, and its distances and chord rigidity found,
-without it.
+in the plane, the inverse of the homogeneous vertex matrix for a simplex
+(d+1 points in dimension d), and Qhull (Barber, Dobkin & Huhdanpaa, ACM
+TOMS 1996) for any other cloud from dimension 3.  Coplanar hull simplices
+are grouped into facets by the vertices within the shared tolerance
+EPS_GEO (overridable via the HG_EPS env var) of their plane, and face
+dimensions are read off the face lattice.  Domains of a few hundred
+vertices in ambient dimension <= 4 build in milliseconds.  scipy is
+imported only by the functions that need it; plane domains and simplices
+are built, and their distances and chord rigidity found, without it.
 """
 
 from __future__ import annotations
@@ -176,23 +177,46 @@ def _monotone_chain(points):
     return np.sort(ring), np.column_stack([ring, np.roll(ring, -1)]), eq
 
 
+def _simplex_facets(points):
+    """The hull of the d+1 vertices of a d-simplex in closed form, in
+    Qhull's form: column k of the inverse of the homogeneous vertex matrix
+    [P 1] is the barycentric coordinate of vertex k, which vanishes on the
+    facet that omits vertex k, so -column / |gradient| is that facet's
+    equation n.u + c <= 0 with unit outward n."""
+    n = len(points)
+    try:
+        W = np.linalg.inv(np.hstack([points, np.ones((n, 1))]))
+    except np.linalg.LinAlgError:
+        raise DegenerateInput("simplex vertices are affinely dependent") \
+            from None
+    eq = -(W / np.linalg.norm(W[:-1], axis=0)).T
+    if not np.all(np.isfinite(eq)):
+        raise DegenerateInput("simplex vertices are affinely dependent")
+    idx = np.arange(n)
+    others = np.broadcast_to(idx, (n, n))[~np.eye(n, dtype=bool)]
+    return idx, others.reshape(n, n - 1), eq
+
+
 def _hull_facets(points, tol):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    The hull comes from the monotone chain in the plane and from Qhull in
-    dimension 3 and up.  Coplanar hull simplices are grouped by their
-    equality set: the hull vertices within tol of the simplex's plane,
-    plus the simplex's own vertices.  A hull vertex whose facets share
-    another hull vertex lies within tol of the hull of the other points
-    and is dropped; a facet whose hull plane runs through a dropped vertex
-    is refitted to its kept vertices, and a facet left with no kept
-    vertex raises DegenerateInput.  Returns the remaining hull vertices in
-    ascending order, unit outward normals A and offsets b (A u <= b on the
-    hull) and the equality sets, all in row numbering, one entry per facet
-    in the order of tuple(sorted(set)).
+    The hull comes from the monotone chain in the plane, in closed form
+    for the d+1 vertices of a d-simplex, and from Qhull otherwise.
+    Coplanar hull simplices are grouped by their equality set: the hull
+    vertices within tol of the simplex's plane, plus the simplex's own
+    vertices.  A hull vertex whose facets share another hull vertex lies
+    within tol of the hull of the other points and is dropped; a facet
+    whose hull plane runs through a dropped vertex is refitted to its kept
+    vertices, and a facet left with no kept vertex raises DegenerateInput.
+    Returns the remaining hull vertices in ascending order, unit outward
+    normals A and offsets b (A u <= b on the hull) and the equality sets,
+    all in row numbering, one entry per facet in the order of
+    tuple(sorted(set)).
     """
     if points.shape[1] == 2:
         hull_verts, simplices, eq = _monotone_chain(points)
+    elif len(points) == points.shape[1] + 1:
+        hull_verts, simplices, eq = _simplex_facets(points)
     else:
         from scipy.spatial import ConvexHull
 
@@ -471,6 +495,7 @@ class ConvexDomain:
             self.shape = data["shape"]
             self._shape_inv = data["shape_inv"]
             self._chol = data["chol"]
+            self._chol_inv = data["chol_inv"]
             self.vertices = None
             self.ambient_dim = self.center.size
             self.intrinsic_dim = self.center.size
@@ -516,7 +541,7 @@ class ConvexDomain:
     def _chol_solve(self, v):
         # L^-1 v (each row of v) where shape = L L^T, so |L^-1 (p - c)| < 1
         # is the interior
-        return np.linalg.solve(self._chol, v.T).T
+        return v @ self._chol_inv.T
 
     def min_slack(self, p):
         """Smallest facet slack (polytope) or 1 - radial coordinate
@@ -524,10 +549,14 @@ class ConvexDomain:
         return float(np.min(self._slacks(self.to_local(p))))
 
     def contains_interior(self, p, eps=None):
+        """Whether p, or each row of p, lies within eps of the affine hull
+        with every slack above eps."""
         eps = _eps(eps)
-        if self.hull_residual(p) > eps:
-            return False
-        return self.min_slack(p) > eps
+        p = _as_array(p)
+        P = np.atleast_2d(p)
+        ok = ((self._hull_residuals(P) <= eps)
+              & (self._slacks(self.to_local(P)).min(axis=1) > eps))
+        return ok if p.ndim > 1 else bool(ok[0])
 
     def on_boundary(self, p, eps=None):
         eps = _eps(eps)
@@ -886,7 +915,7 @@ class ConvexDomain:
             pts = self.center + (u * r) @ self._chol.T
         if pull > 0.0:
             pts = (1 - pull) * pts + pull * c
-        return pts if k > 1 else pts[0]
+        return pts if k != 1 else pts[0]
 
     def sample_boundary(self, rng, k=1):
         out = []
@@ -925,12 +954,12 @@ def build_polytope(points, eps=None):
     Duplicate points (within eps) are dropped and the rest sorted
     lexicographically; the vertices are the extreme points among them, in
     that order.  Facets are the hull facets of the vertices in the chart
-    of their affine hull (monotone chain in the plane, Qhull from
-    dimension 3), one per set of vertices within eps of a facet plane,
-    sorted by that set; the face lattice is every nonempty intersection of
-    facets, and a face has one dimension more than its largest proper
-    subface.  A cloud whose hull keeps no vertex of some facet at the
-    absolute eps raises DegenerateInput.
+    of their affine hull (monotone chain in the plane, closed form for a
+    simplex, Qhull otherwise), one per set of vertices within eps of a
+    facet plane, sorted by that set; the face lattice is every nonempty
+    intersection of facets, and a face has one dimension more than its
+    largest proper subface.  A cloud whose hull keeps no vertex of some
+    facet at the absolute eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
@@ -1006,9 +1035,10 @@ def build_ellipsoid(center, shape):
     w = np.linalg.eigvalsh(S)
     if w.min() <= 1e-12 * max(1.0, w.max()):
         raise DegenerateInput("shape matrix must be positive definite")
+    L = np.linalg.cholesky(S)
     return ConvexDomain(
-        "ellipsoid", center=c, shape=S,
-        shape_inv=np.linalg.inv(S), chol=np.linalg.cholesky(S),
+        "ellipsoid", center=c, shape=S, shape_inv=np.linalg.inv(S),
+        chol=L, chol_inv=np.linalg.inv(L),
     )
 
 
@@ -1021,27 +1051,29 @@ def standard_simplex(n):
 
 
 def minkowski_functional(K, v, eps=None):
-    """Gauge of v with respect to a body K whose relative interior contains
-    the origin: the smallest t > 0 with v in t*K.  Vectors outside the
-    linear span of K get math.inf."""
+    """Gauge of v, or of each row of v, with respect to a body K whose
+    relative interior contains the origin: the smallest t > 0 with v in
+    t*K.  Vectors outside the linear span of K get math.inf."""
     eps_v = _eps(eps)
     v = _as_array(v, "v")
     origin = np.zeros(K.ambient_dim)
     if K.hull_residual(origin) > eps_v or K.min_slack(origin) <= eps_v:
         raise OriginNotInterior("the body does not contain the origin")
-    if np.linalg.norm(v) == 0.0:
-        return 0.0
-    v_loc = K._basis.T @ v
-    if np.linalg.norm(v - K._basis @ v_loc) > eps_v * max(1.0, np.linalg.norm(v)):
-        return float("inf")
+    V = np.atleast_2d(v)
+    norms = np.linalg.norm(V, axis=1)
+    v_loc = V @ K._basis
+    outside = (np.linalg.norm(V - v_loc @ K._basis.T, axis=1)
+               > eps_v * np.maximum(1.0, norms))
     if K.kind == "polytope":
         shift = K._basis.T @ (-K._origin)  # local coords of the origin
-        num = K._A @ v_loc
         den = K._b - K._A @ shift  # facet slack at the origin, positive
-        return float(np.max(num / den))
-    Minv = K._shape_inv
-    a = float(v @ Minv @ v)
-    bq = float(v @ Minv @ K.center)
-    c0 = float(K.center @ Minv @ K.center) - 1.0
-    mu = (bq + np.sqrt(bq * bq - a * c0)) / a
-    return float(1.0 / mu)
+        gauge = np.max((v_loc @ K._A.T) / den, axis=1)
+    else:
+        Minv = K._shape_inv
+        a = np.sum((V @ Minv) * V, axis=1)
+        bq = V @ (Minv @ K.center)
+        c0 = float(K.center @ Minv @ K.center) - 1.0
+        a = np.where(norms == 0.0, 1.0, a)  # the zero vector's gauge is 0
+        gauge = a / (bq + np.sqrt(bq * bq - a * c0))
+    gauge = np.where(norms == 0.0, 0.0, np.where(outside, np.inf, gauge))
+    return gauge if v.ndim > 1 else float(gauge[0])

@@ -2,19 +2,21 @@
 chart onto a normed hyperplane, reciprocal and star maps, boundary
 focusing probes, and a classifier for plane domains.
 
-Maps are plain callables on ambient points unless stated otherwise, so
-non-projective isometries compose with projective ones freely.
+A map is a plain callable that takes a point or an N x d block of rows
+and returns the image point or the block of image rows, so
+non-projective isometries compose with projective ones freely and the
+sampled checks map all their points in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
+from .cones import _lorentz_q
 from .convex import _as_array
 from .errors import (
     DegenerateBasis,
@@ -25,7 +27,7 @@ from .errors import (
     PointAtInfinity,
     Unsupported,
 )
-from .metric import cross_ratio, distance, distances
+from .metric import distances
 
 __all__ = [
     "ProjectiveMap",
@@ -72,10 +74,12 @@ class ProjectiveMap:
         self.dim = M.shape[0] - 1
 
     def __call__(self, p):
+        """Image of a point, or of each row of an N x d array."""
         p = _as_array(p, "point")
-        if p.size != self.dim:
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise DegenerateInput("point dimension does not match the map")
-        return self.apply(p[None, :])[0]
+        out = self.apply(np.atleast_2d(p))
+        return out if p.ndim == 2 else out[0]
 
     def apply(self, P):
         """Images of the rows of P; PointAtInfinity if any image lies on
@@ -130,32 +134,38 @@ def fit_projective(src, dst):
 
 def _simplex_point(x, name="x"):
     x = _as_array(x, name)
-    if np.any(x <= 0.0) or abs(float(x.sum()) - 1.0) > 1e-9:
+    if np.any(x <= 0.0) or np.any(np.abs(x.sum(axis=-1) - 1.0) > 1e-9):
         raise NotInSimplex(f"{name} must have positive entries summing to 1")
     return x
+
+
+def _sums_to_zero(theta):
+    return (np.abs(theta.sum(axis=-1))
+            <= 1e-9 * np.maximum(1.0, np.abs(theta).max(axis=-1)))
 
 
 def clr(x):
     """Centered log chart of the open simplex onto the sum-zero hyperplane;
     an isometry onto the variation-norm geometry of that hyperplane."""
-    x = _simplex_point(x)
-    lx = np.log(x)
-    return lx - lx.mean()
+    lx = np.log(_simplex_point(x))
+    return lx - lx.mean(axis=-1, keepdims=True)
 
 
 def clr_inv(theta):
     """Inverse of clr: normalized exponentials."""
     theta = _as_array(theta, "theta")
-    if abs(float(theta.sum())) > 1e-9 * max(1.0, np.abs(theta).max()):
+    if not np.all(_sums_to_zero(theta)):
         raise DegenerateInput("coordinates must sum to zero")
-    e = np.exp(theta - theta.max())
-    return e / e.sum()
+    e = np.exp(theta - theta.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def variation_norm(theta):
-    """max minus min of the entries; the norm pushed forward by clr."""
+    """max minus min of the entries, of a vector or of each row; the norm
+    pushed forward by clr."""
     theta = np.asarray(theta, dtype=float)
-    return float(theta.max() - theta.min())
+    v = theta.max(axis=-1) - theta.min(axis=-1)
+    return v if theta.ndim > 1 else float(v)
 
 
 def w_basis(n):
@@ -166,16 +176,17 @@ def w_basis(n):
 
 
 def axis_coords(theta):
-    """Coordinates of a sum-zero vector over the w_basis columns."""
+    """Coordinates of a sum-zero vector, or of each row, over the w_basis
+    columns."""
     theta = _as_array(theta, "theta")
-    V = w_basis(theta.size - 1)
-    a, *_ = np.linalg.lstsq(V, theta, rcond=None)
-    return a
+    V = w_basis(theta.shape[-1] - 1)
+    a, *_ = np.linalg.lstsq(V, theta.T, rcond=None)
+    return a.T
 
 
 def axis_coords_inv(a):
     a = _as_array(a, "a")
-    return w_basis(a.size) @ a
+    return a @ w_basis(a.shape[-1]).T
 
 
 # ----------------------------------------------------- simplex isometries
@@ -184,9 +195,8 @@ def reciprocal_map(x):
     """Entrywise reciprocal, renormalized to the simplex.  An involutive
     isometry of the simplex Hilbert metric that is not projective for
     dimension >= 2."""
-    x = _simplex_point(x)
-    r = 1.0 / x
-    return r / r.sum()
+    r = 1.0 / _simplex_point(x)
+    return r / r.sum(axis=-1, keepdims=True)
 
 
 def simplex_projective(matrix):
@@ -199,11 +209,10 @@ def simplex_projective(matrix):
         raise DegenerateInput("matrix is singular")
 
     def apply(x):
-        x = _simplex_point(x)
-        y = M @ x
+        y = _simplex_point(x) @ M.T
         if np.any(y <= 0.0):
             raise ImageEscapedDomain("image left the open simplex")
-        return y / y.sum()
+        return y / y.sum(axis=-1, keepdims=True)
 
     return apply
 
@@ -213,7 +222,8 @@ def vinberg_star(kind, x):
 
     'orthant': entrywise reciprocal.  'lorentz': time-preserving sign flip
     scaled by the quadratic form, (x1, -x2, ..., -xn) / q(x).  Both map
-    the interior onto itself and reverse the cone order.
+    the interior onto itself and reverse the cone order.  x is a point or
+    an N x n block of rows.
     """
     x = _as_array(x, "x")
     if kind == "orthant":
@@ -221,12 +231,12 @@ def vinberg_star(kind, x):
             raise DegenerateInput("point must be interior to the orthant")
         return 1.0 / x
     if kind == "lorentz":
-        q = float(x[0] * x[0] - x[1:] @ x[1:])
-        if x[0] <= 0.0 or q <= 0.0:
+        q = _lorentz_q(x)
+        if np.any(x[..., 0] <= 0.0) or np.any(q <= 0.0):
             raise DegenerateInput("point must be interior to the Lorentz cone")
         y = -x
-        y[0] = x[0]
-        return y / q
+        y[..., 0] = x[..., 0]
+        return y / q[..., None]
     raise Unsupported(f"unknown star kind {kind!r}")
 
 
@@ -235,57 +245,83 @@ def vinberg_star(kind, x):
 class HilbertSpace:
     """Adapter giving a convex domain the metric-space interface used by
     the sampled checks.  pull keeps samples a conditioning margin away
-    from the boundary."""
+    from the boundary.  sample(rng, k) gives k rows, or one point for
+    k = 1; contains and distance take points or rows."""
 
     def __init__(self, domain, pull=0.02):
         self.domain = domain
         self.pull = pull
 
-    def sample(self, rng):
-        return self.domain.sample_interior(rng, 1, pull=self.pull)
+    def sample(self, rng, k=1):
+        return self.domain.sample_interior(rng, k, pull=self.pull)
 
     def contains(self, p):
         return self.domain.contains_interior(p, 1e-12)
 
     def distance(self, x, y):
-        return distance(self.domain, x, y)
+        d = distances(self.domain, x, y)
+        return d if np.ndim(x) > 1 else float(d[0])
 
 
 class WSpace:
-    """The sum-zero hyperplane in R^(n+1) under the variation norm."""
+    """The sum-zero hyperplane in R^(n+1) under the variation norm, with
+    the interface of HilbertSpace."""
 
     def __init__(self, n, scale=2.0):
         self.n = n
         self.scale = scale
 
-    def sample(self, rng):
-        v = rng.normal(size=self.n + 1) * self.scale
-        return v - v.mean()
+    def sample(self, rng, k=1):
+        v = rng.normal(size=(k, self.n + 1)) * self.scale
+        v -= v.mean(axis=1, keepdims=True)
+        return v if k != 1 else v[0]
 
     def contains(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return abs(float(theta.sum())) <= 1e-9 * max(1.0, np.abs(theta).max())
+        ok = _sums_to_zero(np.asarray(theta, dtype=float))
+        return ok if ok.ndim else bool(ok)
 
     def distance(self, x, y):
         return variation_norm(np.asarray(x, float) - np.asarray(y, float))
 
 
+def _map_rows(f, P):
+    """f applied to the rows of P in one call; DegenerateInput unless it
+    returns one image row per row."""
+    Q = _as_array(f(P), "image")
+    if Q.ndim != 2 or len(Q) != len(P):
+        raise DegenerateInput(
+            f"map sent {len(P)} rows to an array of shape {Q.shape}; it "
+            "must return one image row per row")
+    return Q
+
+
+def _extent(domain):
+    """Largest coordinate range of a polytope's vertices, or the largest
+    diameter of an ellipsoid."""
+    if domain.kind == "polytope":
+        return float(np.ptp(domain.vertices, axis=0).max())
+    return 2.0 * float(np.linalg.norm(domain._chol, 2))
+
+
 def sampled_isometry_check(src, dst, f, rng, samples=200):
     """Largest deviation |d_src(x, y) - d_dst(f x, f y)| over random pairs.
 
-    Raises ImageEscapedDomain when an image leaves the target space.
+    The pairs' points are drawn x, y, x, y, ... in one src.sample call and
+    mapped by one call of f on their rows.  Raises ImageEscapedDomain when
+    an image leaves the target space.
     """
-    worst = 0.0
-    for _ in range(samples):
-        x = src.sample(rng)
-        y = src.sample(rng)
-        fx = f(x)
-        fy = f(y)
-        if not (dst.contains(fx) and dst.contains(fy)):
-            raise ImageEscapedDomain("map sent a sample outside the target")
-        dev = abs(src.distance(x, y) - dst.distance(fx, fy))
-        worst = max(worst, dev)
-    return worst
+    if samples < 1:
+        return 0.0
+    P = src.sample(rng, 2 * samples)
+    F = _map_rows(f, P)
+    if not np.all(dst.contains(F)):
+        raise ImageEscapedDomain("map sent a sample outside the target")
+    dev = np.abs(src.distance(P[0::2], P[1::2])
+                 - dst.distance(F[0::2], F[1::2]))
+    return float(dev.max())
+
+
+_QUADRUPLE = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
 def projectivity_check(domain, f, rng, samples=60, pull=0.05):
@@ -295,32 +331,36 @@ def projectivity_check(domain, f, rng, samples=60, pull=0.05):
     random interior pairs; measures image collinearity residual (relative
     to the image span) and cross-ratio drift.  Near zero for projective
     maps, order 1e-2 and up for genuinely non-projective isometries.
+    The pairs are drawn in one batch and all quadruples mapped by one
+    call of f.  Pairs closer than 1e-6 of the domain's extent are
+    skipped, and a quadruple whose image span is at round-off level of
+    its image coordinates counts as a failure of 1.
     """
-    worst = 0.0
-    for _ in range(samples):
-        x = domain.sample_interior(rng, 1, pull=pull)
-        y = domain.sample_interior(rng, 1, pull=pull)
-        if np.linalg.norm(x - y) < 1e-6:
-            continue
-        pts = [x + t * (y - x) for t in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)]
-        imgs = [f(p) for p in pts]
-        span = np.linalg.norm(imgs[3] - imgs[0])
-        if span <= 1e-12:
-            worst = max(worst, 1.0)
-            continue
-        u = (imgs[3] - imgs[0]) / span
-        resid = max(
-            float(np.linalg.norm((q - imgs[0]) - ((q - imgs[0]) @ u) * u))
-            for q in imgs
-        ) / span
-        s = [float((q - imgs[0]) @ u) for q in imgs]
-        if min(abs(s[1] - s[0]), abs(s[3] - s[2])) <= 1e-12 * span:
-            worst = max(worst, 1.0)
-            continue
-        cr_img = ((s[2] - s[0]) * (s[3] - s[1])) / ((s[1] - s[0]) * (s[3] - s[2]))
-        cr_src = cross_ratio(pts[0], pts[1], pts[2], pts[3])
-        worst = max(worst, resid, abs(cr_img - cr_src))
-    return worst
+    P = domain.sample_interior(rng, 2 * samples, pull=pull)
+    X, Y = P[0::2], P[1::2]
+    far = np.linalg.norm(Y - X, axis=1) >= 1e-6 * _extent(domain)
+    X, Y = X[far], Y[far]
+    n = len(X)
+    if n == 0:
+        return 0.0
+    pts = X[:, None] + _QUADRUPLE[:, None] * (Y - X)[:, None]
+    imgs = _map_rows(f, pts.reshape(4 * n, -1)).reshape(n, 4, -1)
+    R = imgs - imgs[:, :1]
+    span = np.linalg.norm(R[:, 3], axis=1)
+    bad = span <= 1e-12 * np.abs(imgs).max(axis=(1, 2))
+    span = np.where(bad, 1.0, span)
+    u = R[:, 3] / span[:, None]
+    s = np.einsum("nkd,nd->nk", R, u)
+    resid = np.linalg.norm(R - s[..., None] * u[:, None], axis=2).max(axis=1)
+    d1, d2 = s[:, 1] - s[:, 0], s[:, 3] - s[:, 2]
+    bad |= np.minimum(np.abs(d1), np.abs(d2)) <= 1e-12 * span
+    cr_img = ((s[:, 2] - s[:, 0]) * (s[:, 3] - s[:, 1])
+              / np.where(bad, 1.0, d1 * d2))
+    # the source cross ratio (|p0-p2| |p3-p1|) / (|p0-p1| |p3-p2|)
+    gap = np.linalg.norm(pts[:, [2, 3, 1, 3]] - pts[:, [0, 1, 0, 2]], axis=2)
+    cr_src = gap[:, 0] * gap[:, 1] / (gap[:, 2] * gap[:, 3])
+    worst = np.maximum(resid / span, np.abs(cr_img - cr_src))
+    return float(np.where(bad, 1.0, worst).max())
 
 
 # ------------------------------------------------------ boundary focusing
@@ -338,31 +378,37 @@ class FocusVerdict:
 
 def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     """Push geometric sequences start -> target through f and compare the
-    boundary limits of the image sequences across starts."""
+    boundary limits of the image sequences across starts.
+
+    The points target + 2^-i (start - target), i = 0..horizon, of every
+    start are mapped in one call of f.  A sequence's images count up to
+    the first that lands numerically on the boundary, and its limit is
+    where the ray through its last two counted images leaves the domain.
+    """
     starts = [_as_array(s, "start") for s in starts]
     if len(starts) < 2:
         raise DegenerateInput("need at least two starts to compare limits")
     target = _as_array(target, "target")
-    limits = []
     for s in starts:
         domain._require_interior(s, eps, "start")
-        prev, last = None, None
-        for i in range(horizon + 1):
-            p = target + 2.0 ** (-i) * (s - target)
-            q = _as_array(f(p), "image")
-            if domain.min_slack(q) <= 0.0 or domain.hull_residual(q) > 1e-9:
-                break  # image hit the boundary numerically; keep previous
-            prev, last = last, q
-        if last is None:
-            raise GeometryError("image sequence left the domain immediately")
-        if prev is None or np.linalg.norm(last - prev) <= 1e-14:
+    S = np.array(starts)
+    h = horizon + 1
+    pts = target + (2.0 ** -np.arange(h))[:, None] * (S - target)[:, None]
+    Q = _map_rows(f, pts.reshape(len(S) * h, -1))
+    off = ((domain._slacks(domain.to_local(Q)).min(axis=1) <= 0.0)
+           | (domain._hull_residuals(Q) > 1e-9)).reshape(len(S), h)
+    kept = np.where(off.any(axis=1), off.argmax(axis=1), h)
+    if np.any(kept == 0):
+        raise GeometryError("image sequence left the domain immediately")
+    limits = []
+    for q, k in zip(Q.reshape(len(S), h, -1), kept):
+        last = q[k - 1]
+        if k == 1 or np.linalg.norm(last - q[k - 2]) <= 1e-14:
             limits.append(last)
-            continue
-        limits.append(domain.ray(prev, last - prev, eps).endpoint)
+        else:
+            limits.append(domain.ray(q[k - 2], last - q[k - 2], eps).endpoint)
     limits = np.array(limits)
-    spread = 0.0
-    for a, b in itertools.combinations(range(len(limits)), 2):
-        spread = max(spread, float(np.linalg.norm(limits[a] - limits[b])))
+    spread = float(np.linalg.norm(limits[:, None] - limits, axis=2).max())
     return FocusVerdict(
         focused=spread < defaults.EPS_FOCUS,
         target=target, limits=limits, spread=spread,
@@ -419,8 +465,7 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
         return PlaneClassification("not-isometric", None, math.inf)
     if dom_a.kind == "ellipsoid":
         # all ellipses are affinely equivalent: compose the unit-disk charts
-        La, Lb = dom_a._chol, dom_b._chol
-        A = Lb @ np.linalg.inv(La)
+        A = dom_b._chol @ dom_a._chol_inv
         t = dom_b.center - A @ dom_a.center
         M = np.eye(3)
         M[:2, :2] = A

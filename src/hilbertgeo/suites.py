@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .cones import cone_distance, cone_over, lorentz_cone
+from .cones import cone_distance, cone_distances, cone_over, lorentz_cone
 from .convex import build_ellipsoid, build_polytope, minkowski_functional, standard_simplex
 from .isometries import (
     HilbertSpace,
@@ -168,7 +168,7 @@ def run_metric_axioms(seed=0, samples=1000):
     passed = True
     for name, dom in domains.items():
         X, Y, Z = np.reshape(
-            [dom.sample_interior(rng, 3, pull=0.02) for _ in range(samples)],
+            dom.sample_interior(rng, 3 * samples, pull=0.02),
             (samples, 3, dom.ambient_dim)).transpose(1, 0, 2)
         dxy = distances(dom, X, Y)
         max_sym = float(np.max(np.abs(dxy - distances(dom, Y, X)),
@@ -200,12 +200,11 @@ def run_projective_invariance(seed=0, samples=200):
     n_simplex = (samples - n_square) // 2
     n_disk = samples - n_square - n_simplex
     square, simplex, disk = _square(), standard_simplex(2), _disk()
-    pairs = {"square": [], "simplex": [], "disk": []}  # rows x, y, gx, gy
+    pairs = {"square": [], "simplex": [], "disk": []}  # blocks [P, g(P)]
 
     def draw(family, dom, g):
-        for _ in range(pairs_per):
-            x, y = dom.sample_interior(rng, 2, pull=0.02)
-            pairs[family].append((x, y, g(x), g(y)))
+        P = dom.sample_interior(rng, 2 * pairs_per, pull=0.02)
+        pairs[family].append(np.hstack([P, g(P)]))
 
     blocks = _d4_blocks()
     for _ in range(n_square):
@@ -222,9 +221,10 @@ def run_projective_invariance(seed=0, samples=200):
     worst = {}
     for family, dom in (("square", square), ("simplex", simplex),
                         ("disk", disk)):
-        X, Y, GX, GY = np.reshape(pairs[family],
-                                  (-1, 4, dom.ambient_dim)).transpose(1, 0, 2)
-        dev = np.abs(distances(dom, X, Y) - distances(dom, GX, GY))
+        P, G = np.hsplit(np.reshape(pairs[family],
+                                    (-1, 2 * dom.ambient_dim)), 2)
+        dev = np.abs(distances(dom, P[0::2], P[1::2])
+                     - distances(dom, G[0::2], G[1::2]))
         worst[family] = float(np.max(dev, initial=0.0))
     overall = max(worst.values())
     return _report("projective-invariance", seed, samples,
@@ -249,17 +249,12 @@ def run_simplex_chart(seed=0, samples=1000):
         [-1 / 3, -1 / 3, 2 / 3], [-2 / 3, 1 / 3, 1 / 3],
         [1 / 3, -2 / 3, 1 / 3], [1 / 3, 1 / 3, -2 / 3],
     ])
-    gauge_gap = 0.0
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v -= v.mean()
-        gauge_gap = max(gauge_gap, abs(minkowski_functional(hexagon, v)
-                                       - variation_norm(v)))
-    roundtrip = 0.0
-    for _ in range(200):
-        x = standard_simplex(2).sample_interior(rng, 1, pull=0.01)
-        roundtrip = max(roundtrip,
-                        float(np.max(np.abs(clr_inv(clr(x)) - x))))
+    V = rng.normal(size=(200, 3))
+    V -= V.mean(axis=1, keepdims=True)
+    gauge_gap = float(np.max(np.abs(minkowski_functional(hexagon, V)
+                                    - variation_norm(V))))
+    X = standard_simplex(2).sample_interior(rng, 200, pull=0.01)
+    roundtrip = float(np.max(np.abs(clr_inv(clr(X)) - X)))
     passed = (max(devs.values()) <= tol_iso and gauge_gap <= tol_gauge
               and roundtrip <= tol_gauge)
     return _report("simplex-chart", seed, samples,
@@ -279,10 +274,9 @@ def run_reciprocal(seed=0, samples=200):
     iso_dev = 0.0
     for n in (2, 3):
         dom = standard_simplex(n)
-        for _ in range(samples):
-            x = dom.sample_interior(rng, 1, pull=0.01)
-            inv_gap = max(inv_gap, float(np.max(np.abs(
-                reciprocal_map(reciprocal_map(x)) - x))))
+        X = dom.sample_interior(rng, samples, pull=0.01)
+        inv_gap = max(inv_gap, float(np.max(np.abs(
+            reciprocal_map(reciprocal_map(X)) - X), initial=0.0)))
         iso_dev = max(iso_dev, sampled_isometry_check(
             HilbertSpace(dom), HilbertSpace(dom), reciprocal_map, rng,
             samples=samples))
@@ -317,16 +311,10 @@ def run_cone_slice(seed=0, samples=1000):
             ("simplex-orthant", simplex, cone_over(simplex)),
             ("square-lifted", square, cone_over(square)),
             ("disk-lorentz", _disk(), lorentz_cone(3))):
-        X, Y, cone_d = [], [], []
-        for _ in range(samples):
-            x, y = dom.sample_interior(rng, 2, pull=0.02)
-            X.append(x)
-            Y.append(y)
-            cone_d.append(cone_distance(cone, cone.embed(x), cone.embed(y)))
-        shape = (samples, dom.ambient_dim)
-        dev = np.abs(np.array(cone_d)
-                     - distances(dom, np.reshape(X, shape),
-                                 np.reshape(Y, shape)))
+        P = dom.sample_interior(rng, 2 * samples, pull=0.02)
+        X, Y = P[0::2], P[1::2]
+        dev = np.abs(cone_distances(cone, cone.embed(X), cone.embed(Y))
+                     - distances(dom, X, Y))
         groups[group] = float(np.max(dev, initial=0.0))
     overall = max(groups.values())
     return _report("cone-slice", seed, samples, {"deviation": tol},
@@ -384,8 +372,13 @@ def run_index_two(seed=0, samples=50):
         d = np.exp(rng.normal(0.0, 1.0, size=3))
         P = np.eye(3)[rng.permutation(3)]
         p = simplex_projective(P @ np.diag(d))
-        g = lambda x, p=p: reciprocal_map(p(x))
-        recovered = lambda x, g=g: reciprocal_map(g(x))
+
+        def g(X, p=p):
+            return reciprocal_map(p(X))
+
+        def recovered(X, g=g):
+            return reciprocal_map(g(X))
+
         min_raw = min(min_raw, projectivity_check(simplex, g, rng,
                                                   samples=30))
         max_recovered = max(max_recovered,
@@ -451,31 +444,27 @@ def run_star_maps(seed=0, samples=300):
     rng = np.random.default_rng(seed)
     tol_exact, tol_iso = 1e-12, 1e-9
     simplex = standard_simplex(2)
-    agree = 0.0
-    cone_dev = 0.0
     orthant = cone_over(simplex)
-    for _ in range(samples):
-        x = np.exp(rng.normal(0.0, 1.0, size=3))
-        s = x / x.sum()
-        star = vinberg_star("orthant", x)
-        agree = max(agree, float(np.max(np.abs(star / star.sum()
-                                               - reciprocal_map(s)))))
-        y = np.exp(rng.normal(0.0, 1.0, size=3))
-        cone_dev = max(cone_dev, abs(
-            cone_distance(orthant, x, y)
-            - cone_distance(orthant, vinberg_star("orthant", x),
-                            vinberg_star("orthant", y))))
+    # rows x, y, x, y, ... of positive points
+    Z = np.exp(rng.normal(0.0, 1.0, size=(2 * samples, 3)))
+    X, Y = Z[0::2], Z[1::2]
+    star_x = vinberg_star("orthant", X)
+    agree = float(np.max(np.abs(
+        star_x / star_x.sum(axis=1, keepdims=True)
+        - reciprocal_map(X / X.sum(axis=1, keepdims=True))), initial=0.0))
+    cone_dev = float(np.max(np.abs(
+        cone_distances(orthant, X, Y)
+        - cone_distances(orthant, star_x, vinberg_star("orthant", Y))),
+        initial=0.0))
     disk = _disk()
+    lorentz = lorentz_cone(3)
 
     def slice_star(p):
-        z = vinberg_star("lorentz", np.concatenate([[1.0], np.asarray(p)]))
-        return z[1:] / z[0]
+        z = vinberg_star("lorentz", lorentz.embed(p))
+        return z[..., 1:] / z[..., :1]
 
-    antipode_gap = 0.0
-    for _ in range(samples):
-        p = disk.sample_interior(rng, 1, pull=0.01)
-        antipode_gap = max(antipode_gap,
-                           float(np.max(np.abs(slice_star(p) + p))))
+    P = disk.sample_interior(rng, samples, pull=0.01)
+    antipode_gap = float(np.max(np.abs(slice_star(P) + P), initial=0.0))
     iso_dev = sampled_isometry_check(HilbertSpace(disk), HilbertSpace(disk),
                                      slice_star, rng, samples=200)
     residual = projectivity_check(disk, slice_star, rng)
@@ -587,15 +576,12 @@ def run_conjugation(seed=0, samples=12):
         def conj(a, p=p):
             return axis_coords(clr(p(clr_inv(axis_coords_inv(a)))))
 
-        imgs = np.array([conj(a) for a in pts])
-        # least squares for images ~ k * a + c
-        rows = []
-        rhs = []
-        for a, b in zip(pts, imgs):
-            rows.append([a[0], 1.0, 0.0])
-            rows.append([a[1], 0.0, 1.0])
-            rhs.extend([b[0], b[1]])
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        imgs = conj(pts)
+        # least squares for images ~ k * a + c: rows (a0, 1, 0), (a1, 0, 1)
+        rows = np.zeros((2 * len(pts), 3))
+        rows[:, 0] = pts.ravel()
+        rows[0::2, 1] = rows[1::2, 2] = 1.0
+        sol, *_ = np.linalg.lstsq(rows, imgs.ravel(), rcond=None)
         k, c = sol[0], sol[1:]
         fit = pts * k + c
         worst = max(worst, float(np.max(np.abs(fit - imgs))))

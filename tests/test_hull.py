@@ -272,6 +272,76 @@ def test_plane_hull_matches_qhull_reference(monkeypatch):
                 assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(C).max()
 
 
+def test_simplex_facets_match_qhull_reference(monkeypatch):
+    """The closed-form facets of a d-simplex give _hull_facets what Qhull
+    gives it, on jittered, rotated, shifted regular simplices in
+    dimensions 3-5 at scales 1e-6..1e9."""
+    rng = np.random.default_rng(27)
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        for d in (3, 4, 5):
+            E = np.vstack([np.eye(d), np.full(d, (1 - np.sqrt(d + 1)) / d)])
+            for _ in range(20):
+                Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                P = ((E + 0.2 * rng.normal(size=E.shape)) @ Q
+                     + rng.uniform(-2.0, 2.0, size=d)) * scale
+                verts, A, b, sets = _hull_facets(P, TOL)
+                with monkeypatch.context() as mp:
+                    mp.setattr(convex, "_simplex_facets", qhull_triple)
+                    ref_verts, ref_A, ref_b, ref_sets = _hull_facets(P, TOL)
+                assert np.array_equal(verts, ref_verts)
+                assert sets == ref_sets
+                assert np.abs(A - ref_A).max() <= 1e-14
+                assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(P).max()
+
+
+def test_simplex_facets_omit_one_vertex_each():
+    idx, simplices, eq = convex._simplex_facets(np.vstack([np.zeros(3),
+                                                           np.eye(3)]))
+    assert np.array_equal(idx, np.arange(4))
+    assert [sorted(set(range(4)) - set(row)) for row in simplices] == \
+        [[0], [1], [2], [3]]
+    # the facet omitting the origin is x + y + z = 1, outward
+    assert np.allclose(eq[0], np.r_[np.ones(3), -1.0] / np.sqrt(3))
+    with pytest.raises(DegenerateInput):
+        convex._simplex_facets(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0],
+                                         [0, 1, 0]]))
+
+
+def cone_facet_sets(cone):
+    """For each functional, the generators on which it vanishes."""
+    R = cone.functionals @ cone.generators.T
+    return [frozenset(np.nonzero(np.abs(r) <= TOL * np.abs(r).max())[0]
+                      .tolist()) for r in R]
+
+
+def test_cone_over_matches_build_cone_reference(monkeypatch):
+    """cone_over reads the cone's facets off the domain's facets; a Qhull
+    build_cone on the same generators gives the same facets, and
+    functionals equal to 1e-14 of their size."""
+    rng = np.random.default_rng(28)
+    clouds = [random_polygon(rng) for _ in range(20)]
+    clouds += [CUBE] + [rng.normal(size=(int(rng.integers(5, 20)), 3))
+                        for _ in range(10)]
+    # polygons in the plane z = 1 generate their cones unlifted
+    for _ in range(5):
+        Q = random_polygon(rng)
+        clouds.append(np.c_[Q, np.ones(len(Q))])
+    domains = [build_polytope(P) for P in clouds]
+    domains += [standard_simplex(n) for n in (2, 3, 4)]
+    for dom in domains:
+        cone = cone_over(dom)
+        assert cone.lifted == (dom.intrinsic_dim == dom.ambient_dim)
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "_simplex_facets", qhull_triple)
+            ref = build_cone(cone.generators)
+        sets, ref_sets = cone_facet_sets(cone), cone_facet_sets(ref)
+        assert sets == ref_sets
+        assert sets == [frozenset(F) for F in dom._facet_sets]
+        size = np.abs(ref.functionals).max(axis=1, keepdims=True)
+        assert np.all(np.abs(cone.functionals - ref.functionals)
+                      <= 1e-14 * size)
+
+
 def test_facet_left_without_vertices_is_degenerate():
     # four points on a small arc: at the absolute tolerance the middle
     # points are flat, and so is every vertex of one hull edge

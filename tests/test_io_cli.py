@@ -184,6 +184,7 @@ def test_console_script_entry_point(square_file):
 
 
 def test_plane_commands_do_not_load_scipy(square_file, tmp_path):
+    """The polygon commands, and every registered suite, import no scipy."""
     quad = tmp_path / "quad.json"
     quad.write_text(json.dumps({
         "kind": "polytope",
@@ -195,7 +196,7 @@ def test_plane_commands_do_not_load_scipy(square_file, tmp_path):
         ["classify", "--a", square_file, "--b", str(quad)],
         ["render", "--domain", square_file, "--out", str(svg),
          "--ball", "0,0,0.5", "--chord=-0.5,0;0.5,0.2"],
-        ["check", "plane-classifier"],
+        ["check", "all"],
     ]
     code = ("import contextlib, io, json, sys\n"
             "from hilbertgeo.cli import main\n"
