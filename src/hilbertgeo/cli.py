@@ -3,7 +3,8 @@
 Subcommands: distance, rigid, classify, check, render.  Domains come from
 JSON files (see domain_io); points are comma-separated coordinates.
 Geometry and input errors print one line to stderr and exit 1; suite
-failures exit 1 after printing their report.
+failures exit 1 after printing their report.  Each command imports the
+modules only it needs (the classifier, the suites, the SVG writer).
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import numpy as np
 from .cones import Cone, cone_distance
 from .domain_io import load_domain
 from .errors import GeometryError, ParseError, ValidationError
-from .isometries import classify_2d
 from .metric import distance, is_rigid_chord
-from .suites import SUITES
-from .svgfig import render_svg
 
 
 def _point(text):
@@ -57,6 +55,8 @@ def _cmd_rigid(args):
 
 
 def _cmd_classify(args):
+    from .isometries import classify_2d
+
     dom_a = load_domain(args.a)
     dom_b = load_domain(args.b)
     rng = np.random.default_rng(args.seed)
@@ -75,6 +75,8 @@ def _cmd_classify(args):
 
 
 def _cmd_check(args):
+    from .suites import SUITES
+
     if args.suite == "all":
         names = sorted(SUITES)
     elif args.suite in SUITES:
@@ -106,6 +108,8 @@ def _split_pair(spec):
 
 
 def _cmd_render(args):
+    from .svgfig import render_svg
+
     dom = load_domain(args.domain)
     overlays = []
     for spec in args.ball or []:

@@ -14,9 +14,15 @@ TOMS 1996) for any other cloud from dimension 3.  Coplanar hull simplices
 are grouped into facets by the vertices within the shared tolerance
 EPS_GEO (overridable via the HG_EPS env var) of their plane, and face
 dimensions are read off the face lattice.  Domains of a few hundred
-vertices in ambient dimension <= 4 build in milliseconds.  scipy is
-imported only by the functions that need it; plane domains and simplices
-are built, and their distances and chord rigidity found, without it.
+vertices in ambient dimension <= 4 build in milliseconds.
+
+A polytope's cross-section takes its vertices from the face lattice: the
+single points where the cut meets the affine hull of a face inside the
+polytope, in codimension 1 the vertices on the cut and its crossings of
+edges.  scipy is imported only by Qhull's hulls from dimension 3 (not
+simplices), by general build_cone, and by JoinRegion's linear program;
+plane domains and simplices are built, and their distances, chord
+rigidity and sections found, without it.
 """
 
 from __future__ import annotations
@@ -128,8 +134,8 @@ def _nullspace(M, tol=1e-12):
 
 
 def _qhull(cls, *args):
-    """A scipy.spatial Qhull object, with Qhull failures (flat input, an
-    interior point that is not clearly inside) raised as DegenerateInput."""
+    """A scipy.spatial Qhull object, with Qhull failures (such as flat
+    input) raised as DegenerateInput."""
     from scipy.spatial import QhullError
 
     try:
@@ -805,11 +811,12 @@ class ConvexDomain:
     def cross_section(self, point, spans, eps=None):
         """Cut by the affine subspace {point + span(spans)}.
 
-        The result lives in coordinates of subspace ∩ affine hull; raises
-        EmptyIntersection when that set misses the relative interior."""
-        from scipy.optimize import linprog
-        from scipy.spatial import HalfspaceIntersection
-
+        The result lives in coordinates of subspace ∩ affine hull.  A
+        polytope's section is the hull of its vertices, read off the face
+        lattice (see _section_vertices).  Raises EmptyIntersection when
+        the subspace misses the relative interior: for a polytope, when
+        the section's vertices do not span the dimension of the cut, or
+        all lie on one facet."""
         eps_v = _eps(eps)
         p0 = _as_array(point, "point")
         S = np.atleast_2d(_as_array(spans, "spans"))
@@ -822,11 +829,14 @@ class ConvexDomain:
         if m < 2 or m > self.intrinsic_dim:
             raise DimensionOutOfRange(
                 f"subspace dim {m} outside 2..{self.intrinsic_dim}")
-        # intersect the subspace with the affine hull
+        # intersect the subspace with the affine hull; the residual is
+        # round-off of the coordinates' size when they meet
         M = np.hstack([B0, -self._basis])
         rhs = self._origin - p0
         sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ sol - rhs) > eps_v:
+        size = max(1.0, float(np.abs(p0).max()),
+                   float(np.abs(self._origin).max()))
+        if np.linalg.norm(M @ sol - rhs) > eps_v * size:
             raise EmptyIntersection("subspace misses the affine hull")
         q0 = p0 + B0 @ sol[:m]
         null = _nullspace(M)
@@ -838,33 +848,60 @@ class ConvexDomain:
             raise EmptyIntersection("subspace meets the hull in a point")
         if self.kind == "ellipsoid":
             return self._ellipsoid_section(q0, W)
-        # facet inequalities in section coordinates
-        G = self._A @ (self._basis.T @ W)
-        h = self._b - self._A @ (self._basis.T @ (q0 - self._origin))
-        norms = np.linalg.norm(G, axis=1)
-        flat = norms <= 1e-12
-        if np.any(h[flat] < -eps_v):
-            raise EmptyIntersection("section plane is outside a facet")
-        G, h, norms = G[~flat], h[~flat], norms[~flat]
-        # Chebyshev margin: is there an interior point of the slice
-        mr = G.shape[1]
-        A_ub = np.hstack([G, norms[:, None]])
-        c = np.zeros(mr + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=A_ub, b_ub=h,
-                      bounds=[(None, None)] * mr + [(None, 1e6)],
-                      method="highs")
-        if res.status != 0 or -res.fun <= eps_v:
+        verts = self._section_vertices(
+            self._basis.T @ (q0 - self._origin), self._basis.T @ W)
+        if (len(verts) == 0
+                or _affine_chart(verts, eps_v)[1].shape[1] < W.shape[1]):
             raise EmptyIntersection("subspace misses the relative interior")
-        # vertices of {G r <= h}, seen from the Chebyshev centre
-        if mr == 1:
-            t = h / G[:, 0]
-            verts = np.array([[t[G[:, 0] < 0].max()], [t[G[:, 0] > 0].min()]])
-        else:
-            verts = _qhull(HalfspaceIntersection, np.hstack([G, -h[:, None]]),
-                           res.x[:mr]).intersections
-        verts = _lex_unique(verts, 1e-9)
         return Section(domain=build_polytope(verts, eps), origin=q0, basis=W)
+
+    def _section_vertices(self, c, Wl):
+        """Vertices of the polytope's section by the local affine subspace
+        L = {c + Wl r} (Wl orthonormal, n x k), in the coordinates r.
+
+        A point of the section is a vertex exactly when it is the single
+        point of L ∩ aff(F) for the face F whose relative interior holds
+        it, and such an F has dimension at most n - k.  So the vertices are
+        the single points of L ∩ aff(F), over the faces F of dimension
+        <= n - k, that lie in the polytope: in codimension 1, the vertices
+        on L and the points where L crosses an edge.  Offsets from L
+        within 64 ulp of the chart's size count as 0, so a cut through a
+        vertex meets it exactly; the same floor bounds the rank, residual
+        and slack tests.  Raises EmptyIntersection when every vertex found
+        lies on one facet: the section is then in the boundary.
+        """
+        n, k = Wl.shape
+        N = np.linalg.svd(Wl)[0][:, k:]  # normals of L in the chart
+        tol = max(self._slack_floor,
+                  64.0 * np.finfo(float).eps * float(np.abs(c).max()))
+        g = (self._lv - c) @ N  # offsets of the vertices from L
+        g[np.abs(g) <= tol] = 0.0
+        points = [self._lv[np.all(g == 0.0, axis=1)]]
+        groups = {}  # (dim, vertex count) -> faces of dim 1..n-k
+        for F in self._lattice.faces:
+            if 0 < F.dim <= n - k:
+                groups.setdefault((F.dim, len(F.indices)), []).append(
+                    F.indices)
+        for (f, _), idx in groups.items():
+            idx = np.array(idx)
+            g0 = g[idx[:, 0]]
+            # aff(F) = {v0 + mu E}; its offsets from L are g0 + D mu
+            D = np.swapaxes(g[idx[:, 1:]] - g0[:, None], 1, 2)
+            U, sv, Vt = np.linalg.svd(D, full_matrices=False)
+            single = sv[:, f - 1] > tol  # aff(F) -> offsets is one-to-one
+            y = np.einsum("kci,kc->ki", U[:, :, :f], -g0)
+            y /= np.where(single[:, None], sv[:, :f], 1.0)
+            mu = np.einsum("kij,ki->kj", Vt[:, :f], y)
+            resid = np.linalg.norm(np.einsum("kcj,kj->kc", D, mu) + g0, axis=1)
+            E = self._lv[idx[:, 1:]] - self._lv[idx[:, :1]]
+            u = self._lv[idx[:, 0]] + np.einsum("kj,kjn->kn", mu, E)
+            inside = (self._b - u @ self._A.T).min(axis=1) >= -tol
+            points.append(u[single & (resid <= tol) & inside])
+        P = np.vstack(points)
+        if len(P) and np.any(np.all(self._b - P @ self._A.T <= tol, axis=0)):
+            raise EmptyIntersection("subspace meets only the boundary")
+        # a vertex reached from several faces comes out a few ulp apart
+        return _lex_unique((P - c) @ Wl, 1e3 * tol)
 
     def _ellipsoid_section(self, q0, W):
         Q = W.T @ self._shape_inv @ W

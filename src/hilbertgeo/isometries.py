@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInput,
     GeometryError,
     ImageEscapedDomain,
+    NonFinite,
     NotInSimplex,
     PointAtInfinity,
     Unsupported,
@@ -62,16 +63,19 @@ class ProjectiveMap:
         M = _as_array(matrix, "matrix")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DegenerateInput("projective matrix must be square")
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
+        invertible, M = _normal_form(M[None])
+        if not invertible[0]:
             raise DegenerateInput("projective matrix is singular")
-        M = M / np.max(np.abs(M))
-        flat = M.ravel()
-        lead = flat[np.nonzero(np.abs(flat) > 1e-12)[0][0]]
-        if lead < 0:
-            M = -M
-        self.matrix = M
-        self.dim = M.shape[0] - 1
+        self.matrix = M[0]
+        self.dim = len(M[0]) - 1
+
+    @classmethod
+    def _normalised(cls, M):
+        """The map of a matrix already in _normal_form."""
+        out = cls.__new__(cls)
+        out.matrix = M
+        out.dim = len(M) - 1
+        return out
 
     def __call__(self, p):
         """Image of a point, or of each row of an N x d array."""
@@ -98,6 +102,71 @@ class ProjectiveMap:
         return ProjectiveMap(self.matrix @ other.matrix)
 
 
+def _normal_form(M):
+    """Which matrices of a stack are invertible (smallest singular value
+    above 1e-12 of the largest), and the stack scaled to largest entry 1
+    in absolute value with the first entry above 1e-12 positive."""
+    s = np.linalg.svd(M, compute_uv=False)
+    invertible = s[:, -1] > 1e-12 * s[:, 0]
+    top = np.abs(M).max(axis=(1, 2), keepdims=True)
+    M = M / np.where(top > 0.0, top, 1.0)
+    flat = M.reshape(len(M), -1)
+    lead = flat[np.arange(len(M)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
+    return invertible, np.where((lead < 0)[:, None, None], -M, M)
+
+
+def _frames(P):
+    """Projective frames of a stack of d+2 point families in R^d: H has the
+    first d+1 points of a family as homogeneous columns, and c holds the
+    coefficients of the last point over them.  Also returns which
+    families span (smallest singular value of H above 1e-10 of the
+    largest) and which are in general position (spanning, with every
+    coefficient above 1e-10 of the largest)."""
+    K, _, d = P.shape
+    H = np.concatenate([np.swapaxes(P[:, :d + 1], 1, 2),
+                        np.ones((K, 1, d + 1))], axis=1)
+    star = np.concatenate([P[:, d + 1], np.ones((K, 1))], axis=1)
+    sv = np.linalg.svd(H, compute_uv=False)
+    spans = sv[:, -1] > 1e-10 * sv[:, 0]
+    c = np.linalg.solve(np.where(spans[:, None, None], H, np.eye(d + 1)),
+                        star[..., None])[..., 0]
+    a = np.abs(c)
+    return H, c, spans, spans & (a.min(axis=1) > 1e-10 * a.max(axis=1))
+
+
+# why _fit_stack rejects a candidate, by its failure code
+_FIT_FAILURES = {
+    1: (DegenerateBasis, "reference points do not span"),
+    2: (DegenerateBasis, "last point lies on a reference face"),
+    3: (NonFinite, "matrix contains non-finite coordinates"),
+    4: (DegenerateInput, "projective matrix is singular"),
+}
+
+
+def _fit_stack(S, T):
+    """The projective maps sending one family S of d+2 points in R^d to
+    each family of a stack T, as a stack of matrices in ProjectiveMap's
+    normal form, with a failure code per candidate: 0 for a map, else a
+    key of _FIT_FAILURES, the first of fit_projective's checks that
+    fails (source frame, then target frame, then the matrix)."""
+    K = len(T)
+    HS, cs, s_spans, s_general = _frames(S[None])
+    HT, ct, t_spans, t_general = _frames(T)
+    fail = np.where(t_general, 0, np.where(t_spans, 2, 1))
+    if not s_general[0]:
+        fail[:] = 2 if s_spans[0] else 1
+    eye = np.eye(S.shape[1] + 1)
+    M = np.broadcast_to(eye, (K,) + eye.shape)
+    if s_general[0]:
+        M = np.where((fail == 0)[:, None, None],
+                     (HT * ct[:, None, :]) @ np.linalg.inv(HS[0] * cs[0]), M)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    fail[(fail == 0) & ~finite] = 3
+    invertible, M = _normal_form(np.where(finite[:, None, None], M, eye))
+    fail[(fail == 0) & ~invertible] = 4
+    return M, fail
+
+
 def fit_projective(src, dst):
     """The projective map of R^d sending d+2 source points to d+2 targets.
 
@@ -112,22 +181,11 @@ def fit_projective(src, dst):
     d = S.shape[1]
     if len(S) < d + 2:
         raise DegenerateBasis(f"need {d + 2} point pairs in dimension {d}")
-
-    def frame(P):
-        H = np.vstack([P[: d + 1].T, np.ones(d + 1)])
-        star = np.concatenate([P[d + 1], [1.0]])
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise DegenerateBasis("reference points do not span")
-        c = np.linalg.solve(H, star)
-        if np.min(np.abs(c)) <= 1e-10 * np.max(np.abs(c)):
-            raise DegenerateBasis("last point lies on a reference face")
-        return H, c
-
-    HS, cs = frame(S)
-    HT, ct = frame(T)
-    M = (HT * ct) @ np.linalg.inv(HS * cs)
-    return ProjectiveMap(M)
+    M, fail = _fit_stack(S[: d + 2], T[None, : d + 2])
+    if fail[0]:
+        error, message = _FIT_FAILURES[int(fail[0])]
+        raise error(message)
+    return ProjectiveMap._normalised(M[0])
 
 
 # ---------------------------------------------------- simplex log chart
@@ -454,8 +512,11 @@ def _verify_candidate(dom_a, dom_b, cand, rng, samples=60):
 def classify_2d(dom_a, dom_b, rng, tol=1e-7):
     """Decide whether two plane domains are isometric, with a witness.
 
-    Polygons are matched vertex-cyclically over both orientations through
-    projective fits; ellipses are normalized by their affine charts.  A
+    Polygons are matched vertex-cyclically over both orientations: the
+    2m candidate projective maps of two m-gons are fitted in one stacked
+    solve on one source frame and checked on the vertices, and the
+    candidates that pass are verified on random pairs in shift order
+    until one holds.  Ellipses are normalized by their affine charts.  A
     polygon and an ellipse are never isometric.  In the plane every
     isometric pair found here is already projectively equivalent.
     """
@@ -480,31 +541,38 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
     m = len(va)
     if len(vb) != m:
         return PlaneClassification("not-isometric", None, math.inf)
-    for shift in range(m):
-        for orient in (1, -1):
-            order = [(shift + orient * i) % m for i in range(m)]
-            w = vb[order]
-            try:
-                if m == 3:
-                    src = np.vstack([va, va.mean(axis=0)])
-                    tgt = np.vstack([w, w.mean(axis=0)])
-                else:
-                    src, tgt = va[:4], w[:4]
-                cand = fit_projective(src, tgt)
-            except (DegenerateBasis, DegenerateInput):
-                continue
-            try:
-                vert_dev = float(np.max(np.linalg.norm(cand.apply(va) - w,
-                                                       axis=1)))
-            except PointAtInfinity:
-                continue
-            if vert_dev > tol:
-                continue
-            dev = _verify_candidate(dom_a, dom_b, cand, rng)
-            if dev <= tol:
-                return PlaneClassification(
-                    "projectively-equivalent", cand, max(dev, vert_dev),
-                    _chart_map(dom_a, dom_b, cand))
+    # candidate 2 shift + (orient == -1) matches va[i] with
+    # vb[(shift + orient i) % m], for shift in 0..m-1 and orient 1, -1
+    i = np.arange(m)
+    shift = np.repeat(i, 2)[:, None]
+    orient = np.tile([1, -1], m)[:, None]
+    W = vb[(shift + orient * i) % m]
+    if m == 3:
+        src = np.vstack([va, va.mean(axis=0)])
+        tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
+    else:
+        src, tgt = va[:4], W[:, :4]
+    M, fail = _fit_stack(src, tgt)
+    # the vertex images of each fitted map, as ProjectiveMap.apply maps them
+    live = np.nonzero(fail == 0)[0]
+    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M[live], 1, 2)
+    h = h / np.max(np.abs(h), axis=2, keepdims=True)
+    at_infinity = np.any(np.abs(h[:, :, -1]) <= 1e-12, axis=1)
+    last = np.where(at_infinity[:, None, None], 1.0, h[:, :, -1:])
+    vert_dev = np.full(len(M), np.inf)
+    vert_dev[live] = np.where(at_infinity, np.inf, np.max(np.linalg.norm(
+        h[:, :, :-1] / last - W[live], axis=2), axis=1))
+    for k in range(len(M)):
+        if fail[k] == 3:
+            raise NonFinite(_FIT_FAILURES[3][1])
+        if fail[k] or vert_dev[k] > tol:
+            continue
+        cand = ProjectiveMap._normalised(M[k])
+        dev = _verify_candidate(dom_a, dom_b, cand, rng)
+        if dev <= tol:
+            return PlaneClassification(
+                "projectively-equivalent", cand, max(dev, float(vert_dev[k])),
+                _chart_map(dom_a, dom_b, cand))
     return PlaneClassification("not-isometric", None, math.inf)
 
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from . import defaults
 from .cones import cone_distance, cone_distances, cone_over, lorentz_cone
 from .convex import build_ellipsoid, build_polytope, minkowski_functional, standard_simplex
 from .isometries import (
@@ -325,7 +326,9 @@ def run_cone_slice(seed=0, samples=1000):
 def run_asymptotics(seed=0, samples=40):
     """Boundary-approach profiles on the square: bounded toward one vertex,
     a finite cross-ratio limit for parallel approaches into one edge, and
-    divergence for separated targets."""
+    divergence for separated targets.  samples is the step count of the
+    profiles; the divergent one takes at least the library's default
+    steps, so that a small budget does not stop it short of the bound."""
     square = _square()
     steps = int(samples)
     bound = 10.0
@@ -336,7 +339,8 @@ def run_asymptotics(seed=0, samples=40):
                              [-0.5, 1.0], [0.5, 1.0], steps=steps)
     limit = math.log(9.0)
     div = asymptotic_profile(square, [-0.3, -0.2], [0.4, 0.1],
-                             [1.0, 1.0], [-1.0, 0.0], steps=steps)
+                             [1.0, 1.0], [-1.0, 0.0],
+                             steps=max(steps, defaults.DEFAULT_STEPS))
     passed = (same.mode == "same-point" and same.sup < bound
               and par.mode == "parallel"
               and abs(par.limit_estimate - limit) <= tol_limit

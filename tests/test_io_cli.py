@@ -225,3 +225,42 @@ def test_known_values_report():
     rep = run_known_values()
     assert rep["pass"] is True
     assert rep["metrics"]["max_gap"] <= 1e-12
+
+
+def test_distance_command_loads_no_isometries_suites_or_svg(square_file):
+    code = ("import contextlib, io, json, sys\n"
+            "from hilbertgeo.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['distance', '--domain', {square_file!r}, "
+            "'--x=-0.5,0', '--y=0.5,0.1']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('hilbertgeo.'))))\n")
+    src = os.path.dirname(os.path.dirname(hilbertgeo.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = set(json.loads(out))
+    assert "hilbertgeo.metric" in loaded
+    assert not loaded & {"hilbertgeo.isometries", "hilbertgeo.suites",
+                         "hilbertgeo.svgfig"}
+
+
+def test_every_public_name_resolves():
+    for name in hilbertgeo.__all__:
+        assert getattr(hilbertgeo, name) is not None
+    assert set(hilbertgeo.__all__) <= set(dir(hilbertgeo))
+    from hilbertgeo import isometries, suites, svgfig
+
+    assert hilbertgeo.classify_2d is isometries.classify_2d
+    assert hilbertgeo.SUITES is suites.SUITES
+    assert hilbertgeo.render_svg is svgfig.render_svg
+    with pytest.raises(AttributeError):
+        hilbertgeo.no_such_name
+
+
+@pytest.mark.parametrize("samples", range(9))
+def test_asymptotics_passes_at_any_small_budget(samples, capsys):
+    assert main(["check", "asymptotics", "--samples", str(samples)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["parameters"]["samples"] == samples
+    assert set(report) == {"experiment", "parameters", "pass", "metrics"}

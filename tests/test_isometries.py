@@ -276,3 +276,178 @@ def test_is_cone_3d():
     tetra = standard_simplex(3)
     flag, apex, base = is_cone_3d(tetra)
     assert flag  # every simplex is a cone over a facet
+
+
+# ------------------------------------------------ stacked candidate fits
+
+def _reference_fit(S, T):
+    """The per-candidate fit: fit_projective and ProjectiveMap's checks
+    and normal form, one candidate at a time; None where they raise."""
+    d = S.shape[1]
+
+    def frame(P):
+        H = np.vstack([P[: d + 1].T, np.ones(d + 1)])
+        star = np.concatenate([P[d + 1], [1.0]])
+        sv = np.linalg.svd(H, compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:
+            return None
+        c = np.linalg.solve(H, star)
+        if np.min(np.abs(c)) <= 1e-10 * np.max(np.abs(c)):
+            return None
+        return H, c
+
+    fs, ft = frame(S), frame(T)
+    if fs is None or ft is None:
+        return None
+    M = (ft[0] * ft[1]) @ np.linalg.inv(fs[0] * fs[1])
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
+        return None
+    M = M / np.max(np.abs(M))
+    flat = M.ravel()
+    return -M if flat[np.nonzero(np.abs(flat) > 1e-12)[0][0]] < 0 else M
+
+
+class _ReferenceMap:
+    def __init__(self, M):
+        self.matrix = M
+
+    def apply(self, P):
+        h = np.hstack([P, np.ones((len(P), 1))]) @ self.matrix.T
+        h = h / np.max(np.abs(h), axis=1, keepdims=True)
+        if np.any(np.abs(h[:, -1]) <= 1e-12):
+            raise PointAtInfinity("image lies on the hyperplane at infinity")
+        return h[:, :-1] / h[:, -1:]
+
+
+def _reference_classify(dom_a, dom_b, rng, tol=1e-7):
+    """classify_2d on two polygons as a loop over the 2m candidates, each
+    fitted, checked on the vertices and verified on its own."""
+    from hilbertgeo.isometries import _verify_candidate
+
+    va, _ = dom_a.polygon_vertices_local()
+    vb, _ = dom_b.polygon_vertices_local()
+    m = len(va)
+    if len(vb) != m:
+        return "not-isometric", None, math.inf
+    for shift in range(m):
+        for orient in (1, -1):
+            w = vb[[(shift + orient * i) % m for i in range(m)]]
+            if m == 3:
+                M = _reference_fit(np.vstack([va, va.mean(axis=0)]),
+                                   np.vstack([w, w.mean(axis=0)]))
+            else:
+                M = _reference_fit(va[:4], w[:4])
+            if M is None:
+                continue
+            cand = _ReferenceMap(M)
+            try:
+                vert_dev = float(np.max(np.linalg.norm(cand.apply(va) - w,
+                                                       axis=1)))
+            except PointAtInfinity:
+                continue
+            if vert_dev > tol:
+                continue
+            dev = _verify_candidate(dom_a, dom_b, cand, rng)
+            if dev <= tol:
+                return "projectively-equivalent", M, max(dev, vert_dev)
+    return "not-isometric", None, math.inf
+
+
+def _projective_image(rng, V):
+    while True:
+        M = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
+        M[2, :2] = 0.1 * rng.normal(size=2)
+        h = np.c_[V, np.ones(len(V))] @ M.T
+        if np.all(h[:, 2] > 0.3):
+            return h[:, :2] / h[:, 2:]
+
+
+def _ngon(rng, m):
+    th = 2 * math.pi * (np.arange(m) + rng.uniform(0, 0.4, m)) / m
+    return np.c_[rng.uniform(1, 1.5) * np.cos(th), np.sin(th)]
+
+
+def _same_classification(dom_a, dom_b, seed):
+    got = classify_2d(dom_a, dom_b, np.random.default_rng(seed))
+    want = _reference_classify(dom_a, dom_b, np.random.default_rng(seed))
+    assert got.verdict == want[0]
+    assert (got.witness is None) == (want[1] is None)
+    if want[1] is not None:
+        assert got.witness.matrix.tobytes() == want[1].tobytes()
+    assert np.float64(got.max_deviation).tobytes() == \
+        np.float64(want[2]).tobytes()
+    return got
+
+
+def test_stacked_classifier_matches_candidate_loop_bitwise():
+    rng = np.random.default_rng(81)
+    verdicts = set()
+    for m in [3, 3, 3] + list(range(4, 17)):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e9):
+            V = _ngon(rng, m) * scale
+            pairs = [(V, _projective_image(rng, V / scale) * scale),
+                     (V, _ngon(rng, m if m > 4 else m + 1) * scale),
+                     (V, V[::-1] + 0.25 * scale)]
+            for A, B in pairs:
+                got = _same_classification(build_polytope(A),
+                                           build_polytope(B),
+                                           int(rng.integers(2**31)))
+                verdicts.add(got.verdict)
+    assert verdicts == {"projectively-equivalent", "not-isometric"}
+
+
+def test_stacked_classifier_where_every_candidate_is_singular():
+    from hilbertgeo.isometries import _fit_stack
+
+    # a perspective map between squares at 1e9 has entries from about 1e-9
+    # to 1e9, so its smallest singular value is below 1e-12 of the largest
+    rng = np.random.default_rng(7)
+    big = build_polytope(np.array(SQUARE) * 1e9)
+    image = build_polytope(_projective_image(rng, np.array(SQUARE)) * 1e9)
+    va, _ = big.polygon_vertices_local()
+    vb, _ = image.polygon_vertices_local()
+    W = vb[(np.repeat(np.arange(4), 2)[:, None]
+            + np.tile([1, -1], 4)[:, None] * np.arange(4)) % 4]
+    _, fail = _fit_stack(va, W)
+    assert list(fail) == [4] * 8
+    got = _same_classification(big, image, 5)
+    assert got.verdict == "not-isometric"
+
+
+def test_stacked_classifier_with_a_collinear_frame_triple():
+    from hilbertgeo.isometries import _fit_stack
+
+    # a 9-gon at 1e9 with one vertex 1e-3 outside an edge of an octagon:
+    # it stays a vertex, and the frames through it and that edge's ends
+    # fail the spanning test
+    th = 2 * math.pi * np.arange(8) / 8
+    octagon = np.c_[np.cos(th), np.sin(th)] * 1e9
+    mid = 0.5 * (octagon[0] + octagon[1])
+    V = np.vstack([octagon, mid * (1 + 1e-3 / np.linalg.norm(mid))])
+    dom = build_polytope(V)
+    va, _ = dom.polygon_vertices_local()
+    assert len(va) == 9
+    m = 9
+    W = va[(np.repeat(np.arange(m), 2)[:, None]
+            + np.tile([1, -1], m)[:, None] * np.arange(m)) % m]
+    _, fail = _fit_stack(va[:4], W[:, :4])
+    assert 1 in fail and 0 in fail
+    image = build_polytope(_projective_image(np.random.default_rng(3),
+                                             V / 1e9) * 1e9)
+    for other in (dom, image):
+        _same_classification(dom, other, 9)
+        _same_classification(other, dom, 9)
+
+
+def test_fit_projective_wrapper_raises_the_first_failing_check():
+    src = np.array([[0, 0], [1, 0], [0, 1], [1, 1.0]])
+    with pytest.raises(DegenerateBasis, match="do not span"):
+        fit_projective(np.array([[0, 0], [1, 0], [2, 0], [1, 1.0]]), src)
+    with pytest.raises(DegenerateBasis, match="reference face"):
+        fit_projective(src, np.array([[0, 0], [1, 0], [0, 1], [0, 0.5]]))
+    with pytest.raises(DegenerateInput, match="singular"):
+        fit_projective(src * 1e9, _projective_image(np.random.default_rng(7),
+                                                    src) * 1e9)
+    g = fit_projective(src, src * 2)
+    assert g.matrix.tobytes() == _reference_fit(src, src * 2).tobytes()
