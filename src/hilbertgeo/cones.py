@@ -223,17 +223,22 @@ def cone_distances(cone, X, Y):
     if X.shape != Y.shape or X.ndim not in (1, 2) or X.shape[-1] != cone.dim:
         raise DegenerateInput(
             f"x and y must be matching rows of {cone.dim} coordinates")
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    if X.ndim == 1:
+        X, Y = X[None, :], Y[None, :]
     n = len(X)
-    P = np.vstack([X, Y])
-    _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
-            "contains non-finite coordinates")
-    _reject(~cone._interior(P), n, XNotInteriorOfCone,
-            "must be interior to the cone")
+    P = np.concatenate([X, Y])
+    if not np.isfinite(P).all():
+        _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                "contains non-finite coordinates")
     if cone.kind == "polyhedral":
         L = cone.functionals
-        S = P @ L.T
+        S = P @ L.T  # the interior test and the Funk sum read it
+        if not (S > 0.0).all():
+            _reject(~(S.min(axis=1) > 0.0), n, XNotInteriorOfCone,
+                    "must be interior to the cone")
         return _funk_sum(S[:n], S[n:], (X - Y) @ L.T)
+    _reject(~cone._interior(P), n, XNotInteriorOfCone,
+            "must be interior to the cone")
     # both directions in one call: rows [X; Y] against [Y; X]
-    s = np.log(_lorentz_scale(P, np.vstack([Y, X])))
+    s = np.log(_lorentz_scale(P, np.concatenate([Y, X])))
     return s[:n] + s[n:]

@@ -521,6 +521,14 @@ class ConvexDomain:
         """Euclidean distance from p to the affine hull."""
         return float(self._hull_residuals(_as_array(p)[None, :])[0])
 
+    def _off_hull(self, P, eps):
+        """Flags of the rows of P farther than eps from the affine hull.  A
+        full-dimensional domain's hull is the whole space: one flag, for
+        the residual 0, stands for every row, and no residual is taken."""
+        if self.intrinsic_dim == self.ambient_dim:
+            return np.bool_(0.0 > eps)
+        return self._hull_residuals(P) > eps
+
     def _hull_residuals(self, P):
         """Distances of the rows of P to the affine hull.  A full-dimensional
         domain's hull is the whole space: its residual would be pure
@@ -538,11 +546,12 @@ class ConvexDomain:
 
     def _slacks(self, u):
         """Facet slacks b - A u (polytope) or 1 - |L^-1 (p - c)|
-        (ellipsoid) of a local point, or of each row of an array."""
+        (ellipsoid, whose chart is the identity) of a local point, or of
+        each row of an array."""
         if self.kind == "polytope":
             return self._b - u @ self._A.T
-        w = self._chol_solve(self.to_ambient(u) - self.center)
-        return 1.0 - np.linalg.norm(w, axis=-1, keepdims=True)
+        w = self._chol_solve(u - self.center)
+        return 1.0 - np.sqrt((w * w).sum(axis=-1, keepdims=True))  # |w|
 
     def _chol_solve(self, v):
         # L^-1 v (each row of v) where shape = L L^T, so |L^-1 (p - c)| < 1
@@ -589,15 +598,15 @@ class ConvexDomain:
         return self.center.copy()
 
     def _require_interior(self, p, eps, name="point"):
-        """Accepts points within eps of the affine hull, projects them onto
-        it, and demands strictly positive facet slack.  The strictness (not
-        an eps margin) is deliberate: asymptotic probes evaluate distances
-        at points within 1e-12 of the boundary."""
-        eps = _eps(eps)
-        if self.hull_residual(p) > eps:
+        """Chart coordinates of a finite point p (callers check it), which
+        must lie within eps of the affine hull and have strictly positive
+        facet slack.  The strictness (not an eps margin) is deliberate:
+        asymptotic probes evaluate distances at points within 1e-12 of the
+        boundary."""
+        if self._off_hull(p[None, :], _eps(eps)).any():
             raise PointNotInterior(f"{name} is off the affine hull")
-        u = self.to_local(p)
-        if np.min(self._slacks(u)) <= 0.0:
+        u = (p - self._origin) @ self._basis
+        if self._slacks(u).min() <= 0.0:
             raise PointNotInterior(f"{name} is not strictly interior")
         return u
 
@@ -611,8 +620,11 @@ class ConvexDomain:
     def boundary_face_of(self, p, eps=None):
         """The face whose relative interior contains the boundary point p."""
         eps = _eps(eps)
-        p = _as_array(p)
-        if self.hull_residual(p) > eps:
+        return self._face_at(_as_array(p), eps)
+
+    def _face_at(self, p, eps):
+        """boundary_face_of a finite point p."""
+        if self._off_hull(p[None, :], eps).any():
             raise NotOnBoundary("point is off the affine hull")
         if self.kind == "ellipsoid":
             q = p - self.center
@@ -632,13 +644,12 @@ class ConvexDomain:
                 normal=normal,
                 offset=float(normal @ proj),
             )
-        u = self.to_local(p)
-        s = self._b - self._A @ u
+        s = self._b - self._A @ ((p - self._origin) @ self._basis)
         tol = self._tight_tol(eps)
         if s.min() < -tol:
             raise NotOnBoundary("point is outside the domain")
-        tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
-        if not tight:
+        tight = np.flatnonzero(np.abs(s) <= tol)
+        if not len(tight):
             raise NotOnBoundary("point is interior")
         common = frozenset.intersection(*[self._facet_sets[i] for i in tight])
         face = self._lattice.find(common)
@@ -653,60 +664,74 @@ class ConvexDomain:
         if self.kind == "ellipsoid":
             return (face.point_key is not None
                     and np.linalg.norm(p - face.vertices[0]) <= eps)
-        if self.hull_residual(p) > eps:
+        if self._off_hull(p[None, :], eps).any():
             return False
-        u = self.to_local(p)
-        s = self._b - self._A @ u
+        s = self._b - self._A @ ((p - self._origin) @ self._basis)
         tol = self._tight_tol(eps)
         if s.min() < -tol:
             return False
-        tight = frozenset(i for i in range(len(s)) if abs(s[i]) <= tol)
+        tight = frozenset(np.flatnonzero(np.abs(s) <= tol).tolist())
         return tight == face.facet_ids and len(tight) > 0
 
     # ----------------------------------------------------------------- chords
 
     def _clip_line(self, u, du):
-        """Intersection parameters of {u + t du} with the local body.
-        Returns (t_lo, t_hi) with t_lo < 0 < t_hi for interior u."""
+        """Intersection parameters of the lines {u + t du} with the local
+        body: one line, or one per row of du (u one point or matching
+        rows).  Returns (t_lo, t_hi), floats for one line and arrays for
+        rows, with t_lo < 0 < t_hi for interior u."""
         if self.kind == "polytope":
-            denom = self._A @ du
+            denom = du @ self._A.T
             # facets with |denom| at round-off level count as parallel
-            live = np.abs(denom) > 1e-14 * max(1.0, np.linalg.norm(du))
-            t = (self._b - self._A @ u)[live] / denom[live]
-            up = denom[live] > 0
-            if up.all() or not up.any():
+            size = (np.linalg.norm(du) if du.ndim == 1
+                    else np.linalg.norm(du, axis=-1, keepdims=True))
+            live = np.abs(denom) > 1e-14 * np.maximum(1.0, size)
+            up = live & (denom > 0)
+            down = live & (denom < 0)
+            if not (up.any(axis=-1).all() and down.any(axis=-1).all()):
                 raise GeometryError("line escapes the polytope")
-            return float(t[~up].max()), float(t[up].min())
-        t_lo, t_hi = self._ellipsoid_chords(u, du)
-        if not -np.inf < t_lo < t_hi < np.inf:
-            raise GeometryError("degenerate chord direction")
-        return float(t_lo), float(t_hi)
+            s = self._b - u @ self._A.T
+            t_lo = np.divide(s, denom, out=np.full(denom.shape, -np.inf),
+                             where=down).max(axis=-1)
+            t_hi = np.divide(s, denom, out=np.full(denom.shape, np.inf),
+                             where=up).min(axis=-1)
+        else:
+            t_lo, t_hi = self._ellipsoid_chords(
+                self._chol_solve(u - self.center), self._chol_solve(du))
+            if not np.all((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)):
+                raise GeometryError("degenerate chord direction")
+        if du.ndim == 1:
+            return float(t_lo), float(t_hi)
+        return t_lo, t_hi
 
-    def _ellipsoid_chords(self, u, du):
-        """(t_lo, t_hi) where the lines u + t du (local points, or rows)
-        cross the ellipsoid |w| = 1, w = L^-1 (p - c).
+    def _ellipsoid_chords(self, w, dw):
+        """(t_lo, t_hi) where the lines w + t dw (whitened points
+        w = L^-1 (p - c) and directions, or rows of them) cross the sphere
+        |w| = 1, the ellipsoid's boundary.
 
         The roots q/a and c0/q of a t^2 + 2 b t + c0 keep the digits that
-        (-b +- root) / a loses on a short dw.  A zero du gives (-inf, inf),
+        (-b +- root) / a loses on a short dw.  A zero dw gives (-inf, inf),
         the whole line; a line that misses the body gives nan.
         """
-        w = self._chol_solve(self.to_ambient(u) - self.center)
-        dw = self._chol_solve(du @ self._basis.T)
-        a = np.sum(dw * dw, axis=-1)
-        b = np.sum(w * dw, axis=-1)
-        c0 = np.sum(w * w, axis=-1) - 1.0
+        a = (dw * dw).sum(axis=-1)
+        b = (w * dw).sum(axis=-1)
+        c0 = (w * w).sum(axis=-1) - 1.0
         moving = a > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -(b + np.copysign(np.sqrt(b * b - a * c0), b))
             r1, r2 = q / a, c0 / q
-        return (np.where(moving, np.minimum(r1, r2), -np.inf),
-                np.where(moving, np.maximum(r1, r2), np.inf))
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+        if moving.all():
+            return lo, hi
+        return np.where(moving, lo, -np.inf), np.where(moving, hi, np.inf)
 
     def chord_params(self, x, y, eps=None):
         """(t_lo, t_hi) clipping the line through interior x, y, with x at
         t = 0 and y at t = 1."""
-        x = _as_array(x, "x")
-        y = _as_array(y, "y")
+        return self._chord_params(_as_array(x, "x"), _as_array(y, "y"), eps)
+
+    def _chord_params(self, x, y, eps):
+        """chord_params of finite points x and y."""
         if np.array_equal(x, y):
             raise CoincidentPoints("chord needs two distinct points")
         ux = self._require_interior(x, eps, "x")
@@ -718,16 +743,17 @@ class ConvexDomain:
         boundary endpoints and their faces."""
         x = _as_array(x, "x")
         y = _as_array(y, "y")
-        t_lo, t_hi = self.chord_params(x, y, eps)
+        t_lo, t_hi = self._chord_params(x, y, eps)
         xh = self.project_to_hull(x)
         yh = self.project_to_hull(y)
         d = yh - xh
         alpha = xh + t_lo * d
         beta = xh + t_hi * d
+        eps = _eps(eps)
         return Chord(
             x=xh, y=yh, alpha=alpha, beta=beta,
-            face_alpha=self.boundary_face_of(alpha, eps),
-            face_beta=self.boundary_face_of(beta, eps),
+            face_alpha=self._face_at(alpha, eps),
+            face_beta=self._face_at(beta, eps),
             t_alpha=t_lo, t_beta=t_hi,
         )
 

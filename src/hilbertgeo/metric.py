@@ -82,8 +82,8 @@ def _funk_sum(sx, sy, delta):
     """log max_i sx_i/sy_i + log max_j sy_j/sx_j over the last axis, with
     delta = sx - sy taken from the points' difference so that close pairs
     keep digits."""
-    return (np.log1p(np.max(delta / sy, axis=-1))
-            + np.log1p(np.max(-delta / sx, axis=-1)))
+    return (np.log1p((delta / sy).max(axis=-1))
+            + np.log1p((-delta / sx).max(axis=-1)))
 
 
 def _reject(bad, n, error, what):
@@ -104,6 +104,9 @@ def distances(domain, X, Y, eps=None):
     eps from the affine hull or not strictly interior.  Polytopes take the
     Funk sum of the facet slacks, ellipsoids the cross ratio of the chord
     as log1p(-1/t_lo) + log1p(1/(t_hi - 1)), with x at t = 0 and y at 1.
+
+    Each check is one pass over the stacked [X; Y]: a reduction, with the
+    per-row scan that names the point only when it fails.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -112,22 +115,30 @@ def distances(domain, X, Y, eps=None):
         raise DegenerateInput(
             f"x and y must be matching rows of {domain.ambient_dim} "
             "coordinates")
-    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    if X.ndim == 1:
+        X, Y = X[None, :], Y[None, :]
     n = len(X)
-    P = np.vstack([X, Y])
-    _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
-            "contains non-finite coordinates")
-    _reject(domain._hull_residuals(P) > _eps(eps), n, PointNotInterior,
+    P = np.concatenate([X, Y])
+    if not np.isfinite(P).all():
+        _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                "contains non-finite coordinates")
+    _reject(domain._off_hull(P, _eps(eps)), n, PointNotInterior,
             "is off the affine hull")
-    U = domain.to_local(P)
-    S = domain._slacks(U)
-    _reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
-            "is not strictly interior")
-    # from Y - X, not U[n:] - U[:n], which loses digits in the chart shift
-    dU = (Y - X) @ domain._basis
-    if domain.kind == "polytope":
-        return _funk_sum(S[:n], S[n:], dU @ domain._A.T)
-    t_lo, t_hi = domain._ellipsoid_chords(U[:n], dU)
+    polytope = domain.kind == "polytope"
+    # an ellipsoid's chart is the identity
+    S = domain._slacks((P - domain._origin) @ domain._basis
+                       if polytope else P)
+    if not (S > 0.0).all():
+        _reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
+                "is not strictly interior")
+    if polytope:
+        # from Y - X, not the slacks' difference, which loses digits
+        return _funk_sum(S[:n], S[n:], (Y - X) @ domain._basis @ domain._A.T)
+    # the chord roots whiten X as a block of its own: BLAS sums a one-row
+    # product in another order than a stacked one, and rows of the stacked
+    # product would change a scalar distance in its last bits
+    t_lo, t_hi = domain._ellipsoid_chords(
+        domain._chol_solve(X - domain.center), domain._chol_solve(Y - X))
     return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
 
 
@@ -305,7 +316,7 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     u0 = domain._require_interior(_as_array(center, "center"), eps, "center")
     th = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
     dirs = np.column_stack([np.cos(th), np.sin(th)])
-    t_lo, t_hi = np.array([domain._clip_line(u0, du) for du in dirs]).T
+    t_lo, t_hi = domain._clip_line(u0, dirs)
     # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
     t = (t_hi * -t_lo * -math.expm1(-radius)
          / (t_hi * math.exp(-radius) - t_lo))

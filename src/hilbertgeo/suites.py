@@ -323,24 +323,38 @@ def run_cone_slice(seed=0, samples=1000):
                    {"max_deviation": overall, "per_pair": groups})
 
 
+def _interior_profile(domain, x0, y0, a1, a2, steps):
+    """asymptotic_profile stopped at the last step n <= steps whose points
+    a + 2^-n (x0 - a) are strictly interior: near n = 53 they round onto
+    their targets."""
+    x0, y0, a1, a2 = (np.asarray(p, dtype=float) for p in (x0, y0, a1, a2))
+    t = 2.0 ** -np.arange(steps + 1)[:, None]
+    P = np.vstack([a1 + t * (x0 - a1), a2 + t * (y0 - a2)])
+    inside = domain.contains_interior(P, eps=0.0).reshape(2, -1).all(axis=0)
+    if not inside.all():
+        steps = int(np.argmin(inside)) - 1
+    return asymptotic_profile(domain, x0, y0, a1, a2, steps=steps)
+
+
 def run_asymptotics(seed=0, samples=40):
     """Boundary-approach profiles on the square: bounded toward one vertex,
     a finite cross-ratio limit for parallel approaches into one edge, and
     divergence for separated targets.  samples is the step count of the
     profiles; the divergent one takes at least the library's default
-    steps, so that a small budget does not stop it short of the bound."""
+    steps, so that a small budget does not stop it short of the bound,
+    and each stops at the last step whose points are strictly interior."""
     square = _square()
     steps = int(samples)
     bound = 10.0
     tol_limit = 1e-6
-    same = asymptotic_profile(square, [-0.3, -0.2], [0.4, 0.1],
-                              [1.0, 1.0], [1.0, 1.0], steps=steps)
-    par = asymptotic_profile(square, [-0.5, 0.0], [0.5, 0.0],
-                             [-0.5, 1.0], [0.5, 1.0], steps=steps)
+    same = _interior_profile(square, [-0.3, -0.2], [0.4, 0.1],
+                             [1.0, 1.0], [1.0, 1.0], steps)
+    par = _interior_profile(square, [-0.5, 0.0], [0.5, 0.0],
+                            [-0.5, 1.0], [0.5, 1.0], steps)
     limit = math.log(9.0)
-    div = asymptotic_profile(square, [-0.3, -0.2], [0.4, 0.1],
-                             [1.0, 1.0], [-1.0, 0.0],
-                             steps=max(steps, defaults.DEFAULT_STEPS))
+    div = _interior_profile(square, [-0.3, -0.2], [0.4, 0.1],
+                            [1.0, 1.0], [-1.0, 0.0],
+                            max(steps, defaults.DEFAULT_STEPS))
     passed = (same.mode == "same-point" and same.sup < bound
               and par.mode == "parallel"
               and abs(par.limit_estimate - limit) <= tol_limit

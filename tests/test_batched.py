@@ -21,7 +21,11 @@ from hilbertgeo import (
     cone_distances,
     cone_over,
     cross_ratio,
+    distance,
+    distances,
     focusing_probe,
+    gromov_product,
+    hilbert_ball,
     lorentz_cone,
     minkowski_functional,
     projectivity_check,
@@ -32,10 +36,13 @@ from hilbertgeo import (
     variation_norm,
     vinberg_star,
 )
+from hilbertgeo import defaults
 from hilbertgeo.errors import (
     DegenerateInput,
     GeometryError,
     NonFinite,
+    NotOnBoundary,
+    PointNotInterior,
     XNotInteriorOfCone,
 )
 
@@ -107,6 +114,327 @@ def reference_focusing_probe(domain, f, target, starts, horizon=24):
     for a, b in itertools.combinations(range(len(limits)), 2):
         spread = max(spread, float(np.linalg.norm(limits[a] - limits[b])))
     return np.array(limits), spread
+
+
+# --------------------------------- reference copies of the checked kernels
+#
+# The distance and cone kernels as they were before their checks were
+# merged into one pass: every check on the stacked [X; Y] rows, local
+# coordinates through the chart, an ellipsoid's points whitened from them
+# for the slacks and again for the chord roots, and the chord path's
+# per-point checks, hull projections and per-facet tight loop.
+
+def reference_reject(bad, n, error, what):
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, row = ("x", i) if i < n else ("y", i - n)
+        raise error(f"{name}[{row}] {what}" if n > 1 else f"{name} {what}")
+
+
+def reference_residuals(domain, P):
+    if domain.intrinsic_dim == domain.ambient_dim:
+        return np.zeros(len(P))
+    D = P - domain._origin
+    B = domain._basis
+    return np.linalg.norm(D - (D @ B) @ B.T, axis=1)
+
+
+def reference_whiten(domain, U):
+    return ((domain._origin + U @ domain._basis.T) - domain.center) \
+        @ domain._chol_inv.T
+
+
+def reference_slacks(domain, U):
+    if domain.kind == "polytope":
+        return domain._b - U @ domain._A.T
+    w = reference_whiten(domain, U)
+    return 1.0 - np.linalg.norm(w, axis=-1, keepdims=True)
+
+
+def reference_chords(domain, u, du):
+    w = reference_whiten(domain, u)
+    dw = (du @ domain._basis.T) @ domain._chol_inv.T
+    a = np.sum(dw * dw, axis=-1)
+    b = np.sum(w * dw, axis=-1)
+    c0 = np.sum(w * w, axis=-1) - 1.0
+    moving = a > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(b * b - a * c0), b))
+        r1, r2 = q / a, c0 / q
+    return (np.where(moving, np.minimum(r1, r2), -np.inf),
+            np.where(moving, np.maximum(r1, r2), np.inf))
+
+
+def reference_distances(domain, X, Y):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = len(X)
+    P = np.vstack([X, Y])
+    reference_reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                     "contains non-finite coordinates")
+    reference_reject(reference_residuals(domain, P) > defaults.EPS_GEO, n,
+                     PointNotInterior, "is off the affine hull")
+    U = (P - domain._origin) @ domain._basis
+    S = reference_slacks(domain, U)
+    reference_reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
+                     "is not strictly interior")
+    dU = (Y - X) @ domain._basis
+    if domain.kind == "polytope":
+        delta = dU @ domain._A.T
+        return (np.log1p(np.max(delta / S[n:], axis=-1))
+                + np.log1p(np.max(-delta / S[:n], axis=-1)))
+    t_lo, t_hi = reference_chords(domain, U[:n], dU)
+    return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
+
+
+def reference_cone_distances(cone, X, Y):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = len(X)
+    P = np.vstack([X, Y])
+    reference_reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                     "contains non-finite coordinates")
+    J = -np.ones(cone.dim)
+    J[0] = 1.0
+    if cone.kind == "polyhedral":
+        inside = np.min(P @ cone.functionals.T, axis=-1) > 0.0
+    else:
+        inside = (P[:, 0] > 0.0) & ((P * P) @ J > 0.0)
+    reference_reject(~inside, n, XNotInteriorOfCone,
+                     "must be interior to the cone")
+    if cone.kind == "polyhedral":
+        L = cone.functionals
+        S = P @ L.T
+        delta = (X - Y) @ L.T
+        return (np.log1p(np.max(delta / S[n:], axis=-1))
+                + np.log1p(np.max(-delta / S[:n], axis=-1)))
+    Q = np.vstack([Y, X])
+    qx = (P * P) @ J
+    B = (P * Q) @ J
+    disc = np.maximum(B * B - qx * ((Q * Q) @ J), 0.0)
+    s = np.log((B + np.sqrt(disc)) / qx)
+    return s[:n] + s[n:]
+
+
+def reference_require_interior(domain, p, name):
+    if reference_residuals(domain, p[None, :])[0] > defaults.EPS_GEO:
+        raise PointNotInterior(f"{name} is off the affine hull")
+    u = (p - domain._origin) @ domain._basis
+    if np.min(reference_slacks(domain, u)) <= 0.0:
+        raise PointNotInterior(f"{name} is not strictly interior")
+    return u
+
+
+def reference_face(domain, p):
+    """The face and, for polytopes, the facet loop of boundary_face_of."""
+    eps = defaults.EPS_GEO
+    if reference_residuals(domain, p[None, :])[0] > eps:
+        raise NotOnBoundary("point is off the affine hull")
+    if domain.kind == "ellipsoid":
+        return domain.boundary_face_of(p)
+    s = domain._b - domain._A @ ((p - domain._origin) @ domain._basis)
+    tol = domain._tight_tol(eps)
+    if s.min() < -tol:
+        raise NotOnBoundary("point is outside the domain")
+    tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
+    if not tight:
+        raise NotOnBoundary("point is interior")
+    face = domain._lattice.find(
+        frozenset.intersection(*[domain._facet_sets[i] for i in tight]))
+    if face is None:
+        raise NotOnBoundary("tight facets do not meet in a face")
+    return face
+
+
+def reference_chord(domain, x, y):
+    """(t_alpha, t_beta, face_alpha, face_beta) of chord_through."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ux = reference_require_interior(domain, x, "x")
+    uy = reference_require_interior(domain, y, "y")
+    du = uy - ux
+    if domain.kind == "polytope":
+        denom = domain._A @ du
+        live = np.abs(denom) > 1e-14 * max(1.0, np.linalg.norm(du))
+        t = (domain._b - domain._A @ ux)[live] / denom[live]
+        up = denom[live] > 0
+        if up.all() or not up.any():
+            raise GeometryError("line escapes the polytope")
+        t_lo, t_hi = float(t[~up].max()), float(t[up].min())
+    else:
+        t_lo, t_hi = (float(t) for t in reference_chords(domain, ux, du))
+        if not -np.inf < t_lo < t_hi < np.inf:
+            raise GeometryError("degenerate chord direction")
+    xh = domain.project_to_hull(x)
+    d = domain.project_to_hull(y) - xh
+    return (t_lo, t_hi, reference_face(domain, xh + t_lo * d),
+            reference_face(domain, xh + t_hi * d))
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the GeometryError it raised."""
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want):
+    """Bitwise equal results, or the same error type and message."""
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def tilted_shape(rng, d):
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return Q @ np.diag(rng.uniform(0.2, 3.0, d)) @ Q.T
+
+
+def read_path_domains(rng):
+    th = [np.sort(rng.uniform(0.0, 2.0 * np.pi, m)) for m in (3, 7, 32)]
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    return [build_polytope(SQUARE), standard_simplex(2), standard_simplex(3)] + [
+        build_polytope(np.column_stack([np.cos(t), np.sin(t)]) + 0.3)
+        for t in th] + [
+        build_polytope(cube @ tilted_shape(rng, 3) + 1.0),
+        build_polytope(rng.normal(size=(25, 3))),
+        build_polytope(rng.normal(size=(20, 4))),
+        build_ellipsoid([0.0, 0.0], np.eye(2)),
+        build_ellipsoid(rng.normal(size=2), tilted_shape(rng, 2)),
+        build_ellipsoid(rng.normal(size=3), tilted_shape(rng, 3)),
+        build_ellipsoid(rng.normal(size=4), tilted_shape(rng, 4))]
+
+
+def test_distances_match_reference_kernel_bitwise():
+    rng = np.random.default_rng(47)
+    for dom in read_path_domains(rng):
+        for k in (1, 2, 7):
+            for _ in range(12):
+                X = dom.sample_interior(rng, k, pull=0.02).reshape(k, -1)
+                Y = dom.sample_interior(rng, k, pull=0.02).reshape(k, -1)
+                # pairs 1e-13 apart, in the affine hull
+                close = X + 1e-13 * rng.normal(
+                    size=(k, dom.intrinsic_dim)) @ dom._basis.T
+                for A, B in ((X, Y), (X, close), (X, X)):
+                    assert_same(distances(dom, A, B),
+                                reference_distances(dom, A, B))
+                    assert_same(distance(dom, A[0], B[0]),
+                                reference_distances(dom, A[0], B[0])[0])
+        p, x, y = dom.sample_interior(rng, 3, pull=0.02)
+        ref = reference_distances(dom, [p, p, x], [x, y, y])
+        assert gromov_product(dom, p, x, y) == 0.5 * (ref[0] + ref[1] - ref[2])
+
+
+def test_distance_errors_match_reference_kernel():
+    rng = np.random.default_rng(48)
+    for dom in read_path_domains(rng):
+        X = dom.sample_interior(rng, 5, pull=0.02)
+        Y = dom.sample_interior(rng, 5, pull=0.02)
+        # a vertex, or a point of the boundary to round-off
+        edge = (dom.vertices[0] if dom.kind == "polytope"
+                else dom.center + (1.0 + 1e-12) * dom._chol[:, 0])
+        far = 3.0 * edge - 2.0 * dom.centroid()  # outside, in the hull
+        cases = []
+        for row, value in ((0, np.nan), (3, np.inf), (4, far), (2, edge)):
+            for side in (0, 1):
+                A, B = X.copy(), Y.copy()
+                (A, B)[side][row] = value
+                cases += [(A, B), (A[row], B[row])]
+        if dom.intrinsic_dim < dom.ambient_dim:
+            off = Y.copy()
+            off[3] += 1e-3
+            cases += [(X, off), (off[3], X[3])]
+        A, B = X.copy(), Y.copy()  # the first check to fail decides
+        A[4], B[1] = far, np.nan
+        cases.append((A, B))
+        for A, B in cases:
+            want = outcome(reference_distances, dom, A, B)
+            assert isinstance(want[0], type)  # every case is rejected
+            assert_same(outcome(distances, dom, A, B), want)
+
+
+def test_cone_distances_match_reference_kernel_bitwise():
+    rng = np.random.default_rng(49)
+    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
+    ball = build_ellipsoid([0.0, 0.0, 0.0], np.eye(3))
+    polygon = build_polytope(rng.normal(size=(9, 2)))
+    cases = [(standard_simplex(2), cone_over(standard_simplex(2))),
+             (build_polytope(SQUARE), cone_over(build_polytope(SQUARE))),
+             (polygon, cone_over(polygon)),
+             (disk, lorentz_cone(3)), (ball, lorentz_cone(4))]
+    for dom, cone in cases:
+        for k in (1, 2, 6):
+            for _ in range(10):
+                lam = rng.uniform(0.5, 2.0, size=(2 * k, 1))
+                P = lam * cone.embed(dom.sample_interior(rng, 2 * k,
+                                                         pull=0.02))
+                X, Y = P[:k], P[k:]
+                close = X * (1.0 + 1e-13 * rng.normal(size=X.shape))
+                for A, B in ((X, Y), (X, close)):
+                    assert_same(cone_distances(cone, A, B),
+                                reference_cone_distances(cone, A, B))
+                    assert_same(cone_distance(cone, A[0], B[0]),
+                                reference_cone_distances(cone, A[0], B[0])[0])
+        for row, value in ((0, np.nan), (1, -X[1]), (0, 0.0 * X[0])):
+            for side in (0, 1):
+                A, B = X.copy(), Y.copy()
+                (A, B)[side][row] = value
+                for a, b in ((A, B), (A[row], B[row])):
+                    want = outcome(reference_cone_distances, cone, a, b)
+                    assert isinstance(want[0], type)
+                    assert_same(outcome(cone_distances, cone, a, b), want)
+
+
+def test_chord_through_matches_reference_faces_and_parameters():
+    rng = np.random.default_rng(50)
+    for dom in read_path_domains(rng):
+        X = dom.sample_interior(rng, 20, pull=0.02)
+        Y = dom.sample_interior(rng, 20, pull=0.02)
+        pairs = list(zip(X, Y))
+        if dom.kind == "polytope":
+            # through a vertex, along an edge's direction, and outside
+            v = dom.vertices
+            c = dom.centroid()
+            pairs += [(0.5 * (v[0] + c), c), (c, c + 0.3 * (v[1] - v[0])),
+                      (c, 3.0 * v[0] - 2.0 * c), (v[0], c)]
+        for x, y in pairs:
+            got = outcome(dom.chord_through, x, y)
+            want = outcome(reference_chord, dom, x, y)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            assert (got.t_alpha, got.t_beta) == want[:2]
+            assert dom.chord_params(x, y) == want[:2]
+            assert (got.face_alpha, got.face_beta) == want[2:]
+            for face, p in ((got.face_alpha, got.alpha),
+                            (got.face_beta, got.beta)):
+                assert dom.boundary_face_of(p) == face
+                if dom.kind == "polytope":
+                    assert dom.in_relative_interior(face, p)
+                    assert not dom.in_relative_interior(face, x)
+
+
+def test_ball_clips_its_rays_in_one_call():
+    """hilbert_ball clips every ray at once; against one clip per ray the
+    points agree to round-off."""
+    rng = np.random.default_rng(51)
+    for dom in (build_polytope(SQUARE), build_polytope(rng.normal(size=(9, 2))),
+                build_ellipsoid(rng.normal(size=2), tilted_shape(rng, 2))):
+        center = dom.sample_interior(rng, 1, pull=0.3)
+        got = hilbert_ball(dom, center, 0.8, n_dirs=90)
+        u0 = dom.to_local(center)
+        th = 2.0 * math.pi * np.arange(90) / 90
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+        t_lo, t_hi = np.array([dom._clip_line(u0, du) for du in dirs]).T
+        assert np.array_equal(dom._clip_line(u0, dirs[7]),
+                              (t_lo[7], t_hi[7]))
+        t = (t_hi * -t_lo * -math.expm1(-0.8)
+             / (t_hi * math.exp(-0.8) - t_lo))
+        want = dom.to_ambient(u0 + t[:, None] * dirs)
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-14
 
 
 # ---------------------------------------------------------------- rows
