@@ -9,8 +9,9 @@ Two tools:
 
 The coordinate-reciprocal map on the simplex preserves all distances
 yet fails both the line test and the focusing test, so isometry does
-not force projectivity there.  classify_2d uses sampled distances to
-decide whether two plane domains are isometric at all.
+not force projectivity there.  classify_2d decides whether two plane
+domains are isometric at all, by matching vertices under projective
+maps, without sampling.
 """
 
 import json
@@ -46,8 +47,8 @@ print(f"rays into a vertex: focused={verdict.focused}, "
       f"spread={verdict.spread:.3f}")
 
 # Any two triangles are projectively the same domain; a generic
-# quadrilateral is not a square.  The classifier searches for a
-# projective change of coordinates and verifies it on sampled pairs.
+# quadrilateral is not a square.  The classifier fits a projective
+# change of coordinates per vertex matching and checks it on the vertices.
 square = build_polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]])
 quad = build_polytope([[0, 0], [3, 0], [2.5, 2], [-0.5, 1.5]])
 skew = build_polytope([[0, 0], [4, 0], [1, 3]])

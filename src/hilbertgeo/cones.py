@@ -22,7 +22,7 @@ from .errors import (
     Unsupported,
     XNotInteriorOfCone,
 )
-from .metric import _funk_sum, _reject
+from .metric import _ball_distances, _funk_sum, _reject
 
 __all__ = [
     "Cone",
@@ -212,7 +212,8 @@ def cone_distance(cone, x, y):
 def cone_distances(cone, X, Y):
     """Projective order metric d(X[i], Y[i]) between rows of interior
     points: on a polyhedral cone the Funk sum of the functionals, as for
-    polytopes, on the Lorentz cone ln min_scale(x, y) + ln min_scale(y, x).
+    polytopes, on the Lorentz cone the Hilbert distance of the points'
+    images x_2..n / x_1 in the unit ball, as for ellipsoids.
 
     X and Y are N x dim arrays, or single points; returns N distances.
     Every point is checked first: NonFinite, or XNotInteriorOfCone naming
@@ -239,6 +240,8 @@ def cone_distances(cone, X, Y):
         return _funk_sum(S[:n], S[n:], (X - Y) @ L.T)
     _reject(~cone._interior(P), n, XNotInteriorOfCone,
             "must be interior to the cone")
-    # both directions in one call: rows [X; Y] against [Y; X]
-    s = np.log(_lorentz_scale(P, np.concatenate([Y, X])))
-    return s[:n] + s[n:]
+    # on the unit ball of the slice x_1 = 1, from Y - X, not from the
+    # slice points' difference, which loses digits on close pairs
+    D = Y - X
+    w = X[:, 1:] / X[:, :1]
+    return _ball_distances(w, (D[:, 1:] - w * D[:, :1]) / Y[:, :1])

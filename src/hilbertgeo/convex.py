@@ -704,7 +704,8 @@ class ConvexDomain:
             return float(t_lo), float(t_hi)
         return t_lo, t_hi
 
-    def _ellipsoid_chords(self, w, dw):
+    @staticmethod
+    def _ellipsoid_chords(w, dw):
         """(t_lo, t_hi) where the lines w + t dw (whitened points
         w = L^-1 (p - c) and directions, or rows of them) cross the sphere
         |w| = 1, the ellipsoid's boundary.

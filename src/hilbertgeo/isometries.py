@@ -139,8 +139,21 @@ _FIT_FAILURES = {
     1: (DegenerateBasis, "reference points do not span"),
     2: (DegenerateBasis, "last point lies on a reference face"),
     3: (NonFinite, "matrix contains non-finite coordinates"),
-    4: (DegenerateInput, "projective matrix is singular"),
 }
+
+
+def _unit_frames(P):
+    """Unit-size copies of a stack of point families, each moved to
+    centroid 0 and scaled to largest coordinate range 1, and the
+    homogeneous matrices that carry each copy back onto its family."""
+    d = P.shape[2]
+    c = P.mean(axis=1)
+    r = np.ptp(P, axis=1).max(axis=1)
+    r = np.where(r > 0.0, r, 1.0)
+    back = np.zeros((len(P), d + 1, d + 1))
+    back[:, :d, :d] = r[:, None, None] * np.eye(d)
+    back[:, :, d] = np.c_[c, np.ones(len(P))]
+    return (P - c[:, None]) / r[:, None, None], back
 
 
 def _fit_stack(S, T):
@@ -148,23 +161,25 @@ def _fit_stack(S, T):
     each family of a stack T, as a stack of matrices in ProjectiveMap's
     normal form, with a failure code per candidate: 0 for a map, else a
     key of _FIT_FAILURES, the first of fit_projective's checks that
-    fails (source frame, then target frame, then the matrix)."""
+    fails (source frame, then target frame, then the matrix).  The fit
+    runs on _unit_frames copies, so no test depends on scale or place."""
     K = len(T)
-    HS, cs, s_spans, s_general = _frames(S[None])
-    HT, ct, t_spans, t_general = _frames(T)
+    S1, s_back = _unit_frames(S[None])
+    T1, t_back = _unit_frames(T)
+    HS, cs, s_spans, s_general = _frames(S1)
+    HT, ct, t_spans, t_general = _frames(T1)
     fail = np.where(t_general, 0, np.where(t_spans, 2, 1))
     if not s_general[0]:
         fail[:] = 2 if s_spans[0] else 1
     eye = np.eye(S.shape[1] + 1)
     M = np.broadcast_to(eye, (K,) + eye.shape)
     if s_general[0]:
-        M = np.where((fail == 0)[:, None, None],
-                     (HT * ct[:, None, :]) @ np.linalg.inv(HS[0] * cs[0]), M)
+        fit = (t_back @ (HT * ct[:, None, :]) @ np.linalg.inv(HS[0] * cs[0])
+               @ np.linalg.inv(s_back[0]))
+        M = np.where((fail == 0)[:, None, None], fit, M)
     finite = np.isfinite(M).all(axis=(1, 2))
     fail[(fail == 0) & ~finite] = 3
-    invertible, M = _normal_form(np.where(finite[:, None, None], M, eye))
-    fail[(fail == 0) & ~invertible] = 4
-    return M, fail
+    return _normal_form(np.where(finite[:, None, None], M, eye))[1], fail
 
 
 def fit_projective(src, dst):
@@ -496,29 +511,18 @@ def _chart_map(dom_a, dom_b, local_map):
     return go
 
 
-def _verify_candidate(dom_a, dom_b, cand, rng, samples=60):
-    """Distance-preservation deviation of a local-chart candidate map over
-    random pairs, drawn x, y, x, y, ... in one batch."""
-    P = dom_a.sample_interior(rng, 2 * samples, pull=0.02)
-    try:
-        Q = dom_b.to_ambient(cand.apply(dom_a.to_local(P)))
-        dev = np.abs(distances(dom_a, P[0::2], P[1::2])
-                     - distances(dom_b, Q[0::2], Q[1::2]))
-    except GeometryError:
-        return math.inf
-    return float(dev.max())
-
-
-def classify_2d(dom_a, dom_b, rng, tol=1e-7):
+def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     """Decide whether two plane domains are isometric, with a witness.
 
-    Polygons are matched vertex-cyclically over both orientations: the
-    2m candidate projective maps of two m-gons are fitted in one stacked
-    solve on one source frame and checked on the vertices, and the
-    candidates that pass are verified on random pairs in shift order
-    until one holds.  Ellipses are normalized by their affine charts.  A
-    polygon and an ellipse are never isometric.  In the plane every
-    isometric pair found here is already projectively equivalent.
+    Plane domains are isometric exactly when projectively equivalent.
+    The 2m candidate maps of two m-gons, matched vertex-cyclically both
+    ways, are fitted in one stacked solve.  The witness is the first in
+    shift order that sends every vertex within tol of its match, in the
+    second polygon's unit frame, with denominators of one sign on the
+    first's vertices: then it maps the first polygon onto the second.
+    Ellipses compose their affine charts.  max_deviation is the vertex
+    residual, or the radial one of the chart's axis ends.  A polygon and
+    an ellipse are never isometric.  rng is accepted and not used.
     """
     if dom_a.intrinsic_dim != 2 or dom_b.intrinsic_dim != 2:
         raise Unsupported("the classifier compares plane domains")
@@ -533,9 +537,12 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
         M[:2, 2] = t
         cand = ProjectiveMap(M)
         # charts here are ambient (ellipsoids are stored unembedded)
-        dev = _verify_candidate(dom_a, dom_b, cand, rng)
-        return PlaneClassification("projectively-equivalent", cand, dev,
-                                   _chart_map(dom_a, dom_b, cand))
+        ends = dom_a.center + np.vstack([dom_a._chol.T, -dom_a._chol.T])
+        r = np.linalg.norm(
+            dom_b._chol_solve(cand.apply(ends) - dom_b.center), axis=1)
+        return PlaneClassification(
+            "projectively-equivalent", cand, float(np.abs(r - 1.0).max()),
+            _chart_map(dom_a, dom_b, cand))
     va, _ = dom_a.polygon_vertices_local()
     vb, _ = dom_b.polygon_vertices_local()
     m = len(va)
@@ -553,27 +560,19 @@ def classify_2d(dom_a, dom_b, rng, tol=1e-7):
     else:
         src, tgt = va[:4], W[:, :4]
     M, fail = _fit_stack(src, tgt)
-    # the vertex images of each fitted map, as ProjectiveMap.apply maps them
-    live = np.nonzero(fail == 0)[0]
-    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M[live], 1, 2)
-    h = h / np.max(np.abs(h), axis=2, keepdims=True)
-    at_infinity = np.any(np.abs(h[:, :, -1]) <= 1e-12, axis=1)
-    last = np.where(at_infinity[:, None, None], 1.0, h[:, :, -1:])
-    vert_dev = np.full(len(M), np.inf)
-    vert_dev[live] = np.where(at_infinity, np.inf, np.max(np.linalg.norm(
-        h[:, :, :-1] / last - W[live], axis=2), axis=1))
-    for k in range(len(M)):
-        if fail[k] == 3:
-            raise NonFinite(_FIT_FAILURES[3][1])
-        if fail[k] or vert_dev[k] > tol:
-            continue
-        cand = ProjectiveMap._normalised(M[k])
-        dev = _verify_candidate(dom_a, dom_b, cand, rng)
-        if dev <= tol:
-            return PlaneClassification(
-                "projectively-equivalent", cand, max(dev, float(vert_dev[k])),
-                _chart_map(dom_a, dom_b, cand))
-    return PlaneClassification("not-isometric", None, math.inf)
+    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M, 1, 2)
+    den = h[:, :, -1:]
+    one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
+    img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
+    dev = (np.linalg.norm(img - W, axis=2).max(axis=1)
+           / np.ptp(vb, axis=0).max())
+    ok = (fail == 0) & one_sign & (dev <= tol)
+    if not ok.any():
+        return PlaneClassification("not-isometric", None, math.inf)
+    k = int(np.argmax(ok))
+    cand = ProjectiveMap._normalised(M[k])
+    return PlaneClassification("projectively-equivalent", cand,
+                               float(dev[k]), _chart_map(dom_a, dom_b, cand))
 
 
 def is_cone_3d(domain):

@@ -25,7 +25,6 @@ from .convex import Chord, ConvexDomain, _as_array, _eps, _nullspace
 from .errors import (
     DegenerateDenominator,
     DegenerateInput,
-    GeometryError,
     NonFinite,
     NotCollinear,
     NotOnBoundary,
@@ -137,8 +136,15 @@ def distances(domain, X, Y, eps=None):
     # the chord roots whiten X as a block of its own: BLAS sums a one-row
     # product in another order than a stacked one, and rows of the stacked
     # product would change a scalar distance in its last bits
-    t_lo, t_hi = domain._ellipsoid_chords(
-        domain._chol_solve(X - domain.center), domain._chol_solve(Y - X))
+    return _ball_distances(domain._chol_solve(X - domain.center),
+                           domain._chol_solve(Y - X))
+
+
+def _ball_distances(w, dw):
+    """Hilbert distances in the open unit ball from the points w to
+    w + dw (or rows of them): the chord's cross ratio as
+    log1p(-1/t_lo) + log1p(1/(t_hi - 1)), with w at t = 0 and w + dw at 1."""
+    t_lo, t_hi = ConvexDomain._ellipsoid_chords(w, dw)
     return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
 
 
@@ -161,7 +167,7 @@ class Rigidity:
     points.  When not rigid, witness is a point off the chord with
     d(x,witness) + d(witness,y) = d(x,y) up to additivity_gap, and
     deviation_direction spans, with the chord, a plane meeting both
-    endpoint faces in segments.
+    endpoint faces in segments.  A rigid result carries neither.
     """
 
     rigid: bool
@@ -184,57 +190,51 @@ def _deviation_direction(chord, eps):
     rank = np.linalg.matrix_rank(stacked, tol=1e-9)
     if rank > Ua.shape[1] + Ub.shape[1]:
         return None  # plane of coincidence does not exist
-    M = np.column_stack([Ua, v[:, None], -Ub, -v[:, None]])
-    best = None
-    best_norm = 0.0
-    for n in _nullspace(M).T:
-        w = Ua @ n[: Ua.shape[1]] + n[Ua.shape[1]] * v
-        z0 = w - (w @ v) * v
-        nz = np.linalg.norm(z0)
-        if nz > best_norm:
-            best_norm = nz
-            best = z0 / nz
-    if best is None or best_norm <= 1e-9:
+    N = _nullspace(np.column_stack([Ua, v[:, None], -Ub, -v[:, None]]))
+    W = np.column_stack([Ua, v]) @ N[: Ua.shape[1] + 1]
+    Z = W - np.outer(v, v @ W)
+    norms = np.linalg.norm(Z, axis=0)
+    if norms.size == 0 or norms.max() <= 1e-9:
         return None
-    return best
+    return Z[:, norms.argmax()] / norms.max()
 
 
-def is_rigid_chord(domain, x, y, eps=None, gap_tol=1e-9):
+def is_rigid_chord(domain, x, y, eps=None):
     """Whether the chord through x and y is the unique geodesic.
 
     The chord is flexible exactly when some plane through it meets the
-    two endpoint faces in segments; in that case a witness point off the
-    chord with additive distances is found by bisection toward the
-    chord's midpoint along the domain's ray from it in that plane.
+    two endpoint faces in segments (_deviation_direction).  On that plane,
+    along z = m + t z0 from the chord's midpoint m, d(x,z) + d(z,y) =
+    d(x,y) while a facet through beta attains max s(x)/s(z) and max
+    s(z)/s(y), and one through alpha the reverse: bounds on t in closed
+    form.  The witness is halfway to the least of them and the exit.
     """
     chord = domain.chord_through(x, y, eps)
     z0 = _deviation_direction(chord, eps)
     if z0 is None:
         return Rigidity(rigid=True, chord=chord)
-    d_xy = distance(domain, chord.x, chord.y, eps)
-    mid = 0.5 * (chord.x + chord.y)
-    for sgn in (1.0, -1.0):
-        try:
-            exit_len = domain.ray(mid, sgn * z0, eps).length
-        except GeometryError:
-            continue
-        frac = 0.5
-        for _ in range(40):
-            z = mid + frac * exit_len * sgn * z0
-            try:
-                gap = abs(distance(domain, chord.x, z, eps)
-                          + distance(domain, z, chord.y, eps) - d_xy)
-            except GeometryError:
-                frac *= 0.5
-                continue
-            if gap <= gap_tol:
-                return Rigidity(rigid=False, chord=chord, witness=z,
-                                deviation_direction=z0,
-                                additivity_gap=float(gap))
-            frac *= 0.5
-    # plane existed but no witness materialized; report rigid with the
-    # direction attached so callers can see the near miss
-    return Rigidity(rigid=True, chord=chord, deviation_direction=z0)
+    # the slacks of x, y and m, and their rates of decrease along z0
+    m = 0.5 * (chord.x + chord.y)
+    U = domain.to_local(np.array([chord.x, chord.y, m]))
+    dz = z0 @ domain._basis
+    (sx, sy, sm), D = domain._slacks(U), dz @ domain._A.T
+    t = domain._clip_line(U[2], dz)[1]
+    for face, sp, sq in ((chord.face_beta, sx, sy),
+                         (chord.face_alpha, sy, sx)):
+        i = min(face.facet_ids)
+        # s_i(p) s_k(z) >= s_k(p) s_i(z) and s_i(z) s_k(q) >= s_k(z) s_i(q)
+        # as g + t dg >= 0; on the plane the facets through i's face have
+        # slacks that are multiples of s_i, so theirs vanish: slope 0
+        g = np.array([sp[i] * sm - sp * sm[i], sm[i] * sq - sm * sq[i]])
+        dg = np.array([sp * D[i] - sp[i] * D, sq[i] * D - sq * D[i]])
+        dg[:, list(face.facet_ids)] = 0.0
+        falling = dg < 0.0
+        t = min(t, float((g[falling] / -dg[falling]).min(initial=math.inf)))
+    z = m + 0.5 * t * z0
+    d = distances(domain, [chord.x, z, chord.x], [z, chord.y, chord.y], eps)
+    return Rigidity(rigid=False, chord=chord, witness=z,
+                    deviation_direction=z0,
+                    additivity_gap=float(abs(d[0] + d[1] - d[2])))
 
 
 @dataclass(eq=False)

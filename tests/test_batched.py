@@ -4,6 +4,7 @@ reference copies of the loops they replace."""
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,18 +203,13 @@ def reference_cone_distances(cone, X, Y):
         inside = (P[:, 0] > 0.0) & ((P * P) @ J > 0.0)
     reference_reject(~inside, n, XNotInteriorOfCone,
                      "must be interior to the cone")
-    if cone.kind == "polyhedral":
-        L = cone.functionals
-        S = P @ L.T
-        delta = (X - Y) @ L.T
-        return (np.log1p(np.max(delta / S[n:], axis=-1))
-                + np.log1p(np.max(-delta / S[:n], axis=-1)))
-    Q = np.vstack([Y, X])
-    qx = (P * P) @ J
-    B = (P * Q) @ J
-    disc = np.maximum(B * B - qx * ((Q * Q) @ J), 0.0)
-    s = np.log((B + np.sqrt(disc)) / qx)
-    return s[:n] + s[n:]
+    # Lorentz values are checked against the mpmath oracle instead
+    assert cone.kind == "polyhedral"
+    L = cone.functionals
+    S = P @ L.T
+    delta = (X - Y) @ L.T
+    return (np.log1p(np.max(delta / S[n:], axis=-1))
+            + np.log1p(np.max(-delta / S[:n], axis=-1)))
 
 
 def reference_require_interior(domain, p, name):
@@ -355,15 +351,24 @@ def test_distance_errors_match_reference_kernel():
             assert_same(outcome(distances, dom, A, B), want)
 
 
+def assert_cone_errors_match_reference(cone, X, Y):
+    """Bad rows of X or Y raise the reference kernel's error and message."""
+    for row, value in ((0, np.nan), (1, -X[1]), (0, 0.0 * X[0])):
+        for side in (0, 1):
+            A, B = X.copy(), Y.copy()
+            (A, B)[side][row] = value
+            for a, b in ((A, B), (A[row], B[row])):
+                want = outcome(reference_cone_distances, cone, a, b)
+                assert isinstance(want[0], type)
+                assert_same(outcome(cone_distances, cone, a, b), want)
+
+
 def test_cone_distances_match_reference_kernel_bitwise():
     rng = np.random.default_rng(49)
-    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
-    ball = build_ellipsoid([0.0, 0.0, 0.0], np.eye(3))
     polygon = build_polytope(rng.normal(size=(9, 2)))
     cases = [(standard_simplex(2), cone_over(standard_simplex(2))),
              (build_polytope(SQUARE), cone_over(build_polytope(SQUARE))),
-             (polygon, cone_over(polygon)),
-             (disk, lorentz_cone(3)), (ball, lorentz_cone(4))]
+             (polygon, cone_over(polygon))]
     for dom, cone in cases:
         for k in (1, 2, 6):
             for _ in range(10):
@@ -377,14 +382,41 @@ def test_cone_distances_match_reference_kernel_bitwise():
                                 reference_cone_distances(cone, A, B))
                     assert_same(cone_distance(cone, A[0], B[0]),
                                 reference_cone_distances(cone, A[0], B[0])[0])
-        for row, value in ((0, np.nan), (1, -X[1]), (0, 0.0 * X[0])):
-            for side in (0, 1):
-                A, B = X.copy(), Y.copy()
-                (A, B)[side][row] = value
-                for a, b in ((A, B), (A[row], B[row])):
-                    want = outcome(reference_cone_distances, cone, a, b)
-                    assert isinstance(want[0], type)
-                    assert_same(outcome(cone_distances, cone, a, b), want)
+        assert_cone_errors_match_reference(cone, X, Y)
+
+
+def mpmath_lorentz_distance(x, y):
+    """ln min_scale(x, y) + ln min_scale(y, x) on the Lorentz cone, in
+    60 digits from the floats' exact values."""
+    with mpmath.workdps(60):
+        x, y = ([mpmath.mpf(float(v)) for v in p] for p in (x, y))
+
+        def form(a, b):
+            return a[0] * b[0] - mpmath.fsum(u * v for u, v in
+                                             zip(a[1:], b[1:]))
+
+        def scale(a, b):
+            B = form(a, b)
+            return (B + mpmath.sqrt(B * B - form(a, a) * form(b, b))) / form(a, a)
+
+        return mpmath.log(scale(x, y)) + mpmath.log(scale(y, x))
+
+
+def test_lorentz_cone_distances_match_mpmath_oracle():
+    rng = np.random.default_rng(49)
+    for n in (3, 4):
+        cone = lorentz_cone(n)
+        ball = build_ellipsoid(np.zeros(n - 1), np.eye(n - 1))
+        for sep in 10.0 ** -np.arange(4, 13):
+            X = rng.uniform(0.5, 2.0, size=(6, 1)) * cone.embed(
+                ball.sample_interior(rng, 6, pull=0.02))
+            Y = X + sep * np.abs(X).max() * rng.normal(size=X.shape)
+            got = cone_distances(cone, X, Y)
+            for i in range(len(X)):
+                want = mpmath_lorentz_distance(X[i], Y[i])
+                assert abs(got[i] - want) <= 1e-13 * want
+                assert cone_distance(cone, X[i], Y[i]) == got[i]
+        assert_cone_errors_match_reference(cone, X, Y)
 
 
 def test_chord_through_matches_reference_faces_and_parameters():

@@ -19,6 +19,7 @@ from hilbertgeo import (
     clr,
     clr_inv,
     distance,
+    distances,
     fit_projective,
     focusing_probe,
     is_cone_3d,
@@ -34,6 +35,7 @@ from hilbertgeo import (
 from hilbertgeo.errors import (
     DegenerateBasis,
     DegenerateInput,
+    GeometryError,
     ImageEscapedDomain,
     NotInSimplex,
     PointAtInfinity,
@@ -320,11 +322,23 @@ class _ReferenceMap:
         return h[:, :-1] / h[:, -1:]
 
 
-def _reference_classify(dom_a, dom_b, rng, tol=1e-7):
-    """classify_2d on two polygons as a loop over the 2m candidates, each
-    fitted, checked on the vertices and verified on its own."""
-    from hilbertgeo.isometries import _verify_candidate
+def _reference_verify(dom_a, dom_b, cand, rng, samples=60):
+    """Distance-preservation deviation of a local-chart candidate map over
+    random pairs, drawn x, y, x, y, ... in one batch."""
+    P = dom_a.sample_interior(rng, 2 * samples, pull=0.02)
+    try:
+        Q = dom_b.to_ambient(cand.apply(dom_a.to_local(P)))
+        dev = np.abs(distances(dom_a, P[0::2], P[1::2])
+                     - distances(dom_b, Q[0::2], Q[1::2]))
+    except GeometryError:
+        return math.inf
+    return float(dev.max())
 
+
+def _reference_classify(dom_a, dom_b, rng, tol=1e-7):
+    """The sampled classifier on two polygons, as a loop over the 2m
+    candidates: each fitted, checked on the vertices against an absolute
+    tol, and accepted when random pairs keep their distances within tol."""
     va, _ = dom_a.polygon_vertices_local()
     vb, _ = dom_b.polygon_vertices_local()
     m = len(va)
@@ -348,7 +362,7 @@ def _reference_classify(dom_a, dom_b, rng, tol=1e-7):
                 continue
             if vert_dev > tol:
                 continue
-            dev = _verify_candidate(dom_a, dom_b, cand, rng)
+            dev = _reference_verify(dom_a, dom_b, cand, rng)
             if dev <= tol:
                 return "projectively-equivalent", M, max(dev, vert_dev)
     return "not-isometric", None, math.inf
@@ -368,51 +382,71 @@ def _ngon(rng, m):
     return np.c_[rng.uniform(1, 1.5) * np.cos(th), np.sin(th)]
 
 
-def _same_classification(dom_a, dom_b, seed):
-    got = classify_2d(dom_a, dom_b, np.random.default_rng(seed))
-    want = _reference_classify(dom_a, dom_b, np.random.default_rng(seed))
-    assert got.verdict == want[0]
-    assert (got.witness is None) == (want[1] is None)
-    if want[1] is not None:
-        assert got.witness.matrix.tobytes() == want[1].tobytes()
-    assert np.float64(got.max_deviation).tobytes() == \
-        np.float64(want[2]).tobytes()
-    return got
+def _assert_witness(dom_a, dom_b, got, rng):
+    """A polygon witness sends the first polygon's vertices onto the
+    second's, and a sampled check finds it preserves distances."""
+    assert got.verdict == "projectively-equivalent"
+    size = np.ptp(dom_b.vertices, axis=0).max()
+    img = got.apply_ambient(dom_a.vertices)
+    gap = np.linalg.norm(img[:, None] - dom_b.vertices[None], axis=2)
+    assert gap.min(axis=1).max() <= 1e-7 * size
+    assert sorted(gap.argmin(axis=1)) == list(range(len(dom_b.vertices)))
+    assert got.max_deviation <= 1e-7
+    assert sampled_isometry_check(HilbertSpace(dom_a), HilbertSpace(dom_b),
+                                  got.apply_ambient, rng, samples=60) <= 1e-7
 
 
-def test_stacked_classifier_matches_candidate_loop_bitwise():
+def test_classifier_verdicts_match_the_sampled_candidate_loop():
     rng = np.random.default_rng(81)
     verdicts = set()
     for m in [3, 3, 3] + list(range(4, 17)):
-        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e9):
+        for scale in (1e-6, 1e-3, 1.0, 1e3):
             V = _ngon(rng, m) * scale
             pairs = [(V, _projective_image(rng, V / scale) * scale),
                      (V, _ngon(rng, m if m > 4 else m + 1) * scale),
                      (V, V[::-1] + 0.25 * scale)]
             for A, B in pairs:
-                got = _same_classification(build_polytope(A),
-                                           build_polytope(B),
-                                           int(rng.integers(2**31)))
+                dom_a, dom_b = build_polytope(A), build_polytope(B)
+                seed = int(rng.integers(2**31))
+                got = classify_2d(dom_a, dom_b, np.random.default_rng(seed))
+                want = _reference_classify(dom_a, dom_b,
+                                           np.random.default_rng(seed))
+                assert got.verdict == want[0]
+                if got.witness is None:
+                    assert got.max_deviation == math.inf
+                else:
+                    _assert_witness(dom_a, dom_b, got, rng)
                 verdicts.add(got.verdict)
     assert verdicts == {"projectively-equivalent", "not-isometric"}
 
 
-def test_stacked_classifier_where_every_candidate_is_singular():
+def test_classifier_finds_projective_images_at_large_scale():
     from hilbertgeo.isometries import _fit_stack
 
     # a perspective map between squares at 1e9 has entries from about 1e-9
-    # to 1e9, so its smallest singular value is below 1e-12 of the largest
+    # to 1e9; fitted on unit frames, every candidate is still a map
     rng = np.random.default_rng(7)
-    big = build_polytope(np.array(SQUARE) * 1e9)
-    image = build_polytope(_projective_image(rng, np.array(SQUARE)) * 1e9)
-    va, _ = big.polygon_vertices_local()
-    vb, _ = image.polygon_vertices_local()
-    W = vb[(np.repeat(np.arange(4), 2)[:, None]
-            + np.tile([1, -1], 4)[:, None] * np.arange(4)) % 4]
-    _, fail = _fit_stack(va, W)
-    assert list(fail) == [4] * 8
-    got = _same_classification(big, image, 5)
-    assert got.verdict == "not-isometric"
+    th = 2 * math.pi * np.arange(8) / 8
+    for V in (np.array(SQUARE, dtype=float), np.c_[np.cos(th), np.sin(th)]):
+        U = _projective_image(rng, V)
+        big, image = build_polytope(V * 1e9), build_polytope(U * 1e9)
+        va, _ = big.polygon_vertices_local()
+        vb, _ = image.polygon_vertices_local()
+        m = len(va)
+        W = vb[(np.repeat(np.arange(m), 2)[:, None]
+                + np.tile([1, -1], m)[:, None] * np.arange(m)) % m]
+        _, fail = _fit_stack(va[:4], W[:, :4])
+        assert list(fail) == [0] * (2 * m)
+        for a, b in ((big, image), (image, big)):
+            _assert_witness(a, b, classify_2d(a, b, None), rng)
+        other = build_polytope(_ngon(rng, m if m > 4 else m + 1) * 1e9)
+        assert classify_2d(big, other).verdict == "not-isometric"
+        # at 1e12 the frames' spanning test needs the unit copies too (the
+        # witness is not applied: ProjectiveMap.apply's absolute 1e-12
+        # infinity test rejects images at that scale)
+        got = classify_2d(build_polytope(V * 1e12), build_polytope(U * 1e12))
+        assert got.verdict == "projectively-equivalent"
+        assert got.max_deviation <= 1e-7
 
 
 def test_stacked_classifier_with_a_collinear_frame_triple():
@@ -433,11 +467,35 @@ def test_stacked_classifier_with_a_collinear_frame_triple():
             + np.tile([1, -1], m)[:, None] * np.arange(m)) % m]
     _, fail = _fit_stack(va[:4], W[:, :4])
     assert 1 in fail and 0 in fail
-    image = build_polytope(_projective_image(np.random.default_rng(3),
-                                             V / 1e9) * 1e9)
+    rng = np.random.default_rng(3)
+    image = build_polytope(_projective_image(rng, V / 1e9) * 1e9)
     for other in (dom, image):
-        _same_classification(dom, other, 9)
-        _same_classification(other, dom, 9)
+        _assert_witness(dom, other, classify_2d(dom, other), rng)
+        _assert_witness(other, dom, classify_2d(other, dom), rng)
+
+
+def test_classifier_does_not_depend_on_the_seed():
+    rng = np.random.default_rng(82)
+    V = _ngon(rng, 7)
+    pairs = [(build_polytope(V), build_polytope(_projective_image(rng, V))),
+             (build_polytope(V), build_polytope(_ngon(rng, 7))),
+             (square(), build_polytope([[0, 0], [3, 0], [2.5, 2],
+                                        [-0.5, 1.5]])),
+             (build_ellipsoid([0, 0], np.eye(2)),
+              build_ellipsoid([0.3, -0.1], [[2.0, 0.3], [0.3, 0.5]]))]
+    for dom_a, dom_b in pairs:
+        runs = [classify_2d(dom_a, dom_b, np.random.default_rng(seed))
+                for seed in range(10)] + [classify_2d(dom_a, dom_b, None)]
+        first = runs[0]
+        for got in runs:
+            assert got.verdict == first.verdict
+            assert (np.float64(got.max_deviation).tobytes()
+                    == np.float64(first.max_deviation).tobytes())
+            if first.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.matrix.tobytes() == \
+                    first.witness.matrix.tobytes()
 
 
 def test_fit_projective_wrapper_raises_the_first_failing_check():
@@ -446,8 +504,9 @@ def test_fit_projective_wrapper_raises_the_first_failing_check():
         fit_projective(np.array([[0, 0], [1, 0], [2, 0], [1, 1.0]]), src)
     with pytest.raises(DegenerateBasis, match="reference face"):
         fit_projective(src, np.array([[0, 0], [1, 0], [0, 1], [0, 0.5]]))
-    with pytest.raises(DegenerateInput, match="singular"):
-        fit_projective(src * 1e9, _projective_image(np.random.default_rng(7),
-                                                    src) * 1e9)
+    # fitted on unit frames: a map at 1e9, whose entries span 1e-9 to 1
+    dst = _projective_image(np.random.default_rng(7), src) * 1e9
+    g = fit_projective(src * 1e9, dst)
+    assert np.abs(g(src * 1e9) - dst).max() <= 1e-12 * 1e9
     g = fit_projective(src, src * 2)
     assert g.matrix.tobytes() == _reference_fit(src, src * 2).tobytes()

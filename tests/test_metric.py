@@ -35,6 +35,8 @@ from hilbertgeo.suites import run_rigidity
 SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 PENTAGON = [[math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)]
             for k in range(5)]
+CUBE = np.array([[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+                 for sz in (-1.0, 1.0)])
 # irregular, listed in counterclockwise order
 OCTAGON = [[1.0, 0.1], [0.8, 0.7], [0.2, 1.1], [-0.5, 0.9], [-1.1, 0.3],
            [-0.9, -0.6], [-0.2, -1.0], [0.6, -0.8]]
@@ -199,6 +201,95 @@ def test_rigidity_at_large_scale():
             gap = distance(dom, x, z) + distance(dom, z, y) - distance(dom, x, y)
             assert abs(gap) <= 1e-9
         assert is_rigid_chord(dom, [0.5 * s, 0.5 * s], [0.0, 0.0]).rigid
+
+
+def assert_rigidity(dom, x, y, rigid):
+    """is_rigid_chord's verdict is rigid; a rigid result carries no
+    witness or direction, a flexible one a witness whose distances add
+    up.  Returns the witness's distance off the chord, else None."""
+    r = is_rigid_chord(dom, x, y)
+    assert r.rigid == rigid
+    if rigid:
+        assert r.witness is None and r.deviation_direction is None
+        assert r.additivity_gap is None
+        return None
+    x, y, z = r.chord.x, r.chord.y, r.witness
+    d = distances(dom, [x, z, x], [z, y, y])
+    assert abs(d[0] + d[1] - d[2]) <= 1e-9 and r.additivity_gap <= 1e-9
+    u = (y - x) / np.linalg.norm(y - x)
+    return float(np.linalg.norm((z - x) - ((z - x) @ u) * u))
+
+
+def test_rigidity_matches_the_face_dimension_oracle():
+    # In the plane a chord is flexible exactly when both its ends lie in
+    # open edges.  Chords between points of two edges, away from their
+    # ends, have a geodesic region of width comparable to the polygon;
+    # random chords may end next to a vertex, where it is thin, so their
+    # witnesses are only required to be off the chord.
+    rng = np.random.default_rng(90)
+    flexible = 0
+    for _ in range(300):
+        m = int(rng.integers(3, 13))
+        th = 2 * math.pi * (np.arange(m) + rng.uniform(0, 0.4, m)) / m
+        dom = build_polytope(np.c_[rng.uniform(1, 1.5) * np.cos(th),
+                                   np.sin(th)])
+        V = dom.to_ambient(dom.polygon_vertices_local()[0])
+        m = len(V)
+        size = np.ptp(V, axis=0).max()
+        i = int(rng.integers(m))
+        j = (i + int(rng.integers(2, m - 1))) % m if m > 3 else (i + 1) % m
+        a, b = (V[k] + rng.uniform(0.1, 0.9) * (V[(k + 1) % m] - V[k])
+                for k in (i, j))
+        chords = [(a, b, False), (V[i], b, True)]
+        if m > 3:
+            chords.append((V[i], V[(i + 2) % m], True))
+        for a, b, rigid in chords:
+            off = assert_rigidity(dom, a + 0.25 * (b - a),
+                                  a + 0.75 * (b - a), rigid)
+            assert rigid or off >= 1e-3 * size
+        x, y = dom.sample_interior(rng, 2)
+        chord = dom.chord_through(x, y)
+        at_vertex = [np.linalg.norm(V - p, axis=1).min() <= 1e-9 * size
+                     for p in (chord.alpha, chord.beta)]
+        off = assert_rigidity(dom, x, y, any(at_vertex))
+        assert off is None or off >= 1e-9 * size
+        flexible += off is not None
+    assert flexible > 200
+
+
+CROSS_4 = np.vstack([np.eye(4), -np.eye(4)])
+
+
+@pytest.mark.parametrize("vertices, a, b, rigid", [
+    # the cube [-1, 1]^3: facet to facet, vertex to vertex, parallel
+    # edges, skew edges, edge to facet, vertex to facet
+    (CUBE, [0.0, 0.0, -1.0], [0.2, 0.4, 1.0], False),
+    (CUBE, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], True),
+    (CUBE, [-1.0, -1.0, 0.2], [1.0, 1.0, 0.2], False),
+    (CUBE, [-1.0, -1.0, 0.0], [0.0, 1.0, 1.0], True),
+    (CUBE, [-1.0, -1.0, 0.0], [1.0, 0.3, 0.2], False),
+    (CUBE, [-1.0, -1.0, -1.0], [1.0, 0.3, 0.2], True),
+    # the 4-dimensional cross-polytope: parallel facets, vertex to
+    # vertex, skew edges, parallel edges, an edge and a triangle spanning
+    # R^4 with the chord, parallel triangles
+    (CROSS_4, [-0.21, -0.28, -0.25, -0.26], [0.29, 0.22, 0.25, 0.24], False),
+    (CROSS_4, [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], True),
+    (CROSS_4, [0.5, 0.5, 0.0, 0.0], [-0.5, 0.0, 0.5, 0.0], True),
+    (CROSS_4, [0.5, 0.5, 0.0, 0.0], [-0.5, -0.5, 0.0, 0.0], False),
+    (CROSS_4, [0.5, 0.5, 0.0, 0.0], [-0.2, 0.0, 0.4, 0.4], True),
+    (CROSS_4, [0.4, 0.3, 0.3, 0.0], [-0.3, -0.3, -0.4, 0.0], False),
+])
+def test_rigidity_of_polytope_chords_by_endpoint_faces(vertices, a, b,
+                                                       rigid):
+    # a chord from boundary point a to boundary point b is flexible
+    # exactly when some plane through it meets both endpoint faces in
+    # segments (de la Harpe 1993); each case is worked out by hand
+    dom = build_polytope(vertices)
+    a, b = np.array(a), np.array(b)
+    chord = dom.chord_through(a + 0.25 * (b - a), a + 0.75 * (b - a))
+    assert np.allclose([chord.alpha, chord.beta], [a, b], atol=1e-12)
+    off = assert_rigidity(dom, chord.x, chord.y, rigid)
+    assert rigid or off >= 1e-3 * 2.0
 
 
 def test_asymptotic_same_point_stays_bounded():
