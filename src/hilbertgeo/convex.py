@@ -1,28 +1,30 @@
 """Convex domains (polytopes and ellipsoids) with boundary face structure.
 
 A domain is immutable after construction.  Polytopes are stored by their
-extreme points (V-representation); the facet inequalities and the face
-lattice are derived at build time and cached.  A domain may sit inside a
-higher-dimensional ambient space, for example the standard 2-simplex in
-R^3, so "interior" always means interior relative to the affine hull.
+extreme points (V-representation) and facet inequalities, both derived at
+build time; the face lattice is built on its first use and cached.  A
+domain may sit inside a higher-dimensional ambient space, for example the
+standard 2-simplex in R^3, so "interior" always means interior relative
+to the affine hull.
 
 Extreme points and facets come from one convex hull in the chart of the
-affine hull: a numpy monotone chain (Andrew, Inf. Process. Lett. 9, 1979)
-in the plane, the inverse of the homogeneous vertex matrix for a simplex
-(d+1 points in dimension d), and Qhull (Barber, Dobkin & Huhdanpaa, ACM
-TOMS 1996) for any other cloud from dimension 3.  Coplanar hull simplices
-are grouped into facets by the vertices within the shared tolerance
-EPS_GEO (overridable via the HG_EPS env var) of their plane, and face
-dimensions are read off the face lattice.  Domains of a few hundred
-vertices in ambient dimension <= 4 build in milliseconds.
+affine hull, all in numpy: a monotone chain (Andrew, Inf. Process. Lett.
+9, 1979) in the plane, the inverse of the homogeneous vertex matrix for a
+simplex (d+1 points in dimension d), and Quickhull (Barber, Dobkin &
+Huhdanpaa, ACM TOMS 1996) for any other cloud from dimension 3, with its
+facet planes fitted in batches and refined in extended precision.
+Coplanar hull simplices are grouped into facets by the vertices within
+the shared tolerance EPS_GEO (overridable via the HG_EPS env var) of
+their plane, and face dimensions are read off the face lattice.  Domains
+of a few hundred vertices in ambient dimension <= 4 build in
+milliseconds.
 
 A polytope's cross-section takes its vertices from the face lattice: the
 single points where the cut meets the affine hull of a face inside the
 polytope, in codimension 1 the vertices on the cut and its crossings of
-edges.  scipy is imported only by Qhull's hulls from dimension 3 (not
-simplices), by general build_cone, and by JoinRegion's linear program;
-plane domains and simplices are built, and their distances, chord
-rigidity and sections found, without it.
+edges.  scipy is imported only by JoinRegion's linear program (which
+MinimalCone.contains calls); every domain is built, and its distances,
+chord rigidity and sections found, without it.
 """
 
 from __future__ import annotations
@@ -133,17 +135,6 @@ def _nullspace(M, tol=1e-12):
     return vt[rank:].T
 
 
-def _qhull(cls, *args):
-    """A scipy.spatial Qhull object, with Qhull failures (such as flat
-    input) raised as DegenerateInput."""
-    from scipy.spatial import QhullError
-
-    try:
-        return cls(*args)
-    except QhullError as exc:
-        raise DegenerateInput(f"Qhull: {str(exc).splitlines()[0]}") from None
-
-
 def _monotone_chain(points):
     """Convex hull of points in the plane by Andrew's monotone chain
     (Inf. Process. Lett. 9, 1979), in Qhull's form: the hull vertices in
@@ -203,11 +194,170 @@ def _simplex_facets(points):
     return idx, others.reshape(n, n - 1), eq
 
 
+def _initial_simplex(points, width):
+    """Rows of d+1 points spanning R^d: the least and greatest along the
+    widest coordinate, then each the farthest from the affine hull of the
+    ones before it.  Raises DegenerateInput when that distance is within
+    width: the points are flat."""
+    d = points.shape[1]
+    span = np.ptp(points, axis=0)
+    axis = int(np.argmax(span))
+    if span[axis] <= width:
+        raise DegenerateInput("points are flat")
+    chosen = [int(np.argmin(points[:, axis])), int(np.argmax(points[:, axis]))]
+    D = points - points[chosen[0]]
+    while True:
+        Q = np.linalg.qr(D[chosen[1:]].T)[0]  # the chosen directions
+        R = D - (D @ Q) @ Q.T
+        r = np.einsum("ij,ij->i", R, R)
+        k = int(np.argmax(r))
+        if r[k] <= width * width:
+            raise DegenerateInput("points are flat")
+        chosen.append(k)
+        if len(chosen) == d + 1:
+            return chosen
+
+
+def _facet_planes(points, facets, inner):
+    """Equations n.u + c <= 0, with unit n pointing away from the point
+    inner, of the hyperplanes through the rows of points that each row of
+    facets (d indices) names.
+
+    n solves M n = e_1, where M's first row is the facet's centroid minus
+    inner and its other rows the facet's edges from its first vertex, and
+    is corrected once from its residual, taken in extended precision
+    (np.longdouble, 64-bit mantissa on x86-64; where it is plain double
+    the correction gains nothing).  That leaves n within about an ulp of
+    the exact plane of the given floats unless the facet is a sliver.  c
+    is -n . centroid in the same precision."""
+    X = points[facets].astype(np.longdouble)
+    centroid = X.sum(axis=1) / X.shape[1]
+    M = X - X[:, :1]
+    M[:, 0] = centroid - inner
+    try:
+        W = np.linalg.inv(M.astype(float))
+    except np.linalg.LinAlgError:
+        raise DegenerateInput("a hull facet is flat") from None
+    n = W[:, :, 0]
+    r = -np.einsum("kij,kj->ki", M, n.astype(np.longdouble))
+    r[:, 0] += 1.0
+    n = n + np.einsum("kij,kj->ki", W, r.astype(float))
+    n /= np.sqrt(np.einsum("ij,ij->i", n, n))[:, None]
+    c = -np.einsum("ij,ij->i", centroid, n.astype(np.longdouble))
+    return n, c.astype(float)
+
+
+def _visible_from(f, heights, nbrs, width, m):
+    """The facets that a point beyond facet f sees, found by a search over
+    neighbours from f, or None if the search meets a facet numbered m or
+    above, whose plane is not fitted yet.  heights[g] is the point's
+    height over facet g's plane."""
+    seen, stack = {f}, [f]
+    while stack:
+        for h in nbrs[stack.pop()]:
+            if h >= m:
+                return None
+            if h not in seen and heights[h] > width:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+def _quickhull(points):
+    """Convex hull of full-dimensional points in R^d, d >= 3, by Quickhull
+    (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996), in Qhull's form: the
+    hull vertices in ascending order, the facets as rows of d vertex
+    indices, and their equations n.u + c <= 0 with unit outward n.
+
+    From an initial simplex, each outside point is kept on the conflict
+    list of one facet it lies beyond.  A round takes the farthest point of
+    each list, farthest first, and for each replaces the facets it sees
+    (a connected set, found from its own facet) by the cone from it over
+    their horizon; a point whose search reaches a facet made in the round
+    waits for the next.  The round's new facets get their planes in one
+    batch (_facet_planes), and the points of the facets it removed move to
+    the new facet they lie farthest beyond, or drop out as inside.  As in
+    the monotone chain, a point within the distance round-off, d + 2 ulp
+    of the largest coordinate, of a facet's plane is not beyond it.
+    """
+    n, d = points.shape
+    width = (d + 2) * np.finfo(float).eps * float(np.abs(points).max())
+    simplex = _initial_simplex(points, width)
+    inner = points[simplex].mean(axis=0)
+    # facet f has vertices verts[f]; nbrs[f][k] is the facet across the
+    # ridge that omits verts[f][k]
+    verts = [tuple(simplex[:i] + simplex[i + 1:]) for i in range(d + 1)]
+    nbrs = [[j for j in range(d + 1) if j != i] for i in range(d + 1)]
+    alive = [True] * (d + 1)
+    N, C = _facet_planes(points, np.array(verts), inner)
+    H = points @ N.T + C
+    owner = H.argmax(axis=1)
+    height = H[np.arange(n), owner]
+    owner[height <= width] = -1
+    owner[simplex] = -1
+    while True:
+        out = np.flatnonzero(owner >= 0)
+        if not len(out):
+            break
+        out = out[np.argsort(-height[out], kind="stable")]
+        tops, owners = [], set()  # the farthest point of each facet
+        for p, f in zip(out.tolist(), owner[out].tolist()):
+            if f not in owners:
+                owners.add(f)
+                tops.append(p)
+        m = len(verts)  # facets made in this round are m and up
+        H = points[tops] @ N.T + C
+        added, killed = [], []
+        for p, f, heights in zip(tops, owner[tops].tolist(), H):
+            seen = alive[f] and _visible_from(f, heights, nbrs, width, m)
+            if not seen:
+                continue
+            added.append(p)
+            killed += seen
+            ridges = {}  # the (d-2)-faces of the horizon, paired up
+            for g in seen:
+                alive[g] = False
+                vg = verts[g]
+                for k, h in enumerate(nbrs[g]):
+                    if h in seen:
+                        continue
+                    fid = len(verts)
+                    ridge = vg[:k] + vg[k + 1:]
+                    verts.append(ridge + (p,))
+                    nb = [h] * d  # the last is across the horizon ridge
+                    nbrs.append(nb)
+                    alive.append(True)
+                    nbrs[h][nbrs[h].index(g)] = fid
+                    for j in range(d - 1):
+                        key = tuple(sorted(ridge[:j] + ridge[j + 1:]))
+                        other = ridges.pop(key, None)
+                        if other is None:
+                            ridges[key] = (fid, j)
+                        else:
+                            nb[j] = other[0]
+                            nbrs[other[0]][other[1]] = fid
+        Nn, Cn = _facet_planes(points, np.array(verts[m:]), inner)
+        N, C = np.vstack([N, Nn]), np.concatenate([C, Cn])
+        owner[added] = -1
+        gone = np.zeros(m + 1, dtype=bool)  # owner -1 reads gone[m]
+        gone[killed] = True
+        orphans = np.flatnonzero(gone[owner])
+        if len(orphans):
+            Hn = points[orphans] @ Nn.T + Cn
+            top = Hn.max(axis=1)
+            height[orphans] = top
+            owner[orphans] = np.where(top > width, m + Hn.argmax(axis=1), -1)
+    live = np.flatnonzero(alive)
+    simplices = np.array(verts)[live]
+    return (np.unique(simplices), simplices,
+            np.column_stack([N[live], C[live]]))
+
+
 def _hull_facets(points, tol):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
     The hull comes from the monotone chain in the plane, in closed form
-    for the d+1 vertices of a d-simplex, and from Qhull otherwise.
+    for the d+1 vertices of a d-simplex, and from Quickhull otherwise.
     Coplanar hull simplices are grouped by their equality set: the hull
     vertices within tol of the simplex's plane, plus the simplex's own
     vertices.  A hull vertex whose facets share another hull vertex lies
@@ -224,11 +374,7 @@ def _hull_facets(points, tol):
     elif len(points) == points.shape[1] + 1:
         hull_verts, simplices, eq = _simplex_facets(points)
     else:
-        from scipy.spatial import ConvexHull
-
-        hull = _qhull(ConvexHull, points)
-        hull_verts, simplices, eq = (np.sort(hull.vertices), hull.simplices,
-                                     hull.equations)
+        hull_verts, simplices, eq = _quickhull(points)
     near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
     sets = [frozenset(hull_verts[near[:, k]].tolist())
             | frozenset(simplex.tolist())
@@ -490,7 +636,7 @@ class ConvexDomain:
             self._A = data["A"]
             self._b = data["b"]
             self._facet_sets = data["facet_sets"]
-            self._lattice = data["lattice"]
+            self._lattice = None  # built on first use, see face_lattice
             # round-off floor of the on-boundary tests, see _tight_tol
             self._slack_floor = 64.0 * np.finfo(float).eps * max(
                 float(np.abs(self._lv).max()), float(np.abs(self._b).max()))
@@ -613,8 +759,13 @@ class ConvexDomain:
     # ------------------------------------------------------------------ faces
 
     def face_lattice(self):
+        """The polytope's face lattice, built on the first call and kept:
+        distances, balls, chord parameters and cones read the facets
+        alone."""
         if self.kind != "polytope":
             raise Unsupported("ellipsoids have no polytopal face lattice")
+        if self._lattice is None:
+            self._lattice = _face_lattice(self)
         return self._lattice
 
     def boundary_face_of(self, p, eps=None):
@@ -622,8 +773,9 @@ class ConvexDomain:
         eps = _eps(eps)
         return self._face_at(_as_array(p), eps)
 
-    def _face_at(self, p, eps):
-        """boundary_face_of a finite point p."""
+    def _face_at(self, p, eps, tol=None):
+        """boundary_face_of a finite point p, whose slacks within tol
+        (default _tight_tol(eps)) of 0 count as 0 on a polytope."""
         if self._off_hull(p[None, :], eps).any():
             raise NotOnBoundary("point is off the affine hull")
         if self.kind == "ellipsoid":
@@ -645,14 +797,15 @@ class ConvexDomain:
                 offset=float(normal @ proj),
             )
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        tol = self._tight_tol(eps)
+        if tol is None:
+            tol = self._tight_tol(eps)
         if s.min() < -tol:
             raise NotOnBoundary("point is outside the domain")
         tight = np.flatnonzero(np.abs(s) <= tol)
         if not len(tight):
             raise NotOnBoundary("point is interior")
         common = frozenset.intersection(*[self._facet_sets[i] for i in tight])
-        face = self._lattice.find(common)
+        face = self.face_lattice().find(common)
         if face is None:
             raise NotOnBoundary("tight facets do not meet in a face")
         return face
@@ -753,10 +906,19 @@ class ConvexDomain:
         eps = _eps(eps)
         return Chord(
             x=xh, y=yh, alpha=alpha, beta=beta,
-            face_alpha=self._face_at(alpha, eps),
-            face_beta=self._face_at(beta, eps),
+            face_alpha=self._face_at(alpha, eps, self._end_tol(eps, t_lo)),
+            face_beta=self._face_at(beta, eps, self._end_tol(eps, t_hi)),
             t_alpha=t_lo, t_beta=t_hi,
         )
+
+    def _end_tol(self, eps, t):
+        """The slack tolerance of a chord end x + t (y - x): _tight_tol,
+        but no more than its round-off, 64 ulp of the chart's size per unit
+        of 1 + |t|.  An absolute eps alone reads an end 1e-9 from a vertex
+        of a polygon 1e-3 wide as that vertex."""
+        if self.kind != "polytope":
+            return None
+        return min(self._tight_tol(eps), self._slack_floor * (1.0 + abs(t)))
 
     def ray(self, start, direction, eps=None):
         """Ray from an interior start toward the boundary."""
@@ -905,7 +1067,7 @@ class ConvexDomain:
         g[np.abs(g) <= tol] = 0.0
         points = [self._lv[np.all(g == 0.0, axis=1)]]
         groups = {}  # (dim, vertex count) -> faces of dim 1..n-k
-        for F in self._lattice.faces:
+        for F in self.face_lattice().faces:
             if 0 < F.dim <= n - k:
                 groups.setdefault((F.dim, len(F.indices)), []).append(
                     F.indices)
@@ -1019,10 +1181,12 @@ def build_polytope(points, eps=None):
     lexicographically; the vertices are the extreme points among them, in
     that order.  Facets are the hull facets of the vertices in the chart
     of their affine hull (monotone chain in the plane, closed form for a
-    simplex, Qhull otherwise), one per set of vertices within eps of a
-    facet plane, sorted by that set; the face lattice is every nonempty
-    intersection of facets, and a face has one dimension more than its
-    largest proper subface.  A cloud whose hull keeps no vertex of some
+    simplex, Quickhull otherwise), one per set of vertices within eps of a
+    facet plane, sorted by that set.  The build stops there: the face
+    lattice, every nonempty intersection of facets with a face one
+    dimension more than its largest proper subface, is built by the first
+    face_lattice() call (boundary faces, chord ends, sections and minimal
+    cones make that call).  A cloud whose hull keeps no vertex of some
     facet at the absolute eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
@@ -1046,8 +1210,19 @@ def build_polytope(points, eps=None):
         keep, A, b, hull_sets = _hull_facets(lv, eps_v)
         renumber = {int(j): i for i, j in enumerate(keep)}
         facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
-    V = P[keep]
-    lv = lv[keep]
+    return ConvexDomain(
+        "polytope", vertices=P[keep], origin=origin, basis=basis,
+        lv=lv[keep], A=A, b=b, facet_sets=facet_sets,
+    )
+
+
+def _face_lattice(dom):
+    """The face lattice of a polytope domain: every nonempty intersection
+    of its facet sets, each face with the supporting hyperplane that
+    normalises the mean of its facets' and one dimension more than its
+    largest proper subface.  Raises GeometryError if the 0-faces are not
+    exactly the vertices."""
+    V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
     incident = {}  # vertex -> indices of the facets through it
     for i, E in enumerate(facet_sets):
         for v in E:
@@ -1062,8 +1237,8 @@ def build_polytope(points, eps=None):
         member[r, list(F)] = 1.0
     nw, ob = member @ A, member @ b
     nn = np.linalg.norm(nw, axis=1)
-    N = (nw / nn[:, None]) @ basis.T
-    offsets = ob / nn + N @ origin
+    N = (nw / nn[:, None]) @ dom._basis.T
+    offsets = ob / nn + N @ dom._origin
     # a face has one dimension more than its largest proper subface, and
     # each proper subface runs through one of the face's vertices
     dims = {}
@@ -1083,10 +1258,7 @@ def build_polytope(points, eps=None):
     zero = {f.indices for f in lattice.of_dim(0)}
     if zero != {(i,) for i in range(len(V))}:
         raise GeometryError("face lattice lost a vertex")
-    return ConvexDomain(
-        "polytope", vertices=V, origin=origin, basis=basis, lv=lv,
-        A=A, b=b, facet_sets=facet_sets, lattice=lattice,
-    )
+    return lattice
 
 
 def build_ellipsoid(center, shape):

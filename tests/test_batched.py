@@ -221,21 +221,23 @@ def reference_require_interior(domain, p, name):
     return u
 
 
-def reference_face(domain, p):
-    """The face and, for polytopes, the facet loop of boundary_face_of."""
+def reference_face(domain, p, tol=None):
+    """The face and, for polytopes, the facet loop of boundary_face_of,
+    with slacks within tol (default _tight_tol) of 0 counted as 0."""
     eps = defaults.EPS_GEO
     if reference_residuals(domain, p[None, :])[0] > eps:
         raise NotOnBoundary("point is off the affine hull")
     if domain.kind == "ellipsoid":
         return domain.boundary_face_of(p)
     s = domain._b - domain._A @ ((p - domain._origin) @ domain._basis)
-    tol = domain._tight_tol(eps)
+    if tol is None:
+        tol = domain._tight_tol(eps)
     if s.min() < -tol:
         raise NotOnBoundary("point is outside the domain")
     tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
     if not tight:
         raise NotOnBoundary("point is interior")
-    face = domain._lattice.find(
+    face = domain.face_lattice().find(
         frozenset.intersection(*[domain._facet_sets[i] for i in tight]))
     if face is None:
         raise NotOnBoundary("tight facets do not meet in a face")
@@ -262,8 +264,12 @@ def reference_chord(domain, x, y):
             raise GeometryError("degenerate chord direction")
     xh = domain.project_to_hull(x)
     d = domain.project_to_hull(y) - xh
-    return (t_lo, t_hi, reference_face(domain, xh + t_lo * d),
-            reference_face(domain, xh + t_hi * d))
+    # a chord end's slack tolerance: no more than its round-off
+    tols = [None, None] if domain.kind == "ellipsoid" else [
+        min(domain._tight_tol(defaults.EPS_GEO),
+            domain._slack_floor * (1.0 + abs(t))) for t in (t_lo, t_hi)]
+    return (t_lo, t_hi, reference_face(domain, xh + t_lo * d, tols[0]),
+            reference_face(domain, xh + t_hi * d, tols[1]))
 
 
 def outcome(f, *args):

@@ -5,7 +5,9 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -307,6 +309,268 @@ def test_simplex_facets_omit_one_vertex_each():
                                          [0, 1, 0]]))
 
 
+def exact_plane(P):
+    """The unit outward normal and offset of the hyperplane through the d
+    rows of P (exact rational arithmetic, then 40 digits), oriented by
+    outward, a vector pointing out of the hull."""
+    F = [[Fraction(float(x)) for x in row] for row in P]
+    d = len(F)
+    rows = [[a - b for a, b in zip(row, F[0])] for row in F[1:]]
+    pivots = []  # reduced row echelon form of the edge vectors
+    for j in range(d):
+        k = next((i for i in range(len(pivots), d - 1) if rows[i][j] != 0),
+                 None)
+        if k is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i in range(d - 1):
+            if i != r and rows[i][j] != 0:
+                rows[i] = [a - rows[i][j] * b for a, b in zip(rows[i],
+                                                             rows[r])]
+        pivots.append(j)
+    free = next(j for j in range(d) if j not in pivots)
+    n = [Fraction(0)] * d
+    n[free] = Fraction(1)
+    for r, j in enumerate(pivots):
+        n[j] = -rows[r][free]
+    with mpmath.workdps(40):
+        v = [mpmath.mpf(x.numerator) / x.denominator for x in n]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+        unit = np.array([float(x / norm) for x in v])
+        b = float(mpmath.fsum(x / norm * (mpmath.mpf(p.numerator)
+                                          / p.denominator)
+                              for x, p in zip(v, F[0])))
+    return unit, b
+
+
+def hull_inputs(rng):
+    """Named point sets for the hull references: random clouds in R^3 to
+    R^5, points on a sphere, cubes with points on faces and edges (some
+    under an affine map), cross-polytopes, bipyramids, and points just
+    outside a cube's faces and edges."""
+    cases = []
+    for d, count, most in ((3, 10, 60), (4, 10, 60), (5, 5, 30)):
+        cases += [(f"cloud{d}", rng.normal(size=(int(rng.integers(d + 2, most)),
+                                                  d)))
+                  for _ in range(count)]
+    for _ in range(2):
+        u = rng.normal(size=(200, 3))
+        cases.append(("sphere", u / np.linalg.norm(u, axis=1, keepdims=True)))
+    for d in (3, 4):
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+        for k in range(8):
+            extra = rng.uniform(size=(int(rng.integers(2, 10)), d))
+            for p in extra:  # onto a face of dimension 0 .. d - 1
+                fix = rng.choice(d, size=int(rng.integers(1, d + 1)),
+                                 replace=False)
+                p[fix] = rng.integers(0, 2, size=len(fix))
+            P = np.vstack([corners, extra])
+            if k % 2:
+                P = P @ rng.normal(size=(d, d)) + rng.normal(size=d)
+            cases.append((f"cube{d}", P[rng.permutation(len(P))]))
+    for d in (3, 4, 5):
+        cross = np.vstack([np.eye(d), -np.eye(d)])
+        cases += [(f"cross{d}", cross),
+                  (f"cross{d}", cross @ np.linalg.qr(rng.normal(size=(d, d)))[0])]
+    for m in (3, 5, 8, 16, 32):
+        th = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        cases.append(("bipyramid", np.vstack([
+            np.c_[np.cos(th), np.sin(th), np.zeros(m)],
+            [[0.0, 0.0, 1.1], [0.0, 0.0, -0.9]]])))
+    for extra in ([0.5, 0.5, 1 + 1e-10], [0.5, 1 + 1e-10, 1 + 1e-10],
+                  [0.5, 0.5, 1 + 1e-12], [0.5, 1 + 1e-12, 1 + 1e-12]):
+        cases.append(("cube+", np.vstack([CUBE, extra])))
+    cases += [("octahedron", np.vstack([np.eye(3), -np.eye(3)])),
+              ("pyramid", np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                                    [0, 1, 0], [0.5, 0.5, 1.0]]))]
+    return cases
+
+
+def test_numpy_hull_matches_qhull_reference(monkeypatch):
+    """Quickhull and Qhull give _hull_facets the same vertices and facet
+    sets, on deduplicated, centred points as build_polytope passes them,
+    and A, b within 1e-14 of the size.  Where they differ by more, Qhull's
+    plane is the one off (by up to about 6e-14 on the thin facets of the
+    bipyramids, and in R^5): the numpy plane then equals the exact plane
+    through the facet's vertices within an ulp or two."""
+    rng = np.random.default_rng(29)
+    off_qhull = 0
+    for name, P in hull_inputs(rng):
+        P = _lex_unique(P - P.mean(axis=0), TOL)
+        verts, A, b, sets = _hull_facets(P, TOL)
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "_quickhull", qhull_triple)
+            ref_verts, ref_A, ref_b, ref_sets = _hull_facets(P, TOL)
+        assert np.array_equal(verts, ref_verts), name
+        assert sets == ref_sets, name
+        size = np.abs(P).max()
+        for i, key in enumerate(sets):
+            if (np.abs(A[i] - ref_A[i]).max() <= 1e-14
+                    and abs(b[i] - ref_b[i]) <= 1e-14 * size):
+                continue
+            off_qhull += 1
+            assert len(key) == P.shape[1], name
+            n, c = exact_plane(P[sorted(key)])
+            if n @ A[i] < 0:
+                n, c = -n, -c
+            assert np.abs(A[i] - n).max() <= 4e-16, name
+            assert abs(b[i] - c) <= 4e-16 * size, name
+    assert off_qhull <= 10
+
+
+def test_numpy_hull_planes_are_exact():
+    """Each facet plane is within an ulp or two of the exact plane through
+    its vertices, in R^3 to R^5 and at scales 1e-6 to 1e12."""
+    rng = np.random.default_rng(30)
+    for scale in (1e-6, 1.0, 1e12):
+        for d in (3, 4, 5):
+            P = rng.normal(size=(12, d)) * scale
+            verts, simplices, eq = convex._quickhull(P)
+            inside = P.mean(axis=0)
+            for row, (simplex, e) in enumerate(zip(simplices, eq)):
+                if row % 3:
+                    continue  # a third of the facets keeps the test quick
+                n, c = exact_plane(P[simplex])
+                if n @ inside > c:
+                    n, c = -n, -c
+                assert np.abs(e[:-1] - n).max() <= 4e-16
+                assert abs(e[-1] + c) <= 4e-16 * scale
+
+
+def test_numpy_hull_of_flat_points_is_degenerate():
+    rng = np.random.default_rng(31)
+    flat = [np.zeros((6, 3)),
+            np.c_[rng.normal(size=(9, 2)), np.zeros(9)],
+            rng.normal(size=(9, 3)) @ rng.normal(size=(3, 4)),
+            np.outer(rng.normal(size=7), [1.0, 2.0, 3.0])]
+    for P in flat:
+        with pytest.raises(DegenerateInput):
+            convex._quickhull(P)
+        with pytest.raises(DegenerateInput):
+            _hull_facets(P, TOL)
+
+
+def test_numpy_hull_drops_points_within_round_off_of_a_facet():
+    # points on the faces and edges of a cube, at scales where the
+    # absolute tolerance is far below round-off, are never beyond a facet
+    # plane: when one is a hull vertex, it is flat
+    rng = np.random.default_rng(32)
+    faces = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7],
+             [0, 2, 4, 6], [1, 3, 5, 7]]
+    for scale in (1e9, 1e12):
+        for _ in range(20):
+            V = (CUBE @ rng.normal(size=(3, 3)) + rng.normal(size=3)) * scale
+            on = [rng.dirichlet(np.ones(4)) @ V[faces[rng.integers(6)]]
+                  for _ in range(6)]
+            P = np.vstack([V, on])
+            P -= P.mean(axis=0)
+            verts, simplices, eq = convex._quickhull(P)
+            width = 5 * np.finfo(float).eps * np.abs(P).max()
+            assert np.all(P @ eq[:, :-1].T + eq[:, -1] <= width)
+            assert set(range(8)) <= set(verts.tolist())
+
+
+def test_general_build_cone_matches_qhull_reference(monkeypatch):
+    rng = np.random.default_rng(33)
+    for d in (3, 4):
+        for _ in range(10):
+            G = rng.normal(size=(int(rng.integers(d + 1, 16)), d))
+            G[:, 0] = np.abs(G[:, 0]) + 1.0  # a pointed cone about e_1
+            cone = build_cone(G)
+            with monkeypatch.context() as mp:
+                mp.setattr(convex, "_quickhull", qhull_triple)
+                ref = build_cone(G)
+            assert cone_facet_sets(cone) == cone_facet_sets(ref)
+            size = np.abs(ref.functionals).max(axis=1, keepdims=True)
+            assert np.all(np.abs(cone.functionals - ref.functionals)
+                          <= 1e-13 * size)
+
+
+def reference_lattice(dom):
+    """The face lattice as build_polytope built it eagerly before it was
+    deferred to face_lattice(): the same steps, from the domain's facets."""
+    V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
+    incident = {}
+    for i, E in enumerate(facet_sets):
+        for v in E:
+            incident.setdefault(v, set()).add(i)
+    face_idx = sorted(tuple(sorted(S))
+                      for S in convex._close_under_intersection(facet_sets))
+    fids = [frozenset(set.intersection(*(incident[v] for v in idx)))
+            for idx in face_idx]
+    member = np.zeros((len(face_idx), len(facet_sets)))
+    for r, F in enumerate(fids):
+        member[r, list(F)] = 1.0
+    nw, ob = member @ A, member @ b
+    nn = np.linalg.norm(nw, axis=1)
+    N = (nw / nn[:, None]) @ dom._basis.T
+    offsets = ob / nn + N @ dom._origin
+    dims = {}
+    through = {}
+    for idx in sorted(face_idx, key=len):
+        S = frozenset(idx)
+        sub = [dims[G] for v in idx for G in through.get(v, ()) if G < S]
+        dims[S] = 1 + max(sub) if sub else 0
+        for v in idx:
+            through.setdefault(v, []).append(S)
+    return convex.FaceLattice([
+        convex.Face(indices=idx, dim=dims[frozenset(idx)], point_key=None,
+                    vertices=V[list(idx)], normal=N[r],
+                    offset=float(offsets[r]), facet_ids=fids[r])
+        for r, idx in enumerate(face_idx)])
+
+
+def lattice_inputs(rng):
+    """Every kind of polytope this file builds."""
+    cube4 = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    u = rng.normal(size=(60, 3))
+    clouds = [random_polygon(rng) for _ in range(10)]
+    clouds += [rng.normal(size=(int(rng.integers(5, 13)), 3))
+               for _ in range(10)]
+    clouds += [P for _, P in hull_inputs(rng)]
+    clouds += [np.vstack([CUBE, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.0]]]),
+               u / np.linalg.norm(u, axis=1)[:, None], cube4,
+               np.vstack([np.eye(4), -np.eye(4)]), np.eye(4), np.eye(5),
+               [[0.0], [2.0], [1.0], [0.5]],
+               [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1], [0.5, 0.5, 1.0]],
+               CUBE * 1e-6, CUBE * 1e9, np.vstack([np.eye(3), -np.eye(3)])]
+    return clouds
+
+
+def test_lazy_lattice_equals_the_eager_reference():
+    rng = np.random.default_rng(34)
+    for P in lattice_inputs(rng):
+        dom = build_polytope(P)
+        assert dom._lattice is None
+        got, want = dom.face_lattice(), reference_lattice(dom)
+        assert dom.face_lattice() is got
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            assert (f.indices, f.dim, f.facet_ids, f.offset) == \
+                (g.indices, g.dim, g.facet_ids, g.offset)
+            assert f.vertices.tobytes() == g.vertices.tobytes()
+            assert f.normal.tobytes() == g.normal.tobytes()
+
+
+def test_distances_chords_and_cones_leave_the_lattice_unbuilt():
+    for P in (CUBE, [[0, 0], [2, 0], [2, 1], [0, 1]],
+              np.vstack([np.eye(4), -np.eye(4)])):
+        dom = build_polytope(P)
+        c = dom.centroid()
+        v = dom.vertices[0]
+        hilbertgeo.distance(dom, c, 0.5 * (c + v))
+        dom.chord_params(c, 0.5 * (c + v))
+        dom.ray(c, v - c)
+        cone_over(dom)
+        if dom.intrinsic_dim == 2:
+            hilbertgeo.hilbert_ball(dom, c, 0.5)
+        assert dom._lattice is None
+        assert dom.boundary_face_of(v).indices == (0,)
+        assert dom._lattice is dom.face_lattice()
+
+
 def cone_facet_sets(cone):
     """For each functional, the generators on which it vanishes."""
     R = cone.functionals @ cone.generators.T
@@ -333,6 +597,7 @@ def test_cone_over_matches_build_cone_reference(monkeypatch):
         assert cone.lifted == (dom.intrinsic_dim == dom.ambient_dim)
         with monkeypatch.context() as mp:
             mp.setattr(convex, "_simplex_facets", qhull_triple)
+            mp.setattr(convex, "_quickhull", qhull_triple)
             ref = build_cone(cone.generators)
         sets, ref_sets = cone_facet_sets(cone), cone_facet_sets(ref)
         assert sets == ref_sets
@@ -386,9 +651,9 @@ def reference_section(dom, point, spans, eps=TOL):
     """Ambient vertices of a polytope's cross-section the way the LP path
     found them: a Chebyshev-margin LP, then Qhull's halfspace
     intersection seen from the LP's centre (an interval in 1-D)."""
-    from scipy.spatial import HalfspaceIntersection
+    from scipy.spatial import HalfspaceIntersection, QhullError
 
-    from hilbertgeo.convex import _nullspace, _qhull
+    from hilbertgeo.convex import _nullspace
 
     p0 = np.asarray(point, float)
     S = np.atleast_2d(np.asarray(spans, float))
@@ -416,8 +681,12 @@ def reference_section(dom, point, spans, eps=TOL):
         t = h / G[:, 0]
         verts = np.array([[t[G[:, 0] < 0].max()], [t[G[:, 0] > 0].min()]])
     else:
-        verts = _qhull(HalfspaceIntersection, np.hstack([G, -h[:, None]]),
-                       res.x[:mr]).intersections
+        try:
+            verts = HalfspaceIntersection(np.hstack([G, -h[:, None]]),
+                                          res.x[:mr]).intersections
+        except QhullError:
+            raise DegenerateInput("Qhull's halfspace intersection failed") \
+                from None
     sec = build_polytope(_lex_unique(verts, 1e-9), eps)
     return q0 + sec.vertices @ W.T
 
@@ -587,24 +856,38 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def test_build_decide_path_does_not_load_scipy_optimize():
+def test_build_decide_path_does_not_load_scipy():
+    """Building polytopes of dimension 2 to 4 (a cloud, a cube, the 4-D
+    cross-polytope), their lattices, faces, sections, cones, chords and
+    distances, a general build_cone and a plane classification load no
+    scipy module."""
     code = ("import sys\n"
+            "import itertools\n"
             "import numpy as np\n"
             "import hilbertgeo as hg\n"
             "rng = np.random.default_rng(0)\n"
-            "dom = hg.build_polytope(rng.normal(size=(24, 3)))\n"
-            "c = dom.centroid()\n"
-            "dom.cross_section(c, rng.normal(size=(2, 3)))\n"
-            "hg.cone_over(dom)\n"
-            "v = dom.vertices[0]\n"
-            "hg.is_rigid_chord(dom, c + 0.5 * (v - c), c)\n"
+            "cube = list(itertools.product((-1.0, 1.0), repeat=3))\n"
+            "cross4 = np.vstack([np.eye(4), -np.eye(4)])\n"
+            "for P in (rng.normal(size=(24, 3)), cube, cross4):\n"
+            "    dom = hg.build_polytope(P)\n"
+            "    c = dom.centroid()\n"
+            "    d = dom.ambient_dim\n"
+            "    dom.cross_section(c, rng.normal(size=(2, d)))\n"
+            "    hg.cone_over(dom)\n"
+            "    v = dom.vertices[0]\n"
+            "    hg.is_rigid_chord(dom, c + 0.5 * (v - c), c)\n"
+            "    dom.minimal_cone_at(v)\n"
+            "    hg.distance(dom, c, c + 0.5 * (v - c))\n"
+            "cone = hg.build_cone(np.vstack([cube, [[0.5, 0.5, 2.0]]])"
+            " + [0.0, 0.0, 3.0])\n"
+            "hg.cone_distance(cone, [0.0, 0.0, 3.0], [0.1, 0.2, 3.0])\n"
             "sq = hg.build_polytope([[0, 0], [1, 0], [1, 1], [0, 1]])\n"
             "quad = hg.build_polytope([[0, 0], [3, 0], [2.5, 2], "
             "[-0.5, 1.5]])\n"
             "assert hg.classify_2d(sq, quad, rng).verdict == "
             "'projectively-equivalent'\n"
             "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.optimize')))\n")
+            "if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(hilbertgeo.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -184,15 +184,24 @@ def test_console_script_entry_point(square_file):
 
 
 def test_plane_commands_do_not_load_scipy(square_file, tmp_path):
-    """The polygon commands, and every registered suite, import no scipy."""
+    """The polygon commands, distance and rigidity on a cube, and every
+    registered suite, import no scipy."""
     quad = tmp_path / "quad.json"
     quad.write_text(json.dumps({
         "kind": "polytope",
         "vertices": [[0, 0], [3, 0], [2.5, 2], [-0.5, 1.5]]}))
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({
+        "kind": "polytope",
+        "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                     for z in (-1, 1)]}))
     svg = tmp_path / "square.svg"
     commands = [
         ["distance", "--domain", square_file, "--x=-0.5,0", "--y=0.5,0.1"],
         ["rigid", "--domain", square_file, "--x=-0.5,0", "--y=0.5,0"],
+        ["distance", "--domain", str(cube), "--x=-0.5,0,0",
+         "--y=0.5,0.1,0.2"],
+        ["rigid", "--domain", str(cube), "--x=0,0,-0.5", "--y=0.1,0.2,0.5"],
         ["classify", "--a", square_file, "--b", str(quad)],
         ["render", "--domain", square_file, "--out", str(svg),
          "--ball", "0,0,0.5", "--chord=-0.5,0;0.5,0.2"],

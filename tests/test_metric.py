@@ -203,6 +203,70 @@ def test_rigidity_at_large_scale():
         assert is_rigid_chord(dom, [0.5 * s, 0.5 * s], [0.0, 0.0]).rigid
 
 
+# Generic chords of polygons about 2.5e-3 wide whose one end lies in an
+# open edge within about 1e-8 of a vertex (8 vertices of build-decide's
+# polygon-32@1e-3 ops, those around the two ends).  An absolute slack
+# tolerance of 1e-9 read that end as the vertex, so the chord as rigid.
+CHORDS_NEAR_A_VERTEX = [
+    ([[0.00039921913405537447, -0.0008558798680973254],
+      [0.0005918991047208781, -0.0008453383016051007],
+      [0.0007888309766948509, -0.0007856291499646882],
+      [0.0009265758386870408, -0.0006883835880105764],
+      [-0.0006230393307191602, 0.0012502873621251876],
+      [-0.0008347408839567862, 0.0012711199253663563],
+      [-0.001062897932663024, 0.0012481369267096703],
+      [-0.0012308091680677327, 0.0011837323789227775]],
+     [-0.00019149322516694113, 0.0001616633009750196],
+     [-0.00014873814161209755, 0.00010670434080750231]),
+    ([[0.0007221699669659247, 0.0005749759503955583],
+      [0.0005838071929661472, 0.0007639478099831745],
+      [0.00040238183406737267, 0.0009446164492890717],
+      [0.0002322210614529478, 0.0010644608312708904],
+      [-0.0008428222324133182, -0.00040996240475324534],
+      [-0.0007405385439538221, -0.0006184705115526603],
+      [-0.0005626405892126332, -0.0008725859275826027],
+      [-0.0004185985660474812, -0.0010206519713698333]],
+     [-1.6934519833886048e-05, -4.025083482734499e-05],
+     [0.00011421566049861499, 0.00015978274292810025]),
+    ([[-9.044010177005347e-05, -0.0015432176563219227],
+      [0.00011385070931206101, -0.0015628980362575261],
+      [0.0003491946950369661, -0.001512479667104659],
+      [0.0004723076701174855, -0.00145630398076229],
+      [0.0004752407198010247, 0.0011692916477715968],
+      [0.00023043687940952346, 0.0011206764482393267],
+      [8.194932679880634e-05, 0.0010516930851960616],
+      [-8.812349011786324e-05, 0.0009335270826662527]],
+     [0.0002827756070857106, -0.00025841329106902547],
+     [0.00029051708989365134, -0.0004045850627445035]),
+]
+
+
+@pytest.mark.parametrize("vertices, x, y", CHORDS_NEAR_A_VERTEX)
+def test_chord_end_near_a_vertex_at_small_scale_is_in_its_edge(vertices, x,
+                                                                y):
+    dom = build_polytope(vertices)
+    chord = dom.chord_through(x, y)
+    assert chord.face_alpha.dim == chord.face_beta.dim == 1
+    assert assert_rigidity(dom, x, y, False) > 0.0
+
+
+def test_vertex_chords_are_rigid_at_every_scale():
+    # the chord through a vertex and an interior point ends at the vertex:
+    # the end's round-off stays within its tolerance at every scale
+    rng = np.random.default_rng(15)
+    th = np.sort(rng.uniform(0.0, 2 * np.pi, 9))
+    shapes = [np.c_[1.5 * np.cos(th), np.sin(th)], np.array(OCTAGON), CUBE,
+              rng.normal(size=(14, 3))]
+    for s in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
+        for V in shapes:
+            dom = build_polytope(V * s)
+            c = dom.vertices.mean(axis=0)
+            for k, v in enumerate(dom.vertices[:4]):
+                x = c + 0.5 * (v - c)
+                assert dom.chord_through(x, c).face_alpha.indices == (k,)
+                assert_rigidity(dom, x, c, True)
+
+
 def assert_rigidity(dom, x, y, rigid):
     """is_rigid_chord's verdict is rigid; a rigid result carries no
     witness or direction, a flexible one a witness whose distances add
