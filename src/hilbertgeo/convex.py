@@ -9,22 +9,21 @@ to the affine hull.
 
 Extreme points and facets come from one convex hull in the chart of the
 affine hull, all in numpy: a monotone chain (Andrew, Inf. Process. Lett.
-9, 1979) in the plane, the inverse of the homogeneous vertex matrix for a
-simplex (d+1 points in dimension d), and Quickhull (Barber, Dobkin &
-Huhdanpaa, ACM TOMS 1996) for any other cloud from dimension 3, with its
-facet planes fitted in batches and refined in extended precision.
-Coplanar hull simplices are grouped into facets by the vertices within
-the shared tolerance EPS_GEO (overridable via the HG_EPS env var) of
-their plane, and face dimensions are read off the face lattice.  Domains
-of a few hundred vertices in ambient dimension <= 4 build in
-milliseconds.
+9, 1979) in the plane, and Quickhull (Barber, Dobkin & Huhdanpaa, ACM
+TOMS 1996) for every cloud from dimension 3, with its facet planes
+fitted in batches and refined in extended precision.  Coplanar hull
+simplices are grouped into facets by the vertices within the shared
+tolerance EPS_GEO of their plane, and face dimensions are read off the
+face lattice.  Domains of a few hundred vertices in ambient dimension
+<= 4 build in milliseconds.
 
-A polytope's cross-section takes its vertices from the face lattice: the
-single points where the cut meets the affine hull of a face inside the
+The same hull answers the other hull questions.  A polytope's
+cross-section takes its vertices from the face lattice: the single
+points where the cut meets the affine hull of a face inside the
 polytope, in codimension 1 the vertices on the cut and its crossings of
-edges.  scipy is imported only by JoinRegion's linear program (which
-MinimalCone.contains calls); every domain is built, and its distances,
-chord rigidity and sections found, without it.
+edges.  A join region (and so a minimal cone) is the relative interior
+of the hull of its two faces' vertices, built once in the chart of
+their affine hull.  All of it is numpy code, with no linear program.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,26 +172,6 @@ def _monotone_chain(points):
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     eq = np.column_stack([n, -np.sum(n * R, axis=1)])
     return np.sort(ring), np.column_stack([ring, np.roll(ring, -1)]), eq
-
-
-def _simplex_facets(points):
-    """The hull of the d+1 vertices of a d-simplex in closed form, in
-    Qhull's form: column k of the inverse of the homogeneous vertex matrix
-    [P 1] is the barycentric coordinate of vertex k, which vanishes on the
-    facet that omits vertex k, so -column / |gradient| is that facet's
-    equation n.u + c <= 0 with unit outward n."""
-    n = len(points)
-    try:
-        W = np.linalg.inv(np.hstack([points, np.ones((n, 1))]))
-    except np.linalg.LinAlgError:
-        raise DegenerateInput("simplex vertices are affinely dependent") \
-            from None
-    eq = -(W / np.linalg.norm(W[:-1], axis=0)).T
-    if not np.all(np.isfinite(eq)):
-        raise DegenerateInput("simplex vertices are affinely dependent")
-    idx = np.arange(n)
-    others = np.broadcast_to(idx, (n, n))[~np.eye(n, dtype=bool)]
-    return idx, others.reshape(n, n - 1), eq
 
 
 def _initial_simplex(points, width):
@@ -356,8 +336,8 @@ def _quickhull(points):
 def _hull_facets(points, tol):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    The hull comes from the monotone chain in the plane, in closed form
-    for the d+1 vertices of a d-simplex, and from Quickhull otherwise.
+    The hull comes from the monotone chain in the plane and from
+    Quickhull in every higher dimension, simplices included.
     Coplanar hull simplices are grouped by their equality set: the hull
     vertices within tol of the simplex's plane, plus the simplex's own
     vertices.  A hull vertex whose facets share another hull vertex lies
@@ -371,8 +351,6 @@ def _hull_facets(points, tol):
     """
     if points.shape[1] == 2:
         hull_verts, simplices, eq = _monotone_chain(points)
-    elif len(points) == points.shape[1] + 1:
-        hull_verts, simplices, eq = _simplex_facets(points)
     else:
         hull_verts, simplices, eq = _quickhull(points)
     near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
@@ -545,42 +523,29 @@ class Section:
 class JoinRegion:
     """Union of open segments between the relative interiors of two faces.
 
-    Membership is decided by a small LP: z is in the join iff there are
-    strictly positive convex weights on the two vertex groups reproducing
-    z with total mass one on each side combined.  The region is convex.
+    z is in the join iff strictly positive convex weights on the vertices
+    of both faces reproduce z, that is, iff z lies in the relative
+    interior of conv(Va ∪ Vb).  That hull is built once, in the chart of
+    its affine hull (a segment when both faces are vertices).  The region
+    is convex.
     """
 
     def __init__(self, domain, face_a, face_b):
         self.domain = domain
         self.face_a = face_a
         self.face_b = face_b
-        self._Va = np.atleast_2d(face_a.vertices)
-        self._Vb = np.atleast_2d(face_b.vertices)
+        V = np.vstack([face_a.vertices, face_b.vertices])
+        self._origin, self._basis = _affine_chart(V, defaults.EPS_GEO)
+        self._hull = build_polytope((V - self._origin) @ self._basis)
 
-    def __call__(self, p, margin=1e-10):
-        from scipy.optimize import linprog
-
-        z = _as_array(p)
-        ka, kb = len(self._Va), len(self._Vb)
-        n = ka + kb
-        # variables: weights (n), epsilon; maximize epsilon
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        A_eq = np.zeros((z.size + 1, n + 1))
-        A_eq[: z.size, :ka] = self._Va.T
-        A_eq[: z.size, ka:n] = self._Vb.T
-        A_eq[z.size, :n] = 1.0
-        b_eq = np.concatenate([z, [1.0]])
-        A_ub = np.zeros((n, n + 1))
-        A_ub[:, :n] = -np.eye(n)
-        A_ub[:, -1] = 1.0
-        b_ub = np.zeros(n)
-        bounds = [(None, None)] * n + [(None, 1.0)]
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if res.status != 0:
-            return False
-        return float(-res.fun) > margin
+    def __call__(self, p, eps=None):
+        """Whether p lies within eps of the join's affine hull with every
+        slack of its chart hull above eps."""
+        eps = _eps(eps)
+        z = _as_array(p) - self._origin
+        u = z @ self._basis
+        return bool(np.linalg.norm(z - self._basis @ u) <= eps
+                    and self._hull.contains_interior(u, eps))
 
 
 @dataclass(eq=False)
@@ -597,8 +562,13 @@ class MinimalCone:
     def dim(self):
         return self.base.dim + 1
 
-    def contains(self, p, margin=1e-10):
-        return JoinRegion(self.domain, self.apex_face, self.base)(p, margin)
+    @cached_property
+    def _join(self):
+        return JoinRegion(self.domain, self.apex_face, self.base)
+
+    def contains(self, p, eps=None):
+        """Whether p lies in the open cone: the join of apex and base."""
+        return self._join(p, eps)
 
     def sample_relative_boundary(self, rng, k):
         """k points on the relative boundary of the cone."""
@@ -1002,7 +972,8 @@ class ConvexDomain:
 
         The result lives in coordinates of subspace ∩ affine hull.  A
         polytope's section is the hull of its vertices, read off the face
-        lattice (see _section_vertices).  Raises EmptyIntersection when
+        lattice (see _section_vertices), built at eps times its largest
+        coordinate range when that is below 1.  Raises EmptyIntersection when
         the subspace misses the relative interior: for a polytope, when
         the section's vertices do not span the dimension of the cut, or
         all lie on one facet."""
@@ -1042,7 +1013,10 @@ class ConvexDomain:
         if (len(verts) == 0
                 or _affine_chart(verts, eps_v)[1].shape[1] < W.shape[1]):
             raise EmptyIntersection("subspace misses the relative interior")
-        return Section(domain=build_polytope(verts, eps), origin=q0, basis=W)
+        # built at its own size: the vertices of a section 1e-6 wide can
+        # lie a few 1e-9 apart
+        eps_v = min(eps_v, eps_v * float(np.ptp(verts, axis=0).max()))
+        return Section(domain=build_polytope(verts, eps_v), origin=q0, basis=W)
 
     def _section_vertices(self, c, Wl):
         """Vertices of the polytope's section by the local affine subspace
@@ -1180,9 +1154,9 @@ def build_polytope(points, eps=None):
     Duplicate points (within eps) are dropped and the rest sorted
     lexicographically; the vertices are the extreme points among them, in
     that order.  Facets are the hull facets of the vertices in the chart
-    of their affine hull (monotone chain in the plane, closed form for a
-    simplex, Quickhull otherwise), one per set of vertices within eps of a
-    facet plane, sorted by that set.  The build stops there: the face
+    of their affine hull (monotone chain in the plane, Quickhull from
+    dimension 3), one per set of vertices within eps of a facet plane,
+    sorted by that set.  The build stops there: the face
     lattice, every nonempty intersection of facets with a face one
     dimension more than its largest proper subface, is built by the first
     face_lattice() call (boundary faces, chord ends, sections and minimal

@@ -1,14 +1,11 @@
 """Shared numeric defaults.
 
 All tolerances are absolute and assume desk-scale inputs (coordinates of
-order one).  EPS_GEO governs on-boundary and on-hyperplane predicates and
-can be overridden through the HG_EPS environment variable, read once at
-import time.
+order one).  EPS_GEO governs on-boundary and on-hyperplane predicates;
+the calls that use it take an eps argument in its place.
 """
 
-import os
-
-EPS_GEO = float(os.environ.get("HG_EPS", "1e-9"))
+EPS_GEO = 1e-9
 
 # Focusing probes call two boundary limits "the same" below this separation.
 EPS_FOCUS = 1e-3

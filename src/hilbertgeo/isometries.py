@@ -87,10 +87,13 @@ class ProjectiveMap:
 
     def apply(self, P):
         """Images of the rows of P; PointAtInfinity if any image lies on
-        the hyperplane at infinity."""
-        h = np.hstack([P, np.ones((len(P), 1))]) @ self.matrix.T
-        h = h / np.max(np.abs(h), axis=1, keepdims=True)
-        if np.any(np.abs(h[:, -1]) <= 1e-12):
+        the hyperplane at infinity: if its last homogeneous coordinate is
+        within 64 ulp of |[p; 1]| . |M[-1]|, the size of the terms that
+        make it, so the test does not depend on the scale of p or of M."""
+        X = np.hstack([P, np.ones((len(P), 1))])
+        h = X @ self.matrix.T
+        size = np.abs(X) @ np.abs(self.matrix[-1])
+        if np.any(np.abs(h[:, -1]) <= 64.0 * np.finfo(float).eps * size):
             raise PointAtInfinity("image lies on the hyperplane at infinity")
         return h[:, :-1] / h[:, -1:]
 

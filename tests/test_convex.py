@@ -1,11 +1,13 @@
 """Domain construction, face structure, chords, joins, cones, sections."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from hilbertgeo import (
     build_ellipsoid,
@@ -202,6 +204,62 @@ def test_join_region_membership():
         dom.join_region(right, corner)
 
 
+def reference_join(Va, Vb, z, margin=1e-10):
+    """The linear program JoinRegion solved before its hull: z is in the
+    join iff convex weights on the vertices of both faces reproduce z with
+    every weight above margin (maximise the smallest weight)."""
+    ka, kb = len(Va), len(Vb)
+    n = ka + kb
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A_eq = np.zeros((z.size + 1, n + 1))
+    A_eq[: z.size, :ka] = Va.T
+    A_eq[: z.size, ka:n] = Vb.T
+    A_eq[z.size, :n] = 1.0
+    b_eq = np.concatenate([z, [1.0]])
+    A_ub = np.zeros((n, n + 1))
+    A_ub[:, :n] = -np.eye(n)
+    A_ub[:, -1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+    return res.status == 0 and float(-res.fun) > margin
+
+
+def test_join_region_matches_lp_reference():
+    """On every opposite-face pair of polytopes of dimension 2 to 4,
+    vertex-to-vertex segments included, the hull join and the LP agree:
+    on a point with every vertex weight >= 1e-3 (inside), on one with a
+    weight at 0 (inside or on the relative boundary), and on a point
+    reflected through a vertex (outside)."""
+    rng = np.random.default_rng(13)
+    th = 2 * np.pi * np.arange(7) / 7
+    domains = [square(), build_polytope(np.c_[np.cos(th), np.sin(th)]),
+               build_polytope(list(itertools.product((-1.0, 1.0), repeat=3))),
+               standard_simplex(3), standard_simplex(4)]
+    seen = set()
+    for dom in domains:
+        faces = dom.face_lattice().faces
+        for fa, fb in itertools.combinations(faces, 2):
+            if not dom.opposite_faces(fa, fb):
+                continue
+            join = dom.join_region(fa, fb)
+            V = np.vstack([fa.vertices, fb.vertices])
+            n = len(V)
+            w = 1e-3 + (1.0 - 1e-3 * n) * rng.dirichlet(np.ones(n))
+            inside = w @ V
+            w[rng.integers(n)] = 0.0
+            Z = np.array([inside, w @ V / w.sum(),
+                          2.0 * V[rng.integers(n)] - inside])
+            got = [join(z) for z in Z]
+            assert got == [reference_join(fa.vertices, fb.vertices, z)
+                           for z in Z]
+            assert got[0] and not got[2]
+            seen.add((fa.dim, fb.dim, got[1]))
+    # segments, and one-zero points on both sides of the boundary
+    assert (0, 0, False) in seen
+    assert {True, False} <= {g for _, _, g in seen}
+
+
 def test_minimal_cone_square_corner_is_diagonal():
     dom = square()
     mc = dom.minimal_cone_at([-1.0, -1.0])
@@ -265,6 +323,33 @@ def test_cross_section_misses():
     with pytest.raises(DegenerateInput):
         s3.cross_section([1 / 6, 1 / 6, 1 / 6, 0.5],
                          [[1, -1, 0, 0], [2, -2, 0, 0]])
+
+
+def test_small_cross_section_keeps_its_vertices():
+    # a tetrahedron 1e-6 wide cut by a plane through its centroid: two
+    # section vertices lie 1.1e-9 apart, within the absolute eps, so
+    # building the section at eps dropped both ends of an edge
+    tetra = np.array([
+        [-3.2068524724565835e-08, 2.2816696343353053e-07,
+         -8.6665412875958965e-08],
+        [9.1935211983026254e-07, 7.2096717149242322e-07,
+         -2.6028330887578488e-07],
+        [-4.9999623035717990e-08, 6.0056948378769147e-07,
+         8.7210684640531388e-07],
+        [-6.6954058124518527e-07, 1.3070586954669667e-06,
+         -5.1764635784443261e-07]])
+    point = np.array([4.1935847706198347e-08, 7.1419057854515294e-07,
+                      1.8779417022843634e-09])
+    spans = np.array([[-1.2510260040345835, 0.6498462267899727,
+                       -1.2643708062125443],
+                      [0.2443016868327459, -0.7019850658573934,
+                       -0.2685188438636156]])
+    dom = build_polytope(tetra)
+    sec = dom.cross_section(point, spans)
+    assert len(sec.domain.vertices) == 4
+    assert all(len(F) == 2 for F in sec.domain._facet_sets)
+    for u in sec.domain.vertices:
+        assert dom.on_boundary(sec.to_ambient(u), 1e-15)
 
 
 def test_cross_section_of_ellipsoid():

@@ -275,7 +275,7 @@ def test_plane_hull_matches_qhull_reference(monkeypatch):
 
 
 def test_simplex_facets_match_qhull_reference(monkeypatch):
-    """The closed-form facets of a d-simplex give _hull_facets what Qhull
+    """Quickhull's facets of a d-simplex give _hull_facets what Qhull
     gives it, on jittered, rotated, shifted regular simplices in
     dimensions 3-5 at scales 1e-6..1e9."""
     rng = np.random.default_rng(27)
@@ -288,7 +288,7 @@ def test_simplex_facets_match_qhull_reference(monkeypatch):
                      + rng.uniform(-2.0, 2.0, size=d)) * scale
                 verts, A, b, sets = _hull_facets(P, TOL)
                 with monkeypatch.context() as mp:
-                    mp.setattr(convex, "_simplex_facets", qhull_triple)
+                    mp.setattr(convex, "_quickhull", qhull_triple)
                     ref_verts, ref_A, ref_b, ref_sets = _hull_facets(P, TOL)
                 assert np.array_equal(verts, ref_verts)
                 assert sets == ref_sets
@@ -297,16 +297,23 @@ def test_simplex_facets_match_qhull_reference(monkeypatch):
 
 
 def test_simplex_facets_omit_one_vertex_each():
-    idx, simplices, eq = convex._simplex_facets(np.vstack([np.zeros(3),
-                                                           np.eye(3)]))
+    V = np.vstack([np.zeros(3), np.eye(3)])
+    idx, simplices, eq = convex._quickhull(V)
     assert np.array_equal(idx, np.arange(4))
-    assert [sorted(set(range(4)) - set(row)) for row in simplices] == \
-        [[0], [1], [2], [3]]
+    omitted = [sorted(set(range(4)) - set(row)) for row in simplices]
+    assert sorted(omitted) == [[0], [1], [2], [3]]
     # the facet omitting the origin is x + y + z = 1, outward
-    assert np.allclose(eq[0], np.r_[np.ones(3), -1.0] / np.sqrt(3))
+    assert np.allclose(eq[omitted.index([0])],
+                       np.r_[np.ones(3), -1.0] / np.sqrt(3))
+    # each plane runs through its facet's vertices, with the omitted
+    # vertex on the inner side
+    heights = V @ eq[:, :-1].T + eq[:, -1]
+    for k, ((far,), row) in enumerate(zip(omitted, simplices)):
+        assert np.abs(heights[row, k]).max() <= 1e-15
+        assert heights[far, k] < -0.5
     with pytest.raises(DegenerateInput):
-        convex._simplex_facets(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0],
-                                         [0, 1, 0]]))
+        convex._quickhull(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0],
+                                    [0, 1, 0]]))
 
 
 def exact_plane(P):
@@ -596,7 +603,6 @@ def test_cone_over_matches_build_cone_reference(monkeypatch):
         cone = cone_over(dom)
         assert cone.lifted == (dom.intrinsic_dim == dom.ambient_dim)
         with monkeypatch.context() as mp:
-            mp.setattr(convex, "_simplex_facets", qhull_triple)
             mp.setattr(convex, "_quickhull", qhull_triple)
             ref = build_cone(cone.generators)
         sets, ref_sets = cone_facet_sets(cone), cone_facet_sets(ref)
@@ -858,9 +864,9 @@ def test_import_does_not_load_scipy():
 
 def test_build_decide_path_does_not_load_scipy():
     """Building polytopes of dimension 2 to 4 (a cloud, a cube, the 4-D
-    cross-polytope), their lattices, faces, sections, cones, chords and
-    distances, a general build_cone and a plane classification load no
-    scipy module."""
+    cross-polytope), their lattices, faces, sections, cones, chords,
+    distances, join regions and minimal-cone membership, a general
+    build_cone and a plane classification load no scipy module."""
     code = ("import sys\n"
             "import itertools\n"
             "import numpy as np\n"
@@ -876,7 +882,10 @@ def test_build_decide_path_does_not_load_scipy():
             "    hg.cone_over(dom)\n"
             "    v = dom.vertices[0]\n"
             "    hg.is_rigid_chord(dom, c + 0.5 * (v - c), c)\n"
-            "    dom.minimal_cone_at(v)\n"
+            "    mc = dom.minimal_cone_at(v)\n"
+            "    assert mc.contains(0.5 * (v + mc.base.centroid()))\n"
+            "    join = dom.join_region(mc.apex_face, mc.base)\n"
+            "    assert not join(2.0 * v - c)\n"
             "    hg.distance(dom, c, c + 0.5 * (v - c))\n"
             "cone = hg.build_cone(np.vstack([cube, [[0.5, 0.5, 2.0]]])"
             " + [0.0, 0.0, 3.0])\n"

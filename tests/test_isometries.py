@@ -64,6 +64,23 @@ def test_projective_map_point_at_infinity():
         g(np.array([0.0, 5.0]))
 
 
+def test_projective_map_applies_at_any_scale():
+    # the infinity test compares the last homogeneous coordinate with the
+    # terms that make it, so a map fitted at 1e12 or 1e15 applies
+    rng = np.random.default_rng(3)
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    dst = np.array([[0.0, 0.0], [3.0, 0.0], [2.5, 2.0], [-0.5, 1.5]])
+    for S, T in ((src, dst), rng.normal(size=(2, 4, 2)),
+                 rng.normal(size=(2, 5, 3))):
+        for s in (1e-9, 1.0, 1e12, 1e15):
+            g = fit_projective(S * s, T * s)
+            assert np.abs(g.apply(S * s) - T * s).max() <= 1e-14 * s
+            # a point on the hyperplane the map sends to infinity
+            a, c = g.matrix[-1, :-1], g.matrix[-1, -1]
+            with pytest.raises(PointAtInfinity):
+                g(-c * a / (a @ a))
+
+
 def test_fit_projective_recovers_a_map():
     M = np.array([[1.2, -0.3, 0.4], [0.2, 0.9, -0.1], [0.05, 0.1, 1.0]])
     g = ProjectiveMap(M)
@@ -441,12 +458,24 @@ def test_classifier_finds_projective_images_at_large_scale():
             _assert_witness(a, b, classify_2d(a, b, None), rng)
         other = build_polytope(_ngon(rng, m if m > 4 else m + 1) * 1e9)
         assert classify_2d(big, other).verdict == "not-isometric"
-        # at 1e12 the frames' spanning test needs the unit copies too (the
-        # witness is not applied: ProjectiveMap.apply's absolute 1e-12
-        # infinity test rejects images at that scale)
+        # at 1e12 the frames' spanning test needs the unit copies too
         got = classify_2d(build_polytope(V * 1e12), build_polytope(U * 1e12))
         assert got.verdict == "projectively-equivalent"
         assert got.max_deviation <= 1e-7
+
+
+def test_classifier_witness_applies_at_1e15():
+    rng = np.random.default_rng(9)
+    sq = square()
+    for s in (1.0, 1e12, 1e15):
+        image = build_polytope(_projective_image(rng, np.array(SQUARE, float))
+                               * s)
+        got = classify_2d(sq, image)
+        assert got.verdict == "projectively-equivalent"
+        img = got.apply_ambient(sq.vertices)
+        gap = np.linalg.norm(img[:, None] - image.vertices[None], axis=2)
+        assert gap.min(axis=1).max() <= 1e-12 * s
+        assert sorted(gap.argmin(axis=1)) == [0, 1, 2, 3]
 
 
 def test_stacked_classifier_with_a_collinear_frame_triple():
