@@ -185,10 +185,13 @@ def _initial_simplex(points, width):
     if span[axis] <= width:
         raise DegenerateInput("points are flat")
     chosen = [int(np.argmin(points[:, axis])), int(np.argmax(points[:, axis]))]
-    D = points - points[chosen[0]]
+    # R holds the rows' components off the chosen directions: one
+    # Gram-Schmidt step per chosen point
+    R = points - points[chosen[0]]
+    k = chosen[1]
     while True:
-        Q = np.linalg.qr(D[chosen[1:]].T)[0]  # the chosen directions
-        R = D - (D @ Q) @ Q.T
+        q = R[k] / np.linalg.norm(R[k])
+        R -= np.outer(R @ q, q)
         r = np.einsum("ij,ij->i", R, R)
         k = int(np.argmax(r))
         if r[k] <= width * width:
@@ -354,6 +357,15 @@ def _hull_facets(points, tol):
     else:
         hull_verts, simplices, eq = _quickhull(points)
     near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
+    near[np.searchsorted(hull_verts, simplices),
+         np.arange(len(simplices))[:, None]] = False
+    if not near.any():
+        # each simplex is its own equality set, so a facet, and keeps
+        # every vertex: the facets of a simplicial polytope
+        S = np.sort(simplices, axis=1)
+        first = np.lexsort(S.T[::-1])
+        return (hull_verts, eq[first, :-1], -eq[first, -1],
+                [frozenset(key) for key in S[first].tolist()])
     sets = [frozenset(hull_verts[near[:, k]].tolist())
             | frozenset(simplex.tolist())
             for k, simplex in enumerate(simplices)]
@@ -1182,6 +1194,10 @@ def build_polytope(points, eps=None):
         facet_sets = [frozenset([0]), frozenset([1])]
     else:
         keep, A, b, hull_sets = _hull_facets(lv, eps_v)
+        if len(keep) <= d:
+            # the absolute eps merged all but d or fewer of the vertices
+            raise DegenerateInput(
+                f"hull keeps {len(keep)} vertices in dimension {d}")
         renumber = {int(j): i for i, j in enumerate(keep)}
         facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
     return ConvexDomain(

@@ -514,18 +514,75 @@ def _chart_map(dom_a, dom_b, local_map):
     return go
 
 
+# the neighbour offsets of the determinants' first and second vectors
+_PENCIL = np.array([[1, 2, 1, 2], [-2, -1, -1, -2]])
+
+
+def _pencil_ratios(V, delta):
+    """The cross ratio r of the pencil of four lines from each vertex of a
+    convex polygon to its neighbours, and a bound rho on its relative
+    change when every vertex moves by at most delta; for a stack V of
+    polygons (rows in cyclic order, at least 5) and one delta each.
+
+    With e_k = v[i+k] - v[i] and D the 2x2 determinant,
+    r_i = D(e+1, e-2) D(e+2, e-1) / (D(e+1, e-1) D(e+2, e-2)), which no
+    projective map and no reversal of the neighbour order changes.  Moving
+    the vertices by delta moves D(a, b) by at most 2 delta (|a| + |b|), so
+    rho = sum 2 delta (|a| + |b|) / |D(a, b)| over the four determinants;
+    it is infinite where a determinant vanishes.  The vectors are complex
+    numbers, so D(a, b) is the imaginary part of conj(a) b."""
+    Z = V[..., 0] + 1j * V[..., 1]
+    m = Z.shape[1]
+    E = (np.take(Z, np.arange(m)[:, None, None] + _PENCIL, axis=1,
+                 mode="wrap") - Z[:, :, None, None])
+    D = (E[:, :, 0].conj() * E[:, :, 1]).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = D[..., 0] * D[..., 1] / (D[..., 2] * D[..., 3])
+        rho = (2.0 * delta[:, None]) * (np.abs(E).sum(axis=2)
+                                        / np.abs(D)).sum(axis=2)
+    return r, rho
+
+
+def _pencils_agree(va, vb, match, delta):
+    """Which rows of match, each matching va[i] with vb[match[k, i]], pair
+    vertices of equal pencil cross ratio (_pencil_ratios), within what a
+    candidate can leave when it sends each vertex within delta of its
+    match: r^B may move by 4 rho |r^B|, twice the first-order bound.  r^A
+    and r^B also carry the round-off of 4 ulp of their polygon's largest
+    coordinate.  A vertex with rho of 1/2 or more on either side sets no
+    constraint, nor does one whose ratio overflows."""
+    V = np.array([va, vb])
+    r, rho = _pencil_ratios(
+        V, 4.0 * np.finfo(float).eps * np.abs(V).max(axis=(1, 2))
+        + [0.0, delta])
+    tight = (rho < 0.5) & np.isfinite(r)
+    r = np.where(tight, r, 0.0)
+    slack = np.where(tight, 4.0 * rho * np.abs(r), np.inf)
+    near = np.abs(r[1][match] - r[0]) <= slack[1][match] + slack[0]
+    return near.all(axis=1)
+
+
 def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     """Decide whether two plane domains are isometric, with a witness.
 
     Plane domains are isometric exactly when projectively equivalent.
-    The 2m candidate maps of two m-gons, matched vertex-cyclically both
-    ways, are fitted in one stacked solve.  The witness is the first in
-    shift order that sends every vertex within tol of its match, in the
-    second polygon's unit frame, with denominators of one sign on the
-    first's vertices: then it maps the first polygon onto the second.
-    Ellipses compose their affine charts.  max_deviation is the vertex
-    residual, or the radial one of the chart's axis ends.  A polygon and
-    an ellipse are never isometric.  rng is accepted and not used.
+    A candidate map of two m-gons matches their vertices cyclically, in
+    one of m shifts and two orientations.  For m >= 5 a candidate is
+    fitted only if it matches vertices of equal pencil cross ratio: at
+    vertex i, the cross ratio of the lines to v[i+1], v[i+2], v[i-2],
+    v[i-1], which projective maps keep.  It must agree to within
+    4 rho |r| plus round-off, where rho bounds the relative change of the
+    second polygon's ratio when its vertices move by tol of its size, so
+    no candidate the vertex test accepts is dropped (_pencils_agree).
+    Every triangle, and every quadrilateral, is equivalent, so for
+    m <= 4 all 2m candidates are fitted.  The fits run in one stacked
+    solve.  The witness is the first in shift order that sends every
+    vertex within tol of its match, in the second polygon's unit frame,
+    with denominators of one sign on the first's vertices: then it maps
+    the first polygon onto the second.  Ellipses compose their affine
+    charts.  max_deviation is the vertex residual, or the radial one of
+    the chart's axis ends.  A polygon and an ellipse are never isometric.
+    rng is accepted and not used.
     """
     if dom_a.intrinsic_dim != 2 or dom_b.intrinsic_dim != 2:
         raise Unsupported("the classifier compares plane domains")
@@ -554,9 +611,13 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     # candidate 2 shift + (orient == -1) matches va[i] with
     # vb[(shift + orient i) % m], for shift in 0..m-1 and orient 1, -1
     i = np.arange(m)
-    shift = np.repeat(i, 2)[:, None]
-    orient = np.tile([1, -1], m)[:, None]
-    W = vb[(shift + orient * i) % m]
+    match = (i[:, None, None] + np.outer([1, -1], i)).reshape(2 * m, m) % m
+    size = np.ptp(vb, axis=0).max()
+    if m >= 5:
+        match = match[_pencils_agree(va, vb, match, tol * size)]
+        if not len(match):
+            return PlaneClassification("not-isometric", None, math.inf)
+    W = vb[match]
     if m == 3:
         src = np.vstack([va, va.mean(axis=0)])
         tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
@@ -567,8 +628,7 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     den = h[:, :, -1:]
     one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
     img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
-    dev = (np.linalg.norm(img - W, axis=2).max(axis=1)
-           / np.ptp(vb, axis=0).max())
+    dev = np.linalg.norm(img - W, axis=2).max(axis=1) / size
     ok = (fail == 0) & one_sign & (dev <= tol)
     if not ok.any():
         return PlaneClassification("not-isometric", None, math.inf)

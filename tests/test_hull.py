@@ -622,6 +622,81 @@ def test_facet_left_without_vertices_is_degenerate():
         build_polytope(arc)
 
 
+def test_polygon_merged_to_a_segment_is_degenerate():
+    # a 12-gon 3e-9 wide: the absolute tolerance 1e-9 merges all but two
+    # of its vertices, which do not make a polygon
+    th = 2 * np.pi * np.arange(12) / 12
+    with pytest.raises(DegenerateInput, match="keeps 2 vertices"):
+        build_polytope(np.c_[1.5 * np.cos(th), np.sin(th)] * 1e-9)
+
+
+def reference_hull_facets(points, tol):
+    """_hull_facets with its general pass on every input: equality sets,
+    vertices dropped where their facets share another, refits."""
+    if points.shape[1] == 2:
+        hull_verts, simplices, eq = convex._monotone_chain(points)
+    else:
+        hull_verts, simplices, eq = convex._quickhull(points)
+    near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
+    sets = [frozenset(hull_verts[near[:, k]].tolist())
+            | frozenset(simplex.tolist())
+            for k, simplex in enumerate(simplices)]
+    facets_on = {}
+    for S in set(sets):
+        for v in S:
+            facets_on.setdefault(v, []).append(S)
+    hull_set = frozenset(hull_verts.tolist())
+    verts = [v for v in hull_verts.tolist()
+             if frozenset.intersection(*facets_on[v]) & hull_set == {v}]
+    flat = hull_set.difference(verts)
+    found = {}
+    for k, S in enumerate(sets):
+        found.setdefault(S - flat, k)
+    if frozenset() in found:
+        raise DegenerateInput("a hull facet keeps no vertex")
+    keys = sorted(found, key=lambda s: tuple(sorted(s)))
+    first = [found[key] for key in keys]
+    A, b = eq[first, :-1], -eq[first, -1]
+    for i, key in enumerate(keys):
+        if flat.intersection(simplices[first[i]].tolist()):
+            P = points[sorted(key)]
+            c = P.mean(axis=0)
+            n = np.linalg.svd(P - c)[2][-1]
+            A[i] = n if n @ A[i] > 0 else -n
+            b[i] = A[i] @ c
+    return np.array(verts), A, b, keys
+
+
+def test_simplicial_hulls_skip_the_grouping_pass():
+    """_hull_facets returns what the general pass returns, bit for bit,
+    whether or not the hull is simplicial: on every lattice input, at
+    scales from 1e-7 to 1e12, in the chart build_polytope takes."""
+    rng = np.random.default_rng(35)
+    simplicial = grouped = 0
+    for P in lattice_inputs(rng):
+        for scale in (1e-7, 1.0, 1e12):
+            Q = _lex_unique(np.asarray(P, dtype=float) * scale, TOL)
+            origin, basis = convex._affine_chart(Q, TOL)
+            if basis.shape[1] < 2:
+                continue
+            lv = (Q - origin) @ basis
+            try:
+                want = reference_hull_facets(lv, TOL)
+            except DegenerateInput:
+                with pytest.raises(DegenerateInput):
+                    _hull_facets(lv, TOL)
+                continue
+            got = _hull_facets(lv, TOL)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert got[3] == want[3]
+            if all(len(k) == lv.shape[1] for k in want[3]):
+                simplicial += 1
+            else:
+                grouped += 1
+    assert simplicial and grouped
+
+
 def test_face_dimensions_match_affine_rank():
     rng = np.random.default_rng(26)
     u = rng.normal(size=(60, 3))

@@ -501,6 +501,7 @@ def test_stacked_classifier_with_a_collinear_frame_triple():
     for other in (dom, image):
         _assert_witness(dom, other, classify_2d(dom, other), rng)
         _assert_witness(other, dom, classify_2d(other, dom), rng)
+        _assert_as_all_candidates(dom, other)
 
 
 def test_classifier_does_not_depend_on_the_seed():
@@ -539,3 +540,160 @@ def test_fit_projective_wrapper_raises_the_first_failing_check():
     assert np.abs(g(src * 1e9) - dst).max() <= 1e-12 * 1e9
     g = fit_projective(src, src * 2)
     assert g.matrix.tobytes() == _reference_fit(src, src * 2).tobytes()
+
+
+# ------------------------------------------- pruning by pencil cross ratios
+
+def _all_candidates_classify(dom_a, dom_b, tol=1e-7):
+    """classify_2d on two polygons with every one of the 2m vertex
+    matchings fitted: the classifier before the cross-ratio pruning."""
+    from hilbertgeo.isometries import (
+        PlaneClassification,
+        _chart_map,
+        _fit_stack,
+    )
+
+    va, _ = dom_a.polygon_vertices_local()
+    vb, _ = dom_b.polygon_vertices_local()
+    m = len(va)
+    if len(vb) != m:
+        return PlaneClassification("not-isometric", None, math.inf)
+    i = np.arange(m)
+    shift = np.repeat(i, 2)[:, None]
+    orient = np.tile([1, -1], m)[:, None]
+    W = vb[(shift + orient * i) % m]
+    if m == 3:
+        src = np.vstack([va, va.mean(axis=0)])
+        tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
+    else:
+        src, tgt = va[:4], W[:, :4]
+    M, fail = _fit_stack(src, tgt)
+    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M, 1, 2)
+    den = h[:, :, -1:]
+    one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
+    img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
+    dev = (np.linalg.norm(img - W, axis=2).max(axis=1)
+           / np.ptp(vb, axis=0).max())
+    ok = (fail == 0) & one_sign & (dev <= tol)
+    if not ok.any():
+        return PlaneClassification("not-isometric", None, math.inf)
+    k = int(np.argmax(ok))
+    cand = ProjectiveMap._normalised(M[k])
+    return PlaneClassification("projectively-equivalent", cand,
+                               float(dev[k]), _chart_map(dom_a, dom_b, cand))
+
+
+def _assert_as_all_candidates(dom_a, dom_b):
+    """classify_2d gives the all-candidates verdict, witness matrix and
+    max_deviation bit for bit, both ways round; returns the verdicts."""
+    verdicts = []
+    for a, b in ((dom_a, dom_b), (dom_b, dom_a)):
+        got, want = classify_2d(a, b), _all_candidates_classify(a, b)
+        assert got.verdict == want.verdict
+        assert (np.float64(got.max_deviation).tobytes()
+                == np.float64(want.max_deviation).tobytes())
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert (got.witness.matrix.tobytes()
+                    == want.witness.matrix.tobytes())
+        verdicts.append(got.verdict)
+    return verdicts
+
+
+def _pushed(rng, V, c):
+    """V with each vertex moved by c * 1e-7 of its size, in a random
+    direction: c below 1 keeps a projective image within classify_2d's
+    default tol, c above 1 takes it out."""
+    u = rng.normal(size=V.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return V + c * 1e-7 * np.ptp(V, axis=0).max() * u
+
+
+def test_pruned_classifier_matches_all_candidates():
+    rng = np.random.default_rng(90)
+    verdicts, pushed = [], {0.3: set(), 3.0: set()}
+    for m in (5, 6, 7, 9, 12, 16, 24, 40, 64):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e9, 1e12):
+            V = _ngon(rng, m)
+            U = _projective_image(rng, V)
+            for B in (U, _ngon(rng, m), V[::-1] + 0.25):
+                verdicts += _assert_as_all_candidates(
+                    build_polytope(V * scale), build_polytope(B * scale))
+            # pushed images land on either side of the vertex test
+            for c in pushed:
+                pushed[c].update(_assert_as_all_candidates(
+                    build_polytope(V * scale),
+                    build_polytope(_pushed(rng, U, c) * scale)))
+    assert set(verdicts) == {"projectively-equivalent", "not-isometric"}
+    assert "projectively-equivalent" in pushed[0.3]
+    assert "not-isometric" in pushed[3.0]
+
+
+def test_regular_polygons_keep_every_candidate(monkeypatch):
+    from hilbertgeo import isometries
+
+    # every vertex of a regular m-gon has the same pencil, so every shift
+    # and orientation survives the pruning and is fitted
+    counts = []
+    fit = isometries._fit_stack
+
+    def counting(S, T):
+        counts.append(len(T))
+        return fit(S, T)
+
+    monkeypatch.setattr(isometries, "_fit_stack", counting)
+    rng = np.random.default_rng(92)
+    for m in (5, 6, 8, 13):
+        th = 2 * math.pi * np.arange(m) / m
+        V = np.c_[np.cos(th), np.sin(th)]
+        for B in (V @ [[0.6, 0.8], [-0.8, 0.6]] * 3.0 + 1.0,
+                  _projective_image(rng, V)):
+            counts.clear()
+            assert _assert_as_all_candidates(build_polytope(V),
+                                             build_polytope(B)) == \
+                ["projectively-equivalent"] * 2
+            # the classifier and the reference, both ways round
+            assert counts == [2 * m] * 4
+
+
+def test_pruning_with_a_vertex_of_tiny_exterior_angle():
+    # a vertex pushed 1e-6/4 of an edge's length off its midpoint has
+    # exterior angle 1e-6: the lines to its neighbours nearly coincide
+    rng = np.random.default_rng(93)
+    for m in (6, 9, 17):
+        V = _ngon(rng, m)
+        mid = 0.5 * (V[0] + V[1])
+        out = mid - V.mean(axis=0)
+        bump = mid + 0.25e-6 * np.linalg.norm(V[1] - V[0]) * out / \
+            np.linalg.norm(out)
+        V = np.vstack([V[:1], bump, V[1:]])
+        a = build_polytope(V)
+        assert len(a.vertices) == m + 1
+        for B in (_projective_image(rng, V), _ngon(rng, m + 1), V[::-1]):
+            _assert_as_all_candidates(a, build_polytope(B))
+
+
+def test_64_gons_fit_at_most_two_candidates(monkeypatch):
+    from hilbertgeo import isometries
+
+    counts = []
+    fit = isometries._fit_stack
+
+    def counting(S, T):
+        counts.append(len(T))
+        return fit(S, T)
+
+    monkeypatch.setattr(isometries, "_fit_stack", counting)
+    rng = np.random.default_rng(94)
+    for _ in range(10):
+        V = _ngon(rng, 64)
+        a = build_polytope(V)
+        counts.clear()
+        got = classify_2d(a, build_polytope(_projective_image(rng, V)))
+        assert got.verdict == "projectively-equivalent"
+        assert len(counts) == 1 and 1 <= counts[0] <= 2
+        counts.clear()
+        got = classify_2d(a, build_polytope(_ngon(rng, 64)))
+        assert got.verdict == "not-isometric"
+        assert counts == []
