@@ -556,8 +556,9 @@ def _pencils_agree(va, vb, match, delta):
         V, 4.0 * np.finfo(float).eps * np.abs(V).max(axis=(1, 2))
         + [0.0, delta])
     tight = (rho < 0.5) & np.isfinite(r)
+    with np.errstate(invalid="ignore"):  # rho = inf where r = 0
+        slack = np.where(tight, 4.0 * rho * np.abs(r), np.inf)
     r = np.where(tight, r, 0.0)
-    slack = np.where(tight, 4.0 * rho * np.abs(r), np.inf)
     near = np.abs(r[1][match] - r[0]) <= slack[1][match] + slack[0]
     return near.all(axis=1)
 

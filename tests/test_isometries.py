@@ -672,6 +672,13 @@ def test_pruning_with_a_vertex_of_tiny_exterior_angle():
         assert len(a.vertices) == m + 1
         for B in (_projective_image(rng, V), _ngon(rng, m + 1), V[::-1]):
             _assert_as_all_candidates(a, build_polytope(B))
+    # where a determinant vanishes (three vertices on a line, which a
+    # built polygon drops) the vertex sets no constraint
+    from hilbertgeo.isometries import _pencils_agree
+
+    V = np.array([[0.0, 0], [1, 0], [2, 0], [2, 2], [1, 3], [0, 2]])
+    match = (np.arange(6)[:, None] + np.arange(6)) % 6
+    assert _pencils_agree(V, V, match, 1e-7)[0]
 
 
 def test_64_gons_fit_at_most_two_candidates(monkeypatch):
