@@ -13,9 +13,10 @@ affine hull, all in numpy: a monotone chain (Andrew, Inf. Process. Lett.
 TOMS 1996) for every cloud from dimension 3, with its facet planes
 fitted in batches and refined in extended precision.  Coplanar hull
 simplices are grouped into facets by the vertices within the shared
-tolerance EPS_GEO of their plane, and face dimensions are read off the
-face lattice.  Domains of a few hundred vertices in ambient dimension
-<= 4 build in milliseconds.
+tolerance EPS_GEO of their plane.  The face lattice, with every face's
+dimension, is built from the vertex-facet incidences as bitsets (Kaibel &
+Pfetsch, Comput. Geom. 23, 2002) on first use.  Domains of a few hundred
+vertices in ambient dimension <= 4 build in milliseconds.
 
 The same hull answers the other hull questions.  A polytope's
 cross-section takes its vertices from the face lattice: the single
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -396,25 +398,14 @@ def _hull_facets(points, tol):
     return np.array(verts), A, b, keys
 
 
-def _close_under_intersection(facet_sets):
-    """Every nonempty intersection of facets.  Intersecting each new set
-    with the facets that share a vertex with it reaches all of them."""
-    touching = {}
-    for F in facet_sets:
-        for v in F:
-            touching.setdefault(v, []).append(F)
-    sets = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new = set()
-        for s in frontier:
-            for t in {F for v in s for F in touching[v]}:
-                u = s & t
-                if u and u not in sets:
-                    new.add(u)
-        sets |= new
-        frontier = new
-    return sets
+def _bits(x):
+    """Positions of the set bits of the int x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -422,9 +413,10 @@ class Face:
     """A face of a polytope boundary, or a boundary point of an ellipsoid.
 
     indices are sorted positions into the owning domain's vertex array
-    (empty for ellipsoid point faces, which carry point_key instead).
-    normal/offset give an ambient supporting hyperplane with equality
-    exactly on the face.
+    (empty for ellipsoid point faces, which carry point_key instead), and
+    mask has bit i set for each of them.  normal/offset give an ambient
+    supporting hyperplane with equality exactly on the face, and
+    facet_ids are the facets that contain it.
     """
 
     indices: tuple
@@ -434,6 +426,7 @@ class Face:
     normal: np.ndarray = field(default=None, compare=False, repr=False)
     offset: float = field(default=0.0, compare=False)
     facet_ids: frozenset = field(default=frozenset(), compare=False)
+    mask: int = field(default=0, compare=False, repr=False)
 
     def centroid(self):
         return self.vertices.mean(axis=0)
@@ -447,40 +440,97 @@ class Face:
 
 
 class FaceLattice:
-    """Proper faces of a polytope, graded by dimension, ordered by inclusion."""
+    """Proper faces of a polytope, graded by dimension, ordered by inclusion.
 
-    def __init__(self, faces):
-        self.faces = sorted(faces, key=lambda f: (f.dim, f.indices))
-        self._by_indices = {frozenset(f.indices): f for f in self.faces}
+    Faces are held as bitsets, in the order (dim, indices): each has a
+    vertex mask, a mask of the facets that contain it, and the vertex
+    masks of its own facets, its subfaces one dimension down; their
+    supporting hyperplanes are rows of one array.  A Face object is made,
+    and kept, only when one is asked for, so len() and counts() make none.
+    """
+
+    def __init__(self, vertices, facet_masks, levels, info, kids, normals,
+                 offsets):
+        """levels[k] holds the vertex masks of the k-faces in vertex-tuple
+        order; info maps a face's vertex mask to its indices and facet
+        mask, and kids to its own facets' vertex masks; facet_masks[j] is
+        facet j's vertex mask; normals and offsets are the faces'
+        hyperplanes, row for row in lattice order."""
+        self._V, self._facet_masks = vertices, facet_masks
+        self._info, self._kids = info, kids
+        self._masks = [x for level in levels for x in level]
+        self._dims = [k for k, level in enumerate(levels) for _ in level]
+        self._facets = [info[x][1] for x in self._masks]
+        self._at = {x: r for r, x in enumerate(self._masks)}
+        self._span, r = {}, 0  # dim -> range of its positions
+        for k, level in enumerate(levels):
+            self._span[k], r = range(r, r + len(level)), r + len(level)
+        self._N, self._offsets = normals, offsets
+        self._built = [None] * len(self._masks)
+
+    def _face(self, r):
+        face = self._built[r]
+        if face is None:
+            idx, phi = self._info[self._masks[r]]
+            face = self._built[r] = Face(
+                indices=idx, dim=self._dims[r], vertices=self._V[list(idx)],
+                normal=self._N[r], offset=float(self._offsets[r]),
+                facet_ids=frozenset(_bits(phi)), mask=self._masks[r])
+        return face
+
+    @property
+    def faces(self):
+        return [self._face(r) for r in range(len(self))]
 
     def __iter__(self):
         return iter(self.faces)
 
     def __len__(self):
-        return len(self.faces)
+        return len(self._masks)
 
     def of_dim(self, k):
-        return [f for f in self.faces if f.dim == k]
+        return [self._face(r) for r in self._span.get(k, ())]
 
     def counts(self):
-        out = {}
-        for f in self.faces:
-            out[f.dim] = out.get(f.dim, 0) + 1
-        return out
+        return {k: len(r) for k, r in self._span.items()}
+
+    def _with_mask(self, m):
+        """The face whose vertex mask is m, or None."""
+        r = self._at.get(m)
+        return None if r is None else self._face(r)
 
     def find(self, indices):
-        return self._by_indices.get(frozenset(indices))
+        m = 0
+        for i in indices:
+            m |= 1 << int(i)
+        return self._with_mask(m)
+
+    def _meet(self, facet_ids):
+        """The face that is the intersection of the given facets, or None."""
+        m = -1
+        for j in facet_ids:
+            m &= self._facet_masks[j]
+        return self._with_mask(m)
 
     @staticmethod
     def leq(f, g):
         """Inclusion order: f is a (possibly equal) subface of g."""
-        return set(f.indices) <= set(g.indices)
+        return not f.mask & ~g.mask
+
+    def _below(self, r):
+        """Positions of the proper subfaces of face r, in lattice order."""
+        seen, stack = set(), [self._masks[r]]
+        while stack:
+            for h in self._kids[stack.pop()]:
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
+        return sorted(map(self._at.__getitem__, seen))
 
     def subfaces(self, face, proper=True):
-        out = [f for f in self.faces if self.leq(f, face)]
-        if proper:
-            out = [f for f in out if f.indices != face.indices]
-        return out
+        r = self._at[face.mask]
+        below = self._below(r)
+        return [self._face(s) for s in (below if proper else below + [r])]
 
 
 @dataclass(eq=False)
@@ -741,9 +791,11 @@ class ConvexDomain:
     # ------------------------------------------------------------------ faces
 
     def face_lattice(self):
-        """The polytope's face lattice, built on the first call and kept:
-        distances, balls, chord parameters and cones read the facets
-        alone."""
+        """The polytope's face lattice, built on the first call and kept
+        (distances, balls, chord parameters and cones read the facets
+        alone).  The build is combinatorial, on vertex and facet bitsets
+        (_face_lattice), and a Face object is made only when one is asked
+        for."""
         if self.kind != "polytope":
             raise Unsupported("ellipsoids have no polytopal face lattice")
         if self._lattice is None:
@@ -786,8 +838,7 @@ class ConvexDomain:
         tight = np.flatnonzero(np.abs(s) <= tol)
         if not len(tight):
             raise NotOnBoundary("point is interior")
-        common = frozenset.intersection(*[self._facet_sets[i] for i in tight])
-        face = self.face_lattice().find(common)
+        face = self.face_lattice()._meet(tight.tolist())
         if face is None:
             raise NotOnBoundary("tight facets do not meet in a face")
         return face
@@ -926,8 +977,16 @@ class ConvexDomain:
 
     def opposite_faces(self, face_a, face_b, eps=None):
         """True iff an open segment between the two faces' relative
-        interiors crosses the interior.  Independent of the representative
-        points chosen, so centroids decide it."""
+        interiors crosses the interior.
+
+        On a polytope that holds exactly when no facet contains both
+        faces (a facet's slack vanishes on such a segment only if it
+        vanishes at both ends), so their facet_ids decide it, exactly and
+        at any scale, and eps is not read.  On an ellipsoid the midpoint
+        of the two faces' points must lie in the interior, with slack
+        above eps."""
+        if self.kind == "polytope":
+            return face_a.facet_ids.isdisjoint(face_b.facet_ids)
         mid = 0.5 * (face_a.centroid() + face_b.centroid())
         return self.contains_interior(mid, eps)
 
@@ -949,18 +1008,18 @@ class ConvexDomain:
         x = self.centroid()
         # far endpoint of the chord through e and the centroid
         base = self.boundary_face_of(self.ray(x, x - e, eps).endpoint, eps)
+        # faces are opposite when no facet holds both (opposite_faces)
+        apex_facets = lattice._facets[lattice._at[apex_face.mask]]
+        r = lattice._at[base.mask]
         while True:
-            subs = sorted(lattice.subfaces(base, proper=True),
-                          key=lambda f: (-f.dim, f.indices))
-            nxt = None
-            for g in subs:
-                if self.opposite_faces(apex_face, g, eps):
-                    nxt = g
-                    break
-            if nxt is None:
-                return MinimalCone(apex=e, apex_face=apex_face,
-                                   base=base, domain=self)
-            base = nxt
+            subs = [s for s in lattice._below(r)
+                    if not lattice._facets[s] & apex_facets]
+            if not subs:
+                break
+            # the largest dimension first, then lattice order
+            r = max(subs, key=lambda s: (lattice._dims[s], -s))
+        return MinimalCone(apex=e, apex_face=apex_face,
+                           base=lattice._face(r), domain=self)
 
     def find_extreme_line(self, eps=None):
         """A chord whose closure meets the boundary in two extreme points,
@@ -970,11 +1029,12 @@ class ConvexDomain:
             u = v[:, -1] * np.sqrt(w[-1])
             a, b = self.center - u, self.center + u
             return self.chord_through(a + (b - a) / 3, a + 2 * (b - a) / 3, eps)
-        verts = self.face_lattice().of_dim(0)
-        for fa, fb in itertools.combinations(verts, 2):
-            if self.opposite_faces(fa, fb, eps):
-                a = fa.vertices[0]
-                b = fb.vertices[0]
+        # two vertices are opposite when no facet holds both; vertex i is
+        # the lattice's face i
+        facets = self.face_lattice()._facets
+        for i, j in itertools.combinations(range(len(self.vertices)), 2):
+            if not facets[i] & facets[j]:
+                a, b = self.vertices[i], self.vertices[j]
                 return self.chord_through(a + (b - a) / 3,
                                           a + 2 * (b - a) / 3, eps)
         return None
@@ -1052,11 +1112,12 @@ class ConvexDomain:
         g = (self._lv - c) @ N  # offsets of the vertices from L
         g[np.abs(g) <= tol] = 0.0
         points = [self._lv[np.all(g == 0.0, axis=1)]]
+        lattice = self.face_lattice()
         groups = {}  # (dim, vertex count) -> faces of dim 1..n-k
-        for F in self.face_lattice().faces:
-            if 0 < F.dim <= n - k:
-                groups.setdefault((F.dim, len(F.indices)), []).append(
-                    F.indices)
+        for f in range(1, n - k + 1):
+            for r in lattice._span.get(f, ()):
+                idx = lattice._info[lattice._masks[r]][0]
+                groups.setdefault((f, len(idx)), []).append(idx)
         for (f, _), idx in groups.items():
             idx = np.array(idx)
             g0 = g[idx[:, 0]]
@@ -1168,12 +1229,12 @@ def build_polytope(points, eps=None):
     that order.  Facets are the hull facets of the vertices in the chart
     of their affine hull (monotone chain in the plane, Quickhull from
     dimension 3), one per set of vertices within eps of a facet plane,
-    sorted by that set.  The build stops there: the face
-    lattice, every nonempty intersection of facets with a face one
-    dimension more than its largest proper subface, is built by the first
-    face_lattice() call (boundary faces, chord ends, sections and minimal
-    cones make that call).  A cloud whose hull keeps no vertex of some
-    facet at the absolute eps raises DegenerateInput.
+    sorted by that set.  The build stops there: the face lattice, every
+    nonempty intersection of facets, is built from the vertex-facet
+    incidences by the first face_lattice() call (boundary faces, chord
+    ends, sections, minimal cones and extreme lines make that call).  A
+    cloud whose hull keeps no vertex of some facet at the absolute eps
+    raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
@@ -1207,48 +1268,96 @@ def build_polytope(points, eps=None):
 
 
 def _face_lattice(dom):
-    """The face lattice of a polytope domain: every nonempty intersection
-    of its facet sets, each face with the supporting hyperplane that
-    normalises the mean of its facets' and one dimension more than its
-    largest proper subface.  Raises GeometryError if the 0-faces are not
-    exactly the vertices."""
+    """The face lattice of a polytope domain, from its vertex-facet
+    incidences (Kaibel & Pfetsch, Comput. Geom. 23, 2002).
+
+    A face is a vertex bitset, and its facet mask is the AND of its
+    vertices' facet masks.  Going down from the facets, the own facets of
+    a face F are its maximal intersections F & G with the facets G that
+    miss F: an intersection H is maximal exactly when every facet through
+    H but not F meets F in H alone, which counting the facets that give H
+    decides.  That reaches every nonempty intersection of facets, and a
+    face has one dimension more than its highest own facet.  Each face
+    carries the supporting hyperplane that normalises the mean of its
+    facets', all from one product.  Raises GeometryError if the 0-faces
+    are not exactly the vertices.
+    """
     V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
-    incident = {}  # vertex -> indices of the facets through it
-    for i, E in enumerate(facet_sets):
-        for v in E:
-            incident.setdefault(v, set()).add(i)
-    face_idx = sorted(tuple(sorted(S))
-                      for S in _close_under_intersection(facet_sets))
-    fids = [frozenset(set.intersection(*(incident[v] for v in idx)))
-            for idx in face_idx]
-    # a face's supporting hyperplane is the normalised mean of its facets'
-    member = np.zeros((len(face_idx), len(facet_sets)))
-    for r, F in enumerate(fids):
-        member[r, list(F)] = 1.0
+    n, m = len(V), len(facet_sets)
+    facet_masks = [sum(1 << v for v in F) for F in facet_sets]
+    through = [[] for _ in range(n)]  # vertex -> the facets through it
+    vf = [0] * n  # the same as a mask
+    for j, F in enumerate(facet_sets):
+        for v in F:
+            through[v].append(j)
+            vf[v] |= 1 << j
+    known = {1 << v: ((v,), f) for v, f in enumerate(vf)}  # -> (idx, facets)
+
+    def info(x):
+        out = known.get(x)
+        if out is None:
+            idx = tuple(_bits(x))
+            phi = -1
+            for v in idx:
+                phi &= vf[v]
+            out = known[x] = (idx, phi)
+        return out
+
+    kids = {}  # vertex mask -> the vertex masks of the face's own facets
+    todo = facet_masks[:]
+    while todo:
+        x = todo.pop()
+        if x in kids:
+            continue
+        idx = info(x)[0]
+        kids[x] = own = []
+        # F less a vertex v is an own facet of F when some facet holds the
+        # rest of F but not v; if each is one (a simplex, so at most as
+        # many vertices as the dimension), F has no others
+        if 1 < len(idx) <= dom.intrinsic_dim:
+            for i, v in enumerate(idx):
+                rest = -1
+                for u in idx:
+                    if u != v:
+                        rest &= vf[u]
+                if rest & ~vf[v]:
+                    own.append(x ^ (1 << v))
+                    if own[-1] not in known:
+                        known[own[-1]] = (idx[:i] + idx[i + 1:], rest)
+        if 2 < len(idx) != len(own):
+            # F & G over the facets G that touch F; those through F give F
+            hits = Counter(x & facet_masks[j]
+                           for j in set().union(*[through[v] for v in idx]))
+            through_f = hits.pop(x)
+            kids[x] = own = [h for h, count in hits.items()
+                             if info(h)[1].bit_count() - through_f == count]
+        todo += own
+    dims = {}
+    for x in sorted(kids, key=int.bit_count):  # own facets come first
+        own = kids[x]
+        dims[x] = 1 + max(map(dims.__getitem__, own)) if own else 0
+    rows = sorted(kids, key=lambda x: known[x][0])  # in vertex-tuple order
+    levels = [[] for _ in range(max(dims.values()) + 1)]
+    for r, x in enumerate(rows):
+        levels[dims[x]].append(r)
+    if [rows[r] for r in levels[0]] != [1 << v for v in range(n)]:
+        raise GeometryError("face lattice lost a vertex")
+    # a face's supporting hyperplane is the normalised mean of its
+    # facets', with the product's rows in vertex-tuple order: BLAS rounds
+    # a row differently with its place in the stack, and that order keeps
+    # the planes bitwise those of the closure lattice in tests/test_hull.py
+    nbytes = (m + 7) // 8
+    raw = b"".join(known[x][1].to_bytes(nbytes, "little") for x in rows)
+    member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), -1),
+                           axis=1, count=m, bitorder="little").astype(float)
     nw, ob = member @ A, member @ b
     nn = np.linalg.norm(nw, axis=1)
     N = (nw / nn[:, None]) @ dom._basis.T
     offsets = ob / nn + N @ dom._origin
-    # a face has one dimension more than its largest proper subface, and
-    # each proper subface runs through one of the face's vertices
-    dims = {}
-    through = {}  # vertex -> faces through it, smaller ones first
-    for idx in sorted(face_idx, key=len):
-        S = frozenset(idx)
-        sub = [dims[G] for v in idx for G in through.get(v, ()) if G < S]
-        dims[S] = 1 + max(sub) if sub else 0
-        for v in idx:
-            through.setdefault(v, []).append(S)
-    faces = [Face(indices=idx, dim=dims[frozenset(idx)],
-                  point_key=None, vertices=V[list(idx)], normal=N[r],
-                  offset=float(offsets[r]), facet_ids=fids[r])
-             for r, idx in enumerate(face_idx)]
-    lattice = FaceLattice(faces)
-    # sanity: the 0-faces are exactly the vertices
-    zero = {f.indices for f in lattice.of_dim(0)}
-    if zero != {(i,) for i in range(len(V))}:
-        raise GeometryError("face lattice lost a vertex")
-    return lattice
+    order = [r for level in levels for r in level]
+    return FaceLattice(V, facet_masks,
+                       [[rows[r] for r in level] for level in levels],
+                       known, kids, N[order], offsets[order])
 
 
 def build_ellipsoid(center, shape):

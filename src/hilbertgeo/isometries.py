@@ -646,11 +646,11 @@ def is_cone_3d(domain):
     if domain.kind != "polytope" or domain.intrinsic_dim != 3:
         raise Unsupported("cone detection works on 3-dim polytopes")
     lattice = domain.face_lattice()
-    all_idx = set(range(len(domain.vertices)))
-    for v in sorted(all_idx):
-        for F in lattice.of_dim(2):
-            if v in F.indices:
-                continue
-            if set(F.indices) | {v} == all_idx:
-                return True, domain.vertices[v], F
-    return False, None, None
+    n = len(domain.vertices)
+    # the apex is the one vertex that a facet of n - 1 vertices misses
+    bases = [F for F in lattice._facet_masks if F.bit_count() == n - 1]
+    if not bases:
+        return False, None, None
+    base = max(bases)  # the base that misses the lowest vertex
+    apex = (((1 << n) - 1) ^ base).bit_length() - 1
+    return True, domain.vertices[apex], lattice._with_mask(base)

@@ -10,6 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, cKDTree
 
@@ -495,16 +497,66 @@ def test_general_build_cone_matches_qhull_reference(monkeypatch):
                           <= 1e-13 * size)
 
 
+def close_under_intersection(facet_sets):
+    """Every nonempty intersection of facets.  Intersecting each new set
+    with the facets that share a vertex with it reaches all of them."""
+    touching = {}
+    for F in facet_sets:
+        for v in F:
+            touching.setdefault(v, []).append(F)
+    sets = set(facet_sets)
+    frontier = set(facet_sets)
+    while frontier:
+        new = set()
+        for s in frontier:
+            for t in {F for v in s for F in touching[v]}:
+                u = s & t
+                if u and u not in sets:
+                    new.add(u)
+        sets |= new
+        frontier = new
+    return sets
+
+
+class ReferenceLattice:
+    """FaceLattice as a sorted list of eagerly made faces, its order
+    answered by set inclusion."""
+
+    def __init__(self, faces):
+        self.faces = sorted(faces, key=lambda f: (f.dim, f.indices))
+        self.sets = [frozenset(f.indices) for f in self.faces]
+
+    def __len__(self):
+        return len(self.faces)
+
+    def of_dim(self, k):
+        return [f for f in self.faces if f.dim == k]
+
+    def counts(self):
+        out = {}
+        for f in self.faces:
+            out[f.dim] = out.get(f.dim, 0) + 1
+        return out
+
+    def inclusions(self):
+        """The matrix of f <= g over pairs of positions (f, g)."""
+        inc = np.zeros((len(self.faces), 1 + max(map(max, self.sets))))
+        for r, s in enumerate(self.sets):
+            inc[r, list(s)] = 1.0
+        return inc @ (1.0 - inc.T) == 0.0
+
+
 def reference_lattice(dom):
     """The face lattice as build_polytope built it eagerly before it was
-    deferred to face_lattice(): the same steps, from the domain's facets."""
+    deferred to face_lattice(), by the closure of the facets under
+    intersection: the same steps, from the domain's facets."""
     V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
     incident = {}
     for i, E in enumerate(facet_sets):
         for v in E:
             incident.setdefault(v, set()).add(i)
     face_idx = sorted(tuple(sorted(S))
-                      for S in convex._close_under_intersection(facet_sets))
+                      for S in close_under_intersection(facet_sets))
     fids = [frozenset(set.intersection(*(incident[v] for v in idx)))
             for idx in face_idx]
     member = np.zeros((len(face_idx), len(facet_sets)))
@@ -522,7 +574,7 @@ def reference_lattice(dom):
         dims[S] = 1 + max(sub) if sub else 0
         for v in idx:
             through.setdefault(v, []).append(S)
-    return convex.FaceLattice([
+    return ReferenceLattice([
         convex.Face(indices=idx, dim=dims[frozenset(idx)], point_key=None,
                     vertices=V[list(idx)], normal=N[r],
                     offset=float(offsets[r]), facet_ids=fids[r])
@@ -547,18 +599,50 @@ def lattice_inputs(rng):
 
 
 def test_lazy_lattice_equals_the_eager_reference():
+    """Every FaceLattice method answers as the eager closure lattice does,
+    face for face, with the same hyperplanes bit for bit."""
     rng = np.random.default_rng(34)
-    for P in lattice_inputs(rng):
+    th = 2 * np.pi * np.arange(64) / 64
+    u = np.random.default_rng(22).normal(size=(200, 3))  # the README's
+    # an affine cube at 1e9, where the hull's facet sets nest: the
+    # lattice keeps the closure's faces and dimensions (one of them 3)
+    M = np.random.default_rng(0).normal(size=(4, 3))
+    clouds = lattice_inputs(rng) + [
+        np.c_[np.cos(th), np.sin(th)], rng.normal(size=(40, 3)),
+        u / np.linalg.norm(u, axis=1, keepdims=True),
+        (CUBE @ M[:3] + M[3]) * 1e9]
+    for P in clouds:
         dom = build_polytope(P)
         assert dom._lattice is None
         got, want = dom.face_lattice(), reference_lattice(dom)
         assert dom.face_lattice() is got
         assert len(got) == len(want)
-        for f, g in zip(got, want):
+        assert list(got.counts().items()) == list(want.counts().items())
+        faces = list(got)
+        assert faces == got.faces and len(faces) == len(want.faces)
+        for f, g in zip(faces, want.faces):
             assert (f.indices, f.dim, f.facet_ids, f.offset) == \
                 (g.indices, g.dim, g.facet_ids, g.offset)
+            assert f.mask == sum(1 << i for i in f.indices)
             assert f.vertices.tobytes() == g.vertices.tobytes()
             assert f.normal.tobytes() == g.normal.tobytes()
+            assert got.find(f.indices) is f
+            assert got.find(list(f.indices)) is f
+        for k in range(-1, dom.intrinsic_dim + 1):
+            assert ([f.indices for f in got.of_dim(k)]
+                    == [f.indices for f in want.of_dim(k)])
+        assert got.find(()) is None
+        assert got.find(range(len(dom.vertices))) is None
+        leq = want.inclusions()
+        for j, f in enumerate(faces):
+            below = np.flatnonzero(leq[:, j]).tolist()
+            assert got.subfaces(f, proper=False) == [faces[i] for i in below]
+            assert got.subfaces(f) == [faces[i] for i in below if i != j]
+        pairs = itertools.product(range(len(faces)), repeat=2)
+        if len(faces) > 40:
+            pairs = rng.integers(len(faces), size=(1600, 2)).tolist()
+        for i, j in pairs:
+            assert got.leq(faces[i], faces[j]) == leq[i, j]
 
 
 def test_distances_chords_and_cones_leave_the_lattice_unbuilt():
@@ -695,6 +779,26 @@ def test_simplicial_hulls_skip_the_grouping_pass():
             else:
                 grouped += 1
     assert simplicial and grouped
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 4), count=st.integers(5, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_lattices_are_polytopal(d, count, seed):
+    """On random clouds, the f-vector obeys Euler-Poincare, every face's
+    dimension is the affine rank of its vertices, and the facet test of
+    opposite faces agrees with the midpoint test at unit scale."""
+    dom = build_polytope(np.random.default_rng(seed).normal(size=(count, d)))
+    lattice = dom.face_lattice()
+    euler = sum((-1) ** k * f for k, f in lattice.counts().items())
+    assert euler == 1 - (-1) ** d
+    faces = list(lattice)
+    for f in faces:
+        assert f.dim == _affine_rank(f.vertices, TOL)
+    C = np.array([f.centroid() for f in faces])
+    for i, f in enumerate(faces):
+        midpoint = dom.contains_interior(0.5 * (C[i] + C))
+        assert [dom.opposite_faces(f, g) for g in faces] == midpoint.tolist()
 
 
 def test_face_dimensions_match_affine_rank():
