@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import _as_array, _eps, _hull_facets
+from .convex import _as_array, _eps, _hull_facets, _lex_keep
 from .errors import (
     DegenerateInput,
     GeometryError,
@@ -118,11 +118,14 @@ class Cone:
 def build_cone(generators, eps=None):
     """Polyhedral cone spanned by the given generator rays.
 
-    Properness is certified: the generators must span the space (else the
-    cone is flat) and the origin must be a vertex of the convex hull of
-    the origin and the generators (else the cone is not pointed).  The
-    cone's facets are that hull's facets through the origin; functionals
-    are their inward normals, scaled to 1 at the generators' centroid.
+    The cone is built from the unit rays along the generators, so it does
+    not depend on their lengths, and unit rays within eps of each other
+    are one.  Properness is certified: the unit rays must span the space
+    (else the cone is flat) and the origin must be a vertex of the convex
+    hull of the origin and the unit rays (else the cone is not pointed).
+    The cone's facets are that hull's facets through the origin;
+    functionals are their inward normals, scaled to 1 at the generators'
+    centroid.
     """
     eps_v = _eps(eps)
     G = np.atleast_2d(_as_array(generators, "generators"))
@@ -130,13 +133,14 @@ def build_cone(generators, eps=None):
     if D < 2:
         raise Unsupported("cones need ambient dimension >= 2")
     norms = np.linalg.norm(G, axis=1)
-    if np.any(norms <= eps_v):
+    if np.any(norms == 0.0):
         raise DegenerateInput("zero generator ray")
-    if np.linalg.matrix_rank(G, tol=1e-9) < D:
+    R = G / norms[:, None]
+    R = R[np.sort(_lex_keep(R, eps_v))]  # in the generators' order
+    if np.linalg.matrix_rank(R, tol=1e-9) < D:
         raise DegenerateInput("generators do not span the space")
     # row 0 is the origin
-    pts = np.vstack([np.zeros(D), G])
-    verts, A, _, sets = _hull_facets(pts, eps_v)
+    verts, A, _, sets = _hull_facets(np.vstack([np.zeros(D), R]), eps_v)
     if verts[0] != 0:
         raise DegenerateInput("cone is not pointed")
     center = G.mean(axis=0)
@@ -146,7 +150,7 @@ def build_cone(generators, eps=None):
             continue  # a facet of the hull away from the apex
         ell = -normal
         scale = float(ell @ center)
-        if scale <= eps_v:
+        if scale <= eps_v * np.linalg.norm(center):
             raise GeometryError("generator centroid is not interior")
         rows.append(ell / scale)
     return Cone(kind="polyhedral", dim=D, generators=G,
@@ -156,19 +160,21 @@ def build_cone(generators, eps=None):
 def cone_over(domain, eps=None):
     """The cone over a polytope domain, with the slice embedding attached.
 
-    If the affine hull avoids the origin the vertices themselves generate
-    the cone and points embed as themselves; otherwise the domain, which
-    must then be full-dimensional, is lifted by an appended coordinate 1.
-    The cone's facets are spanned by the generators of the domain's
-    facets, so no hull is built: each functional is the null vector of one
-    facet's generators, scaled to 1 at the generators' centroid.  The null
-    vector is taken from the first generator and the differences of the
-    others from it, each scaled to unit length, which keeps it accurate on
-    short facets, whose generators are nearly parallel.
+    If the affine hull avoids the origin (by more than eps of the domain's
+    size) the vertices themselves generate the cone and points embed as
+    themselves; otherwise the domain, which must then be full-dimensional,
+    is lifted by an appended coordinate 1.  The cone's facets are spanned
+    by the generators of the domain's facets, so no hull is built: each
+    functional is the null vector of one facet's generators, scaled to 1
+    at the generators' centroid.  The null vector is taken from the first
+    generator and the differences of the others from it, each scaled to
+    unit length, which keeps it accurate on short facets, whose generators
+    are nearly parallel.
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
-    lifted = domain.hull_residual(np.zeros(domain.ambient_dim)) <= _eps(eps)
+    lifted = not domain._off_hull(np.zeros((1, domain.ambient_dim)),
+                                  _eps(eps)).any()
     if not lifted:
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")

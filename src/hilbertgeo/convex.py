@@ -7,16 +7,24 @@ domain may sit inside a higher-dimensional ambient space, for example the
 standard 2-simplex in R^3, so "interior" always means interior relative
 to the affine hull.
 
-Extreme points and facets come from one convex hull in the chart of the
-affine hull, all in numpy: a monotone chain (Andrew, Inf. Process. Lett.
-9, 1979) in the plane, and Quickhull (Barber, Dobkin & Huhdanpaa, ACM
-TOMS 1996) for every cloud from dimension 3, with its facet planes
-fitted in batches and refined in extended precision.  Coplanar hull
-simplices are grouped into facets by the vertices within the shared
-tolerance EPS_GEO of their plane.  The face lattice, with every face's
-dimension, is built from the vertex-facet incidences as bitsets (Kaibel &
-Pfetsch, Comput. Geom. 23, 2002) on first use.  Domains of a few hundred
-vertices in ambient dimension <= 4 build in milliseconds.
+Every polytope is stored in a unit chart: the origin at the centroid of
+its points, the coordinates divided by half their largest range, and no
+rotation unless the polytope is embedded in a higher-dimensional space.
+Every tolerance is then a fraction of the domain's size, so an answer
+does not change when the input is scaled and translated.  An ellipsoid
+reads its tolerances in whitened coordinates, where its boundary is the
+unit sphere.
+
+Extreme points and facets come from one convex hull in the unit chart,
+all in numpy: a monotone chain (Andrew, Inf. Process. Lett. 9, 1979) in
+the plane, and Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) for
+every cloud from dimension 3, with its facet planes fitted in batches
+and refined in extended precision.  Coplanar hull simplices are grouped
+into facets by the vertices within the shared tolerance EPS_GEO of their
+plane.  The face lattice, with every face's dimension, is built from the
+vertex-facet incidences as bitsets (Kaibel & Pfetsch, Comput. Geom. 23,
+2002) on first use.  Domains of a few hundred vertices in ambient
+dimension <= 4 build in milliseconds.
 
 The same hull answers the other hull questions.  A polytope's
 cross-section takes its vertices from the face lattice: the single
@@ -68,8 +76,20 @@ __all__ = [
 ]
 
 
+# the round-off of a computed point's slacks in a unit chart, per unit of
+# its coordinates: 64 ulp, far below EPS_GEO
+_ROUND = 64.0 * np.finfo(float).eps
+
+
 def _eps(eps):
     return defaults.EPS_GEO if eps is None else float(eps)
+
+
+def _end_tol(eps, t):
+    """The slack tolerance of a chord end x + t (y - x): eps, but no more
+    than its round-off, _ROUND per unit of 1 + |t|.  eps alone reads an
+    end 1e-9 of the size from a vertex as that vertex."""
+    return min(eps, _ROUND * (1.0 + abs(t)))
 
 
 def _as_array(p, name="point"):
@@ -88,7 +108,13 @@ def _lex_unique(points, tol):
     compared only with the earlier rows of that window of the sorted
     first column, k rows back in the k-th sweep.
     """
-    pts = points[np.lexsort(points.T[::-1])]
+    return points[_lex_keep(points, tol)]
+
+
+def _lex_keep(points, tol):
+    """The positions of the rows that _lex_unique keeps, in its order."""
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
     back = np.arange(len(pts)) - np.searchsorted(pts[:, 0], pts[:, 0] - tol)
     pairs = []
     for k in range(1, int(back.max(initial=0)) + 1):
@@ -105,36 +131,38 @@ def _lex_unique(points, tol):
     for i, j in pairs[np.lexsort(pairs.T)].tolist():
         if keep[i]:
             keep[j] = False
-    return pts[keep]
+    return order[keep]
+
+
+def _rank(s, tol):
+    """The number of singular values s (descending) above tol of the
+    largest."""
+    return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
 def _affine_rank(points, tol):
     if len(points) <= 1:
         return 0
-    diffs = points[1:] - points[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return _rank(np.linalg.svd(points[1:] - points[0], compute_uv=False), tol)
 
 
 def _affine_chart(points, tol):
-    """Orthonormal chart of the affine hull: origin plus direction basis."""
+    """Orthonormal chart of the affine hull: origin plus direction basis,
+    of the singular directions above tol of the largest; the identity
+    when the points span the space."""
     origin = points.mean(axis=0)
-    diffs = points - origin
-    u, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    if s.size == 0 or s[0] <= tol:
-        return origin, np.zeros((points.shape[1], 0))
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    _, s, vt = np.linalg.svd(points - origin, full_matrices=False)
+    rank = _rank(s, tol)
+    if rank == points.shape[1]:
+        return origin, np.eye(rank)
     return origin, vt[:rank].T
 
 
-def _nullspace(M, tol=1e-12):
-    u, s, vt = np.linalg.svd(M)
-    if s.size == 0:
-        return vt.T
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return vt[rank:].T
+def _nullspace(M):
+    """Orthonormal basis of the null space of M, of the singular values
+    up to 1e-12 of the largest."""
+    _, s, vt = np.linalg.svd(M)
+    return vt[_rank(s, 1e-12):].T
 
 
 def _monotone_chain(points):
@@ -383,7 +411,7 @@ def _hull_facets(points, tol):
     for k, S in enumerate(sets):
         found.setdefault(S - flat, k)
     if frozenset() in found:
-        # the absolute tol dropped every vertex of a facet
+        # tol dropped every vertex of a facet
         raise DegenerateInput("a hull facet keeps no vertex")
     keys = sorted(found, key=lambda s: tuple(sorted(s)))
     first = [found[key] for key in keys]
@@ -431,11 +459,12 @@ class Face:
     def centroid(self):
         return self.vertices.mean(axis=0)
 
-    def direction_basis(self, tol=1e-12):
-        """Orthonormal ambient basis of the face's direction space."""
+    def direction_basis(self):
+        """Orthonormal ambient basis of the face's direction space: the
+        singular directions of its vertices above 1e-12 of the largest."""
         if len(self.vertices) <= 1:
             return np.zeros((self.vertices.shape[1], 0))
-        _, basis = _affine_chart(self.vertices, tol)
+        _, basis = _affine_chart(self.vertices, 1e-12)
         return basis
 
 
@@ -588,8 +617,8 @@ class JoinRegion:
     z is in the join iff strictly positive convex weights on the vertices
     of both faces reproduce z, that is, iff z lies in the relative
     interior of conv(Va ∪ Vb).  That hull is built once, in the chart of
-    its affine hull (a segment when both faces are vertices).  The region
-    is convex.
+    its affine hull (a segment when both faces are vertices), and eps is a
+    fraction of its size.  The region is convex.
     """
 
     def __init__(self, domain, face_a, face_b):
@@ -606,7 +635,8 @@ class JoinRegion:
         eps = _eps(eps)
         z = _as_array(p) - self._origin
         u = z @ self._basis
-        return bool(np.linalg.norm(z - self._basis @ u) <= eps
+        return bool(np.linalg.norm(z - self._basis @ u)
+                    <= eps * self._hull._size
                     and self._hull.contains_interior(u, eps))
 
 
@@ -654,7 +684,15 @@ class MinimalCone:
 
 
 class ConvexDomain:
-    """Bounded convex body, open by convention, polytope or ellipsoid."""
+    """Bounded convex body, open by convention, polytope or ellipsoid.
+
+    Its chart maps a point p to the local coordinates (p - _origin) @
+    _basis and back by _origin + u @ _frame.T.  A polytope's chart is its
+    unit chart (_basis and _frame are an orthonormal basis divided and
+    multiplied by _size, half the largest coordinate range), an
+    ellipsoid's the identity.  Every eps is a fraction of the domain's
+    size: of _size on a polytope, of the whitened radius on an ellipsoid.
+    """
 
     def __init__(self, kind, **data):
         if kind not in ("polytope", "ellipsoid"):
@@ -663,15 +701,14 @@ class ConvexDomain:
         if kind == "polytope":
             self.vertices = data["vertices"]
             self._origin = data["origin"]
-            self._basis = data["basis"]
+            self._size = data["size"]
+            self._basis = data["basis"] * (1.0 / self._size)
+            self._frame = data["basis"] * self._size
             self._lv = data["lv"]
             self._A = data["A"]
             self._b = data["b"]
             self._facet_sets = data["facet_sets"]
             self._lattice = None  # built on first use, see face_lattice
-            # round-off floor of the on-boundary tests, see _tight_tol
-            self._slack_floor = 64.0 * np.finfo(float).eps * max(
-                float(np.abs(self._lv).max()), float(np.abs(self._b).max()))
             self.ambient_dim = self.vertices.shape[1]
             self.intrinsic_dim = self._basis.shape[1]
         else:
@@ -684,7 +721,8 @@ class ConvexDomain:
             self.ambient_dim = self.center.size
             self.intrinsic_dim = self.center.size
             self._origin = np.zeros(self.ambient_dim)
-            self._basis = np.eye(self.ambient_dim)
+            self._size = 1.0
+            self._basis = self._frame = np.eye(self.ambient_dim)
 
     # ---------------------------------------------------------------- charts
 
@@ -693,32 +731,32 @@ class ConvexDomain:
         return (_as_array(p) - self._origin) @ self._basis
 
     def to_ambient(self, u):
-        return self._origin + _as_array(u) @ self._basis.T
+        return self._origin + _as_array(u) @ self._frame.T
 
     def hull_residual(self, p):
         """Euclidean distance from p to the affine hull."""
         return float(self._hull_residuals(_as_array(p)[None, :])[0])
 
     def _off_hull(self, P, eps):
-        """Flags of the rows of P farther than eps from the affine hull.  A
-        full-dimensional domain's hull is the whole space: one flag, for
-        the residual 0, stands for every row, and no residual is taken."""
+        """Flags of the rows of P farther than eps of the size from the
+        affine hull.  A full-dimensional domain's hull is the whole space:
+        one flag, for the residual 0, stands for every row, and no
+        residual is taken."""
         if self.intrinsic_dim == self.ambient_dim:
             return np.bool_(0.0 > eps)
-        return self._hull_residuals(P) > eps
+        return self._hull_residuals(P) > eps * self._size
 
     def _hull_residuals(self, P):
         """Distances of the rows of P to the affine hull.  A full-dimensional
         domain's hull is the whole space: its residual would be pure
-        round-off, which an absolute eps rejects at large scale."""
+        round-off."""
         if self.intrinsic_dim == self.ambient_dim:
             return np.zeros(len(P))
         D = P - self._origin
-        return np.linalg.norm(D - (D @ self._basis) @ self._basis.T, axis=1)
+        return np.linalg.norm(D - (D @ self._basis) @ self._frame.T, axis=1)
 
     def project_to_hull(self, p):
-        d = _as_array(p) - self._origin
-        return self._origin + self._basis @ (self._basis.T @ d)
+        return self.to_ambient(self.to_local(p))
 
     # ------------------------------------------------------------ predicates
 
@@ -743,37 +781,34 @@ class ConvexDomain:
 
     def contains_interior(self, p, eps=None):
         """Whether p, or each row of p, lies within eps of the affine hull
-        with every slack above eps."""
+        with every slack above eps, both of the domain's size."""
         eps = _eps(eps)
         p = _as_array(p)
         P = np.atleast_2d(p)
-        ok = ((self._hull_residuals(P) <= eps)
+        ok = (~self._off_hull(P, eps)
               & (self._slacks(self.to_local(P)).min(axis=1) > eps))
         return ok if p.ndim > 1 else bool(ok[0])
 
     def on_boundary(self, p, eps=None):
+        """Whether p lies within eps of the affine hull with its least
+        slack within eps of 0, both of the domain's size."""
         eps = _eps(eps)
-        if self.hull_residual(p) > eps:
+        p = _as_array(p)
+        if self._off_hull(p[None, :], eps).any():
             return False
-        s = self._slacks(self.to_local(p))
-        tol = self._tight_tol(eps)
-        return s.min() >= -tol and abs(s.min()) <= tol
-
-    def _tight_tol(self, eps):
-        """The slack tolerance of the on-boundary tests: eps, but never
-        below 64 ulp of the polytope's largest vertex chart coordinate or
-        facet offset.  A computed boundary point's slacks carry about 2 ulp
-        of that magnitude of round-off, which passes the absolute eps from
-        scale about 1e6 up; below about 1e5 the floor is under eps and
-        changes nothing."""
-        if self.kind != "polytope":
-            return eps
-        return max(eps, self._slack_floor)
+        return abs(self._slacks(self.to_local(p)).min()) <= eps
 
     def centroid(self):
         if self.kind == "polytope":
             return self.vertices.mean(axis=0)
         return self.center.copy()
+
+    def _extent(self):
+        """The largest coordinate range of a polytope's points, or the
+        largest diameter of an ellipsoid."""
+        if self.kind == "polytope":
+            return 2.0 * self._size
+        return 2.0 * float(np.linalg.norm(self._chol, 2))
 
     def _require_interior(self, p, eps, name="point"):
         """Chart coordinates of a finite point p (callers check it), which
@@ -803,36 +838,39 @@ class ConvexDomain:
         return self._lattice
 
     def boundary_face_of(self, p, eps=None):
-        """The face whose relative interior contains the boundary point p."""
+        """The face whose relative interior contains the boundary point p,
+        read with slacks within eps of the domain's size of 0."""
         eps = _eps(eps)
         return self._face_at(_as_array(p), eps)
 
     def _face_at(self, p, eps, tol=None):
         """boundary_face_of a finite point p, whose slacks within tol
-        (default _tight_tol(eps)) of 0 count as 0 on a polytope."""
+        (default eps) of 0 count as 0 on a polytope.  An ellipsoid reads
+        p in whitened coordinates w, where the boundary is |w| = 1."""
         if self._off_hull(p[None, :], eps).any():
             raise NotOnBoundary("point is off the affine hull")
         if self.kind == "ellipsoid":
             q = p - self.center
-            r = np.linalg.norm(self._chol_solve(q))
+            w = self._chol_solve(q)
+            r = np.linalg.norm(w)
             if r == 0.0:
                 raise NotOnBoundary("point is the center")
-            proj = self.center + q / r
-            if np.linalg.norm(proj - p) > eps:
+            if abs(r - 1.0) > eps:
                 raise NotOnBoundary("point is not on the ellipsoid boundary")
+            proj = self.center + q / r
             normal = self._shape_inv @ (proj - self.center)
             normal = normal / np.linalg.norm(normal)
             return Face(
                 indices=(),
                 dim=0,
-                point_key=tuple(np.round(proj, 9)),
+                point_key=tuple(np.round(w / r, 9)),
                 vertices=proj[None, :],
                 normal=normal,
                 offset=float(normal @ proj),
             )
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
         if tol is None:
-            tol = self._tight_tol(eps)
+            tol = eps
         if s.min() < -tol:
             raise NotOnBoundary("point is outside the domain")
         tight = np.flatnonzero(np.abs(s) <= tol)
@@ -848,15 +886,14 @@ class ConvexDomain:
         eps = _eps(eps)
         p = _as_array(p)
         if self.kind == "ellipsoid":
-            return (face.point_key is not None
-                    and np.linalg.norm(p - face.vertices[0]) <= eps)
+            return (face.point_key is not None and np.linalg.norm(
+                self._chol_solve(p - face.vertices[0])) <= eps)
         if self._off_hull(p[None, :], eps).any():
             return False
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        tol = self._tight_tol(eps)
-        if s.min() < -tol:
+        if s.min() < -eps:
             return False
-        tight = frozenset(np.flatnonzero(np.abs(s) <= tol).tolist())
+        tight = frozenset(np.flatnonzero(np.abs(s) <= eps).tolist())
         return tight == face.facet_ids and len(tight) > 0
 
     # ----------------------------------------------------------------- chords
@@ -868,10 +905,11 @@ class ConvexDomain:
         rows, with t_lo < 0 < t_hi for interior u."""
         if self.kind == "polytope":
             denom = du @ self._A.T
-            # facets with |denom| at round-off level count as parallel
+            # facets with |denom| at round-off level of |du| count as
+            # parallel
             size = (np.linalg.norm(du) if du.ndim == 1
                     else np.linalg.norm(du, axis=-1, keepdims=True))
-            live = np.abs(denom) > 1e-14 * np.maximum(1.0, size)
+            live = np.abs(denom) > 1e-14 * size
             up = live & (denom > 0)
             down = live & (denom < 0)
             if not (up.any(axis=-1).all() and down.any(axis=-1).all()):
@@ -939,19 +977,10 @@ class ConvexDomain:
         eps = _eps(eps)
         return Chord(
             x=xh, y=yh, alpha=alpha, beta=beta,
-            face_alpha=self._face_at(alpha, eps, self._end_tol(eps, t_lo)),
-            face_beta=self._face_at(beta, eps, self._end_tol(eps, t_hi)),
+            face_alpha=self._face_at(alpha, eps, _end_tol(eps, t_lo)),
+            face_beta=self._face_at(beta, eps, _end_tol(eps, t_hi)),
             t_alpha=t_lo, t_beta=t_hi,
         )
-
-    def _end_tol(self, eps, t):
-        """The slack tolerance of a chord end x + t (y - x): _tight_tol,
-        but no more than its round-off, 64 ulp of the chart's size per unit
-        of 1 + |t|.  An absolute eps alone reads an end 1e-9 from a vertex
-        of a polygon 1e-3 wide as that vertex."""
-        if self.kind != "polytope":
-            return None
-        return min(self._tight_tol(eps), self._slack_floor * (1.0 + abs(t)))
 
     def ray(self, start, direction, eps=None):
         """Ray from an interior start toward the boundary."""
@@ -960,13 +989,13 @@ class ConvexDomain:
         nd = np.linalg.norm(d)
         if nd == 0.0:
             raise DegenerateInput("zero ray direction")
-        eps_v = _eps(eps)
-        du = self._basis.T @ d
-        if np.linalg.norm(d - self._basis @ du) > eps_v * max(1.0, nd):
+        du = d @ self._basis
+        d_amb = du @ self._frame.T
+        # like a point's, the residual is eps of the size, or of |d|
+        if np.linalg.norm(d - d_amb) > _eps(eps) * max(nd, self._size):
             raise DegenerateInput("ray direction leaves the affine hull")
         u = self._require_interior(start, eps, "start")
         _, t_hi = self._clip_line(u, du)
-        d_amb = self._basis @ du
         endpoint = self.project_to_hull(start) + t_hi * d_amb
         d_unit = d_amb / np.linalg.norm(d_amb)
         return Ray(start=self.project_to_hull(start), direction=d_unit,
@@ -1044,16 +1073,15 @@ class ConvexDomain:
 
         The result lives in coordinates of subspace ∩ affine hull.  A
         polytope's section is the hull of its vertices, read off the face
-        lattice (see _section_vertices), built at eps times its largest
-        coordinate range when that is below 1.  Raises EmptyIntersection when
-        the subspace misses the relative interior: for a polytope, when
-        the section's vertices do not span the dimension of the cut, or
-        all lie on one facet."""
+        lattice in the unit chart (see _section_vertices).  Raises
+        EmptyIntersection when the subspace misses the relative interior:
+        for a polytope, when the section's vertices do not span the
+        dimension of the cut, or all lie on one facet."""
         eps_v = _eps(eps)
         p0 = _as_array(point, "point")
         S = np.atleast_2d(_as_array(spans, "spans"))
         q, r = np.linalg.qr(S.T)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
+        keep = np.abs(np.diag(r)) > 1e-12 * np.abs(r).max()
         if not np.all(keep):
             raise DegenerateInput("spanning vectors are linearly dependent")
         B0 = q[:, : S.shape[0]]
@@ -1061,16 +1089,14 @@ class ConvexDomain:
         if m < 2 or m > self.intrinsic_dim:
             raise DimensionOutOfRange(
                 f"subspace dim {m} outside 2..{self.intrinsic_dim}")
-        # intersect the subspace with the affine hull; the residual is
-        # round-off of the coordinates' size when they meet
-        M = np.hstack([B0, -self._basis])
-        rhs = self._origin - p0
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        size = max(1.0, float(np.abs(p0).max()),
-                   float(np.abs(self._origin).max()))
-        if np.linalg.norm(M @ sol - rhs) > eps_v * size:
-            raise EmptyIntersection("subspace misses the affine hull")
+        # intersect the subspace with the affine hull, in an orthonormal
+        # basis B of it: q0 is on the hull, up to round-off, when they meet
+        B = self._basis * self._size
+        M = np.hstack([B0, -B])
+        sol, *_ = np.linalg.lstsq(M, self._origin - p0, rcond=None)
         q0 = p0 + B0 @ sol[:m]
+        if self._off_hull(q0[None, :], eps_v).any():
+            raise EmptyIntersection("subspace misses the affine hull")
         null = _nullspace(M)
         dirs = B0 @ null[:m, :]
         qd, rd = np.linalg.qr(dirs)
@@ -1080,15 +1106,15 @@ class ConvexDomain:
             raise EmptyIntersection("subspace meets the hull in a point")
         if self.kind == "ellipsoid":
             return self._ellipsoid_section(q0, W)
-        verts = self._section_vertices(
-            self._basis.T @ (q0 - self._origin), self._basis.T @ W)
+        # the cut in the unit chart, along W's directions kept orthonormal
+        # there, so the vertices come back in units of _size
+        verts = self._section_vertices((q0 - self._origin) @ self._basis,
+                                       B.T @ W)
         if (len(verts) == 0
                 or _affine_chart(verts, eps_v)[1].shape[1] < W.shape[1]):
             raise EmptyIntersection("subspace misses the relative interior")
-        # built at its own size: the vertices of a section 1e-6 wide can
-        # lie a few 1e-9 apart
-        eps_v = min(eps_v, eps_v * float(np.ptp(verts, axis=0).max()))
-        return Section(domain=build_polytope(verts, eps_v), origin=q0, basis=W)
+        return Section(domain=build_polytope(verts * self._size, eps_v),
+                       origin=q0, basis=W)
 
     def _section_vertices(self, c, Wl):
         """Vertices of the polytope's section by the local affine subspace
@@ -1099,16 +1125,15 @@ class ConvexDomain:
         it, and such an F has dimension at most n - k.  So the vertices are
         the single points of L ∩ aff(F), over the faces F of dimension
         <= n - k, that lie in the polytope: in codimension 1, the vertices
-        on L and the points where L crosses an edge.  Offsets from L
-        within 64 ulp of the chart's size count as 0, so a cut through a
-        vertex meets it exactly; the same floor bounds the rank, residual
-        and slack tests.  Raises EmptyIntersection when every vertex found
-        lies on one facet: the section is then in the boundary.
+        on L and the points where L crosses an edge.  Offsets from L within
+        their round-off (_ROUND per unit of 1 + |c|) count as 0, so a cut
+        through a vertex meets it exactly; the same floor bounds the rank,
+        residual and slack tests.  Raises EmptyIntersection when every
+        vertex found lies on one facet: the section is then in the boundary.
         """
         n, k = Wl.shape
         N = np.linalg.svd(Wl)[0][:, k:]  # normals of L in the chart
-        tol = max(self._slack_floor,
-                  64.0 * np.finfo(float).eps * float(np.abs(c).max()))
+        tol = _ROUND * (1.0 + float(np.abs(c).max()))
         g = (self._lv - c) @ N  # offsets of the vertices from L
         g[np.abs(g) <= tol] = 0.0
         points = [self._lv[np.all(g == 0.0, axis=1)]]
@@ -1224,30 +1249,35 @@ class ConvexDomain:
 def build_polytope(points, eps=None):
     """Open polytope from a point cloud.
 
-    Duplicate points (within eps) are dropped and the rest sorted
-    lexicographically; the vertices are the extreme points among them, in
-    that order.  Facets are the hull facets of the vertices in the chart
-    of their affine hull (monotone chain in the plane, Quickhull from
-    dimension 3), one per set of vertices within eps of a facet plane,
-    sorted by that set.  The build stops there: the face lattice, every
-    nonempty intersection of facets, is built from the vertex-facet
-    incidences by the first face_lattice() call (boundary faces, chord
-    ends, sections, minimal cones and extreme lines make that call).  A
-    cloud whose hull keeps no vertex of some facet at the absolute eps
-    raises DegenerateInput.
+    The points are taken to the unit chart: the origin at their centroid,
+    divided by half their largest coordinate range, and rotated only when
+    they span an affine subspace of lower dimension.  eps is a fraction of
+    that size.  Duplicate points (within eps) are dropped and the rest
+    sorted lexicographically; the vertices are the extreme points among
+    them, in that order.  Facets are the hull facets of the vertices in
+    the unit chart (monotone chain in the plane, Quickhull from dimension
+    3), one per set of vertices within eps of a facet plane, sorted by
+    that set.  The build stops there: the face lattice, every nonempty
+    intersection of facets, is built from the vertex-facet incidences by
+    the first face_lattice() call (boundary faces, chord ends, sections,
+    minimal cones and extreme lines make that call).  A cloud whose hull
+    keeps no vertex of some facet at eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
     if P.ndim != 2 or len(P) < 2:
         raise DegenerateInput("need at least two points in an array of rows")
-    P = _lex_unique(P, max(eps_v, 1e-12))
-    origin, basis = _affine_chart(P, eps_v)
-    d = basis.shape[1]
-    D = P.shape[1]
+    origin = P.mean(axis=0)
+    size = 0.5 * float(np.ptp(P, axis=0).max()) or 1.0  # or all one point
+    U = (P - origin) * (1.0 / size)
+    keep = _lex_keep(U, eps_v)
+    P, U = P[keep], U[keep]
+    basis = _affine_chart(U, eps_v)[1]
+    D, d = basis.shape
     if d == 0 or (d == 1 and D >= 2):
         raise DegenerateInput(
             "affine hull is a point or a segment in ambient dim >= 2")
-    lv = (P - origin) @ basis
+    lv = U @ basis
     if d == 1:
         keep = np.sort([np.argmin(lv[:, 0]), np.argmax(lv[:, 0])])
         A = np.sign(lv[keep] - lv[keep[::-1]])  # +1 at the larger end
@@ -1256,13 +1286,13 @@ def build_polytope(points, eps=None):
     else:
         keep, A, b, hull_sets = _hull_facets(lv, eps_v)
         if len(keep) <= d:
-            # the absolute eps merged all but d or fewer of the vertices
+            # eps merged all but d or fewer of the vertices
             raise DegenerateInput(
                 f"hull keeps {len(keep)} vertices in dimension {d}")
         renumber = {int(j): i for i, j in enumerate(keep)}
         facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
     return ConvexDomain(
-        "polytope", vertices=P[keep], origin=origin, basis=basis,
+        "polytope", vertices=P[keep], origin=origin, size=size, basis=basis,
         lv=lv[keep], A=A, b=b, facet_sets=facet_sets,
     )
 
@@ -1350,9 +1380,9 @@ def _face_lattice(dom):
     raw = b"".join(known[x][1].to_bytes(nbytes, "little") for x in rows)
     member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), -1),
                            axis=1, count=m, bitorder="little").astype(float)
-    nw, ob = member @ A, member @ b
-    nn = np.linalg.norm(nw, axis=1)
-    N = (nw / nn[:, None]) @ dom._basis.T
+    N, ob = (member @ A) @ dom._basis.T, member @ b
+    nn = np.linalg.norm(N, axis=1)
+    N /= nn[:, None]
     offsets = ob / nn + N @ dom._origin
     order = [r for level in levels for r in level]
     return FaceLattice(V, facet_masks,
@@ -1361,14 +1391,15 @@ def _face_lattice(dom):
 
 
 def build_ellipsoid(center, shape):
-    """Open ellipsoid { p : (p-c)^T S^-1 (p-c) < 1 } with S positive definite."""
+    """Open ellipsoid { p : (p-c)^T S^-1 (p-c) < 1 } with S positive
+    definite: its least eigenvalue above 1e-12 of its largest."""
     c = _as_array(center, "center")
     S = _as_array(shape, "shape")
     if S.shape != (c.size, c.size):
         raise DegenerateInput("shape matrix size does not match the center")
     S = 0.5 * (S + S.T)
     w = np.linalg.eigvalsh(S)
-    if w.min() <= 1e-12 * max(1.0, w.max()):
+    if w.min() <= 1e-12 * w.max():
         raise DegenerateInput("shape matrix must be positive definite")
     L = np.linalg.cholesky(S)
     return ConvexDomain(
@@ -1388,19 +1419,20 @@ def standard_simplex(n):
 def minkowski_functional(K, v, eps=None):
     """Gauge of v, or of each row of v, with respect to a body K whose
     relative interior contains the origin: the smallest t > 0 with v in
-    t*K.  Vectors outside the linear span of K get math.inf."""
+    t*K.  Vectors outside the linear span of K (by more than eps of their
+    length) get math.inf."""
     eps_v = _eps(eps)
     v = _as_array(v, "v")
     origin = np.zeros(K.ambient_dim)
-    if K.hull_residual(origin) > eps_v or K.min_slack(origin) <= eps_v:
+    if not K.contains_interior(origin, eps_v):
         raise OriginNotInterior("the body does not contain the origin")
     V = np.atleast_2d(v)
     norms = np.linalg.norm(V, axis=1)
     v_loc = V @ K._basis
-    outside = (np.linalg.norm(V - v_loc @ K._basis.T, axis=1)
-               > eps_v * np.maximum(1.0, norms))
+    outside = (np.linalg.norm(V - v_loc @ K._frame.T, axis=1)
+               > eps_v * norms)
     if K.kind == "polytope":
-        shift = K._basis.T @ (-K._origin)  # local coords of the origin
+        shift = K.to_local(origin)  # local coords of the origin
         den = K._b - K._A @ shift  # facet slack at the origin, positive
         gauge = np.max((v_loc @ K._A.T) / den, axis=1)
     else:

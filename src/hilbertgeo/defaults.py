@@ -1,8 +1,10 @@
 """Shared numeric defaults.
 
-All tolerances are absolute and assume desk-scale inputs (coordinates of
-order one).  EPS_GEO governs on-boundary and on-hyperplane predicates;
-the calls that use it take an eps argument in its place.
+Every tolerance is relative: a domain is stored in its unit chart (see
+convex), so EPS_GEO is a fraction of the domain's size, and the same
+answers come out at every scale.  EPS_GEO governs on-boundary and
+on-hyperplane predicates; the calls that use it take an eps argument in
+its place, read the same way.
 """
 
 EPS_GEO = 1e-9

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import defaults
 from .cones import _lorentz_q
-from .convex import _as_array
+from .convex import _as_array, _eps
 from .errors import (
     DegenerateBasis,
     DegenerateInput,
@@ -371,14 +371,6 @@ def _map_rows(f, P):
     return Q
 
 
-def _extent(domain):
-    """Largest coordinate range of a polytope's vertices, or the largest
-    diameter of an ellipsoid."""
-    if domain.kind == "polytope":
-        return float(np.ptp(domain.vertices, axis=0).max())
-    return 2.0 * float(np.linalg.norm(domain._chol, 2))
-
-
 def sampled_isometry_check(src, dst, f, rng, samples=200):
     """Largest deviation |d_src(x, y) - d_dst(f x, f y)| over random pairs.
 
@@ -414,7 +406,7 @@ def projectivity_check(domain, f, rng, samples=60, pull=0.05):
     """
     P = domain.sample_interior(rng, 2 * samples, pull=pull)
     X, Y = P[0::2], P[1::2]
-    far = np.linalg.norm(Y - X, axis=1) >= 1e-6 * _extent(domain)
+    far = np.linalg.norm(Y - X, axis=1) >= 1e-6 * domain._extent()
     X, Y = X[far], Y[far]
     n = len(X)
     if n == 0:
@@ -458,8 +450,11 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
 
     The points target + 2^-i (start - target), i = 0..horizon, of every
     start are mapped in one call of f.  A sequence's images count up to
-    the first that lands numerically on the boundary, and its limit is
-    where the ray through its last two counted images leaves the domain.
+    the first that lands numerically on the boundary (no positive slack,
+    or off the affine hull by more than eps of the size), and its limit
+    is where the ray through its last two counted images leaves the
+    domain, or the last image when they are within 1e-14 of the domain's
+    extent.
     """
     starts = [_as_array(s, "start") for s in starts]
     if len(starts) < 2:
@@ -472,14 +467,14 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     pts = target + (2.0 ** -np.arange(h))[:, None] * (S - target)[:, None]
     Q = _map_rows(f, pts.reshape(len(S) * h, -1))
     off = ((domain._slacks(domain.to_local(Q)).min(axis=1) <= 0.0)
-           | (domain._hull_residuals(Q) > 1e-9)).reshape(len(S), h)
+           | domain._off_hull(Q, _eps(eps))).reshape(len(S), h)
     kept = np.where(off.any(axis=1), off.argmax(axis=1), h)
     if np.any(kept == 0):
         raise GeometryError("image sequence left the domain immediately")
-    limits = []
+    limits, extent = [], domain._extent()
     for q, k in zip(Q.reshape(len(S), h, -1), kept):
         last = q[k - 1]
-        if k == 1 or np.linalg.norm(last - q[k - 2]) <= 1e-14:
+        if k == 1 or np.linalg.norm(last - q[k - 2]) <= 1e-14 * extent:
             limits.append(last)
         else:
             limits.append(domain.ray(q[k - 2], last - q[k - 2], eps).endpoint)

@@ -47,15 +47,15 @@ __all__ = [
 def cross_ratio(a, x, y, b, eps=None):
     """Cross ratio (|a-y| |b-x|) / (|a-x| |b-y|) of four collinear points.
 
-    The points must lie on one line within eps relative to its span; a
-    vanishing denominator (a == x or b == y) is rejected rather than
-    returned as inf.
+    The points must lie on one line within eps of its span, the length of
+    the diagonal of their bounding box; a vanishing denominator (a == x or
+    b == y, within 1e-14 of the span) is rejected rather than returned as
+    inf.
     """
     eps_v = _eps(eps)
     a, x, y, b = (_as_array(p) for p in (a, x, y, b))
     pts = np.array([a, x, y, b])
-    span = pts.max(axis=0) - pts.min(axis=0)
-    scale = max(1.0, float(np.linalg.norm(span)))
+    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     d = b - a
     nd = np.linalg.norm(d)
     if nd <= eps_v * scale:
@@ -100,9 +100,10 @@ def distances(domain, X, Y, eps=None):
     X and Y are N x ambient arrays, or single points; returns N distances.
     Every point is checked before any distance is taken: NonFinite for a
     NaN or infinite coordinate, PointNotInterior for a point farther than
-    eps from the affine hull or not strictly interior.  Polytopes take the
-    Funk sum of the facet slacks, ellipsoids the cross ratio of the chord
-    as log1p(-1/t_lo) + log1p(1/(t_hi - 1)), with x at t = 0 and y at 1.
+    eps of the domain's size from the affine hull or not strictly
+    interior.  Polytopes take the Funk sum of the facet slacks, ellipsoids
+    the cross ratio of the chord as log1p(-1/t_lo) + log1p(1/(t_hi - 1)),
+    with x at t = 0 and y at 1.
 
     Each check is one pass over the stacked [X; Y]: a reduction, with the
     per-row scan that names the point only when it fails.
@@ -258,7 +259,10 @@ class AsymptoticProfile:
 
 def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
                        bound=None):
-    """Profile of d(x_n, y_n) for geometric approaches to boundary points."""
+    """Profile of d(x_n, y_n) for geometric approaches to boundary points.
+
+    Targets within eps of the domain's extent count as one point, and
+    y0 - x0 as parallel to a2 - a1 when it is that close to their line."""
     steps = defaults.DEFAULT_STEPS if steps is None else int(steps)
     bound = defaults.DIVERGENCE_BOUND if bound is None else float(bound)
     eps_v = _eps(eps)
@@ -271,7 +275,8 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
             raise NotOnBoundary("approach target is not a boundary point")
     domain._require_interior(x0, eps, "x0")
     domain._require_interior(y0, eps, "y0")
-    if np.linalg.norm(a1 - a2) <= eps_v:
+    tol = eps_v * domain._extent()
+    if np.linalg.norm(a1 - a2) <= tol:
         mode = "same-point"
     else:
         f1 = domain.boundary_face_of(a1, eps)
@@ -279,7 +284,7 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
         same_face = (f1 == f2 and f1.dim >= 1)
         base = (a2 - a1)[:, None]
         coef, *_ = np.linalg.lstsq(base, y0 - x0, rcond=None)
-        parallel = np.linalg.norm(base @ coef - (y0 - x0)) <= eps_v
+        parallel = np.linalg.norm(base @ coef - (y0 - x0)) <= tol
         mode = "parallel" if (same_face and parallel) else "divergent"
     xs, ys, ds = [], [], []
     exceeded_at = None
@@ -320,4 +325,4 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
     t = (t_hi * -t_lo * -math.expm1(-radius)
          / (t_hi * math.exp(-radius) - t_lo))
-    return domain._origin + (u0 + t[:, None] * dirs) @ domain._basis.T
+    return domain.to_ambient(u0 + t[:, None] * dirs)

@@ -104,10 +104,12 @@ def reference_focusing_probe(domain, f, target, starts, horizon=24):
         prev, last = None, None
         for i in range(horizon + 1):
             q = f(target + 2.0 ** (-i) * (s - target))
-            if domain.min_slack(q) <= 0.0 or domain.hull_residual(q) > 1e-9:
+            if (domain.min_slack(q) <= 0.0
+                    or domain.hull_residual(q) > 1e-9 * domain._size):
                 break
             prev, last = last, q
-        if prev is None or np.linalg.norm(last - prev) <= 1e-14:
+        if prev is None or (np.linalg.norm(last - prev)
+                            <= 1e-14 * domain._extent()):
             limits.append(last)
             continue
         limits.append(domain.ray(prev, last - prev).endpoint)
@@ -133,15 +135,17 @@ def reference_reject(bad, n, error, what):
 
 
 def reference_residuals(domain, P):
+    """Distances of the rows of P to the affine hull, in units of the
+    domain's size."""
     if domain.intrinsic_dim == domain.ambient_dim:
         return np.zeros(len(P))
     D = P - domain._origin
-    B = domain._basis
-    return np.linalg.norm(D - (D @ B) @ B.T, axis=1)
+    return (np.linalg.norm(D - (D @ domain._basis) @ domain._frame.T, axis=1)
+            / domain._size)
 
 
 def reference_whiten(domain, U):
-    return ((domain._origin + U @ domain._basis.T) - domain.center) \
+    return ((domain._origin + U @ domain._frame.T) - domain.center) \
         @ domain._chol_inv.T
 
 
@@ -154,7 +158,7 @@ def reference_slacks(domain, U):
 
 def reference_chords(domain, u, du):
     w = reference_whiten(domain, u)
-    dw = (du @ domain._basis.T) @ domain._chol_inv.T
+    dw = (du @ domain._frame.T) @ domain._chol_inv.T
     a = np.sum(dw * dw, axis=-1)
     b = np.sum(w * dw, axis=-1)
     c0 = np.sum(w * w, axis=-1) - 1.0
@@ -223,7 +227,8 @@ def reference_require_interior(domain, p, name):
 
 def reference_face(domain, p, tol=None):
     """The face and, for polytopes, the facet loop of boundary_face_of,
-    with slacks within tol (default _tight_tol) of 0 counted as 0."""
+    with slacks in the unit chart within tol (default EPS_GEO) of 0
+    counted as 0."""
     eps = defaults.EPS_GEO
     if reference_residuals(domain, p[None, :])[0] > eps:
         raise NotOnBoundary("point is off the affine hull")
@@ -231,7 +236,7 @@ def reference_face(domain, p, tol=None):
         return domain.boundary_face_of(p)
     s = domain._b - domain._A @ ((p - domain._origin) @ domain._basis)
     if tol is None:
-        tol = domain._tight_tol(eps)
+        tol = eps
     if s.min() < -tol:
         raise NotOnBoundary("point is outside the domain")
     tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
@@ -252,7 +257,7 @@ def reference_chord(domain, x, y):
     du = uy - ux
     if domain.kind == "polytope":
         denom = domain._A @ du
-        live = np.abs(denom) > 1e-14 * max(1.0, np.linalg.norm(du))
+        live = np.abs(denom) > 1e-14 * np.linalg.norm(du)
         t = (domain._b - domain._A @ ux)[live] / denom[live]
         up = denom[live] > 0
         if up.all() or not up.any():
@@ -264,10 +269,10 @@ def reference_chord(domain, x, y):
             raise GeometryError("degenerate chord direction")
     xh = domain.project_to_hull(x)
     d = domain.project_to_hull(y) - xh
-    # a chord end's slack tolerance: no more than its round-off
-    tols = [None, None] if domain.kind == "ellipsoid" else [
-        min(domain._tight_tol(defaults.EPS_GEO),
-            domain._slack_floor * (1.0 + abs(t))) for t in (t_lo, t_hi)]
+    # a chord end's slack tolerance: no more than its round-off, 64 ulp
+    # per unit of 1 + |t| in the unit chart
+    tols = [min(defaults.EPS_GEO, 64.0 * np.finfo(float).eps * (1.0 + abs(t)))
+            for t in (t_lo, t_hi)]
     return (t_lo, t_hi, reference_face(domain, xh + t_lo * d, tols[0]),
             reference_face(domain, xh + t_hi * d, tols[1]))
 

@@ -139,7 +139,7 @@ def _clip_line_by_facet(dom, u, du):
     denom = dom._A @ du
     slack = dom._b - dom._A @ u
     for i in range(len(denom)):
-        if abs(denom[i]) <= 1e-14 * max(1.0, np.linalg.norm(du)):
+        if abs(denom[i]) <= 1e-14 * np.linalg.norm(du):
             continue  # parallel facet
         t = slack[i] / denom[i]
         if denom[i] > 0:
@@ -160,10 +160,10 @@ def test_clip_line_matches_per_facet_reference():
             # along a facet: that facet's denominator is at round-off level
             facet = dom._A[rng.integers(len(dom._A))]
             along = du - (du @ facet) * facet
-            for d in (du, along, 1e-9 * du):
+            for d in (du, along, 1e-9 * du, 1e-16 * du):
                 assert dom._clip_line(u, d) == _clip_line_by_facet(dom, u, d)
         with pytest.raises(GeometryError, match="escapes"):
-            dom._clip_line(u, 1e-16 * du)
+            dom._clip_line(u, 0.0 * du)
 
 
 def test_ellipsoid_chord_and_boundary_face():

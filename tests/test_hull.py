@@ -70,6 +70,13 @@ def random_polygon(rng):
     return np.vstack([V, 0.5 * junk + 0.5 * V.mean(axis=0)])
 
 
+def ambient_facets(dom):
+    """The unit outward normals and offsets of the facets, in ambient
+    coordinates: A's rows are unit normals in the unit chart."""
+    normals = dom._A @ (dom._basis * dom._size).T
+    return normals, dom._b * dom._size + normals @ dom._origin
+
+
 def assert_matches_reference(P):
     dom = build_polytope(P)
     V = reference_vertices(P)
@@ -77,8 +84,7 @@ def assert_matches_reference(P):
     ref = reference_facets(dom.vertices)
     keys = sorted(ref, key=lambda s: tuple(sorted(s)))
     assert dom._facet_sets == keys
-    normals = (dom._basis @ dom._A.T).T  # ambient outward normals
-    offsets = dom._b + normals @ dom._origin
+    normals, offsets = ambient_facets(dom)
     assert np.allclose(normals, [ref[k][0] for k in keys], atol=1e-9)
     assert np.allclose(offsets, [ref[k][1] for k in keys], atol=1e-9)
 
@@ -131,8 +137,7 @@ def assert_facets_exact(dom):
     ref = reference_facets(dom.vertices)
     keys = sorted(ref, key=lambda s: tuple(sorted(s)))
     assert dom._facet_sets == keys
-    normals = (dom._basis @ dom._A.T).T
-    offsets = dom._b + normals @ dom._origin
+    normals, offsets = ambient_facets(dom)
     assert np.allclose(normals, [ref[k][0] for k in keys], rtol=0, atol=1e-14)
     assert np.allclose(offsets, [ref[k][1] for k in keys], rtol=0, atol=1e-14)
 
@@ -562,9 +567,9 @@ def reference_lattice(dom):
     member = np.zeros((len(face_idx), len(facet_sets)))
     for r, F in enumerate(fids):
         member[r, list(F)] = 1.0
-    nw, ob = member @ A, member @ b
-    nn = np.linalg.norm(nw, axis=1)
-    N = (nw / nn[:, None]) @ dom._basis.T
+    N, ob = (member @ A) @ dom._basis.T, member @ b
+    nn = np.linalg.norm(N, axis=1)
+    N /= nn[:, None]
     offsets = ob / nn + N @ dom._origin
     dims = {}
     through = {}
@@ -604,8 +609,8 @@ def test_lazy_lattice_equals_the_eager_reference():
     rng = np.random.default_rng(34)
     th = 2 * np.pi * np.arange(64) / 64
     u = np.random.default_rng(22).normal(size=(200, 3))  # the README's
-    # an affine cube at 1e9, where the hull's facet sets nest: the
-    # lattice keeps the closure's faces and dimensions (one of them 3)
+    # an affine cube at 1e9, whose square facets the hull groups from its
+    # triangles
     M = np.random.default_rng(0).normal(size=(4, 3))
     clouds = lattice_inputs(rng) + [
         np.c_[np.cos(th), np.sin(th)], rng.normal(size=(40, 3)),
@@ -698,20 +703,24 @@ def test_cone_over_matches_build_cone_reference(monkeypatch):
 
 
 def test_facet_left_without_vertices_is_degenerate():
-    # four points on a small arc: at the absolute tolerance the middle
-    # points are flat, and so is every vertex of one hull edge
+    # four points on a small arc: at eps 9e-3 of the size the middle
+    # points are flat, and so is every vertex of one hull edge, at every
+    # scale (9e-3 is what an absolute 1e-9 was to this arc at 1.93e-6)
     arc = np.array([[-0.6455, 0.7662], [-0.7018, 0.7150],
-                    [-0.7054, 0.7115], [-0.7639, 0.6482]]) * 1.93e-6
-    with pytest.raises(DegenerateInput):
-        build_polytope(arc)
+                    [-0.7054, 0.7115], [-0.7639, 0.6482]])
+    for scale in (1.93e-6, 1.0, 1e9):
+        with pytest.raises(DegenerateInput, match="keeps no vertex"):
+            build_polytope(arc * scale, 9e-3)
 
 
 def test_polygon_merged_to_a_segment_is_degenerate():
-    # a 12-gon 3e-9 wide: the absolute tolerance 1e-9 merges all but two
-    # of its vertices, which do not make a polygon
-    th = 2 * np.pi * np.arange(12) / 12
-    with pytest.raises(DegenerateInput, match="keeps 2 vertices"):
-        build_polytope(np.c_[1.5 * np.cos(th), np.sin(th)] * 1e-9)
+    # a quadrilateral about 3e-8 of its length thick: eps merges all but
+    # two of its vertices, which do not make a polygon, at every scale
+    quad = np.array([[-0.9227, 1.0544e-8], [-0.8768, 1.0613e-8],
+                     [0.8424, 3.3969e-8], [0.9667, 1.3958e-8]])
+    for scale in (1e-9, 1.0, 1e12):
+        with pytest.raises(DegenerateInput, match="keeps 2 vertices"):
+            build_polytope(quad * scale)
 
 
 def reference_hull_facets(points, tol):
@@ -844,13 +853,14 @@ def reference_section(dom, point, spans, eps=TOL):
     S = np.atleast_2d(np.asarray(spans, float))
     B0 = np.linalg.qr(S.T)[0][:, : len(S)]
     m = B0.shape[1]
-    M = np.hstack([B0, -dom._basis])
+    B = dom._basis * dom._size  # an orthonormal basis of the affine hull
+    M = np.hstack([B0, -B])
     sol = np.linalg.lstsq(M, dom._origin - p0, rcond=None)[0]
     q0 = p0 + B0 @ sol[:m]
     qd, rd = np.linalg.qr(B0 @ _nullspace(M)[:m, :])
     W = qd[:, : int(np.sum(np.abs(np.diag(rd)) > 1e-12))]
-    G = dom._A @ (dom._basis.T @ W)
-    h = dom._b - dom._A @ (dom._basis.T @ (q0 - dom._origin))
+    G = dom._A @ (B.T @ W)
+    h = (dom._b - dom._A @ ((q0 - dom._origin) @ dom._basis)) * dom._size
     norms = np.linalg.norm(G, axis=1)
     flat = norms <= 1e-12
     if np.any(h[flat] < -eps):

@@ -482,13 +482,13 @@ def test_stacked_classifier_with_a_collinear_frame_triple():
     from hilbertgeo.isometries import _fit_stack
 
     # a 9-gon at 1e9 with one vertex 1e-3 outside an edge of an octagon:
-    # it stays a vertex, and the frames through it and that edge's ends
-    # fail the spanning test
+    # 1e-12 of the size, so at eps 1e-13 it stays a vertex, and the frames
+    # through it and that edge's ends fail the spanning test
     th = 2 * math.pi * np.arange(8) / 8
     octagon = np.c_[np.cos(th), np.sin(th)] * 1e9
     mid = 0.5 * (octagon[0] + octagon[1])
     V = np.vstack([octagon, mid * (1 + 1e-3 / np.linalg.norm(mid))])
-    dom = build_polytope(V)
+    dom = build_polytope(V, 1e-13)
     va, _ = dom.polygon_vertices_local()
     assert len(va) == 9
     m = 9
@@ -497,7 +497,7 @@ def test_stacked_classifier_with_a_collinear_frame_triple():
     _, fail = _fit_stack(va[:4], W[:, :4])
     assert 1 in fail and 0 in fail
     rng = np.random.default_rng(3)
-    image = build_polytope(_projective_image(rng, V / 1e9) * 1e9)
+    image = build_polytope(_projective_image(rng, V / 1e9) * 1e9, 1e-13)
     for other in (dom, image):
         _assert_witness(dom, other, classify_2d(dom, other), rng)
         _assert_witness(other, dom, classify_2d(other, dom), rng)
