@@ -61,6 +61,12 @@ def test_cross_ratio_rejects_bad_input():
         cross_ratio([0, 0], [1, 0], [1, 1], [0, 1])
     with pytest.raises(DegenerateDenominator):
         cross_ratio([0.0], [0.0], [1.0], [2.0])
+    # collinearity is read relative to the points' span, at every scale
+    bent = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [4.0, 0.0]])
+    for s in (1e-9, 1.0, 1e9):
+        with pytest.raises(NotCollinear):
+            cross_ratio(*(bent * s))
+        assert abs(cross_ratio(*(bent * [1.0, 0.0] * s)) - 3.0) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,11 +20,10 @@ from hilbertgeo import (
     build_polytope,
     classify_2d,
     cone_distances,
-    cross_ratio,
     distance,
     is_rigid_chord,
 )
-from hilbertgeo.errors import GeometryError, NotCollinear
+from hilbertgeo.errors import GeometryError
 
 SCALES = (1e-9, 1e-7, 1e-6, 1e3, 1e9, 1e12)
 CUBE = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
@@ -127,15 +126,6 @@ def test_asymptotic_profile_modes_are_scale_free():
                                      np.multiply(a1, s), np.multiply(a2, s),
                                      steps=8)
             assert got.mode == mode
-
-
-def test_cross_ratio_rejects_a_small_bent_quadruple():
-    pts = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [4.0, 0.0]])
-    for s in (1e-9, 1.0, 1e9):
-        with pytest.raises(NotCollinear):
-            cross_ratio(*(pts * s))
-        line = pts * [1.0, 0.0] * s
-        assert cross_ratio(*line) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_small_cones_build():
