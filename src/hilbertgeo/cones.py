@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import _as_array, _eps, _hull_facets, _lex_keep
+from .convex import _as_array, _eps, _hull_facets, _lex_keep, _reject
 from .errors import (
     DegenerateInput,
     GeometryError,
@@ -22,7 +22,7 @@ from .errors import (
     Unsupported,
     XNotInteriorOfCone,
 )
-from .metric import _ball_distances, _funk_sum, _reject
+from .metric import _ball_distances, _funk_sum
 
 __all__ = [
     "Cone",
@@ -223,7 +223,10 @@ def cone_distances(cone, X, Y):
 
     X and Y are N x dim arrays, or single points; returns N distances.
     Every point is checked first: NonFinite, or XNotInteriorOfCone naming
-    the first offending row.
+    the first offending row.  A polyhedral cone takes the functionals'
+    values and the Funk differences from one product, [X; Y; Y - X;
+    X - Y] @ L.T, through the polytopes' helper, so a scalar query and its
+    row agree bit for bit.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -233,17 +236,20 @@ def cone_distances(cone, X, Y):
     if X.ndim == 1:
         X, Y = X[None, :], Y[None, :]
     n = len(X)
-    P = np.concatenate([X, Y])
+    Z = np.concatenate([X, Y, Y, X])
+    P = Z[:2 * n]
     if not np.isfinite(P).all():
         _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
                 "contains non-finite coordinates")
     if cone.kind == "polyhedral":
-        L = cone.functionals
-        S = P @ L.T  # the interior test and the Funk sum read it
-        if not (S > 0.0).all():
+        # the interior test and the Funk sum read one product
+        Z[2 * n:] -= P
+        R = Z @ cone.functionals.T
+        S = R[:2 * n]
+        if not S.min(initial=np.inf) > 0.0:
             _reject(~(S.min(axis=1) > 0.0), n, XNotInteriorOfCone,
                     "must be interior to the cone")
-        return _funk_sum(S[:n], S[n:], (X - Y) @ L.T)
+        return _funk_sum(S, R[2 * n:])
     _reject(~cone._interior(P), n, XNotInteriorOfCone,
             "must be interior to the cone")
     # on the unit ball of the slice x_1 = 1, from Y - X, not from the

@@ -85,18 +85,24 @@ def _eps(eps):
     return defaults.EPS_GEO if eps is None else float(eps)
 
 
-def _end_tol(eps, t):
-    """The slack tolerance of a chord end x + t (y - x): eps, but no more
-    than its round-off, _ROUND per unit of 1 + |t|.  eps alone reads an
-    end 1e-9 of the size from a vertex as that vertex."""
-    return min(eps, _ROUND * (1.0 + abs(t)))
-
-
 def _as_array(p, name="point"):
     a = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise NonFinite(f"{name} contains non-finite coordinates")
+        raise NonFinite(f"{name} contains non-finite coordinates", name)
     return a
+
+
+def _reject(bad, n, error, what, min_slack=None):
+    """Raise error for the first flagged row of a stacked [X; Y] block of
+    n pairs, naming the point as x or y (x[i] or y[i] when n > 1); the
+    error's point and index are that name and row, and its min_slack the
+    row's entry of min_slack when given."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, row = ("x", i) if i < n else ("y", i - n)
+        msg = f"{name}[{row}] {what}" if n > 1 else f"{name} {what}"
+        extra = {} if min_slack is None else {"min_slack": float(min_slack[i])}
+        raise error(msg, point=name, index=row, **extra)
 
 
 def _lex_unique(points, tol):
@@ -692,6 +698,11 @@ class ConvexDomain:
     multiplied by _size, half the largest coordinate range), an
     ellipsoid's the identity.  Every eps is a fraction of the domain's
     size: of _size on a polytope, of the whitened radius on an ellipsoid.
+
+    Queries on points read them through one matrix _M (see _stacked): on
+    a polytope the facet rates per ambient unit, _basis @ _A.T, followed
+    on an embedded polytope by _normals, its unit normals to the affine
+    hull divided by _size; on an ellipsoid the whitening L^-T.
     """
 
     def __init__(self, kind, **data):
@@ -709,8 +720,12 @@ class ConvexDomain:
             self._b = data["b"]
             self._facet_sets = data["facet_sets"]
             self._lattice = None  # built on first use, see face_lattice
-            self.ambient_dim = self.vertices.shape[1]
-            self.intrinsic_dim = self._basis.shape[1]
+            self.ambient_dim, self.intrinsic_dim = D, d = data["basis"].shape
+            # the orthogonal complement of the orthonormal basis
+            self._normals = (np.linalg.svd(data["basis"])[0][:, d:]
+                             * (1.0 / self._size) if d < D
+                             else np.empty((D, 0)))
+            self._M = np.hstack([self._basis @ self._A.T, self._normals])
         else:
             self.center = data["center"]
             self.shape = data["shape"]
@@ -723,6 +738,7 @@ class ConvexDomain:
             self._origin = np.zeros(self.ambient_dim)
             self._size = 1.0
             self._basis = self._frame = np.eye(self.ambient_dim)
+            self._M = self._chol_inv.T
 
     # ---------------------------------------------------------------- charts
 
@@ -734,8 +750,14 @@ class ConvexDomain:
         return self._origin + _as_array(u) @ self._frame.T
 
     def hull_residual(self, p):
-        """Euclidean distance from p to the affine hull."""
-        return float(self._hull_residuals(_as_array(p)[None, :])[0])
+        """Euclidean distance from p to the affine hull: the length of its
+        components along the hull's unit normals.  A full-dimensional
+        domain's hull is the whole space: its residual would be pure
+        round-off."""
+        if self.intrinsic_dim == self.ambient_dim:
+            return 0.0
+        return float(np.linalg.norm((_as_array(p) - self._origin)
+                                    @ self._normals)) * self._size
 
     def _off_hull(self, P, eps):
         """Flags of the rows of P farther than eps of the size from the
@@ -744,16 +766,59 @@ class ConvexDomain:
         residual is taken."""
         if self.intrinsic_dim == self.ambient_dim:
             return np.bool_(0.0 > eps)
-        return self._hull_residuals(P) > eps * self._size
+        return self._off_normals((P - self._origin) @ self._normals, eps)
 
-    def _hull_residuals(self, P):
-        """Distances of the rows of P to the affine hull.  A full-dimensional
-        domain's hull is the whole space: its residual would be pure
-        round-off."""
-        if self.intrinsic_dim == self.ambient_dim:
-            return np.zeros(len(P))
-        D = P - self._origin
-        return np.linalg.norm(D - (D @ self._basis) @ self._frame.T, axis=1)
+    @staticmethod
+    def _off_normals(G, eps):
+        """Flags of the rows of G, points' components along _normals,
+        that put a point farther than eps of the size from the hull."""
+        return np.sqrt(np.einsum("ij,ij->i", G, G)) > eps
+
+    def _stacked(self, X, Y, eps):
+        """The one product of a query on the pairs (X[i], Y[i]), rows of
+        n x ambient arrays of matching shape: R = [X - o; Y - o; X - Y;
+        Y - X] @ _M, o the polytope's origin or the ellipsoid's center.
+        Returns S, the slacks of the 2n points X and Y (_slacks), and R:
+        on a polytope its last 2n rows are sy - sx and sx - sy, the facet
+        rates along X - Y and Y - X, so close pairs keep their digits; on
+        an ellipsoid its rows are whitened.
+
+        Every point is checked first, off the same block: NonFinite for a
+        NaN or infinite coordinate, PointNotInterior for a point farther
+        than eps of the size from the affine hull (its components along
+        _normals) or with a slack <= 0, naming the first bad point.  Each
+        check is one reduction, with the per-row scan that names the point
+        only when it fails.
+        """
+        n = len(X)
+        Z = np.concatenate([X, Y, Y, X])
+        P, D = Z[:2 * n], Z[2 * n:]
+        if not np.isfinite(P).all():
+            _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                    "contains non-finite coordinates")
+        np.subtract(P, D, out=D)
+        polytope = self.kind == "polytope"
+        P -= self._origin if polytope else self.center
+        R = Z @ self._M
+        # a full-dimensional domain's hull is the whole space: one flag,
+        # for the residual 0, stands for every row
+        off = 0.0 > eps
+        if polytope:
+            m = len(self._b)
+            S = self._b - R[:2 * n, :m]
+            if m < R.shape[1]:
+                off = self._off_normals(R[:2 * n, m:], eps)
+        else:
+            W = R[:2 * n]
+            S = 1.0 - np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+        if (not S.min(initial=np.inf) > 0.0
+                or off is not False and np.any(off)):
+            _reject(np.asarray(off), n, PointNotInterior,
+                    "is off the affine hull")
+            least = S.min(axis=1)
+            _reject(least <= 0.0, n, PointNotInterior,
+                    "is not strictly interior", least)
+        return S, R
 
     def project_to_hull(self, p):
         return self.to_ambient(self.to_local(p))
@@ -817,10 +882,12 @@ class ConvexDomain:
         asymptotic probes evaluate distances at points within 1e-12 of the
         boundary."""
         if self._off_hull(p[None, :], _eps(eps)).any():
-            raise PointNotInterior(f"{name} is off the affine hull")
+            raise PointNotInterior(f"{name} is off the affine hull", name)
         u = (p - self._origin) @ self._basis
-        if self._slacks(u).min() <= 0.0:
-            raise PointNotInterior(f"{name} is not strictly interior")
+        least = float(self._slacks(u).min())
+        if least <= 0.0:
+            raise PointNotInterior(f"{name} is not strictly interior", name,
+                                   min_slack=least)
         return u
 
     # ------------------------------------------------------------------ faces
@@ -839,47 +906,49 @@ class ConvexDomain:
 
     def boundary_face_of(self, p, eps=None):
         """The face whose relative interior contains the boundary point p,
-        read with slacks within eps of the domain's size of 0."""
+        read with slacks within eps of the domain's size of 0.  An
+        ellipsoid reads p in whitened coordinates w, where the boundary is
+        |w| = 1.  Chord ends do not come here: chord_through reads their
+        faces off the facets that clip the chord."""
         eps = _eps(eps)
-        return self._face_at(_as_array(p), eps)
-
-    def _face_at(self, p, eps, tol=None):
-        """boundary_face_of a finite point p, whose slacks within tol
-        (default eps) of 0 count as 0 on a polytope.  An ellipsoid reads
-        p in whitened coordinates w, where the boundary is |w| = 1."""
+        p = _as_array(p)
         if self._off_hull(p[None, :], eps).any():
             raise NotOnBoundary("point is off the affine hull")
         if self.kind == "ellipsoid":
-            q = p - self.center
-            w = self._chol_solve(q)
+            w = self._chol_solve(p - self.center)
             r = np.linalg.norm(w)
             if r == 0.0:
-                raise NotOnBoundary("point is the center")
+                raise NotOnBoundary("point is the center", slack=1.0)
             if abs(r - 1.0) > eps:
-                raise NotOnBoundary("point is not on the ellipsoid boundary")
-            proj = self.center + q / r
-            normal = self._shape_inv @ (proj - self.center)
-            normal = normal / np.linalg.norm(normal)
-            return Face(
-                indices=(),
-                dim=0,
-                point_key=tuple(np.round(w / r, 9)),
-                vertices=proj[None, :],
-                normal=normal,
-                offset=float(normal @ proj),
-            )
+                raise NotOnBoundary("point is not on the ellipsoid boundary",
+                                    slack=float(1.0 - r))
+            return self._sphere_face(w / r)
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        if tol is None:
-            tol = eps
-        if s.min() < -tol:
-            raise NotOnBoundary("point is outside the domain")
-        tight = np.flatnonzero(np.abs(s) <= tol)
+        least = float(s.min())
+        if least < -eps:
+            raise NotOnBoundary("point is outside the domain", slack=least)
+        tight = np.flatnonzero(np.abs(s) <= eps)
         if not len(tight):
-            raise NotOnBoundary("point is interior")
-        face = self.face_lattice()._meet(tight.tolist())
+            raise NotOnBoundary("point is interior", slack=least)
+        return self._face_of(tight)
+
+    def _face_of(self, facets):
+        """The face where the given facet ids meet."""
+        face = self.face_lattice()._meet(facets.tolist())
         if face is None:
             raise NotOnBoundary("tight facets do not meet in a face")
         return face
+
+    def _sphere_face(self, w):
+        """An ellipsoid's point face at the whitened boundary point w,
+        |w| = 1: the point c + L w, with the normal L^-T w."""
+        q = self._chol @ w
+        proj = self.center + q
+        normal = self._chol_inv.T @ w
+        normal = normal / np.linalg.norm(normal)
+        return Face(indices=(), dim=0, point_key=tuple(np.round(w, 9)),
+                    vertices=proj[None, :], normal=normal,
+                    offset=float(normal @ proj))
 
     def in_relative_interior(self, face, p, eps=None):
         """Whether p lies in the relative interior of the given face."""
@@ -898,35 +967,56 @@ class ConvexDomain:
 
     # ----------------------------------------------------------------- chords
 
-    def _clip_line(self, u, du):
-        """Intersection parameters of the lines {u + t du} with the local
-        body: one line, or one per row of du (u one point or matching
-        rows).  Returns (t_lo, t_hi), floats for one line and arrays for
-        rows, with t_lo < 0 < t_hi for interior u."""
+    def _line(self, u, du):
+        """The lines {u + t du} (local points and directions, one or rows)
+        as _clip_line reads them: a polytope's facet slacks at u and their
+        rates of decrease along du, an ellipsoid's whitened u and du."""
         if self.kind == "polytope":
-            denom = du @ self._A.T
-            # facets with |denom| at round-off level of |du| count as
-            # parallel
-            size = (np.linalg.norm(du) if du.ndim == 1
-                    else np.linalg.norm(du, axis=-1, keepdims=True))
-            live = np.abs(denom) > 1e-14 * size
-            up = live & (denom > 0)
-            down = live & (denom < 0)
-            if not (up.any(axis=-1).all() and down.any(axis=-1).all()):
-                raise GeometryError("line escapes the polytope")
-            s = self._b - u @ self._A.T
-            t_lo = np.divide(s, denom, out=np.full(denom.shape, -np.inf),
+            return self._b - u @ self._A.T, du @ self._A.T
+        return self._chol_solve(u - self.center), self._chol_solve(du)
+
+    def _clip_line(self, s, rate):
+        """Where lines leave the body: on a polytope s are the facet slacks
+        of a point and rate their rates of decrease along the line, so the
+        slacks at t are s - t rate; on an ellipsoid s and rate are the
+        whitened point and direction (see _line).  One line, or one per
+        row of rate (s one point or matching rows).
+
+        Returns (t_lo, t_hi, lo, hi): floats for one line and arrays for
+        rows, with t_lo < 0 < t_hi for an interior point.  On a polytope
+        lo and hi mark each end's binding facets, those whose slack there,
+        s - t rate, is within its round-off of 0: _ROUND per unit of
+        1 + |t| max |rate|, the size of the terms in the unit chart.  The
+        facet that sets t is always among them, and the end's face is
+        where they meet.  A facet whose rate is at the round-off of the
+        largest (1e-14 of it) counts as parallel.  On an ellipsoid lo and
+        hi are None.
+        """
+        if self.kind == "polytope":
+            size = np.abs(rate)
+            scale = size.max(axis=-1, keepdims=True)
+            live = size > 1e-14 * scale
+            up = live & (rate > 0)
+            down = live & (rate < 0)
+            t_lo = np.divide(s, rate, out=np.full(rate.shape, -np.inf),
                              where=down).max(axis=-1)
-            t_hi = np.divide(s, denom, out=np.full(denom.shape, np.inf),
+            t_hi = np.divide(s, rate, out=np.full(rate.shape, np.inf),
                              where=up).min(axis=-1)
+            if not np.isfinite(t_hi - t_lo).all():
+                raise GeometryError("line escapes the polytope")
+            # both ends at once: the slacks s - t rate at (..., end, facet)
+            T = np.array([t_lo, t_hi]).T[..., None]
+            ends = (np.abs(s[..., None, :] - T * rate[..., None, :])
+                    <= _ROUND * (1.0 + np.abs(T) * scale[..., None]))
+            lo, hi = ends[..., 0, :], ends[..., 1, :]
         else:
-            t_lo, t_hi = self._ellipsoid_chords(
-                self._chol_solve(u - self.center), self._chol_solve(du))
+            t_lo, t_hi = self._ellipsoid_chords(s, rate)
             if not np.all((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)):
                 raise GeometryError("degenerate chord direction")
-        if du.ndim == 1:
-            return float(t_lo), float(t_hi)
-        return t_lo, t_hi
+            lo = hi = None
+        if rate.ndim == 1:
+            return float(t_lo), float(t_hi), lo, hi
+        return t_lo, t_hi, lo, hi
 
     @staticmethod
     def _ellipsoid_chords(w, dw):
@@ -952,35 +1042,49 @@ class ConvexDomain:
 
     def chord_params(self, x, y, eps=None):
         """(t_lo, t_hi) clipping the line through interior x, y, with x at
-        t = 0 and y at t = 1."""
-        return self._chord_params(_as_array(x, "x"), _as_array(y, "y"), eps)
+        t = 0 and y at t = 1; the same pass as chord_through."""
+        return self._chord(_as_array(x, "x"), _as_array(y, "y"), eps)[:2]
 
-    def _chord_params(self, x, y, eps):
-        """chord_params of finite points x and y."""
+    def _chord(self, x, y, eps):
+        """_clip_line of the line through finite points x and y, from the
+        one stacked product of _stacked, which checks both points, and that
+        product's rows R."""
         if np.array_equal(x, y):
             raise CoincidentPoints("chord needs two distinct points")
-        ux = self._require_interior(x, eps, "x")
-        uy = self._require_interior(y, eps, "y")
-        return self._clip_line(ux, uy - ux)
+        S, R = self._stacked(x[None, :], y[None, :], _eps(eps))
+        if self.kind == "polytope":
+            return (*self._clip_line(S[0], R[3, :len(self._b)]), R)
+        return (*self._clip_line(R[0], R[3]), R)
 
     def chord_through(self, x, y, eps=None):
         """The maximal chord through interior points x and y, with its
-        boundary endpoints and their faces."""
+        boundary endpoints and their faces.
+
+        One stacked pass (_stacked) checks x and y and gives the slacks of
+        x and the facet rates along y - x, which _clip_line turns into t_lo
+        and t_hi and each end's binding facets; the end's face is where
+        those facets meet, so no extrapolated endpoint is read back, and a
+        pair 1e-13 apart gets the faces of a far pair on its line.  An
+        ellipsoid's end face is its whitened end, normalised.  The points
+        x, y, alpha and beta come from the chart: x and y projected to the
+        affine hull, alpha and beta at t_lo and t_hi on the line through
+        them.
+        """
         x = _as_array(x, "x")
         y = _as_array(y, "y")
-        t_lo, t_hi = self._chord_params(x, y, eps)
-        xh = self.project_to_hull(x)
-        yh = self.project_to_hull(y)
-        d = yh - xh
-        alpha = xh + t_lo * d
-        beta = xh + t_hi * d
-        eps = _eps(eps)
-        return Chord(
-            x=xh, y=yh, alpha=alpha, beta=beta,
-            face_alpha=self._face_at(alpha, eps, _end_tol(eps, t_lo)),
-            face_beta=self._face_at(beta, eps, _end_tol(eps, t_hi)),
-            t_alpha=t_lo, t_beta=t_hi,
-        )
+        t_lo, t_hi, lo, hi, R = self._chord(x, y, eps)
+        ux, uy, du = np.array([x - self._origin, y - self._origin,
+                               y - x]) @ self._basis
+        xh, yh, alpha, beta = self.to_ambient(
+            np.array([ux, uy, ux + t_lo * du, ux + t_hi * du]))
+        if self.kind == "polytope":
+            faces = [self._face_of(np.flatnonzero(at)) for at in (lo, hi)]
+        else:
+            ends = np.array([R[0] + t_lo * R[3], R[0] + t_hi * R[3]])
+            ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+            faces = [self._sphere_face(w) for w in ends]
+        return Chord(x=xh, y=yh, alpha=alpha, beta=beta, face_alpha=faces[0],
+                     face_beta=faces[1], t_alpha=t_lo, t_beta=t_hi)
 
     def ray(self, start, direction, eps=None):
         """Ray from an interior start toward the boundary."""
@@ -995,7 +1099,7 @@ class ConvexDomain:
         if np.linalg.norm(d - d_amb) > _eps(eps) * max(nd, self._size):
             raise DegenerateInput("ray direction leaves the affine hull")
         u = self._require_interior(start, eps, "start")
-        _, t_hi = self._clip_line(u, du)
+        t_hi = self._clip_line(*self._line(u, du))[1]
         endpoint = self.project_to_hull(start) + t_hi * d_amb
         d_unit = d_amb / np.linalg.norm(d_amb)
         return Ray(start=self.project_to_hull(start), direction=d_unit,
@@ -1222,7 +1326,7 @@ class ConvexDomain:
             du = rng.normal(size=self.intrinsic_dim)
             du /= np.linalg.norm(du)
             u = self.to_local(x)
-            _, t_hi = self._clip_line(u, du)
+            t_hi = self._clip_line(*self._line(u, du))[1]
             out.append(self.to_ambient(u + t_hi * du))
         return np.array(out) if k > 1 else out[0]
 

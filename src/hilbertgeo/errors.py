@@ -9,7 +9,18 @@ class GeometryError(ValueError):
     """Base class for geometric precondition failures."""
 
 
-class NonFinite(GeometryError):
+class _NamedPoint(GeometryError):
+    """A failure of one named point.  point is its name ("x", "y",
+    "start", ...) and index its row in a batch of pairs, as the message
+    names it (x[3] is point "x", index 3); both are None when unknown."""
+
+    def __init__(self, message, point=None, index=None):
+        super().__init__(message)
+        self.point = point
+        self.index = index
+
+
+class NonFinite(_NamedPoint):
     """Input contains NaN or infinite coordinates."""
 
 
@@ -22,15 +33,27 @@ class Unsupported(GeometryError):
 
 
 class NotOnBoundary(GeometryError):
-    """Point is farther than the tolerance from the boundary."""
+    """Point is farther than the tolerance from the boundary.  slack, when
+    a slack decided it, is the point's least facet slack (1 - |w| in an
+    ellipsoid's whitened coordinates), a fraction of the domain's size."""
+
+    def __init__(self, message, slack=None):
+        super().__init__(message)
+        self.slack = slack
 
 
 class CoincidentPoints(GeometryError):
     """Two points expected to be distinct coincide."""
 
 
-class PointNotInterior(GeometryError):
-    """Point is not in the (relative) interior of the domain."""
+class PointNotInterior(_NamedPoint):
+    """Point is not in the (relative) interior of the domain.  min_slack,
+    when a slack decided it, is the point's least slack, a fraction of the
+    domain's size."""
+
+    def __init__(self, message, point=None, index=None, min_slack=None):
+        super().__init__(message, point, index)
+        self.min_slack = min_slack
 
 
 class NotOpposite(GeometryError):
@@ -57,7 +80,7 @@ class DegenerateDenominator(GeometryError):
     """A cross-ratio denominator vanishes."""
 
 
-class XNotInteriorOfCone(GeometryError):
+class XNotInteriorOfCone(_NamedPoint):
     """Reference element of a cone ratio is not interior."""
 
 

@@ -10,7 +10,8 @@ distances(domain, X, Y) takes N pairs as the rows of two N x ambient
 arrays and returns their N distances in one batch of array operations:
 the Funk sum on polytopes, the log1p form of the chord cross ratio on
 ellipsoids.  All 2N points are checked before any distance is taken.
-distance is its one-pair wrapper.
+distance is its one-pair wrapper: the same code on one row, so a scalar
+distance and its row of distances are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     NonFinite,
     NotCollinear,
     NotOnBoundary,
-    PointNotInterior,
 )
 
 __all__ = [
@@ -77,21 +77,15 @@ def cross_ratio(a, x, y, b, eps=None):
     return float((np.linalg.norm(a - y) * np.linalg.norm(b - x)) / (ax * by))
 
 
-def _funk_sum(sx, sy, delta):
-    """log max_i sx_i/sy_i + log max_j sy_j/sx_j over the last axis, with
-    delta = sx - sy taken from the points' difference so that close pairs
-    keep digits."""
-    return (np.log1p((delta / sy).max(axis=-1))
-            + np.log1p((-delta / sx).max(axis=-1)))
-
-
-def _reject(bad, n, error, what):
-    """Raise error for the first flagged row of a stacked [X; Y] block of
-    n pairs, naming the point as x or y (x[i] or y[i] when n > 1)."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        name, row = ("x", i) if i < n else ("y", i - n)
-        raise error(f"{name}[{row}] {what}" if n > 1 else f"{name} {what}")
+def _funk_sum(S, D):
+    """log max_i sy_i/sx_i + log max_j sx_j/sy_j of each of n pairs, from
+    the slacks S = [sx; sy] and D = [sy - sx; sx - sy] (2n rows each),
+    both differences taken from the points' difference so that close
+    pairs keep their digits: both ratios less 1 are the one division
+    D / S."""
+    r = np.log1p((D / S).max(axis=-1))
+    n = len(r) // 2
+    return r[:n] + r[n:]
 
 
 def distances(domain, X, Y, eps=None):
@@ -105,8 +99,16 @@ def distances(domain, X, Y, eps=None):
     the cross ratio of the chord as log1p(-1/t_lo) + log1p(1/(t_hi - 1)),
     with x at t = 0 and y at 1.
 
-    Each check is one pass over the stacked [X; Y]: a reduction, with the
-    per-row scan that names the point only when it fails.
+    Everything comes from one stacked product (ConvexDomain._stacked),
+    [X - o; Y - o; X - Y; Y - X] @ M, o and M a polytope's chart origin
+    and facet rates per ambient unit (basis @ A.T) or an ellipsoid's
+    center and whitening: the slacks of X and Y, which the checks read
+    too, and on a polytope the Funk differences sy - sx and sx - sy, the
+    facet rates along X - Y and Y - X, so close pairs keep their digits;
+    on an ellipsoid the whitened X - c and Y - X give the chord roots.
+    A scalar query runs the same code on one row, and BLAS sums a product
+    of two or more rows the same way whatever their number, so
+    distance(x, y) equals its row of distances bit for bit.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -118,27 +120,10 @@ def distances(domain, X, Y, eps=None):
     if X.ndim == 1:
         X, Y = X[None, :], Y[None, :]
     n = len(X)
-    P = np.concatenate([X, Y])
-    if not np.isfinite(P).all():
-        _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
-                "contains non-finite coordinates")
-    _reject(domain._off_hull(P, _eps(eps)), n, PointNotInterior,
-            "is off the affine hull")
-    polytope = domain.kind == "polytope"
-    # an ellipsoid's chart is the identity
-    S = domain._slacks((P - domain._origin) @ domain._basis
-                       if polytope else P)
-    if not (S > 0.0).all():
-        _reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
-                "is not strictly interior")
-    if polytope:
-        # from Y - X, not the slacks' difference, which loses digits
-        return _funk_sum(S[:n], S[n:], (Y - X) @ domain._basis @ domain._A.T)
-    # the chord roots whiten X as a block of its own: BLAS sums a one-row
-    # product in another order than a stacked one, and rows of the stacked
-    # product would change a scalar distance in its last bits
-    return _ball_distances(domain._chol_solve(X - domain.center),
-                           domain._chol_solve(Y - X))
+    S, R = domain._stacked(X, Y, _eps(eps))
+    if domain.kind == "polytope":
+        return _funk_sum(S, R[2 * n:, :len(domain._b)])
+    return _ball_distances(R[:n], R[3 * n:])
 
 
 def _ball_distances(w, dw):
@@ -219,7 +204,7 @@ def is_rigid_chord(domain, x, y, eps=None):
     U = domain.to_local(np.array([chord.x, chord.y, m]))
     dz = z0 @ domain._basis
     (sx, sy, sm), D = domain._slacks(U), dz @ domain._A.T
-    t = domain._clip_line(U[2], dz)[1]
+    t = domain._clip_line(sm, D)[1]
     for face, sp, sq in ((chord.face_beta, sx, sy),
                          (chord.face_alpha, sy, sx)):
         i = min(face.facet_ids)
@@ -288,10 +273,11 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
         mode = "parallel" if (same_face and parallel) else "divergent"
     xs, ys, ds = [], [], []
     exceeded_at = None
+    dx, dy = x0 - a1, y0 - a2
     for n in range(steps + 1):
         t = 2.0 ** (-n)
-        xn = a1 + t * (x0 - a1)
-        yn = a2 + t * (y0 - a2)
+        xn = a1 + t * dx
+        yn = a2 + t * dy
         d = distance(domain, xn, yn, eps)
         xs.append(xn)
         ys.append(yn)
@@ -321,7 +307,7 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     u0 = domain._require_interior(_as_array(center, "center"), eps, "center")
     th = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
     dirs = np.column_stack([np.cos(th), np.sin(th)])
-    t_lo, t_hi = domain._clip_line(u0, dirs)
+    t_lo, t_hi, _, _ = domain._clip_line(*domain._line(u0, dirs))
     # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
     t = (t_hi * -t_lo * -math.expm1(-radius)
          / (t_hi * math.exp(-radius) - t_lo))

@@ -121,11 +121,13 @@ def reference_focusing_probe(domain, f, target, starts, horizon=24):
 
 # --------------------------------- reference copies of the checked kernels
 #
-# The distance and cone kernels as they were before their checks were
-# merged into one pass: every check on the stacked [X; Y] rows, local
-# coordinates through the chart, an ellipsoid's points whitened from them
-# for the slacks and again for the chord roots, and the chord path's
-# per-point checks, hull projections and per-facet tight loop.
+# The distance and cone kernels as one plain sequence of steps: each check
+# on its own over the stacked [X; Y] rows (the hull residual through the
+# chart), then the one product the kernels take, [X - o; Y - o; Y - X]
+# times the facet rates basis @ A.T (an ellipsoid's whitening, o its
+# center), or [X; Y; X - Y] times a cone's functionals.  The chord path
+# takes the same product, clips by a per-facet loop, and collects each
+# end's binding facets by a per-facet loop too.
 
 def reference_reject(bad, n, error, what):
     if bad.any():
@@ -144,21 +146,9 @@ def reference_residuals(domain, P):
             / domain._size)
 
 
-def reference_whiten(domain, U):
-    return ((domain._origin + U @ domain._frame.T) - domain.center) \
-        @ domain._chol_inv.T
-
-
-def reference_slacks(domain, U):
-    if domain.kind == "polytope":
-        return domain._b - U @ domain._A.T
-    w = reference_whiten(domain, U)
-    return 1.0 - np.linalg.norm(w, axis=-1, keepdims=True)
-
-
-def reference_chords(domain, u, du):
-    w = reference_whiten(domain, u)
-    dw = (du @ domain._frame.T) @ domain._chol_inv.T
+def reference_chords(w, dw):
+    """The roots of |w + t dw| = 1 on the rows of whitened points and
+    directions."""
     a = np.sum(dw * dw, axis=-1)
     b = np.sum(w * dw, axis=-1)
     c0 = np.sum(w * w, axis=-1) - 1.0
@@ -170,25 +160,45 @@ def reference_chords(domain, u, du):
             np.where(moving, np.maximum(r1, r2), np.inf))
 
 
-def reference_distances(domain, X, Y):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+def reference_product(domain, X, Y):
+    """[X - o; Y - o; Y - X] @ M, o and M the origin and facet rates of a
+    polytope or the center and whitening of an ellipsoid."""
+    if domain.kind == "polytope":
+        o, M = domain._origin, domain._basis @ domain._A.T
+    else:
+        o, M = domain.center, domain._chol_inv.T
+    return np.vstack([X - o, Y - o, Y - X]) @ M
+
+
+def reference_checked(domain, X, Y):
+    """The product of the rows X and Y and the slacks of X and Y, after
+    each check in turn over the stacked [X; Y]."""
     n = len(X)
     P = np.vstack([X, Y])
     reference_reject(~np.isfinite(P).all(axis=1), n, NonFinite,
                      "contains non-finite coordinates")
     reference_reject(reference_residuals(domain, P) > defaults.EPS_GEO, n,
                      PointNotInterior, "is off the affine hull")
-    U = (P - domain._origin) @ domain._basis
-    S = reference_slacks(domain, U)
+    R = reference_product(domain, X, Y)
+    if domain.kind == "polytope":
+        S = domain._b - R[:2 * n]
+    else:
+        S = 1.0 - np.linalg.norm(R[:2 * n], axis=1, keepdims=True)
     reference_reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
                      "is not strictly interior")
-    dU = (Y - X) @ domain._basis
+    return R, S
+
+
+def reference_distances(domain, X, Y):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = len(X)
+    R, S = reference_checked(domain, X, Y)
+    delta = R[2 * n:]
     if domain.kind == "polytope":
-        delta = dU @ domain._A.T
         return (np.log1p(np.max(delta / S[n:], axis=-1))
                 + np.log1p(np.max(-delta / S[:n], axis=-1)))
-    t_lo, t_hi = reference_chords(domain, U[:n], dU)
+    t_lo, t_hi = reference_chords(R[:n], delta)
     return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
 
 
@@ -209,72 +219,47 @@ def reference_cone_distances(cone, X, Y):
                      "must be interior to the cone")
     # Lorentz values are checked against the mpmath oracle instead
     assert cone.kind == "polyhedral"
-    L = cone.functionals
-    S = P @ L.T
-    delta = (X - Y) @ L.T
+    R = np.vstack([X, Y, X - Y]) @ cone.functionals.T
+    S, delta = R[:2 * n], R[2 * n:]
     return (np.log1p(np.max(delta / S[n:], axis=-1))
             + np.log1p(np.max(-delta / S[:n], axis=-1)))
 
 
-def reference_require_interior(domain, p, name):
-    if reference_residuals(domain, p[None, :])[0] > defaults.EPS_GEO:
-        raise PointNotInterior(f"{name} is off the affine hull")
-    u = (p - domain._origin) @ domain._basis
-    if np.min(reference_slacks(domain, u)) <= 0.0:
-        raise PointNotInterior(f"{name} is not strictly interior")
-    return u
-
-
-def reference_face(domain, p, tol=None):
-    """The face and, for polytopes, the facet loop of boundary_face_of,
-    with slacks in the unit chart within tol (default EPS_GEO) of 0
-    counted as 0."""
-    eps = defaults.EPS_GEO
-    if reference_residuals(domain, p[None, :])[0] > eps:
-        raise NotOnBoundary("point is off the affine hull")
-    if domain.kind == "ellipsoid":
-        return domain.boundary_face_of(p)
-    s = domain._b - domain._A @ ((p - domain._origin) @ domain._basis)
-    if tol is None:
-        tol = eps
-    if s.min() < -tol:
-        raise NotOnBoundary("point is outside the domain")
-    tight = [i for i in range(len(s)) if abs(s[i]) <= tol]
-    if not tight:
-        raise NotOnBoundary("point is interior")
-    face = domain.face_lattice().find(
-        frozenset.intersection(*[domain._facet_sets[i] for i in tight]))
-    if face is None:
-        raise NotOnBoundary("tight facets do not meet in a face")
-    return face
-
-
 def reference_chord(domain, x, y):
-    """(t_alpha, t_beta, face_alpha, face_beta) of chord_through."""
+    """(t_alpha, t_beta, face_alpha, face_beta) of chord_through: the
+    product of reference_product, clipped facet by facet, and each end's
+    face where its binding facets meet, the facets whose slack there is
+    within 64 ulp per unit of 1 + |t| max |rate| of 0."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    ux = reference_require_interior(domain, x, "x")
-    uy = reference_require_interior(domain, y, "y")
-    du = uy - ux
-    if domain.kind == "polytope":
-        denom = domain._A @ du
-        live = np.abs(denom) > 1e-14 * np.linalg.norm(du)
-        t = (domain._b - domain._A @ ux)[live] / denom[live]
-        up = denom[live] > 0
-        if up.all() or not up.any():
-            raise GeometryError("line escapes the polytope")
-        t_lo, t_hi = float(t[~up].max()), float(t[up].min())
-    else:
-        t_lo, t_hi = (float(t) for t in reference_chords(domain, ux, du))
+    R, S = reference_checked(domain, x[None, :], y[None, :])
+    if domain.kind == "ellipsoid":
+        t_lo, t_hi = (float(t) for t in reference_chords(R[0], R[2]))
         if not -np.inf < t_lo < t_hi < np.inf:
             raise GeometryError("degenerate chord direction")
-    xh = domain.project_to_hull(x)
-    d = domain.project_to_hull(y) - xh
-    # a chord end's slack tolerance: no more than its round-off, 64 ulp
-    # per unit of 1 + |t| in the unit chart
-    tols = [min(defaults.EPS_GEO, 64.0 * np.finfo(float).eps * (1.0 + abs(t)))
-            for t in (t_lo, t_hi)]
-    return (t_lo, t_hi, reference_face(domain, xh + t_lo * d, tols[0]),
-            reference_face(domain, xh + t_hi * d, tols[1]))
+        ends = [R[0] + t * R[2] for t in (t_lo, t_hi)]
+        return (t_lo, t_hi) + tuple(
+            domain.boundary_face_of(domain.center
+                                    + domain._chol @ (w / np.linalg.norm(w)))
+            for w in ends)
+    s, rate = S[0], R[2]
+    scale = np.abs(rate).max()
+    t_lo, t_hi = -np.inf, np.inf
+    for i in range(len(s)):
+        if abs(rate[i]) <= 1e-14 * scale:
+            continue  # parallel facet
+        if rate[i] > 0:
+            t_hi = min(t_hi, s[i] / rate[i])
+        else:
+            t_lo = max(t_lo, s[i] / rate[i])
+    if t_lo == -np.inf or t_hi == np.inf:
+        raise GeometryError("line escapes the polytope")
+    faces = []
+    for t in (t_lo, t_hi):
+        tol = 64.0 * np.finfo(float).eps * (1.0 + abs(t) * scale)
+        binding = [i for i in range(len(s)) if abs(s[i] - t * rate[i]) <= tol]
+        faces.append(domain.face_lattice().find(
+            frozenset.intersection(*[domain._facet_sets[i] for i in binding])))
+    return (float(t_lo), float(t_hi), *faces)
 
 
 def outcome(f, *args):
@@ -325,10 +310,13 @@ def test_distances_match_reference_kernel_bitwise():
                 close = X + 1e-13 * rng.normal(
                     size=(k, dom.intrinsic_dim)) @ dom._basis.T
                 for A, B in ((X, Y), (X, close), (X, X)):
-                    assert_same(distances(dom, A, B),
-                                reference_distances(dom, A, B))
+                    got = distances(dom, A, B)
+                    assert_same(got, reference_distances(dom, A, B))
                     assert_same(distance(dom, A[0], B[0]),
                                 reference_distances(dom, A[0], B[0])[0])
+                    # a scalar query is its row, bit for bit
+                    assert [distance(dom, a, b)
+                            for a, b in zip(A, B)] == got.tolist()
         p, x, y = dom.sample_interior(rng, 3, pull=0.02)
         ref = reference_distances(dom, [p, p, x], [x, y, y])
         assert gromov_product(dom, p, x, y) == 0.5 * (ref[0] + ref[1] - ref[2])
@@ -360,6 +348,55 @@ def test_distance_errors_match_reference_kernel():
             want = outcome(reference_distances, dom, A, B)
             assert isinstance(want[0], type)  # every case is rejected
             assert_same(outcome(distances, dom, A, B), want)
+
+
+def test_errors_carry_the_point_row_and_slack():
+    """The failed quantity rides on the error as attributes: the point and
+    row that the message names, and the slack that decided, a fraction of
+    the domain's size (so the same at 1e9)."""
+    for s in (1.0, 1e9):
+        sq = build_polytope(SQUARE * s)
+        X = s * np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.2]])
+        Y = s * np.array([[0.1, 0.0], [0.3, 1.5], [0.2, 0.1]])
+        with pytest.raises(PointNotInterior, match=r"^y\[1\] is not") as e:
+            distances(sq, X, Y)
+        assert (e.value.point, e.value.index) == ("y", 1)
+        assert e.value.min_slack == pytest.approx(-0.5)
+        with pytest.raises(PointNotInterior, match=r"^y is not") as e:
+            distance(sq, X[0], s * np.array([2.0, 0.0]))
+        assert (e.value.point, e.value.index) == ("y", 0)
+        assert e.value.min_slack == pytest.approx(-1.0)
+        with pytest.raises(PointNotInterior, match=r"^x is not") as e:
+            sq.chord_through(s * np.array([1.0, 0.0]), Y[0])
+        assert (e.value.point, e.value.index) == ("x", 0)
+        assert abs(e.value.min_slack) <= 1e-15
+        with pytest.raises(NotOnBoundary, match="interior") as e:
+            sq.boundary_face_of(s * np.array([0.0, 0.5]))
+        assert e.value.slack == pytest.approx(0.5)
+        with pytest.raises(NotOnBoundary, match="outside") as e:
+            sq.boundary_face_of(s * np.array([2.0, 0.5]))
+        assert e.value.slack == pytest.approx(-1.0)
+    Y[2, 0] = math.nan
+    with pytest.raises(NonFinite, match=r"^y\[2\] contains") as e:
+        distances(sq, X, Y)
+    assert (e.value.point, e.value.index) == ("y", 2)
+    s2 = standard_simplex(2)
+    with pytest.raises(PointNotInterior, match=r"^x\[1\] is off") as e:
+        distances(s2, [[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]],
+                  [[0.3, 0.3, 0.4], [0.3, 0.3, 0.4]])
+    assert (e.value.point, e.value.index, e.value.min_slack) == ("x", 1, None)
+    disk = build_ellipsoid([0.0, 0.0], np.eye(2))
+    with pytest.raises(NotOnBoundary, match="not on the ellipsoid") as e:
+        disk.boundary_face_of([0.25, 0.0])
+    assert e.value.slack == pytest.approx(0.75)
+    with pytest.raises(PointNotInterior, match=r"^x\[0\] is not") as e:
+        distances(disk, [[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]])
+    assert e.value.min_slack == pytest.approx(1.0 - math.sqrt(2.0))
+    orthant = cone_over(standard_simplex(2))
+    with pytest.raises(XNotInteriorOfCone, match=r"^y\[1\]") as e:
+        cone_distances(orthant, np.ones((2, 3)),
+                       [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    assert (e.value.point, e.value.index) == ("y", 1)
 
 
 def assert_cone_errors_match_reference(cone, X, Y):
@@ -470,8 +507,9 @@ def test_ball_clips_its_rays_in_one_call():
         u0 = dom.to_local(center)
         th = 2.0 * math.pi * np.arange(90) / 90
         dirs = np.column_stack([np.cos(th), np.sin(th)])
-        t_lo, t_hi = np.array([dom._clip_line(u0, du) for du in dirs]).T
-        assert np.array_equal(dom._clip_line(u0, dirs[7]),
+        t_lo, t_hi = np.array([dom._clip_line(*dom._line(u0, du))[:2]
+                               for du in dirs]).T
+        assert np.array_equal(dom._clip_line(*dom._line(u0, dirs[7]))[:2],
                               (t_lo[7], t_hi[7]))
         t = (t_hi * -t_lo * -math.expm1(-0.8)
              / (t_hi * math.exp(-0.8) - t_lo))
@@ -525,13 +563,20 @@ def test_spaces_take_rows():
         assert np.array_equal(space.contains(P),
                               [space.contains(p) for p in P])
         d = space.distance(P[0::2], P[1::2])
-        assert np.allclose(d, [space.distance(x, y)
-                               for x, y in zip(P[0::2], P[1::2])],
-                           rtol=1e-14, atol=0.0)
+        assert d.tolist() == [space.distance(x, y)
+                              for x, y in zip(P[0::2], P[1::2])]
         assert np.ndim(space.sample(rng)) == 1
     square = HilbertSpace(build_polytope(SQUARE))
     assert list(square.contains(np.array([[0.0, 0.0], [2.0, 0.0]]))) == \
         [True, False]
+    # no rows, no distances
+    for dom in (build_polytope(SQUARE), standard_simplex(2),
+                build_ellipsoid([0.3, 0.0], np.eye(2))):
+        empty = np.empty((0, dom.ambient_dim))
+        assert distances(dom, empty, empty).shape == (0,)
+    orthant = cone_over(standard_simplex(2))
+    assert cone_distances(orthant, np.empty((0, 3)),
+                          np.empty((0, 3))).shape == (0,)
 
 
 def test_cone_distances_match_cone_distance():
@@ -544,7 +589,7 @@ def test_cone_distances_match_cone_distance():
         P = cone.embed(dom.sample_interior(rng, 60, pull=0.02))
         d = cone_distances(cone, P[0::2], P[1::2])
         ref = [cone_distance(cone, x, y) for x, y in zip(P[0::2], P[1::2])]
-        assert np.allclose(d, ref, rtol=1e-14, atol=0.0)
+        assert d.tolist() == ref
         assert np.array_equal(cone.contains_interior(P), np.ones(60, bool))
     orthant = cone_over(standard_simplex(2))
     with pytest.raises(XNotInteriorOfCone, match=r"y\[1\]"):

@@ -106,6 +106,44 @@ def test_chord_ends_find_their_faces_at_large_scale():
         assert not unit.on_boundary(p)
 
 
+def close_pair_domains(rng):
+    """A square, a 7-gon (also at 1e9), a tilted cube, clouds in R^3 and
+    R^4, and the standard 2- and 3-simplices, embedded in R^3 and R^4."""
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+    heptagon = np.column_stack([np.cos(th), np.sin(th)]) + 0.3
+    tilt = np.linalg.qr(rng.normal(size=(3, 3)))[0] @ np.diag([1.0, 0.6, 1.7])
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3))) @ tilt
+    return [build_polytope(SQUARE), build_polytope(heptagon),
+            build_polytope(heptagon * 1e9), build_polytope(cube + 1.0),
+            build_polytope(rng.normal(size=(15, 3))),
+            build_polytope(rng.normal(size=(20, 4))),
+            standard_simplex(2), standard_simplex(3)]
+
+
+def test_close_pair_chords_keep_the_faces_of_a_far_pair():
+    """chord_through(x, x + h u) for h down to 1e-13 has the end faces of
+    chord_through(x, x + u): each end's face is where the facets that bind
+    it in the clipping meet, not a reading of an endpoint extrapolated
+    1e13 times the pair's distance.  Each far pair's ends lie at least
+    1e-3 of the size inside their facets."""
+    rng = np.random.default_rng(17)
+    for dom in close_pair_domains(rng):
+        pairs = 0
+        while pairs < 10:
+            x, y = dom.sample_interior(rng, 2, pull=0.3)
+            far = dom.chord_through(x, y)
+            gaps = [np.sort(dom._b - dom.to_local(p) @ dom._A.T)[1]
+                    for p in (far.alpha, far.beta)]
+            if min(gaps) < 1e-3:
+                continue
+            pairs += 1
+            for h in (1e-6, 1e-9, 1e-11, 1e-13):
+                got = dom.chord_through(x, x + h * (y - x))
+                assert got.face_alpha == far.face_alpha
+                assert got.face_beta == far.face_beta
+                assert got.face_alpha.dim == dom.intrinsic_dim - 1
+
+
 def test_face_relative_interior_membership():
     dom = square()
     edge = dom.boundary_face_of([1.0, 0.3])
@@ -139,7 +177,7 @@ def _clip_line_by_facet(dom, u, du):
     denom = dom._A @ du
     slack = dom._b - dom._A @ u
     for i in range(len(denom)):
-        if abs(denom[i]) <= 1e-14 * np.linalg.norm(du):
+        if abs(denom[i]) <= 1e-14 * np.abs(denom).max():
             continue  # parallel facet
         t = slack[i] / denom[i]
         if denom[i] > 0:
@@ -161,9 +199,10 @@ def test_clip_line_matches_per_facet_reference():
             facet = dom._A[rng.integers(len(dom._A))]
             along = du - (du @ facet) * facet
             for d in (du, along, 1e-9 * du, 1e-16 * du):
-                assert dom._clip_line(u, d) == _clip_line_by_facet(dom, u, d)
+                assert (dom._clip_line(*dom._line(u, d))[:2]
+                        == _clip_line_by_facet(dom, u, d))
         with pytest.raises(GeometryError, match="escapes"):
-            dom._clip_line(u, 0.0 * du)
+            dom._clip_line(*dom._line(u, 0.0 * du))
 
 
 def test_ellipsoid_chord_and_boundary_face():
