@@ -78,7 +78,8 @@ __all__ = [
 
 # the round-off of a computed point's slacks in a unit chart, per unit of
 # its coordinates: 64 ulp, far below EPS_GEO
-_ROUND = 64.0 * np.finfo(float).eps
+_ULP = float(np.finfo(float).eps)
+_ROUND = 64.0 * _ULP
 
 
 def _eps(eps):
@@ -178,12 +179,15 @@ def _monotone_chain(points):
     n.u + c <= 0 with unit outward n.  A repeated point is one vertex
     (its first row), and, as in Qhull's precision merging, a point within
     the distance round-off (about 4 ulp of the largest coordinate) of the
-    line through its neighbours is not a vertex."""
-    order = np.lexsort(points.T[::-1])
-    S = points[order]
-    order = order[np.r_[True, np.any(S[1:] != S[:-1], axis=1)]].tolist()
-    width = 4.0 * np.finfo(float).eps * float(np.abs(points).max())
+    line through its neighbours is not a vertex.  The chain, the edge
+    normals (dy, -dx)/|d| and the offsets c = -(n.o) run on the points as
+    Python floats, with one numpy array made per output; n.o is summed
+    from +0.0, as numpy sums a row, so a zero offset has numpy's sign."""
     pts = points.tolist()
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    order = [k for i, k in enumerate(order)
+             if not i or pts[k] != pts[order[i - 1]]]
+    width = 4.0 * _ULP * max(max(abs(x), abs(y)) for x, y in pts)
 
     def half(seq):
         chain = []
@@ -202,12 +206,15 @@ def _monotone_chain(points):
     ring = half(order)[:-1] + half(order[::-1])[:-1]  # counterclockwise
     if len(ring) < 3:
         raise DegenerateInput("points are collinear")
-    R = points[ring]
-    d = np.roll(R, -1, axis=0) - R
-    n = np.column_stack([d[:, 1], -d[:, 0]])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    eq = np.column_stack([n, -np.sum(n * R, axis=1)])
-    return np.sort(ring), np.column_stack([ring, np.roll(ring, -1)]), eq
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    eq = []
+    for i, j in edges:
+        (ox, oy), (px, py) = pts[i], pts[j]
+        dx, dy = px - ox, py - oy
+        r = math.sqrt(dy * dy + dx * dx)
+        nx, ny = dy / r, -dx / r
+        eq.append((nx, ny, -(nx * ox + ny * oy + 0.0)))
+    return np.array(sorted(ring)), np.array(edges), np.array(eq)
 
 
 def _initial_simplex(points, width):

@@ -63,11 +63,11 @@ class ProjectiveMap:
         M = _as_array(matrix, "matrix")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DegenerateInput("projective matrix must be square")
-        invertible, M = _normal_form(M[None])
-        if not invertible[0]:
+        s = np.linalg.svd(M, compute_uv=False)
+        if not s[-1] > 1e-12 * s[0]:
             raise DegenerateInput("projective matrix is singular")
-        self.matrix = M[0]
-        self.dim = len(M[0]) - 1
+        self.matrix = _normal_form(M[None])[0]
+        self.dim = len(M) - 1
 
     @classmethod
     def _normalised(cls, M):
@@ -106,16 +106,15 @@ class ProjectiveMap:
 
 
 def _normal_form(M):
-    """Which matrices of a stack are invertible (smallest singular value
-    above 1e-12 of the largest), and the stack scaled to largest entry 1
-    in absolute value with the first entry above 1e-12 positive."""
-    s = np.linalg.svd(M, compute_uv=False)
-    invertible = s[:, -1] > 1e-12 * s[:, 0]
+    """A stack of matrices scaled to largest entry 1 in absolute value,
+    with the first entry above 1e-12 positive.  ProjectiveMap checks that
+    a matrix is invertible (smallest singular value above 1e-12 of the
+    largest) before it takes this form."""
     top = np.abs(M).max(axis=(1, 2), keepdims=True)
     M = M / np.where(top > 0.0, top, 1.0)
     flat = M.reshape(len(M), -1)
     lead = flat[np.arange(len(M)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
-    return invertible, np.where((lead < 0)[:, None, None], -M, M)
+    return np.where((lead < 0)[:, None, None], -M, M)
 
 
 def _frames(P):
@@ -165,24 +164,24 @@ def _fit_stack(S, T):
     normal form, with a failure code per candidate: 0 for a map, else a
     key of _FIT_FAILURES, the first of fit_projective's checks that
     fails (source frame, then target frame, then the matrix).  The fit
-    runs on _unit_frames copies, so no test depends on scale or place."""
+    runs on _unit_frames copies, so no test depends on scale or place;
+    S and T share one stack, [S; T], and each family's arithmetic is its
+    own."""
     K = len(T)
-    S1, s_back = _unit_frames(S[None])
-    T1, t_back = _unit_frames(T)
-    HS, cs, s_spans, s_general = _frames(S1)
-    HT, ct, t_spans, t_general = _frames(T1)
-    fail = np.where(t_general, 0, np.where(t_spans, 2, 1))
-    if not s_general[0]:
-        fail[:] = 2 if s_spans[0] else 1
+    P, back = _unit_frames(np.concatenate([S[None], T]))
+    H, c, spans, general = _frames(P)
+    fail = np.where(general[1:], 0, np.where(spans[1:], 2, 1))
+    if not general[0]:
+        fail[:] = 2 if spans[0] else 1
     eye = np.eye(S.shape[1] + 1)
     M = np.broadcast_to(eye, (K,) + eye.shape)
-    if s_general[0]:
-        fit = (t_back @ (HT * ct[:, None, :]) @ np.linalg.inv(HS[0] * cs[0])
-               @ np.linalg.inv(s_back[0]))
+    if general[0]:
+        fit = (back[1:] @ (H[1:] * c[1:, None, :])
+               @ np.linalg.inv(H[0] * c[0]) @ np.linalg.inv(back[0]))
         M = np.where((fail == 0)[:, None, None], fit, M)
     finite = np.isfinite(M).all(axis=(1, 2))
     fail[(fail == 0) & ~finite] = 3
-    return _normal_form(np.where(finite[:, None, None], M, eye))[1], fail
+    return _normal_form(np.where(finite[:, None, None], M, eye)), fail
 
 
 def fit_projective(src, dst):

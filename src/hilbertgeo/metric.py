@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .convex import Chord, ConvexDomain, _as_array, _eps, _nullspace
+from .convex import Chord, ConvexDomain, _as_array, _eps
 from .errors import (
     DegenerateDenominator,
     DegenerateInput,
@@ -163,26 +163,35 @@ class Rigidity:
     additivity_gap: float | None = None
 
 
-def _deviation_direction(chord, eps):
+def _deviation_direction(domain, chord):
     """Direction z0 (unit, orthogonal to the chord) such that the plane
-    chord + span(z0) cuts both endpoint faces in segments, or None."""
-    Ua = chord.face_alpha.direction_basis()
-    Ub = chord.face_beta.direction_basis()
-    if Ua.shape[1] == 0 or Ub.shape[1] == 0:
+    chord + span(z0) cuts both endpoint faces in segments, or None.
+
+    In the unit chart a face's direction space is the null space of A_F,
+    the unit normals of the facets through it, and the plane span(v, z)
+    through an end meets its face in a segment exactly when A_F z is
+    parallel to A_F v, v the chord's direction.  So each end's A_F, with
+    a = A_F v projected out of it, goes into one stack: v lies in the
+    stack's null space, and the chord is flexible exactly when that null
+    space has dimension 2 or more, read from singular values above 1e-9
+    (of unit normals).  z0 is the null vector with the largest part
+    orthogonal to v, mapped back through the chart."""
+    if chord.face_alpha.dim == 0 or chord.face_beta.dim == 0:
         return None  # an endpoint is an extreme point: always rigid
-    v = chord.beta - chord.alpha
+    v = (chord.beta - chord.alpha) @ domain._basis
     v = v / np.linalg.norm(v)
-    stacked = np.column_stack([Ua, Ub, v])
-    rank = np.linalg.matrix_rank(stacked, tol=1e-9)
-    if rank > Ua.shape[1] + Ub.shape[1]:
+    rows = []
+    for face in (chord.face_alpha, chord.face_beta):
+        A = domain._A[list(face.facet_ids)]
+        a = A @ v
+        rows.append(A - np.outer(a, (a @ A) / (a @ a)))
+    _, s, vt = np.linalg.svd(np.vstack(rows))
+    N = vt[int(np.sum(s > 1e-9)):]
+    if len(N) < 2:
         return None  # plane of coincidence does not exist
-    N = _nullspace(np.column_stack([Ua, v[:, None], -Ub, -v[:, None]]))
-    W = np.column_stack([Ua, v]) @ N[: Ua.shape[1] + 1]
-    Z = W - np.outer(v, v @ W)
-    norms = np.linalg.norm(Z, axis=0)
-    if norms.size == 0 or norms.max() <= 1e-9:
-        return None
-    return Z[:, norms.argmax()] / norms.max()
+    Z = N - np.outer(N @ v, v)
+    z = Z[np.argmax(np.einsum("ij,ij->i", Z, Z))] @ domain._frame.T
+    return z / np.linalg.norm(z)
 
 
 def is_rigid_chord(domain, x, y, eps=None):
@@ -196,26 +205,31 @@ def is_rigid_chord(domain, x, y, eps=None):
     form.  The witness is halfway to the least of them and the exit.
     """
     chord = domain.chord_through(x, y, eps)
-    z0 = _deviation_direction(chord, eps)
+    z0 = _deviation_direction(domain, chord)
     if z0 is None:
         return Rigidity(rigid=True, chord=chord)
-    # the slacks of x, y and m, and their rates of decrease along z0
+    # the slacks of x, y, x and m, and their rates of decrease along z0
     m = 0.5 * (chord.x + chord.y)
-    U = domain.to_local(np.array([chord.x, chord.y, m]))
-    dz = z0 @ domain._basis
-    (sx, sy, sm), D = domain._slacks(U), dz @ domain._A.T
-    t = domain._clip_line(sm, D)[1]
-    for face, sp, sq in ((chord.face_beta, sx, sy),
-                         (chord.face_alpha, sy, sx)):
-        i = min(face.facet_ids)
-        # s_i(p) s_k(z) >= s_k(p) s_i(z) and s_i(z) s_k(q) >= s_k(z) s_i(q)
-        # as g + t dg >= 0; on the plane the facets through i's face have
-        # slacks that are multiples of s_i, so theirs vanish: slope 0
-        g = np.array([sp[i] * sm - sp * sm[i], sm[i] * sq - sm * sq[i]])
-        dg = np.array([sp * D[i] - sp[i] * D, sq[i] * D - sq * D[i]])
-        dg[:, list(face.facet_ids)] = 0.0
-        falling = dg < 0.0
-        t = min(t, float((g[falling] / -dg[falling]).min(initial=math.inf)))
+    S = domain._slacks(domain.to_local(np.array([chord.x, chord.y, chord.x,
+                                                 m])))
+    D = (z0 @ domain._basis) @ domain._A.T
+    # bounds g + t dg >= 0, with i the least facet through an end's face
+    # and p, q = x, y at beta, y, x at alpha: s_i(p) s_k(z) >= s_k(p) s_i(z)
+    # (row 0 at beta, 1 at alpha), s_i(z) s_k(q) >= s_k(z) s_i(q) (rows 2
+    # and 3) and the exit, s_k(z) >= 0 (row 4)
+    fb, fa = list(chord.face_beta.facet_ids), list(chord.face_alpha.facet_ids)
+    i = [min(fb), min(fa)]
+    P, Q, sm = S[:2], S[1:3], S[3]
+    pi, qi = P[[0, 1], i][:, None], Q[[0, 1], i][:, None]
+    mi, di = sm[i][:, None], D[i][:, None]
+    g = np.vstack([pi * sm - P * mi, mi * Q - sm * qi, sm])
+    dg = np.vstack([P * di - pi * D, qi * D - Q * di, -D])
+    # on the plane the facets through i's face have slacks that are
+    # multiples of s_i, so theirs vanish: slope 0
+    dg[0:4:2, fb] = 0.0
+    dg[1:4:2, fa] = 0.0
+    falling = dg < 0.0
+    t = float((g[falling] / -dg[falling]).min())
     z = m + 0.5 * t * z0
     d = distances(domain, [chord.x, z, chord.x], [z, chord.y, chord.y], eps)
     return Rigidity(rigid=False, chord=chord, witness=z,

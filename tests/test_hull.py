@@ -2,6 +2,7 @@
 and the face, cone and section counts it must reproduce."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -234,6 +235,84 @@ def qhull_triple(points):
     """Qhull's hull in the form of _monotone_chain's result."""
     hull = ConvexHull(points)
     return np.sort(hull.vertices), hull.simplices, hull.equations
+
+
+def reference_monotone_chain(points):
+    """_monotone_chain with its sort, de-duplication, width and edge
+    equations in numpy, the form it replaced."""
+    order = np.lexsort(points.T[::-1])
+    S = points[order]
+    order = order[np.r_[True, np.any(S[1:] != S[:-1], axis=1)]].tolist()
+    width = 4.0 * np.finfo(float).eps * float(np.abs(points).max())
+    pts = points.tolist()
+
+    def half(seq):
+        chain = []
+        for k in seq:
+            px, py = pts[k]
+            while len(chain) >= 2:
+                ox, oy = pts[chain[-2]]
+                ax, ay = pts[chain[-1]]
+                bx, by = px - ox, py - oy
+                if (ax - ox) * by - (ay - oy) * bx > width * math.hypot(bx, by):
+                    break
+                chain.pop()
+            chain.append(k)
+        return chain
+
+    ring = half(order)[:-1] + half(order[::-1])[:-1]
+    if len(ring) < 3:
+        raise DegenerateInput("points are collinear")
+    R = points[ring]
+    d = np.roll(R, -1, axis=0) - R
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    eq = np.column_stack([n, -np.sum(n * R, axis=1)])
+    return np.sort(ring), np.column_stack([ring, np.roll(ring, -1)]), eq
+
+
+def chain_or_degenerate(chain, points):
+    try:
+        return chain(points)
+    except DegenerateInput:
+        return None
+
+
+def test_plane_hull_is_its_numpy_form_bit_for_bit():
+    """The monotone chain on Python floats gives the numpy form's arrays
+    byte for byte, the sign of a zero offset included: on clouds with
+    repeated points, collinear runs and zero coordinates, at scales
+    1e-9 to 1e12."""
+    rng = np.random.default_rng(31)
+    zeros = 0
+    for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
+        for _ in range(60):
+            m = int(rng.integers(3, 20))
+            P = rng.normal(size=(m, 2))
+            kind = int(rng.integers(4))
+            if kind == 0:  # repeated points
+                P = np.vstack([P, P[rng.integers(m, size=m // 2 + 1)]])
+            elif kind == 1:  # a collinear run through two points and past them
+                a, b = P[0], P[1]
+                t = np.r_[0.0, 1.0, rng.uniform(-1.0, 2.0, 6)]
+                P = np.vstack([P, a + t[:, None] * (b - a)])
+            elif kind == 2:  # zero coordinates of both signs
+                P = np.round(P)
+                P[rng.random(P.shape) < 0.4] = 0.0
+                P[rng.random(P.shape) < 0.3] *= -1.0
+            else:  # an axis-parallel grid: collinear runs everywhere
+                P = rng.integers(-2, 3, size=(m, 2)).astype(float)
+            P = P[rng.permutation(len(P))] * scale
+            got = chain_or_degenerate(convex._monotone_chain, P)
+            want = chain_or_degenerate(reference_monotone_chain, P)
+            if want is None:
+                assert got is None
+                continue
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+            zeros += int(np.sum(want[2][:, 2] == 0.0))
+    assert zeros > 50  # zero offsets, where their sign can differ
 
 
 def hull_or_degenerate(points):

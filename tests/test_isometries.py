@@ -542,6 +542,60 @@ def test_fit_projective_wrapper_raises_the_first_failing_check():
     assert g.matrix.tobytes() == _reference_fit(src, src * 2).tobytes()
 
 
+def _two_pass_fit_stack(S, T):
+    """_fit_stack with the source and the targets in separate
+    _unit_frames and _frames passes, the form that one stacked pass
+    replaced."""
+    from hilbertgeo.isometries import _frames, _normal_form, _unit_frames
+
+    K = len(T)
+    S1, s_back = _unit_frames(S[None])
+    T1, t_back = _unit_frames(T)
+    HS, cs, s_spans, s_general = _frames(S1)
+    HT, ct, t_spans, t_general = _frames(T1)
+    fail = np.where(t_general, 0, np.where(t_spans, 2, 1))
+    if not s_general[0]:
+        fail[:] = 2 if s_spans[0] else 1
+    eye = np.eye(S.shape[1] + 1)
+    M = np.broadcast_to(eye, (K,) + eye.shape)
+    if s_general[0]:
+        fit = (t_back @ (HT * ct[:, None, :]) @ np.linalg.inv(HS[0] * cs[0])
+               @ np.linalg.inv(s_back[0]))
+        M = np.where((fail == 0)[:, None, None], fit, M)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    fail[(fail == 0) & ~finite] = 3
+    return _normal_form(np.where(finite[:, None, None], M, eye)), fail
+
+
+def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
+    # one _unit_frames and _frames pass on [S; T] does each family's own
+    # arithmetic: the same matrices and failure codes, byte for byte, on
+    # candidate stacks of every size with flat and degenerate families
+    from hilbertgeo.isometries import _fit_stack
+
+    rng = np.random.default_rng(36)
+    codes = set()
+    for d in (1, 2, 3):
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-8, 10)
+            S = rng.normal(size=(d + 2, d)) * scale
+            T = rng.normal(size=(int(rng.integers(1, 33)), d + 2, d)) * scale
+            flat = rng.random(len(T)) < 0.2
+            T[flat, 1] = T[flat, 0]  # the first d+1 do not span
+            on_face = rng.random(len(T)) < 0.2
+            T[on_face, -1] = T[on_face, 0]  # the last on a reference face
+            if rng.random() < 0.1:
+                S[1] = S[0]
+            if d == 2:
+                T[:len(T) // 2] = _projective_image(rng, S / scale) * scale
+            M, fail = _fit_stack(S, T)
+            M_ref, fail_ref = _two_pass_fit_stack(S, T)
+            assert M.tobytes() == M_ref.tobytes()
+            assert fail.tobytes() == fail_ref.tobytes()
+            codes.update(fail.tolist())
+    assert codes == {0, 1, 2}
+
+
 # ------------------------------------------- pruning by pencil cross ratios
 
 def _all_candidates_classify(dom_a, dom_b, tol=1e-7):

@@ -22,7 +22,7 @@ from hilbertgeo import (
     is_rigid_chord,
     standard_simplex,
 )
-from hilbertgeo.convex import ConvexDomain
+from hilbertgeo.convex import ConvexDomain, _nullspace
 from hilbertgeo.errors import (
     DegenerateDenominator,
     NonFinite,
@@ -30,6 +30,7 @@ from hilbertgeo.errors import (
     NotOnBoundary,
     PointNotInterior,
 )
+from hilbertgeo.metric import _deviation_direction
 from hilbertgeo.suites import run_rigidity
 
 SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -360,6 +361,80 @@ def test_rigidity_of_polytope_chords_by_endpoint_faces(vertices, a, b,
     assert np.allclose([chord.alpha, chord.beta], [a, b], atol=1e-12)
     off = assert_rigidity(dom, chord.x, chord.y, rigid)
     assert rigid or off >= 1e-3 * 2.0
+
+
+def reference_deviation_direction(chord):
+    """_deviation_direction in its SVD form, in ambient coordinates: the
+    endpoint faces' direction bases, the rank of [Ua, Ub, v] and the null
+    space of [Ua, v, -Ub, -v]."""
+    Ua = chord.face_alpha.direction_basis()
+    Ub = chord.face_beta.direction_basis()
+    if Ua.shape[1] == 0 or Ub.shape[1] == 0:
+        return None
+    v = chord.beta - chord.alpha
+    v = v / np.linalg.norm(v)
+    stacked = np.column_stack([Ua, Ub, v])
+    rank = np.linalg.matrix_rank(stacked, tol=1e-9)
+    if rank > Ua.shape[1] + Ub.shape[1]:
+        return None
+    N = _nullspace(np.column_stack([Ua, v[:, None], -Ub, -v[:, None]]))
+    W = np.column_stack([Ua, v]) @ N[: Ua.shape[1] + 1]
+    Z = W - np.outer(v, v @ W)
+    norms = np.linalg.norm(Z, axis=0)
+    if norms.size == 0 or norms.max() <= 1e-9:
+        return None
+    return Z[:, norms.argmax()] / norms.max()
+
+
+def face_chords(dom, rng, k):
+    """k chords between points of the relative interiors of two random
+    faces that share no facet, of random dimensions from vertices to
+    facets, as (x, y) a quarter and three quarters of the way."""
+    lattice = dom.face_lattice()
+    faces = lattice.faces
+    out = []
+    while len(out) < k:
+        fa, fb = (faces[i] for i in rng.integers(len(faces), size=2))
+        if fa.facet_ids & fb.facet_ids:
+            continue
+        a, b = (rng.dirichlet(np.ones(len(f.vertices))) @ f.vertices
+                for f in (fa, fb))
+        out.append((a + 0.25 * (b - a), a + 0.75 * (b - a)))
+    return out
+
+
+def test_rigidity_from_facet_normals_matches_the_svd_form():
+    # the stacked facet normals give the verdicts of the direction-basis
+    # SVDs on chords with vertex, edge and facet ends, and every flexible
+    # chord a witness whose distances add up
+    rng = np.random.default_rng(44)
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    domains = [build_polytope(CUBE @ rot.T * 3.0 + [1.0, -2.0, 0.5]),
+               build_polytope(rng.normal(size=(15, 3))),
+               build_polytope(rng.normal(size=(15, 4))),
+               build_polytope(rng.normal(size=(20, 3))),
+               build_polytope(rng.normal(size=(20, 4))),
+               standard_simplex(3)]
+    for m in (3, 4, 7, 12):
+        th = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+        domains.append(build_polytope(np.c_[1.4 * np.cos(th), np.sin(th)]))
+    tally = {True: 0, False: 0}
+    for dom in domains:
+        chords = face_chords(dom, rng, 40)
+        chords += [tuple(dom.sample_interior(rng, 2)) for _ in range(10)]
+        for x, y in chords:
+            chord = dom.chord_through(x, y)
+            rigid = reference_deviation_direction(chord) is None
+            assert (_deviation_direction(dom, chord) is None) == rigid
+            r = is_rigid_chord(dom, x, y)
+            assert r.rigid == rigid
+            tally[rigid] += 1
+            if not rigid:
+                z = r.witness
+                d = distances(dom, [r.chord.x, z, r.chord.x],
+                              [z, r.chord.y, r.chord.y])
+                assert abs(d[0] + d[1] - d[2]) <= 1e-9
+    assert min(tally.values()) >= 100
 
 
 def test_asymptotic_same_point_stays_bounded():
