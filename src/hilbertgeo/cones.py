@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_SQRT_HALF = 0.5 ** 0.5
+
+
 @functools.lru_cache(maxsize=None)
 def _signature(n):
     J = -np.ones(n)
@@ -226,7 +229,12 @@ def cone_distances(cone, X, Y):
     the first offending row.  A polyhedral cone takes the functionals'
     values and the Funk differences from one product, [X; Y; Y - X;
     X - Y] @ L.T, through the polytopes' helper, so a scalar query and its
-    row agree bit for bit.
+    row agree bit for bit.  The Lorentz cone accepts a query by one
+    reduction of x_1 and q = x_1^2 - |x_2..n|^2, takes 1 - |w|^2 of each
+    slice point as q / x_1^2, and after bringing each x to the scale of
+    its y by a power of two, which is exact, gives the unit ball's closed
+    form (metric._ball_distances): a pair reads the same when either
+    point is scaled by a power of two, and close pairs keep their digits.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -238,22 +246,32 @@ def cone_distances(cone, X, Y):
     n = len(X)
     Z = np.concatenate([X, Y, Y, X])
     P = Z[:2 * n]
-    if not np.isfinite(P).all():
+    if not np.logical_and.reduce(np.isfinite(P), axis=None):
         _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
                 "contains non-finite coordinates")
     if cone.kind == "polyhedral":
         # the interior test and the Funk sum read one product
-        Z[2 * n:] -= P
+        Z[2 * n:] -= P  # Y - X and X - Y
         R = Z @ cone.functionals.T
         S = R[:2 * n]
-        if not S.min(initial=np.inf) > 0.0:
+        if not np.minimum.reduce(S, axis=None, initial=np.inf) > 0.0:
             _reject(~(S.min(axis=1) > 0.0), n, XNotInteriorOfCone,
                     "must be interior to the cone")
         return _funk_sum(S, R[2 * n:])
-    _reject(~cone._interior(P), n, XNotInteriorOfCone,
-            "must be interior to the cone")
-    # on the unit ball of the slice x_1 = 1, from Y - X, not from the
-    # slice points' difference, which loses digits on close pairs
-    D = Y - X
-    w = X[:, 1:] / X[:, :1]
-    return _ball_distances(w, (D[:, 1:] - w * D[:, :1]) / Y[:, :1])
+    # x_1 > 0 and q = x_1^2 - |x_2..n|^2 > 0, in one reduction
+    x1, q = P[:, 0], _lorentz_q(P)
+    if not np.minimum.reduce(np.minimum(x1, q), initial=np.inf) > 0.0:
+        _reject(~cone._interior(P), n, XNotInteriorOfCone,
+                "must be interior to the cone")
+    # On the unit ball of the slice x_1 = 1, where 1 - |w|^2 = q / x_1^2:
+    # one division by x_1 gives w = X_2..n / X_1 and Y_1 / X_1.  X is
+    # brought to the scale of Y by the power of two 2^e nearest Y_1 / X_1,
+    # which is exact, so D = Y - 2^e X is as small as the pair is close
+    # when their scales differ by a power of two, and under 0.42 |Y| for
+    # any pair; the slice points' difference would lose every close
+    # pair's digits.
+    V = P.reshape(2, n, cone.dim) / X[:, :1]
+    w = V[0, :, 1:]
+    D = Y - np.ldexp(X, np.frexp(V[1, :, :1] * _SQRT_HALF)[1])
+    return _ball_distances(w, (D[:, 1:] - w * D[:, :1]) / Y[:, :1],
+                           q / (x1 * x1))

@@ -81,6 +81,11 @@ __all__ = [
 _ULP = float(np.finfo(float).eps)
 _ROUND = 64.0 * _ULP
 
+# the squared hull residual of every point of a full-dimensional domain,
+# whose hull is the whole space
+_NO_RESIDUAL = np.zeros(1)
+_NO_RESIDUAL.flags.writeable = False
+
 
 def _eps(eps):
     return defaults.EPS_GEO if eps is None else float(eps)
@@ -746,6 +751,7 @@ class ConvexDomain:
             self._size = 1.0
             self._basis = self._frame = np.eye(self.ambient_dim)
             self._M = self._chol_inv.T
+            self._sphere_map = np.hstack([self._chol.T, self._chol_inv])
 
     # ---------------------------------------------------------------- charts
 
@@ -778,51 +784,61 @@ class ConvexDomain:
     @staticmethod
     def _off_normals(G, eps):
         """Flags of the rows of G, points' components along _normals,
-        that put a point farther than eps of the size from the hull."""
-        return np.sqrt(np.einsum("ij,ij->i", G, G)) > eps
+        that put a point farther than eps of the size from the hull: their
+        squared lengths against eps^2, signed as eps is."""
+        return np.add.reduce(G * G, axis=1) > eps * abs(eps)
 
     def _stacked(self, X, Y, eps):
         """The one product of a query on the pairs (X[i], Y[i]), rows of
         n x ambient arrays of matching shape: R = [X - o; Y - o; X - Y;
         Y - X] @ _M, o the polytope's origin or the ellipsoid's center.
-        Returns S, the slacks of the 2n points X and Y (_slacks), and R:
-        on a polytope its last 2n rows are sy - sx and sx - sy, the facet
-        rates along X - Y and Y - X, so close pairs keep their digits; on
-        an ellipsoid its rows are whitened.
+        Returns S and R.  On a polytope S holds the facet slacks of the 2n
+        points X and Y (_slacks), and the last 2n rows of R are sy - sx and
+        sx - sy, the facet rates along X - Y and Y - X, so close pairs keep
+        their digits.  On an ellipsoid the rows of R are whitened, w, and
+        S is 1 - |w|^2 of the 2n points, the ball's quadratic slack.
 
-        Every point is checked first, off the same block: NonFinite for a
-        NaN or infinite coordinate, PointNotInterior for a point farther
-        than eps of the size from the affine hull (its components along
-        _normals) or with a slack <= 0, naming the first bad point.  Each
-        check is one reduction, with the per-row scan that names the point
-        only when it fails.
+        Every point is checked.  Its coordinates are checked to be finite
+        first, before they enter the product, where an infinite one would
+        make numpy warn (inf * 0); then the query is accepted by one
+        reduction of the slacks, with one of the squared components along
+        _normals on an embedded polytope.  Only a query that fails is
+        scanned row by row: NonFinite for a NaN or infinite coordinate,
+        then PointNotInterior for a point farther than eps of the size
+        from the affine hull, then for one with a slack <= 0 (1 - |w| on
+        an ellipsoid), naming the first bad point.
         """
         n = len(X)
         Z = np.concatenate([X, Y, Y, X])
         P, D = Z[:2 * n], Z[2 * n:]
-        if not np.isfinite(P).all():
+        if not np.logical_and.reduce(np.isfinite(P), axis=None):
             _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
                     "contains non-finite coordinates")
         np.subtract(P, D, out=D)
         polytope = self.kind == "polytope"
         P -= self._origin if polytope else self.center
         R = Z @ self._M
-        # a full-dimensional domain's hull is the whole space: one flag,
-        # for the residual 0, stands for every row
-        off = 0.0 > eps
-        if polytope:
+        if not polytope:
+            W = R[:2 * n]
+            ww = np.add.reduce(W * W, axis=1)
+            # 1 - |w|^2 > 0 exactly when 1 - |w| > 0: sqrt(v) < 1 for
+            # every double v < 1
+            S = 1.0 - ww
+            g = _NO_RESIDUAL
+        elif len(self._b) < R.shape[1]:
             m = len(self._b)
             S = self._b - R[:2 * n, :m]
-            if m < R.shape[1]:
-                off = self._off_normals(R[:2 * n, m:], eps)
+            G = R[:2 * n, m:]
+            g = np.add.reduce(G * G, axis=1)
         else:
-            W = R[:2 * n]
-            S = 1.0 - np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
-        if (not S.min(initial=np.inf) > 0.0
-                or off is not False and np.any(off)):
-            _reject(np.asarray(off), n, PointNotInterior,
-                    "is off the affine hull")
-            least = S.min(axis=1)
+            S = self._b - R[:2 * n]
+            g = _NO_RESIDUAL
+        e2 = eps * abs(eps)  # as _off_normals reads eps
+        if not (np.minimum.reduce(S, axis=None, initial=np.inf) > 0.0
+                and (0.0 if g is _NO_RESIDUAL
+                     else np.maximum.reduce(g, initial=0.0)) <= e2):
+            _reject(g > e2, n, PointNotInterior, "is off the affine hull")
+            least = S.min(axis=1) if polytope else 1.0 - np.sqrt(ww)
             _reject(least <= 0.0, n, PointNotInterior,
                     "is not strictly interior", least)
         return S, R
@@ -929,7 +945,7 @@ class ConvexDomain:
             if abs(r - 1.0) > eps:
                 raise NotOnBoundary("point is not on the ellipsoid boundary",
                                     slack=float(1.0 - r))
-            return self._sphere_face(w / r)
+            return self._sphere_faces(w[None, :] / r)[0]
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
         least = float(s.min())
         if least < -eps:
@@ -946,16 +962,19 @@ class ConvexDomain:
             raise NotOnBoundary("tight facets do not meet in a face")
         return face
 
-    def _sphere_face(self, w):
-        """An ellipsoid's point face at the whitened boundary point w,
-        |w| = 1: the point c + L w, with the normal L^-T w."""
-        q = self._chol @ w
-        proj = self.center + q
-        normal = self._chol_inv.T @ w
-        normal = normal / np.linalg.norm(normal)
-        return Face(indices=(), dim=0, point_key=tuple(np.round(w, 9)),
-                    vertices=proj[None, :], normal=normal,
-                    offset=float(normal @ proj))
+    def _sphere_faces(self, W):
+        """An ellipsoid's point faces at the rows of W, whitened boundary
+        points |w| = 1: the points c + L w, with the normals L^-T w, both
+        from one product with [L^T | L^-1]."""
+        d = self.ambient_dim
+        QN = W @ self._sphere_map
+        proj = self.center + QN[:, :d]
+        N = QN[:, d:]
+        N = N / np.sqrt((N * N).sum(axis=1))[:, None]
+        offsets = (N * proj).sum(axis=1).tolist()
+        return [Face(indices=(), dim=0, point_key=tuple(key),
+                     vertices=proj[i:i + 1], normal=N[i], offset=offsets[i])
+                for i, key in enumerate(np.round(W, 9).tolist())]
 
     def in_relative_interior(self, face, p, eps=None):
         """Whether p lies in the relative interior of the given face."""
@@ -991,34 +1010,33 @@ class ConvexDomain:
 
         Returns (t_lo, t_hi, lo, hi): floats for one line and arrays for
         rows, with t_lo < 0 < t_hi for an interior point.  On a polytope
+        both ends come from one ratio array, s / rate: the slacks of an
+        interior point are positive, so its negative entries bound t_lo
+        and its positive ones t_hi.  A facet whose rate is at the
+        round-off of the largest (1e-14 of it) counts as parallel: its
+        rate is read as inf, its ratio as 0, which bounds neither end.
         lo and hi mark each end's binding facets, those whose slack there,
         s - t rate, is within its round-off of 0: _ROUND per unit of
         1 + |t| max |rate|, the size of the terms in the unit chart.  The
         facet that sets t is always among them, and the end's face is
-        where they meet.  A facet whose rate is at the round-off of the
-        largest (1e-14 of it) counts as parallel.  On an ellipsoid lo and
-        hi are None.
+        where they meet.  On an ellipsoid lo and hi are None.
         """
         if self.kind == "polytope":
             size = np.abs(rate)
             scale = size.max(axis=-1, keepdims=True)
-            live = size > 1e-14 * scale
-            up = live & (rate > 0)
-            down = live & (rate < 0)
-            t_lo = np.divide(s, rate, out=np.full(rate.shape, -np.inf),
-                             where=down).max(axis=-1)
-            t_hi = np.divide(s, rate, out=np.full(rate.shape, np.inf),
-                             where=up).min(axis=-1)
-            if not np.isfinite(t_hi - t_lo).all():
+            ratio = s / np.where(size > 1e-14 * scale, rate, np.inf)
+            t_lo = ratio.max(axis=-1, initial=-np.inf, where=ratio < 0.0)
+            t_hi = ratio.min(axis=-1, initial=np.inf, where=ratio > 0.0)
+            if not (t_hi - t_lo < np.inf).all():
                 raise GeometryError("line escapes the polytope")
             # both ends at once: the slacks s - t rate at (..., end, facet)
-            T = np.array([t_lo, t_hi]).T[..., None]
+            T = np.stack([t_lo, t_hi], axis=-1)[..., None]
             ends = (np.abs(s[..., None, :] - T * rate[..., None, :])
                     <= _ROUND * (1.0 + np.abs(T) * scale[..., None]))
             lo, hi = ends[..., 0, :], ends[..., 1, :]
         else:
             t_lo, t_hi = self._ellipsoid_chords(s, rate)
-            if not np.all((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)):
+            if not ((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)).all():
                 raise GeometryError("degenerate chord direction")
             lo = hi = None
         if rate.ndim == 1:
@@ -1050,15 +1068,16 @@ class ConvexDomain:
     def chord_params(self, x, y, eps=None):
         """(t_lo, t_hi) clipping the line through interior x, y, with x at
         t = 0 and y at t = 1; the same pass as chord_through."""
-        return self._chord(_as_array(x, "x"), _as_array(y, "y"), eps)[:2]
+        return self._chord(np.asarray(x, dtype=float),
+                           np.asarray(y, dtype=float), eps)[:2]
 
     def _chord(self, x, y, eps):
-        """_clip_line of the line through finite points x and y, from the
-        one stacked product of _stacked, which checks both points, and that
-        product's rows R."""
-        if np.array_equal(x, y):
-            raise CoincidentPoints("chord needs two distinct points")
+        """_clip_line of the line through the points x and y, from the one
+        stacked product of _stacked, which checks both points before they
+        are compared, and that product's rows R."""
         S, R = self._stacked(x[None, :], y[None, :], _eps(eps))
+        if (x == y).all():
+            raise CoincidentPoints("chord needs two distinct points")
         if self.kind == "polytope":
             return (*self._clip_line(S[0], R[3, :len(self._b)]), R)
         return (*self._clip_line(R[0], R[3]), R)
@@ -1072,24 +1091,25 @@ class ConvexDomain:
         and t_hi and each end's binding facets; the end's face is where
         those facets meet, so no extrapolated endpoint is read back, and a
         pair 1e-13 apart gets the faces of a far pair on its line.  An
-        ellipsoid's end face is its whitened end, normalised.  The points
-        x, y, alpha and beta come from the chart: x and y projected to the
-        affine hull, alpha and beta at t_lo and t_hi on the line through
-        them.
+        ellipsoid's end faces come from its two whitened ends, normalised,
+        in one product (_sphere_faces).  The points x, y, alpha and beta
+        come from the chart: x and y projected to the affine hull, alpha
+        and beta at t_lo and t_hi on the line through them.
         """
-        x = _as_array(x, "x")
-        y = _as_array(y, "y")
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         t_lo, t_hi, lo, hi, R = self._chord(x, y, eps)
+        t = np.array([t_lo, t_hi])[:, None]
         ux, uy, du = np.array([x - self._origin, y - self._origin,
                                y - x]) @ self._basis
-        xh, yh, alpha, beta = self.to_ambient(
-            np.array([ux, uy, ux + t_lo * du, ux + t_hi * du]))
+        xh, yh, alpha, beta = self._origin + np.vstack(
+            [ux, uy, ux + t * du]) @ self._frame.T
         if self.kind == "polytope":
             faces = [self._face_of(np.flatnonzero(at)) for at in (lo, hi)]
         else:
-            ends = np.array([R[0] + t_lo * R[3], R[0] + t_hi * R[3]])
-            ends /= np.linalg.norm(ends, axis=1, keepdims=True)
-            faces = [self._sphere_face(w) for w in ends]
+            ends = R[0] + t * R[3]
+            faces = self._sphere_faces(
+                ends / np.sqrt((ends * ends).sum(axis=1))[:, None])
         return Chord(x=xh, y=yh, alpha=alpha, beta=beta, face_alpha=faces[0],
                      face_beta=faces[1], t_alpha=t_lo, t_beta=t_hi)
 

@@ -73,11 +73,22 @@ class OriginNotInterior(GeometryError):
 
 
 class NotCollinear(GeometryError):
-    """Four points expected on one line are not collinear."""
+    """Four points expected on one line are not collinear.  residual is
+    the first stray point's distance off the line as a fraction of the
+    points' span, None when all four coincide."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class DegenerateDenominator(GeometryError):
-    """A cross-ratio denominator vanishes."""
+    """A cross-ratio denominator vanishes.  length is the vanishing
+    length, |a - x| or else |b - y|."""
+
+    def __init__(self, message, length=None):
+        super().__init__(message)
+        self.length = length
 
 
 class XNotInteriorOfCone(_NamedPoint):

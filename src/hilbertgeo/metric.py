@@ -8,10 +8,11 @@ is the sum of the two Funk distances, log max s(x)/s(y) + log max s(y)/s(x)
 
 distances(domain, X, Y) takes N pairs as the rows of two N x ambient
 arrays and returns their N distances in one batch of array operations:
-the Funk sum on polytopes, the log1p form of the chord cross ratio on
-ellipsoids.  All 2N points are checked before any distance is taken.
-distance is its one-pair wrapper: the same code on one row, so a scalar
-distance and its row of distances are equal bit for bit.
+the Funk sum on polytopes, on ellipsoids twice the Beltrami-Klein
+distance of the whitened points in the unit ball, in closed form.  All
+2N points are checked before any distance is taken.  distance is its
+one-pair wrapper: the same code on one row, so a scalar distance and its
+row of distances are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .convex import Chord, ConvexDomain, _as_array, _eps
+from .convex import Chord, _as_array, _eps
 from .errors import (
     DegenerateDenominator,
     DegenerateInput,
@@ -50,7 +51,8 @@ def cross_ratio(a, x, y, b, eps=None):
     The points must lie on one line within eps of its span, the length of
     the diagonal of their bounding box; a vanishing denominator (a == x or
     b == y, within 1e-14 of the span) is rejected rather than returned as
-    inf.
+    inf.  NotCollinear carries the stray point's residual off the line, a
+    fraction of the span, and DegenerateDenominator the vanishing length.
     """
     eps_v = _eps(eps)
     a, x, y, b = (_as_array(p) for p in (a, x, y, b))
@@ -68,12 +70,15 @@ def cross_ratio(a, x, y, b, eps=None):
     base = pts[0]
     for p in pts:
         r = p - base
-        if np.linalg.norm(r - (r @ u) * u) > eps_v * scale:
-            raise NotCollinear("points are not collinear within tolerance")
-    ax = np.linalg.norm(a - x)
-    by = np.linalg.norm(b - y)
+        off = float(np.linalg.norm(r - (r @ u) * u))
+        if off > eps_v * scale:
+            raise NotCollinear("points are not collinear within tolerance",
+                               residual=off / scale)
+    ax = float(np.linalg.norm(a - x))
+    by = float(np.linalg.norm(b - y))
     if ax <= 1e-14 * scale or by <= 1e-14 * scale:
-        raise DegenerateDenominator("cross ratio denominator vanishes")
+        raise DegenerateDenominator("cross ratio denominator vanishes",
+                                    length=ax if ax <= 1e-14 * scale else by)
     return float((np.linalg.norm(a - y) * np.linalg.norm(b - x)) / (ax * by))
 
 
@@ -83,7 +88,7 @@ def _funk_sum(S, D):
     both differences taken from the points' difference so that close
     pairs keep their digits: both ratios less 1 are the one division
     D / S."""
-    r = np.log1p((D / S).max(axis=-1))
+    r = np.log1p(np.maximum.reduce(D / S, axis=-1))
     n = len(r) // 2
     return r[:n] + r[n:]
 
@@ -96,19 +101,19 @@ def distances(domain, X, Y, eps=None):
     NaN or infinite coordinate, PointNotInterior for a point farther than
     eps of the domain's size from the affine hull or not strictly
     interior.  Polytopes take the Funk sum of the facet slacks, ellipsoids
-    the cross ratio of the chord as log1p(-1/t_lo) + log1p(1/(t_hi - 1)),
-    with x at t = 0 and y at 1.
+    the closed form of the unit ball after whitening (_ball_distances).
 
     Everything comes from one stacked product (ConvexDomain._stacked),
     [X - o; Y - o; X - Y; Y - X] @ M, o and M a polytope's chart origin
     and facet rates per ambient unit (basis @ A.T) or an ellipsoid's
-    center and whitening: the slacks of X and Y, which the checks read
-    too, and on a polytope the Funk differences sy - sx and sx - sy, the
-    facet rates along X - Y and Y - X, so close pairs keep their digits;
-    on an ellipsoid the whitened X - c and Y - X give the chord roots.
-    A scalar query runs the same code on one row, and BLAS sums a product
-    of two or more rows the same way whatever their number, so
-    distance(x, y) equals its row of distances bit for bit.
+    center and whitening: the slacks of X and Y, whose one reduction
+    accepts the query, and on a polytope the Funk differences sy - sx and
+    sx - sy, the facet rates along X - Y and Y - X, so close pairs keep
+    their digits; on an ellipsoid the whitened X - c and Y - X, with
+    1 - |w|^2 of X and Y from the acceptance pass.  A scalar query runs
+    the same code on one row, and BLAS sums a product of two or more rows
+    the same way whatever their number, so distance(x, y) equals its row
+    of distances bit for bit.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -123,15 +128,20 @@ def distances(domain, X, Y, eps=None):
     S, R = domain._stacked(X, Y, _eps(eps))
     if domain.kind == "polytope":
         return _funk_sum(S, R[2 * n:, :len(domain._b)])
-    return _ball_distances(R[:n], R[3 * n:])
+    return _ball_distances(R[:n], R[3 * n:], S)
 
 
-def _ball_distances(w, dw):
+def _ball_distances(w, dw, s):
     """Hilbert distances in the open unit ball from the points w to
-    w + dw (or rows of them): the chord's cross ratio as
-    log1p(-1/t_lo) + log1p(1/(t_hi - 1)), with w at t = 0 and w + dw at 1."""
-    t_lo, t_hi = ConvexDomain._ellipsoid_chords(w, dw)
-    return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
+    w + dw (or rows of them), given s = 1 - |w|^2 of the n points and
+    then of their n partners.  The distance is twice the Beltrami-Klein
+    one, 2 asinh(sqrt((|dw|^2 + (w.dw)^2 / sx) / sy)): both terms of the
+    numerator are >= 0, so close pairs keep their digits, and dw = 0
+    gives 0."""
+    n = len(w)
+    b = np.add.reduce(w * dw, axis=-1)
+    return 2.0 * np.arcsinh(np.sqrt(
+        (np.add.reduce(dw * dw, axis=-1) + b * b / s[:n]) / s[n:]))
 
 
 def distance(domain, x, y, eps=None):
@@ -280,27 +290,24 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
     else:
         f1 = domain.boundary_face_of(a1, eps)
         f2 = domain.boundary_face_of(a2, eps)
-        same_face = (f1 == f2 and f1.dim >= 1)
-        base = (a2 - a1)[:, None]
-        coef, *_ = np.linalg.lstsq(base, y0 - x0, rcond=None)
-        parallel = np.linalg.norm(base @ coef - (y0 - x0)) <= tol
-        mode = "parallel" if (same_face and parallel) else "divergent"
-    xs, ys, ds = [], [], []
+        # on one face, and y0 - x0 within tol of its projection on a2 - a1
+        u, v = a2 - a1, y0 - x0
+        parallel = (f1 == f2 and f1.dim >= 1
+                    and np.linalg.norm(v - (u @ v) / (u @ u) * u) <= tol)
+        mode = "parallel" if parallel else "divergent"
+    # every step's points at once; each distance is still its own query
+    t = (2.0 ** -np.arange(steps + 1.0))[:, None]
+    xs, ys = a1 + t * (x0 - a1), a2 + t * (y0 - a2)
+    ds = []
     exceeded_at = None
-    dx, dy = x0 - a1, y0 - a2
     for n in range(steps + 1):
-        t = 2.0 ** (-n)
-        xn = a1 + t * dx
-        yn = a2 + t * dy
-        d = distance(domain, xn, yn, eps)
-        xs.append(xn)
-        ys.append(yn)
+        d = distance(domain, xs[n], ys[n], eps)
         ds.append(d)
         if exceeded_at is None and d > bound:
             exceeded_at = n
     ds = np.array(ds)
     return AsymptoticProfile(
-        mode=mode, xs=np.array(xs), ys=np.array(ys), distances=ds,
+        mode=mode, xs=xs, ys=ys, distances=ds,
         sup=float(ds.max()), limit_estimate=float(ds[-1]),
         exceeded_at=exceeded_at,
     )

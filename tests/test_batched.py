@@ -47,6 +47,8 @@ from hilbertgeo.errors import (
     XNotInteriorOfCone,
 )
 
+from test_metric import _sphere_point
+
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 ROTATE = ProjectiveMap(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0]]))
@@ -125,15 +127,19 @@ def reference_focusing_probe(domain, f, target, starts, horizon=24):
 # on its own over the stacked [X; Y] rows (the hull residual through the
 # chart), then the one product the kernels take, [X - o; Y - o; Y - X]
 # times the facet rates basis @ A.T (an ellipsoid's whitening, o its
-# center), or [X; Y; X - Y] times a cone's functionals.  The chord path
-# takes the same product, clips by a per-facet loop, and collects each
-# end's binding facets by a per-facet loop too.
+# center), or [X; Y; X - Y] times a cone's functionals.  On an ellipsoid
+# the distance is the unit ball's closed form in the kernel's association.
+# The chord path takes the same product, clips by a per-facet loop, and
+# collects each end's binding facets by a per-facet loop too.
 
-def reference_reject(bad, n, error, what):
+def reference_reject(bad, n, error, what, min_slack=None):
     if bad.any():
         i = int(np.argmax(bad))
         name, row = ("x", i) if i < n else ("y", i - n)
-        raise error(f"{name}[{row}] {what}" if n > 1 else f"{name} {what}")
+        msg = f"{name}[{row}] {what}" if n > 1 else f"{name} {what}"
+        if min_slack is None:
+            raise error(msg, point=name, index=row)
+        raise error(msg, point=name, index=row, min_slack=float(min_slack[i]))
 
 
 def reference_residuals(domain, P):
@@ -184,8 +190,9 @@ def reference_checked(domain, X, Y):
         S = domain._b - R[:2 * n]
     else:
         S = 1.0 - np.linalg.norm(R[:2 * n], axis=1, keepdims=True)
-    reference_reject(S.min(axis=1) <= 0.0, n, PointNotInterior,
-                     "is not strictly interior")
+    least = S.min(axis=1)
+    reference_reject(least <= 0.0, n, PointNotInterior,
+                     "is not strictly interior", least)
     return R, S
 
 
@@ -198,8 +205,14 @@ def reference_distances(domain, X, Y):
     if domain.kind == "polytope":
         return (np.log1p(np.max(delta / S[n:], axis=-1))
                 + np.log1p(np.max(-delta / S[:n], axis=-1)))
-    t_lo, t_hi = reference_chords(R[:n], delta)
-    return np.log1p(-1.0 / t_lo) + np.log1p(1.0 / (t_hi - 1.0))
+    # twice the Beltrami-Klein distance of the whitened points w, w + dw:
+    # 2 asinh(sqrt((|dw|^2 + (w.dw)^2 / sx) / sy)), s = 1 - |w|^2
+    W = R[:2 * n]
+    s = 1.0 - np.sum(W * W, axis=1)
+    sx, sy = s[:n], s[n:]
+    a = np.sum(delta * delta, axis=1)
+    b = np.sum(W[:n] * delta, axis=1)
+    return 2.0 * np.arcsinh(np.sqrt((a + b * b / sx) / sy))
 
 
 def reference_cone_distances(cone, X, Y):
@@ -263,11 +276,14 @@ def reference_chord(domain, x, y):
 
 
 def outcome(f, *args):
-    """f's result, or the type and message of the GeometryError it raised."""
+    """f's result, or the type, message and attributes (the point, row
+    and least slack it names, None where it names none) of the
+    GeometryError it raised."""
     try:
         return f(*args)
     except GeometryError as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc), getattr(exc, "point", None),
+                getattr(exc, "index", None), getattr(exc, "min_slack", None))
 
 
 def assert_same(got, want):
@@ -348,6 +364,60 @@ def test_distance_errors_match_reference_kernel():
             want = outcome(reference_distances, dom, A, B)
             assert isinstance(want[0], type)  # every case is rejected
             assert_same(outcome(distances, dom, A, B), want)
+
+
+def test_non_finite_input_is_rejected_as_the_reference_kernel_does():
+    """+inf, -inf or NaN in any coordinate of x or y, in one pair or in a
+    batch, raise the reference kernel's error (class, message, point, row
+    and least slack) from distances, gromov_product, chord_params and
+    chord_through; so does a batch with one row off the hull or outside
+    and another row NaN, whichever comes first."""
+    rng = np.random.default_rng(52)
+    doms = [build_polytope(SQUARE), build_polytope(rng.normal(size=(12, 3))),
+            standard_simplex(2), standard_simplex(3),
+            build_ellipsoid([0.2, -0.1], tilted_shape(rng, 2)),
+            build_ellipsoid(rng.normal(size=3), tilted_shape(rng, 3))]
+    for dom in doms:
+        X = dom.sample_interior(rng, 4, pull=0.05)
+        Y = dom.sample_interior(rng, 4, pull=0.05)
+        for value, side, row, j in itertools.product(
+                (np.inf, -np.inf, np.nan), (0, 1), (0, 2),
+                range(dom.ambient_dim)):
+            A, B = X.copy(), Y.copy()
+            (A, B)[side][row, j] = value
+            want = outcome(reference_distances, dom, A, B)
+            assert want[0] is NonFinite
+            assert outcome(distances, dom, A, B) == want
+            a, b = A[row], B[row]
+            want = outcome(reference_distances, dom, a, b)
+            assert want[:4] == (NonFinite, f"{'xy'[side]} contains "
+                                "non-finite coordinates", "xy"[side], 0)
+            assert outcome(distances, dom, a, b) == want
+            want = outcome(reference_chord, dom, a, b)
+            assert outcome(dom.chord_params, a, b) == want
+            assert outcome(dom.chord_through, a, b) == want
+            p = X[3]
+            want = outcome(reference_distances, dom, [p, p, a], [a, b, b])
+            assert outcome(gromov_product, dom, p, a, b) == want
+        # a bad row ahead of a NaN row, and behind it: NaN comes first
+        if dom.intrinsic_dim < dom.ambient_dim:  # off the affine hull
+            bad = X[1] + 1e-3 * dom._normals[:, 0] / np.linalg.norm(
+                dom._normals[:, 0])
+        else:  # outside, past a vertex or a point of the boundary
+            edge = (dom.vertices[0] if dom.kind == "polytope"
+                    else dom.center + dom._chol[:, 0])
+            bad = 3.0 * edge - 2.0 * dom.centroid()
+        for first, second in ((0, 3), (3, 0)):
+            A, B = X.copy(), Y.copy()
+            A[first], B[second, 0] = bad, np.nan
+            want = outcome(reference_distances, dom, A, B)
+            assert want[:4] == (NonFinite, "y[%d] contains non-finite "
+                                "coordinates" % second, "y", second)
+            assert outcome(distances, dom, A, B) == want
+            A[first], B[second] = bad, Y[second]
+            want = outcome(reference_distances, dom, A, B)
+            assert want[0] is PointNotInterior
+            assert outcome(distances, dom, A, B) == want
 
 
 def test_errors_carry_the_point_row_and_slack():
@@ -450,6 +520,14 @@ def mpmath_lorentz_distance(x, y):
         return mpmath.log(scale(x, y)) + mpmath.log(scale(y, x))
 
 
+def assert_lorentz_matches_oracle(cone, X, Y):
+    got = cone_distances(cone, X, Y)
+    for i in range(len(X)):
+        want = mpmath_lorentz_distance(X[i], Y[i])
+        assert abs(got[i] - want) <= 1e-13 * want
+        assert cone_distance(cone, X[i], Y[i]) == got[i]
+
+
 def test_lorentz_cone_distances_match_mpmath_oracle():
     rng = np.random.default_rng(49)
     for n in (3, 4):
@@ -459,12 +537,33 @@ def test_lorentz_cone_distances_match_mpmath_oracle():
             X = rng.uniform(0.5, 2.0, size=(6, 1)) * cone.embed(
                 ball.sample_interior(rng, 6, pull=0.02))
             Y = X + sep * np.abs(X).max() * rng.normal(size=X.shape)
-            got = cone_distances(cone, X, Y)
-            for i in range(len(X)):
-                want = mpmath_lorentz_distance(X[i], Y[i])
-                assert abs(got[i] - want) <= 1e-13 * want
-                assert cone_distance(cone, X[i], Y[i]) == got[i]
+            assert_lorentz_matches_oracle(cone, X, Y)
         assert_cone_errors_match_reference(cone, X, Y)
+        # close pairs 1e-4 to 1e-14 apart at one scale from 1e-9 to 1e12,
+        # and at two scales a power of two apart: x is brought to the
+        # scale of y exactly, so the pair keeps its digits
+        for sep in 10.0 ** -np.arange(4.0, 15.0, 2.0):
+            X = cone.embed(ball.sample_interior(rng, 4, pull=0.02))
+            Y = X + sep * rng.normal(size=X.shape)
+            for sx, sy in ((1e-9, 1e-9), (1e12, 1e12), (2.0**20, 2.0**-20),
+                           (2.0**-30, 2.0**40), (0.75, 6.0)):
+                assert_lorentz_matches_oracle(cone, sx * X, sy * Y)
+        # far pairs with x and y rescaled on their own, 1e-9 to 1e12
+        X = cone.embed(ball.sample_interior(rng, 4, pull=0.02))
+        Y = cone.embed(ball.sample_interior(rng, 4, pull=0.02))
+        for sx, sy in ((1e-9, 1e12), (1e12, 1e-9), (3.0, 1.0 / 7.0)):
+            assert_lorentz_matches_oracle(cone, sx * X, sy * Y)
+        # 1e-3 to 1e-12 from the boundary, with |w|^2 exact
+        # (_sphere_point) at power-of-two heights
+        for gap in (1e-3, 1e-6, 1e-9, 1e-12):
+            w = _sphere_point(rng, n - 1, gap)
+            W = [_sphere_point(rng, n - 1, 0.3), -w,
+                 _sphere_point(rng, n - 1, gap)]
+            X = cone.embed(np.array([w, w, w]))
+            Y = cone.embed(np.array(W))
+            for sx, sy in ((1.0, 1.0), (2.0**-30, 2.0**40)):
+                assert_lorentz_matches_oracle(cone, sx * X, sy * Y)
+                assert_lorentz_matches_oracle(cone, sy * Y, sx * X)
 
 
 def test_chord_through_matches_reference_faces_and_parameters():
@@ -574,9 +673,9 @@ def test_spaces_take_rows():
                 build_ellipsoid([0.3, 0.0], np.eye(2))):
         empty = np.empty((0, dom.ambient_dim))
         assert distances(dom, empty, empty).shape == (0,)
-    orthant = cone_over(standard_simplex(2))
-    assert cone_distances(orthant, np.empty((0, 3)),
-                          np.empty((0, 3))).shape == (0,)
+    for cone in (cone_over(standard_simplex(2)), lorentz_cone(3)):
+        assert cone_distances(cone, np.empty((0, 3)),
+                              np.empty((0, 3))).shape == (0,)
 
 
 def test_cone_distances_match_cone_distance():

@@ -1,6 +1,7 @@
 """Distance values, cross-ratio identities, rigidity, boundary profiles."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -68,6 +69,32 @@ def test_cross_ratio_rejects_bad_input():
         with pytest.raises(NotCollinear):
             cross_ratio(*(bent * s))
         assert abs(cross_ratio(*(bent * [1.0, 0.0] * s)) - 3.0) < 1e-12
+
+
+def test_cross_ratio_errors_carry_what_failed():
+    """The stray point's residual off the line, a fraction of the span,
+    and the vanishing length ride on the errors; the messages are
+    unchanged."""
+    bent = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [4.0, 0.0]])
+    for s in (1e-9, 1.0, 1e9):
+        with pytest.raises(NotCollinear) as e:
+            cross_ratio(*(bent * s))
+        assert str(e.value) == "points are not collinear within tolerance"
+        assert e.value.residual == pytest.approx(0.5 / math.hypot(4.0, 0.5))
+    with pytest.raises(NotCollinear) as e:
+        cross_ratio([0, 0], [1, 0], [1, 1], [0, 1])
+    assert e.value.residual == pytest.approx(math.sqrt(0.5))
+    with pytest.raises(NotCollinear) as e:
+        cross_ratio([1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
+    assert str(e.value) == "all four points coincide"
+    assert e.value.residual is None
+    with pytest.raises(DegenerateDenominator) as e:
+        cross_ratio([0.0], [0.0], [1.0], [2.0])
+    assert str(e.value) == "cross ratio denominator vanishes"
+    assert e.value.length == 0.0
+    with pytest.raises(DegenerateDenominator) as e:
+        cross_ratio([0.0], [1.0], [3.0], [3.0 + 1e-15])
+    assert e.value.length == pytest.approx(1e-15, rel=0.1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -528,6 +555,24 @@ def _exact_ellipse_distance(center, shape, x, y):
         return mpmath.log((1 - t_lo) / -t_lo * t_hi / (t_hi - 1))
 
 
+def _sphere_point(rng, dim, gap):
+    """A point w of the open unit ball with 1 - |w| about gap whose
+    |w|^2 is exact in floats: coordinates k 2^-26 with integers k < 2^26,
+    so every square and the sum (1 - N 2^-52, N an integer) are exact."""
+    target = round(2.0 * gap * 2**52)  # N for 1 - |w|^2 = 2 gap
+    while True:
+        c = [int(k) for k in rng.integers(0, 2**20, dim - 2)]
+        rest = 2**52 - target - sum(k * k for k in c)
+        top = math.isqrt(rest)
+        for a in range(int(rng.integers(2**24, top)), top):
+            b = math.isqrt(rest - a * a)
+            if rest - a * a - b * b <= max(target // 2, 8):
+                w = np.array([a, b, *c]) * rng.choice([-1.0, 1.0], dim)
+                w = rng.permutation(w) * 2.0**-26
+                assert Fraction(float(w @ w)) == sum(Fraction(v)**2 for v in w)
+                return w
+
+
 def test_distance_matches_mpmath_oracle():
     rng = np.random.default_rng(2014)
     pairs = []
@@ -567,6 +612,43 @@ def test_distance_matches_mpmath_oracle():
                  ([0.0, 2**-25 - 1], [2e-4, 2**-25 - 1 + 1e-4])):
         want = _exact_ellipse_distance([0.0, 0.0], np.eye(2), x, y)
         assert float(abs(distance(disk, x, y) - want) / want) <= 1e-13
+    # 3-D, off-centre and tilted ellipsoids at scales 1e-9 to 1e12, with
+    # pairs 1e-4 to 1e-14 apart, and points 1e-3 to 1e-12 from the
+    # boundary.  Whitening rounds w = L^-1 (x - c) to an ulp, which moves
+    # 1 - |w|^2 by an ulp whatever the formula, so the points near the
+    # boundary sit on balls of radius 2^k, which whiten exactly, with
+    # |w|^2 exact (_sphere_point).
+    for d in (2, 3):
+        Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        tilted = Q @ np.diag(rng.uniform(0.2, 3.0, d)) @ Q.T
+        for scale in (1e-9, 1e-6, 1.0, 1e3, 1e12):
+            center = scale * rng.normal(size=d)
+            shape = scale**2 * tilted
+            dom = build_ellipsoid(center, shape)
+            for sep in 10.0 ** -np.arange(4.0, 15.0, 2.0):
+                x = dom.sample_interior(rng, 1, pull=0.3)
+                u = rng.normal(size=d)
+                for y in (x + scale * sep * u / np.linalg.norm(u),
+                          dom.sample_interior(rng, 1, pull=0.3)):
+                    want = _exact_ellipse_distance(center, shape, x, y)
+                    got = distance(dom, x, y)
+                    assert float(abs(got - want) / want) <= 1e-13
+        for k in (-30, 0, 40):  # radii about 9.3e-10, 1 and 1.1e12
+            r = 2.0**k
+            ball = build_ellipsoid(np.zeros(d), r * r * np.eye(d))
+            for gap in (1e-3, 1e-6, 1e-9, 1e-12):
+                w = _sphere_point(rng, d, gap)
+                assert 1.0 - np.linalg.norm(w) == pytest.approx(gap, rel=0.5)
+                partners = [_sphere_point(rng, d, 0.3), -w,
+                            _sphere_point(rng, d, gap),
+                            _sphere_point(rng, d, 1e-3)]
+                for v in partners:
+                    x, y = r * w, r * v
+                    want = _exact_ellipse_distance(np.zeros(d),
+                                                   r * r * np.eye(d), x, y)
+                    for a, b in ((x, y), (y, x)):
+                        got = distance(ball, a, b)
+                        assert float(abs(got - want) / want) <= 1e-13
 
 
 def test_distance_is_exactly_symmetric():

@@ -233,3 +233,64 @@ def test_classify_2d_verdict_is_invariant(e, tau, e2, tau2, seed):
         want = classify_2d(build_polytope(V), build_polytope(B)).verdict
         got = classify_2d(build_polytope(fa(V)), build_polytope(fb(B)))
         assert got.verdict == want
+
+
+def projective_map(rng, d, P=None, ellipse=None):
+    """A random projective map x -> (A x + t) / (h.x + h0) of R^d, as its
+    (d + 1) x (d + 1) matrix, whose denominator keeps one sign, with its
+    least size at least 0.2 of its largest, on the points P or on the
+    ellipse (c, S): the image of their hull is then bounded."""
+    while True:
+        H = np.eye(d + 1) + 0.3 * rng.normal(size=(d + 1, d + 1))
+        H[d] = [*(0.4 * rng.uniform(-1.0, 1.0, d)), 1.0]
+        h, h0 = H[d, :d], H[d, d]
+        if P is not None:
+            den = P @ h + h0
+            lo, hi = np.abs(den).min(), np.abs(den).max()
+            if den.min() * den.max() > 0.0 and lo >= 0.2 * hi:
+                return H
+        else:  # the denominator spans m -+ r on the ellipse
+            c, S = ellipse
+            m, r = abs(h @ c + h0), float(np.sqrt(h @ S @ h))
+            if m - r >= 0.2 * (m + r):
+                return H
+
+
+def apply_map(H, P):
+    h = np.c_[P, np.ones(len(P))] @ H.T
+    return h[:, :-1] / h[:, -1:]
+
+
+@settled
+@given(seed=seeds)
+def test_distance_is_invariant_under_projective_maps(seed):
+    """d(f(x), f(y)) on f(K) equals d(x, y) on K, relative 1e-9, for
+    projective maps f that keep K bounded: polygons and 3-polytopes map
+    their vertices, ellipses their quadric, to H^-T Q H^-1."""
+    def assert_invariant(dom, image, H, X):
+        fX = apply_map(H, X)
+        for i, j in ((0, 1), (2, 3)):
+            assert distance(image, fX[i], fX[j]) == pytest.approx(
+                distance(dom, X[i], X[j]), rel=1e-9)
+
+    rng = np.random.default_rng(seed)
+    for V in (polygon(rng), rng.normal(size=(int(rng.integers(5, 13)), 3))):
+        dom = build_polytope(V)
+        V = dom.vertices
+        H = projective_map(rng, V.shape[1], P=V)
+        assert_invariant(dom, build_polytope(apply_map(H, V)), H,
+                         interior(rng, V, 4))
+    c = rng.normal(size=2)
+    Qr = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    S = Qr @ np.diag(rng.uniform(0.2, 2.0, 2)) @ Qr.T
+    dom = build_ellipsoid(c, S)
+    H = projective_map(rng, 2, ellipse=(c, S))
+    Si = np.linalg.inv(S)
+    Q = np.block([[Si, -(Si @ c)[:, None]], [-(Si @ c)[None, :],
+                                              np.array([[c @ Si @ c - 1.0]])]])
+    Hi = np.linalg.inv(H)
+    Qf = Hi.T @ Q @ Hi  # the image quadric, negative inside
+    A, b, g = Qf[:2, :2], Qf[:2, 2], Qf[2, 2]
+    cf = -np.linalg.solve(A, b)
+    image = build_ellipsoid(cf, (b @ -cf - g) * np.linalg.inv(A))
+    assert_invariant(dom, image, H, dom.sample_interior(rng, 4, pull=0.05))
