@@ -14,11 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import _as_array, _eps, _hull_facets, _lex_keep, _reject
+from .convex import (
+    _as_array,
+    _eps,
+    _hull_facets,
+    _lex_keep,
+    _reject,
+    _require_finite,
+)
 from .errors import (
     DegenerateInput,
     GeometryError,
-    NonFinite,
     Unsupported,
     XNotInteriorOfCone,
 )
@@ -35,6 +41,7 @@ __all__ = [
 
 
 _SQRT_HALF = 0.5 ** 0.5
+_TINY = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +59,15 @@ def _lorentz_form(x, y):
 
 def _lorentz_q(z):
     return _lorentz_form(z, z)
+
+
+def _nearest_power(m, e):
+    """The exponents k, one per pair, with 2^k a_x nearest a_y in ratio,
+    for positive scales a = m 2^e (np.frexp) of n pairs stacked as
+    [a_x; a_y]: from mantissas and exponents, so that no ratio of far
+    scales overflows or underflows."""
+    n = len(m) // 2
+    return e[n:] - e[:n] + np.frexp(m[n:] / m[:n] * _SQRT_HALF)[1]
 
 
 def _lorentz_scale(x, y):
@@ -90,6 +106,9 @@ class Cone:
         """Interior test of a point, or of each row, without checks."""
         if self.kind == "polyhedral":
             return np.min(X @ self.functionals.T, axis=-1) > 0.0
+        # each row times the power of two that brings x_1 into [1/2, 1),
+        # which is exact, so that q cannot overflow
+        X = np.ldexp(X, -np.frexp(X[..., :1])[1])
         return (X[..., 0] > 0.0) & (_lorentz_q(X) > 0.0)
 
     def contains_interior(self, x):
@@ -226,15 +245,21 @@ def cone_distances(cone, X, Y):
 
     X and Y are N x dim arrays, or single points; returns N distances.
     Every point is checked first: NonFinite, or XNotInteriorOfCone naming
-    the first offending row.  A polyhedral cone takes the functionals'
-    values and the Funk differences from one product, [X; Y; Y - X;
-    X - Y] @ L.T, through the polytopes' helper, so a scalar query and its
-    row agree bit for bit.  The Lorentz cone accepts a query by one
-    reduction of x_1 and q = x_1^2 - |x_2..n|^2, takes 1 - |w|^2 of each
-    slice point as q / x_1^2, and after bringing each x to the scale of
-    its y by a power of two, which is exact, gives the unit ball's closed
-    form (metric._ball_distances): a pair reads the same when either
-    point is scaled by a power of two, and close pairs keep their digits.
+    the first offending row.  Each x is first brought to the scale of its
+    y by the power of two nearest the ratio of their scales, which is
+    exact (_nearest_power): the largest coordinates on a polyhedral cone,
+    the first ones on the Lorentz cone.  So D = Y - 2^e X is as small as
+    the pair is close when their scales differ by a power of two, and
+    under 0.42 |Y| for any pair, where the points' own difference would
+    lose every close pair's digits, and a pair reads the same when either
+    point is scaled by a power of two.  A polyhedral cone then takes the
+    functionals' values and the Funk differences from one product,
+    [X; Y; Y - X; X - Y] @ L.T, through the polytopes' helper, so a
+    scalar query and its row agree bit for bit.  The Lorentz cone scales
+    each point's first coordinate into [1/2, 1), also exactly, accepts a
+    query by one reduction of x_1 and q = x_1^2 - |x_2..n|^2, takes
+    1 - |w|^2 of each slice point as q / x_1^2, and gives the unit ball's
+    closed form (metric._ball_distances).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -246,10 +271,12 @@ def cone_distances(cone, X, Y):
     n = len(X)
     Z = np.concatenate([X, Y, Y, X])
     P = Z[:2 * n]
-    if not np.logical_and.reduce(np.isfinite(P), axis=None):
-        _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
-                "contains non-finite coordinates")
+    _require_finite(P, n)
     if cone.kind == "polyhedral":
+        # by their largest coordinates; a zero row keeps its exponent
+        # finite (initial), and stays zero
+        m, e = np.frexp(np.maximum.reduce(np.abs(P), axis=1, initial=_TINY))
+        Z[:n] = Z[3 * n:] = np.ldexp(X, _nearest_power(m, e)[:, None])
         # the interior test and the Funk sum read one product
         Z[2 * n:] -= P  # Y - X and X - Y
         R = Z @ cone.functionals.T
@@ -258,20 +285,17 @@ def cone_distances(cone, X, Y):
             _reject(~(S.min(axis=1) > 0.0), n, XNotInteriorOfCone,
                     "must be interior to the cone")
         return _funk_sum(S, R[2 * n:])
+    # each row with x_1 in [1/2, 1) (as Cone._interior takes it), then
     # x_1 > 0 and q = x_1^2 - |x_2..n|^2 > 0, in one reduction
+    m, e = np.frexp(P[:, :1])
+    P = np.ldexp(P, -e)
     x1, q = P[:, 0], _lorentz_q(P)
     if not np.minimum.reduce(np.minimum(x1, q), initial=np.inf) > 0.0:
         _reject(~cone._interior(P), n, XNotInteriorOfCone,
                 "must be interior to the cone")
-    # On the unit ball of the slice x_1 = 1, where 1 - |w|^2 = q / x_1^2:
-    # one division by x_1 gives w = X_2..n / X_1 and Y_1 / X_1.  X is
-    # brought to the scale of Y by the power of two 2^e nearest Y_1 / X_1,
-    # which is exact, so D = Y - 2^e X is as small as the pair is close
-    # when their scales differ by a power of two, and under 0.42 |Y| for
-    # any pair; the slice points' difference would lose every close
-    # pair's digits.
-    V = P.reshape(2, n, cone.dim) / X[:, :1]
-    w = V[0, :, 1:]
-    D = Y - np.ldexp(X, np.frexp(V[1, :, :1] * _SQRT_HALF)[1])
+    # On the unit ball of the slice x_1 = 1, where 1 - |w|^2 = q / x_1^2,
+    # w = X_2..n / X_1 and the direction (D_2..n - w D_1) / Y_1
+    w = P[:n, 1:] / P[:n, :1]
+    D = Y - np.ldexp(X, _nearest_power(m, e))
     return _ball_distances(w, (D[:, 1:] - w * D[:, :1]) / Y[:, :1],
                            q / (x1 * x1))

@@ -93,22 +93,30 @@ def _eps(eps):
 
 def _as_array(p, name="point"):
     a = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFinite(f"{name} contains non-finite coordinates", name)
     return a
 
 
-def _reject(bad, n, error, what, min_slack=None):
+def _reject(bad, n, error, what, min_slack=None, names=("x", "y")):
     """Raise error for the first flagged row of a stacked [X; Y] block of
-    n pairs, naming the point as x or y (x[i] or y[i] when n > 1); the
-    error's point and index are that name and row, and its min_slack the
-    row's entry of min_slack when given."""
+    n pairs, naming the point as x or y (x[i] or y[i] when n > 1), or by
+    the given names; the error's point and index are that name and row,
+    and its min_slack the row's entry of min_slack when given."""
     if bad.any():
         i = int(np.argmax(bad))
-        name, row = ("x", i) if i < n else ("y", i - n)
+        name, row = (names[0], i) if i < n else (names[1], i - n)
         msg = f"{name}[{row}] {what}" if n > 1 else f"{name} {what}"
         extra = {} if min_slack is None else {"min_slack": float(min_slack[i])}
         raise error(msg, point=name, index=row, **extra)
+
+
+def _require_finite(P, n, names=("x", "y")):
+    """Raise NonFinite for the first row of P, a stacked block as _reject
+    reads it, with a NaN or infinite coordinate."""
+    if not np.logical_and.reduce(np.isfinite(P), axis=None):
+        _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
+                "contains non-finite coordinates", names=names)
 
 
 def _lex_unique(points, tol):
@@ -552,12 +560,13 @@ class FaceLattice:
             m |= 1 << int(i)
         return self._with_mask(m)
 
-    def _meet(self, facet_ids):
-        """The face that is the intersection of the given facets, or None."""
-        m = -1
-        for j in facet_ids:
-            m &= self._facet_masks[j]
-        return self._with_mask(m)
+    def _meets(self, tight):
+        """The faces that are the intersections of the facets marked in
+        each row of the bool array tight, None where there is none."""
+        meets = [-1] * len(tight)
+        for r, j in zip(*(a.tolist() for a in tight.nonzero())):
+            meets[r] &= self._facet_masks[j]
+        return [self._with_mask(m) for m in meets]
 
     @staticmethod
     def leq(f, g):
@@ -587,7 +596,9 @@ class Chord:
     alpha is the boundary endpoint nearer x, beta the one nearer y, so
     |alpha - x| < |alpha - y| and |beta - y| < |beta - x|.
     t_alpha < 0 and t_beta > 1 parametrize the endpoints on the line
-    x + t (y - x).
+    x + t (y - x).  _slacks and _binding keep what the chord's pass read
+    (ConvexDomain.chord_through): the slacks of x and y, and the binding
+    facets of alpha and beta (None on an ellipsoid).
     """
 
     x: np.ndarray
@@ -598,6 +609,8 @@ class Chord:
     face_beta: Face
     t_alpha: float
     t_beta: float
+    _slacks: np.ndarray = field(default=None, repr=False)
+    _binding: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -711,10 +724,11 @@ class ConvexDomain:
     ellipsoid's the identity.  Every eps is a fraction of the domain's
     size: of _size on a polytope, of the whitened radius on an ellipsoid.
 
-    Queries on points read them through one matrix _M (see _stacked): on
-    a polytope the facet rates per ambient unit, _basis @ _A.T, followed
-    on an embedded polytope by _normals, its unit normals to the affine
-    hull divided by _size; on an ellipsoid the whitening L^-T.
+    Queries on points read them through one matrix _M, as offsets from
+    _pivot (see _stacked): on a polytope the facet rates per ambient
+    unit, _basis @ _A.T, followed on an embedded polytope by _normals,
+    its unit normals to the affine hull divided by _size, from the chart
+    origin; on an ellipsoid the whitening L^-T, from the center.
     """
 
     def __init__(self, kind, **data):
@@ -738,6 +752,7 @@ class ConvexDomain:
                              * (1.0 / self._size) if d < D
                              else np.empty((D, 0)))
             self._M = np.hstack([self._basis @ self._A.T, self._normals])
+            self._pivot = self._origin
         else:
             self.center = data["center"]
             self.shape = data["shape"]
@@ -751,6 +766,8 @@ class ConvexDomain:
             self._size = 1.0
             self._basis = self._frame = np.eye(self.ambient_dim)
             self._M = self._chol_inv.T
+            self._normals = np.empty((self.ambient_dim, 0))
+            self._pivot = self.center
             self._sphere_map = np.hstack([self._chol.T, self._chol_inv])
 
     # ---------------------------------------------------------------- charts
@@ -779,47 +796,52 @@ class ConvexDomain:
         residual is taken."""
         if self.intrinsic_dim == self.ambient_dim:
             return np.bool_(0.0 > eps)
-        return self._off_normals((P - self._origin) @ self._normals, eps)
-
-    @staticmethod
-    def _off_normals(G, eps):
-        """Flags of the rows of G, points' components along _normals,
-        that put a point farther than eps of the size from the hull: their
-        squared lengths against eps^2, signed as eps is."""
+        # the squared components along _normals against eps^2, signed as
+        # eps is
+        G = (P - self._origin) @ self._normals
         return np.add.reduce(G * G, axis=1) > eps * abs(eps)
 
     def _stacked(self, X, Y, eps):
         """The one product of a query on the pairs (X[i], Y[i]), rows of
         n x ambient arrays of matching shape: R = [X - o; Y - o; X - Y;
         Y - X] @ _M, o the polytope's origin or the ellipsoid's center.
-        Returns S and R.  On a polytope S holds the facet slacks of the 2n
-        points X and Y (_slacks), and the last 2n rows of R are sy - sx and
-        sx - sy, the facet rates along X - Y and Y - X, so close pairs keep
-        their digits.  On an ellipsoid the rows of R are whitened, w, and
-        S is 1 - |w|^2 of the 2n points, the ball's quadratic slack.
+        Returns S, R and the stack Z = [X - o; Y - o; X - Y; Y - X].  On a
+        polytope S holds the facet slacks of the 2n points X and Y
+        (_slacks), and the last 2n rows of R are sy - sx and sx - sy, the
+        facet rates along X - Y and Y - X, so close pairs keep their
+        digits.  On an ellipsoid the rows of R are whitened, w, and S is
+        1 - |w|^2 of the 2n points, the ball's quadratic slack.
 
         Every point is checked.  Its coordinates are checked to be finite
         first, before they enter the product, where an infinite one would
-        make numpy warn (inf * 0); then the query is accepted by one
-        reduction of the slacks, with one of the squared components along
-        _normals on an embedded polytope.  Only a query that fails is
-        scanned row by row: NonFinite for a NaN or infinite coordinate,
-        then PointNotInterior for a point farther than eps of the size
-        from the affine hull, then for one with a slack <= 0 (1 - |w| on
-        an ellipsoid), naming the first bad point.
+        make numpy warn (inf * 0); then _product accepts the query.
         """
         n = len(X)
         Z = np.concatenate([X, Y, Y, X])
         P, D = Z[:2 * n], Z[2 * n:]
-        if not np.logical_and.reduce(np.isfinite(P), axis=None):
-            _reject(~np.isfinite(P).all(axis=1), n, NonFinite,
-                    "contains non-finite coordinates")
+        _require_finite(P, n)
         np.subtract(P, D, out=D)
+        S, R = self._product(Z, P, eps)
+        return S, R, Z
+
+    def _product(self, Z, P, eps, names=("x", "y")):
+        """R = Z @ _M, once P, the view of the first k rows of Z, finite
+        points, is taken to _pivot in place (the rows below are
+        directions), and the slacks S of those k points (see _stacked).
+        The points are accepted by one reduction of their slacks, with one
+        of their squared components along _normals on an embedded
+        polytope.  Only a query that fails is scanned row by row:
+        PointNotInterior for a point farther than eps of the size from the
+        affine hull, then for one with a slack <= 0 (1 - |w| on an
+        ellipsoid), naming the first bad point as _reject does, the first
+        half of the k rows by names[0] and the rest by names[1].
+        """
         polytope = self.kind == "polytope"
-        P -= self._origin if polytope else self.center
+        P -= self._pivot
         R = Z @ self._M
+        k = len(P)
         if not polytope:
-            W = R[:2 * n]
+            W = R[:k]
             ww = np.add.reduce(W * W, axis=1)
             # 1 - |w|^2 > 0 exactly when 1 - |w| > 0: sqrt(v) < 1 for
             # every double v < 1
@@ -827,20 +849,22 @@ class ConvexDomain:
             g = _NO_RESIDUAL
         elif len(self._b) < R.shape[1]:
             m = len(self._b)
-            S = self._b - R[:2 * n, :m]
-            G = R[:2 * n, m:]
+            S = self._b - R[:k, :m]
+            G = R[:k, m:]
             g = np.add.reduce(G * G, axis=1)
         else:
-            S = self._b - R[:2 * n]
+            S = self._b - R[:k]
             g = _NO_RESIDUAL
-        e2 = eps * abs(eps)  # as _off_normals reads eps
+        e2 = eps * abs(eps)  # as _off_hull reads eps
         if not (np.minimum.reduce(S, axis=None, initial=np.inf) > 0.0
                 and (0.0 if g is _NO_RESIDUAL
                      else np.maximum.reduce(g, initial=0.0)) <= e2):
-            _reject(g > e2, n, PointNotInterior, "is off the affine hull")
+            n = (k + 1) // 2
+            _reject(g > e2, n, PointNotInterior, "is off the affine hull",
+                    names=names)
             least = S.min(axis=1) if polytope else 1.0 - np.sqrt(ww)
             _reject(least <= 0.0, n, PointNotInterior,
-                    "is not strictly interior", least)
+                    "is not strictly interior", least, names)
         return S, R
 
     def project_to_hull(self, p):
@@ -901,17 +925,12 @@ class ConvexDomain:
     def _require_interior(self, p, eps, name="point"):
         """Chart coordinates of a finite point p (callers check it), which
         must lie within eps of the affine hull and have strictly positive
-        facet slack.  The strictness (not an eps margin) is deliberate:
-        asymptotic probes evaluate distances at points within 1e-12 of the
-        boundary."""
-        if self._off_hull(p[None, :], _eps(eps)).any():
-            raise PointNotInterior(f"{name} is off the affine hull", name)
-        u = (p - self._origin) @ self._basis
-        least = float(self._slacks(u).min())
-        if least <= 0.0:
-            raise PointNotInterior(f"{name} is not strictly interior", name,
-                                   min_slack=least)
-        return u
+        facet slack, accepted as a query's points are (_product).  The
+        strictness (not an eps margin) is deliberate: asymptotic probes
+        evaluate distances at points within 1e-12 of the boundary."""
+        P = np.array([p], dtype=float)
+        self._product(P, P, _eps(eps), (name, name))
+        return (p - self._origin) @ self._basis
 
     # ------------------------------------------------------------------ faces
 
@@ -931,8 +950,8 @@ class ConvexDomain:
         """The face whose relative interior contains the boundary point p,
         read with slacks within eps of the domain's size of 0.  An
         ellipsoid reads p in whitened coordinates w, where the boundary is
-        |w| = 1.  Chord ends do not come here: chord_through reads their
-        faces off the facets that clip the chord."""
+        |w| = 1.  Chord and ray ends do not come here: chord_through and
+        minimal_cone_at read their faces off the facets that clip them."""
         eps = _eps(eps)
         p = _as_array(p)
         if self._off_hull(p[None, :], eps).any():
@@ -947,20 +966,20 @@ class ConvexDomain:
                                     slack=float(1.0 - r))
             return self._sphere_faces(w[None, :] / r)[0]
         s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        least = float(s.min())
+        least = float(np.minimum.reduce(s))
         if least < -eps:
             raise NotOnBoundary("point is outside the domain", slack=least)
-        tight = np.flatnonzero(np.abs(s) <= eps)
-        if not len(tight):
+        tight = np.abs(s) <= eps
+        if not tight.any():
             raise NotOnBoundary("point is interior", slack=least)
-        return self._face_of(tight)
+        return self._faces_of(tight[None])[0]
 
-    def _face_of(self, facets):
-        """The face where the given facet ids meet."""
-        face = self.face_lattice()._meet(facets.tolist())
-        if face is None:
+    def _faces_of(self, tight):
+        """The faces where the facets marked in each row of tight meet."""
+        faces = self.face_lattice()._meets(tight)
+        if any(face is None for face in faces):
             raise NotOnBoundary("tight facets do not meet in a face")
-        return face
+        return faces
 
     def _sphere_faces(self, W):
         """An ellipsoid's point faces at the rows of W, whitened boundary
@@ -1008,40 +1027,44 @@ class ConvexDomain:
         whitened point and direction (see _line).  One line, or one per
         row of rate (s one point or matching rows).
 
-        Returns (t_lo, t_hi, lo, hi): floats for one line and arrays for
+        Returns (t_lo, t_hi, ends): floats for one line and arrays for
         rows, with t_lo < 0 < t_hi for an interior point.  On a polytope
         both ends come from one ratio array, s / rate: the slacks of an
         interior point are positive, so its negative entries bound t_lo
         and its positive ones t_hi.  A facet whose rate is at the
         round-off of the largest (1e-14 of it) counts as parallel: its
         rate is read as inf, its ratio as 0, which bounds neither end.
-        lo and hi mark each end's binding facets, those whose slack there,
-        s - t rate, is within its round-off of 0: _ROUND per unit of
-        1 + |t| max |rate|, the size of the terms in the unit chart.  The
+        For one line on a polytope, ends[0] and ends[1] mark the binding
+        facets of its two ends, those whose slack there, s - t rate, is
+        within its round-off of 0: _ROUND per unit of 1 + |t| max |rate|,
+        the size of the terms in the unit chart, taken in floats.  The
         facet that sets t is always among them, and the end's face is
-        where they meet.  On an ellipsoid lo and hi are None.
+        where they meet (_faces_of).  Otherwise ends is None.
         """
-        if self.kind == "polytope":
-            size = np.abs(rate)
-            scale = size.max(axis=-1, keepdims=True)
-            ratio = s / np.where(size > 1e-14 * scale, rate, np.inf)
-            t_lo = ratio.max(axis=-1, initial=-np.inf, where=ratio < 0.0)
-            t_hi = ratio.min(axis=-1, initial=np.inf, where=ratio > 0.0)
-            if not (t_hi - t_lo < np.inf).all():
-                raise GeometryError("line escapes the polytope")
-            # both ends at once: the slacks s - t rate at (..., end, facet)
-            T = np.stack([t_lo, t_hi], axis=-1)[..., None]
-            ends = (np.abs(s[..., None, :] - T * rate[..., None, :])
-                    <= _ROUND * (1.0 + np.abs(T) * scale[..., None]))
-            lo, hi = ends[..., 0, :], ends[..., 1, :]
-        else:
+        if self.kind == "ellipsoid":
             t_lo, t_hi = self._ellipsoid_chords(s, rate)
             if not ((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)).all():
                 raise GeometryError("degenerate chord direction")
-            lo = hi = None
-        if rate.ndim == 1:
-            return float(t_lo), float(t_hi), lo, hi
-        return t_lo, t_hi, lo, hi
+            if rate.ndim == 1:
+                return float(t_lo), float(t_hi), None
+            return t_lo, t_hi, None
+        size = np.abs(rate)
+        scale = np.maximum.reduce(size, axis=-1, keepdims=True)
+        ratio = s / np.where(size > 1e-14 * scale, rate, np.inf)
+        t_lo = np.maximum.reduce(ratio, axis=-1, initial=-np.inf,
+                                 where=ratio < 0.0)
+        t_hi = np.minimum.reduce(ratio, axis=-1, initial=np.inf,
+                                 where=ratio > 0.0)
+        ok = t_hi - t_lo < np.inf
+        if not (ok if rate.ndim == 1 else ok.all()):
+            raise GeometryError("line escapes the polytope")
+        if rate.ndim > 1:
+            return t_lo, t_hi, None
+        t_lo, t_hi, scale = float(t_lo), float(t_hi), float(scale[0])
+        # each end's t and slack round-off, one row per end
+        T = np.array([[t_lo, _ROUND * (1.0 + abs(t_lo) * scale)],
+                      [t_hi, _ROUND * (1.0 + abs(t_hi) * scale)]])
+        return t_lo, t_hi, np.abs(s - T[:, :1] * rate) <= T[:, 1:]
 
     @staticmethod
     def _ellipsoid_chords(w, dw):
@@ -1065,6 +1088,13 @@ class ConvexDomain:
             return lo, hi
         return np.where(moving, lo, -np.inf), np.where(moving, hi, np.inf)
 
+    def _clip(self, S, R, p, d):
+        """_clip_line of the line through the checked point of row p of a
+        pass (_product) along the direction of its row d."""
+        if self.kind == "polytope":
+            return self._clip_line(S[p], R[d, :len(self._b)])
+        return self._clip_line(R[p], R[d])
+
     def chord_params(self, x, y, eps=None):
         """(t_lo, t_hi) clipping the line through interior x, y, with x at
         t = 0 and y at t = 1; the same pass as chord_through."""
@@ -1074,13 +1104,11 @@ class ConvexDomain:
     def _chord(self, x, y, eps):
         """_clip_line of the line through the points x and y, from the one
         stacked product of _stacked, which checks both points before they
-        are compared, and that product's rows R."""
-        S, R = self._stacked(x[None, :], y[None, :], _eps(eps))
-        if (x == y).all():
+        are compared, and that pass's S, R and Z."""
+        S, R, Z = self._stacked(x[None, :], y[None, :], _eps(eps))
+        if x.tolist() == y.tolist():
             raise CoincidentPoints("chord needs two distinct points")
-        if self.kind == "polytope":
-            return (*self._clip_line(S[0], R[3, :len(self._b)]), R)
-        return (*self._clip_line(R[0], R[3]), R)
+        return (*self._clip(S, R, 0, 3), S, R, Z)
 
     def chord_through(self, x, y, eps=None):
         """The maximal chord through interior points x and y, with its
@@ -1089,49 +1117,71 @@ class ConvexDomain:
         One stacked pass (_stacked) checks x and y and gives the slacks of
         x and the facet rates along y - x, which _clip_line turns into t_lo
         and t_hi and each end's binding facets; the end's face is where
-        those facets meet, so no extrapolated endpoint is read back, and a
-        pair 1e-13 apart gets the faces of a far pair on its line.  An
-        ellipsoid's end faces come from its two whitened ends, normalised,
-        in one product (_sphere_faces).  The points x, y, alpha and beta
-        come from the chart: x and y projected to the affine hull, alpha
-        and beta at t_lo and t_hi on the line through them.
+        those facets meet (_faces_of), so no extrapolated endpoint is read
+        back, and a pair 1e-13 apart gets the faces of a far pair on its
+        line.  An ellipsoid's end faces come from its two whitened ends,
+        normalised, in one product (_sphere_faces).  The points x, y, alpha
+        and beta come from the chart: x - o, y - o and y - x of the same
+        pass taken to the chart, so x and y are projected to the affine
+        hull, and alpha and beta lie at t_lo and t_hi on the line through
+        them.  The chord keeps the pass's slacks of x and y and the ends'
+        binding facets for is_rigid_chord.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        t_lo, t_hi, lo, hi, R = self._chord(x, y, eps)
-        t = np.array([t_lo, t_hi])[:, None]
-        ux, uy, du = np.array([x - self._origin, y - self._origin,
-                               y - x]) @ self._basis
-        xh, yh, alpha, beta = self._origin + np.vstack(
-            [ux, uy, ux + t * du]) @ self._frame.T
+        t_lo, t_hi, ends, S, R, Z = self._chord(x, y, eps)
+        t = np.array([[t_lo], [t_hi]])
+        # the rows x - o, y - o, x - y and y - x in the chart; alpha and
+        # beta take the place of x - y and y - x
+        U = Z @ self._basis
+        U[2:] = U[3] * t + U[0]
+        xh, yh, alpha, beta = self._pivot + U @ self._frame.T
         if self.kind == "polytope":
-            faces = [self._face_of(np.flatnonzero(at)) for at in (lo, hi)]
+            faces = self._faces_of(ends)
         else:
-            ends = R[0] + t * R[3]
+            W = R[0] + t * R[3]
             faces = self._sphere_faces(
-                ends / np.sqrt((ends * ends).sum(axis=1))[:, None])
+                W / np.sqrt(np.add.reduce(W * W, axis=1))[:, None])
         return Chord(x=xh, y=yh, alpha=alpha, beta=beta, face_alpha=faces[0],
-                     face_beta=faces[1], t_alpha=t_lo, t_beta=t_hi)
+                     face_beta=faces[1], t_alpha=t_lo, t_beta=t_hi,
+                     _slacks=S, _binding=ends)
 
     def ray(self, start, direction, eps=None):
-        """Ray from an interior start toward the boundary."""
-        start = _as_array(start, "start")
-        d = _as_array(direction, "direction")
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
+        """Ray from an interior start toward the boundary.
+
+        The start is checked and the ray clipped in one pass, as a chord
+        is (_ray).  The start and the direction are taken to the affine
+        hull through the chart, and the endpoint lies at t_hi along that
+        direction.  The end's face is where the facets that bind it meet,
+        which minimal_cone_at reads from _ray."""
+        t_hi, _, Z = self._ray(start, direction, eps)
+        p, d = Z @ self._basis @ self._frame.T
+        p += self._pivot
+        nd = math.sqrt(d @ d)
+        return Ray(start=p, direction=d / nd, endpoint=p + t_hi * d,
+                   length=t_hi * nd)
+
+    def _ray(self, start, direction, eps):
+        """(t_hi, ends, Z) of the ray from start along direction: where it
+        leaves the body, the binding facets of both ends of its line (None
+        on an ellipsoid), and Z = [start - o; direction].  The direction
+        must be nonzero and, like a point, within eps of the size, or of
+        its length, of the affine hull; the start is checked and the line
+        clipped by one product, [start - o; direction] @ _M, as a chord's
+        pair is (_product, _clip_line).
+        """
+        Z = np.array([start, direction], dtype=float)
+        _require_finite(Z, 1, ("start", "direction"))
+        dd = Z[1] @ Z[1]
+        if dd == 0.0:
             raise DegenerateInput("zero ray direction")
-        du = d @ self._basis
-        d_amb = du @ self._frame.T
-        # like a point's, the residual is eps of the size, or of |d|
-        if np.linalg.norm(d - d_amb) > _eps(eps) * max(nd, self._size):
+        g = Z[1] @ self._normals
+        tol = _eps(eps) * max(math.sqrt(dd) / self._size, 1.0)
+        if g @ g > tol * abs(tol):
             raise DegenerateInput("ray direction leaves the affine hull")
-        u = self._require_interior(start, eps, "start")
-        t_hi = self._clip_line(*self._line(u, du))[1]
-        endpoint = self.project_to_hull(start) + t_hi * d_amb
-        d_unit = d_amb / np.linalg.norm(d_amb)
-        return Ray(start=self.project_to_hull(start), direction=d_unit,
-                   endpoint=endpoint,
-                   length=float(t_hi * np.linalg.norm(d_amb)))
+        S, R = self._product(Z, Z[:1], _eps(eps), ("start", "direction"))
+        _, t_hi, ends = self._clip(S, R, 0, 1)
+        return t_hi, ends, Z
 
     # -------------------------------------------------- joins, cones, slices
 
@@ -1157,7 +1207,13 @@ class ConvexDomain:
 
     def minimal_cone_at(self, e, eps=None):
         """Minimal cone at an extreme point: descend from any opposite face
-        to a face none of whose proper subfaces is opposite to e."""
+        to a face none of whose proper subfaces is opposite to e.
+
+        The apex's face is read off the point e (boundary_face_of).  The
+        descent starts at the face of the far end of the chord through e
+        and the centroid: the face where the facets that bind the ray from
+        the centroid away from e meet (_ray), as chord ends are read, with
+        no endpoint extrapolated and read back."""
         if self.kind != "polytope":
             raise Unsupported("minimal cones are defined on polytopes here")
         e = _as_array(e, "e")
@@ -1166,8 +1222,8 @@ class ConvexDomain:
             raise DegenerateInput("apex must be an extreme point")
         lattice = self.face_lattice()
         x = self.centroid()
-        # far endpoint of the chord through e and the centroid
-        base = self.boundary_face_of(self.ray(x, x - e, eps).endpoint, eps)
+        # the face of the far end of the chord through e and the centroid
+        base = self._faces_of(self._ray(x, x - e, eps)[1][1:])[0]
         # faces are opposite when no facet holds both (opposite_faces)
         apex_facets = lattice._facets[lattice._at[apex_face.mask]]
         r = lattice._at[base.mask]
@@ -1202,16 +1258,24 @@ class ConvexDomain:
     def cross_section(self, point, spans, eps=None):
         """Cut by the affine subspace {point + span(spans)}.
 
-        The result lives in coordinates of subspace ∩ affine hull.  A
-        polytope's section is the hull of its vertices, read off the face
-        lattice in the unit chart (see _section_vertices).  Raises
-        EmptyIntersection when the subspace misses the relative interior:
-        for a polytope, when the section's vertices do not span the
-        dimension of the cut, or all lie on one facet."""
+        The result lives in coordinates of subspace ∩ affine hull.  One QR
+        of the spans gives an orthonormal basis of the subspace and of its
+        normals.  A full-dimensional domain's affine hull is the whole
+        space (as in _off_hull), so its cut is the subspace itself, whose
+        basis is W, orthonormal in the unit chart too, with those normals.
+        On an embedded domain the cut is solved for: the subspace meets
+        the hull where point + B0 s = origin + B r, along the null space
+        of [B0, -B].  A polytope's section is the hull of its vertices,
+        read off the face lattice in the unit chart (see
+        _section_vertices), and the section's own build_polytope decides
+        whether they span the cut.  Raises EmptyIntersection when the
+        subspace misses the relative interior: for a polytope, when the
+        section's vertices do not span the dimension of the cut, or all
+        lie on one facet."""
         eps_v = _eps(eps)
         p0 = _as_array(point, "point")
         S = np.atleast_2d(_as_array(spans, "spans"))
-        q, r = np.linalg.qr(S.T)
+        q, r = np.linalg.qr(S.T, mode="complete")
         keep = np.abs(np.diag(r)) > 1e-12 * np.abs(r).max()
         if not np.all(keep):
             raise DegenerateInput("spanning vectors are linearly dependent")
@@ -1220,36 +1284,47 @@ class ConvexDomain:
         if m < 2 or m > self.intrinsic_dim:
             raise DimensionOutOfRange(
                 f"subspace dim {m} outside 2..{self.intrinsic_dim}")
-        # intersect the subspace with the affine hull, in an orthonormal
-        # basis B of it: q0 is on the hull, up to round-off, when they meet
-        B = self._basis * self._size
-        M = np.hstack([B0, -B])
-        sol, *_ = np.linalg.lstsq(M, self._origin - p0, rcond=None)
-        q0 = p0 + B0 @ sol[:m]
-        if self._off_hull(q0[None, :], eps_v).any():
-            raise EmptyIntersection("subspace misses the affine hull")
-        null = _nullspace(M)
-        dirs = B0 @ null[:m, :]
-        qd, rd = np.linalg.qr(dirs)
-        ranks = np.abs(np.diag(rd)) > 1e-12 if rd.size else np.array([], bool)
-        W = qd[:, : int(np.sum(ranks))]
-        if W.shape[1] < 1:
-            raise EmptyIntersection("subspace meets the hull in a point")
+        if self.intrinsic_dim == self.ambient_dim:
+            # the chart is a scaling: W stays orthonormal in it
+            q0, W, Wl, N = p0, B0, B0, q[:, m:]
+        else:
+            # intersect the subspace with the affine hull, in an
+            # orthonormal basis B of it: q0 is on the hull, up to
+            # round-off, when they meet
+            B = self._basis * self._size
+            M = np.hstack([B0, -B])
+            sol, *_ = np.linalg.lstsq(M, self._origin - p0, rcond=None)
+            q0 = p0 + B0 @ sol[:m]
+            if self._off_hull(q0[None, :], eps_v).any():
+                raise EmptyIntersection("subspace misses the affine hull")
+            dirs = B0 @ _nullspace(M)[:m, :]
+            qd, rd = np.linalg.qr(dirs)
+            ranks = (np.abs(np.diag(rd)) > 1e-12 if rd.size
+                     else np.array([], bool))
+            W = qd[:, : int(np.sum(ranks))]
+            if W.shape[1] < 1:
+                raise EmptyIntersection("subspace meets the hull in a point")
+            # the cut in the unit chart, along W's directions kept
+            # orthonormal there, and its normals
+            Wl = B.T @ W
+            N = np.linalg.svd(Wl)[0][:, W.shape[1]:]
         if self.kind == "ellipsoid":
             return self._ellipsoid_section(q0, W)
-        # the cut in the unit chart, along W's directions kept orthonormal
-        # there, so the vertices come back in units of _size
+        # the vertices come back in units of _size
         verts = self._section_vertices((q0 - self._origin) @ self._basis,
-                                       B.T @ W)
-        if (len(verts) == 0
-                or _affine_chart(verts, eps_v)[1].shape[1] < W.shape[1]):
+                                       Wl, N)
+        try:
+            section = build_polytope(verts * self._size, eps_v)
+        except DegenerateInput:
+            section = None
+        if section is None or section.intrinsic_dim < W.shape[1]:
             raise EmptyIntersection("subspace misses the relative interior")
-        return Section(domain=build_polytope(verts * self._size, eps_v),
-                       origin=q0, basis=W)
+        return Section(domain=section, origin=q0, basis=W)
 
-    def _section_vertices(self, c, Wl):
+    def _section_vertices(self, c, Wl, N):
         """Vertices of the polytope's section by the local affine subspace
-        L = {c + Wl r} (Wl orthonormal, n x k), in the coordinates r.
+        L = {c + Wl r} (Wl orthonormal, n x k, and N its orthonormal
+        normals, n x (n - k)), in the coordinates r.
 
         A point of the section is a vertex exactly when it is the single
         point of L ∩ aff(F) for the face F whose relative interior holds
@@ -1263,7 +1338,6 @@ class ConvexDomain:
         vertex found lies on one facet: the section is then in the boundary.
         """
         n, k = Wl.shape
-        N = np.linalg.svd(Wl)[0][:, k:]  # normals of L in the chart
         tol = _ROUND * (1.0 + float(np.abs(c).max()))
         g = (self._lv - c) @ N  # offsets of the vertices from L
         g[np.abs(g) <= tol] = 0.0
@@ -1292,8 +1366,9 @@ class ConvexDomain:
         P = np.vstack(points)
         if len(P) and np.any(np.all(self._b - P @ self._A.T <= tol, axis=0)):
             raise EmptyIntersection("subspace meets only the boundary")
-        # a vertex reached from several faces comes out a few ulp apart
-        return _lex_unique((P - c) @ Wl, 1e3 * tol)
+        # a vertex reached from several faces comes out a few ulp apart,
+        # and the section's build_polytope merges those
+        return (P - c) @ Wl
 
     def _ellipsoid_section(self, q0, W):
         Q = W.T @ self._shape_inv @ W

@@ -125,7 +125,7 @@ def distances(domain, X, Y, eps=None):
     if X.ndim == 1:
         X, Y = X[None, :], Y[None, :]
     n = len(X)
-    S, R = domain._stacked(X, Y, _eps(eps))
+    S, R, _ = domain._stacked(X, Y, _eps(eps))
     if domain.kind == "polytope":
         return _funk_sum(S, R[2 * n:, :len(domain._b)])
     return _ball_distances(R[:n], R[3 * n:], S)
@@ -180,28 +180,32 @@ def _deviation_direction(domain, chord):
     In the unit chart a face's direction space is the null space of A_F,
     the unit normals of the facets through it, and the plane span(v, z)
     through an end meets its face in a segment exactly when A_F z is
-    parallel to A_F v, v the chord's direction.  So each end's A_F, with
-    a = A_F v projected out of it, goes into one stack: v lies in the
-    stack's null space, and the chord is flexible exactly when that null
-    space has dimension 2 or more, read from singular values above 1e-9
-    (of unit normals).  z0 is the null vector with the largest part
-    orthogonal to v, mapped back through the chart."""
+    parallel to A_F v, v the chord's direction.  An end's A_F are the
+    facets that bind it in the chord's clipping (Chord._binding), and
+    each end's A_F, with a = A_F v projected out of it, goes into one
+    stack: v lies in the stack's null space, and the chord is flexible
+    exactly when that null space has dimension 2 or more, read from
+    singular values above 1e-9 (of unit normals).  z0 is the null vector
+    with the largest part orthogonal to v, mapped back through the
+    chart."""
     if chord.face_alpha.dim == 0 or chord.face_beta.dim == 0:
         return None  # an endpoint is an extreme point: always rigid
     v = (chord.beta - chord.alpha) @ domain._basis
-    v = v / np.linalg.norm(v)
-    rows = []
-    for face in (chord.face_alpha, chord.face_beta):
-        A = domain._A[list(face.facet_ids)]
-        a = A @ v
-        rows.append(A - np.outer(a, (a @ A) / (a @ a)))
-    _, s, vt = np.linalg.svd(np.vstack(rows))
-    N = vt[int(np.sum(s > 1e-9)):]
+    v = v / math.sqrt(v @ v)
+    # each end's rows A less a (a @ A) / (a @ a), both ends in one stack
+    a = domain._A @ v
+    W = chord._binding * a
+    C = (W @ domain._A) / np.add.reduce(W * W, axis=1)[:, None]
+    end, j = chord._binding.nonzero()
+    _, s, vt = np.linalg.svd(domain._A[j] - a[j, None] * C[end])
+    N = vt[int(np.add.reduce(s > 1e-9)):]
     if len(N) < 2:
         return None  # plane of coincidence does not exist
-    Z = N - np.outer(N @ v, v)
-    z = Z[np.argmax(np.einsum("ij,ij->i", Z, Z))] @ domain._frame.T
-    return z / np.linalg.norm(z)
+    # the rows of N are orthonormal: the one least along v has the
+    # largest part orthogonal to it
+    r = np.abs(N @ v).argmin()
+    z = (N[r] - (N[r] @ v) * v) @ domain._frame.T
+    return z / math.sqrt(z @ z)
 
 
 def is_rigid_chord(domain, x, y, eps=None):
@@ -213,34 +217,37 @@ def is_rigid_chord(domain, x, y, eps=None):
     d(x,y) while a facet through beta attains max s(x)/s(z) and max
     s(z)/s(y), and one through alpha the reverse: bounds on t in closed
     form.  The witness is halfway to the least of them and the exit.
+    Every bound is formed from the chord's own pass (chord_through): the
+    slacks of x and y are the pass's, the midpoint's their mean, and each
+    end's facets the ones that bind it; only the rates along z0 take one
+    more product, with the facet rates _M.
     """
     chord = domain.chord_through(x, y, eps)
     z0 = _deviation_direction(domain, chord)
     if z0 is None:
         return Rigidity(rigid=True, chord=chord)
-    # the slacks of x, y, x and m, and their rates of decrease along z0
-    m = 0.5 * (chord.x + chord.y)
-    S = domain._slacks(domain.to_local(np.array([chord.x, chord.y, chord.x,
-                                                 m])))
-    D = (z0 @ domain._basis) @ domain._A.T
-    # bounds g + t dg >= 0, with i the least facet through an end's face
-    # and p, q = x, y at beta, y, x at alpha: s_i(p) s_k(z) >= s_k(p) s_i(z)
-    # (row 0 at beta, 1 at alpha), s_i(z) s_k(q) >= s_k(z) s_i(q) (rows 2
-    # and 3) and the exit, s_k(z) >= 0 (row 4)
-    fb, fa = list(chord.face_beta.facet_ids), list(chord.face_alpha.facet_ids)
-    i = [min(fb), min(fa)]
-    P, Q, sm = S[:2], S[1:3], S[3]
-    pi, qi = P[[0, 1], i][:, None], Q[[0, 1], i][:, None]
-    mi, di = sm[i][:, None], D[i][:, None]
-    g = np.vstack([pi * sm - P * mi, mi * Q - sm * qi, sm])
-    dg = np.vstack([P * di - pi * D, qi * D - Q * di, -D])
-    # on the plane the facets through i's face have slacks that are
-    # multiples of s_i, so theirs vanish: slope 0
-    dg[0:4:2, fb] = 0.0
-    dg[1:4:2, fa] = 0.0
-    falling = dg < 0.0
-    t = float((g[falling] / -dg[falling]).min())
-    z = m + 0.5 * t * z0
+    # bounds g + t dg >= 0 on z = m + t z0, whose slacks are s(m) - t D,
+    # s(m) the mean of those of x and y and D their rates of decrease
+    # along z0, with i the least facet binding an end: s_i(p) s_k(z) -
+    # s_k(p) s_i(z) is >= 0 for p = x at beta and y at alpha and <= 0 for
+    # p = y at beta and x at alpha (G and DG, rows p = x, y and columns
+    # beta, alpha, signed by sign), and the exit, s_k(z) >= 0
+    S = chord._slacks
+    sm = 0.5 * (S[0] + S[1])
+    D = (z0 @ domain._M)[:len(domain._b)]
+    ends = chord._binding[::-1]
+    i = ends.argmax(axis=1)
+    C = S[:, i, None]
+    G = C * sm - S[:, None] * sm[i, None]
+    DG = S[:, None] * D[i, None] - C * D
+    # on the plane the facets through an end's face have slacks that are
+    # multiples of its s_i, so theirs vanish: slope 0
+    DG[:, ends] = 0.0
+    sign = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+    falling, up = DG * sign < 0.0, D > 0.0
+    t = float(np.minimum.reduce(np.concatenate(
+        [G[falling] / -DG[falling], sm[up] / D[up]])))
+    z = 0.5 * (chord.x + chord.y) + 0.5 * t * z0
     d = distances(domain, [chord.x, z, chord.x], [z, chord.y, chord.y], eps)
     return Rigidity(rigid=False, chord=chord, witness=z,
                     deviation_direction=z0,
@@ -328,7 +335,7 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     u0 = domain._require_interior(_as_array(center, "center"), eps, "center")
     th = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
     dirs = np.column_stack([np.cos(th), np.sin(th)])
-    t_lo, t_hi, _, _ = domain._clip_line(*domain._line(u0, dirs))
+    t_lo, t_hi, _ = domain._clip_line(*domain._line(u0, dirs))
     # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
     t = (t_hi * -t_lo * -math.expm1(-radius)
          / (t_hi * math.exp(-radius) - t_lo))

@@ -232,6 +232,13 @@ def reference_cone_distances(cone, X, Y):
                      "must be interior to the cone")
     # Lorentz values are checked against the mpmath oracle instead
     assert cone.kind == "polyhedral"
+    # each x at the scale of its y: times the power of two nearest the
+    # ratio of their largest coordinates, from mantissas and exponents
+    X = X.copy()
+    for i in range(n):
+        mx, ex = math.frexp(np.abs(X[i]).max())
+        my, ey = math.frexp(np.abs(Y[i]).max())
+        X[i] = np.ldexp(X[i], ey - ex + math.frexp(my / mx * 0.5 ** 0.5)[1])
     R = np.vstack([X, Y, X - Y]) @ cone.functionals.T
     S, delta = R[:2 * n], R[2 * n:]
     return (np.log1p(np.max(delta / S[n:], axis=-1))
@@ -273,6 +280,50 @@ def reference_chord(domain, x, y):
         faces.append(domain.face_lattice().find(
             frozenset.intersection(*[domain._facet_sets[i] for i in binding])))
     return (float(t_lo), float(t_hi), *faces)
+
+
+def reference_ray(domain, start, d):
+    """(t_hi, face) of ConvexDomain._ray and ray: the checks of ray in
+    their order, then the product [start - o; d] @ M of reference_product,
+    clipped facet by facet, and the end's face where its binding facets
+    meet, as reference_chord takes them (None on an ellipsoid)."""
+    start, d = np.asarray(start, dtype=float), np.asarray(d, dtype=float)
+    for name, p in (("start", start), ("direction", d)):
+        if not np.isfinite(p).all():
+            raise NonFinite(f"{name} contains non-finite coordinates",
+                            point=name, index=0)
+    nd = np.linalg.norm(d)
+    if nd == 0.0:
+        raise DegenerateInput("zero ray direction")
+    off = d - (d @ domain._basis) @ domain._frame.T
+    if np.linalg.norm(off) > defaults.EPS_GEO * max(nd, domain._size):
+        raise DegenerateInput("ray direction leaves the affine hull")
+    if reference_residuals(domain, start[None, :])[0] > defaults.EPS_GEO:
+        raise PointNotInterior("start is off the affine hull",
+                               point="start", index=0)
+    if domain.kind == "polytope":
+        o, M = domain._origin, domain._basis @ domain._A.T
+    else:
+        o, M = domain.center, domain._chol_inv.T
+    R = np.vstack([start - o, d]) @ M
+    if domain.kind == "ellipsoid":
+        least = 1.0 - np.linalg.norm(R[:1], axis=1)[0]
+    else:
+        least = (domain._b - R[0]).min()
+    if least <= 0.0:
+        raise PointNotInterior("start is not strictly interior",
+                               point="start", index=0,
+                               min_slack=float(least))
+    if domain.kind == "ellipsoid":
+        return float(reference_chords(R[0], R[1])[1]), None
+    s, rate = domain._b - R[0], R[1]
+    scale = np.abs(rate).max()
+    t_hi = min(s[i] / rate[i] for i in range(len(s))
+               if rate[i] > 1e-14 * scale)
+    tol = 64.0 * np.finfo(float).eps * (1.0 + abs(t_hi) * scale)
+    binding = [i for i in range(len(s)) if abs(s[i] - t_hi * rate[i]) <= tol]
+    return float(t_hi), domain.face_lattice().find(
+        frozenset.intersection(*[domain._facet_sets[i] for i in binding]))
 
 
 def outcome(f, *args):
@@ -566,6 +617,69 @@ def test_lorentz_cone_distances_match_mpmath_oracle():
                 assert_lorentz_matches_oracle(cone, sy * Y, sx * X)
 
 
+def mpmath_funk_distance(L, x, y):
+    """log max_i l_i.y / l_i.x + log max_j l_j.x / l_j.y over the rows of
+    L, in 50 digits from the floats' exact values."""
+    with mpmath.workdps(50):
+        L, x, y = ([[mpmath.mpf(float(v)) for v in row] for row in a]
+                   for a in (L, [x], [y]))
+        fx = [mpmath.fsum(u * v for u, v in zip(row, x[0])) for row in L]
+        fy = [mpmath.fsum(u * v for u, v in zip(row, y[0])) for row in L]
+        return (mpmath.log(max(b / a for a, b in zip(fx, fy)))
+                + mpmath.log(max(a / b for a, b in zip(fx, fy))))
+
+
+def test_polyhedral_cone_distances_at_any_pair_of_scales():
+    """Each x is brought to its y's scale by the nearest power of two, an
+    exact scaling, before the one product: a pair whose scales differ by a
+    power of two reads its unscaled value bit for bit, and every pair, at
+    scales 1e-300 to 1e300, matches a 50-digit Funk sum of the same floats
+    to 1e-13 of it, or to 4e-16 where a ratio that is not a power of two
+    leaves D = Y - 2^e X of the size of Y."""
+    rng = np.random.default_rng(53)
+    square = cone_over(build_polytope(SQUARE))
+    x = np.array([0.1, 0.2, 1.0])
+    y = x + 1e-10 * np.array([0.3, -0.2, 0.0])
+    unit = cone_distance(square, x, y)
+    for s in (2.0**20, 2.0**-30, 2.0**900, 2.0**-900):
+        assert cone_distance(square, s * x, y) == unit
+        assert cone_distance(square, x, s * y) == unit
+    polygon = build_polytope(rng.normal(size=(9, 2)))
+    for dom, cone in ((build_polytope(SQUARE), square),
+                      (polygon, cone_over(polygon)),
+                      (standard_simplex(2), cone_over(standard_simplex(2)))):
+        for sep in (1e-1, 1e-4, 1e-7, 1e-10, 1e-12):
+            X = cone.embed(dom.sample_interior(rng, 3, pull=0.05))
+            Y = cone.embed(dom.sample_interior(rng, 3, pull=0.05))
+            Y = X + sep * (Y - X)
+            base = cone_distances(cone, X, Y)
+            for sx, sy in ((2.0**20, 1.0), (2.0**-40, 2.0**30), (1e300, 1.0),
+                           (1e-300, 1e300), (3.0, 1e-9), (1.0, 1e12)):
+                got = cone_distances(cone, sx * X, sy * Y)
+                for i in range(len(X)):
+                    want = mpmath_funk_distance(cone.functionals, sx * X[i],
+                                                sy * Y[i])
+                    assert abs(got[i] - want) <= 1e-13 * want + 4e-16
+                if math.frexp(sx)[0] == math.frexp(sy)[0]:
+                    assert np.array_equal(got, base)
+
+
+def test_lorentz_cone_reads_points_at_any_scale():
+    """Each point's first coordinate is brought into [1/2, 1) by its power
+    of two before the quadratic form, which is exact: a point at 1e-300
+    to 1e300 is interior, and its distance has the unit-scale digits, bit
+    for bit when the scale is a power of two."""
+    cone = lorentz_cone(3)
+    x, y = np.array([1.0, 0.2, 0.1]), np.array([1.5, -0.3, 0.2])
+    unit = cone_distance(cone, x, y)
+    for k in range(-300, 301, 25):
+        s = 10.0**k
+        assert cone.contains_interior(s * x)
+        for a, b in ((s * x, y), (x, s * y), (s * x, s * y)):
+            assert cone_distance(cone, a, b) == pytest.approx(unit, rel=1e-15)
+        assert cone_distance(cone, 2.0**(3 * k) * x, y) == unit
+
+
 def test_chord_through_matches_reference_faces_and_parameters():
     rng = np.random.default_rng(50)
     for dom in read_path_domains(rng):
@@ -593,6 +707,55 @@ def test_chord_through_matches_reference_faces_and_parameters():
                 if dom.kind == "polytope":
                     assert dom.in_relative_interior(face, p)
                     assert not dom.in_relative_interior(face, x)
+
+
+def ray_end(dom, start, d):
+    """The t_hi of ConvexDomain._ray and the face of the ray's end, read
+    from the facets that bind it (None on an ellipsoid)."""
+    t_hi, ends, _ = dom._ray(start, d, None)
+    return t_hi, None if ends is None else dom._faces_of(ends[1:])[0]
+
+
+def test_ray_matches_reference_face_and_parameter():
+    """A ray's start is checked and its line clipped in one pass: its t_hi
+    is the per-facet reference's bit for bit, its end's face the meet of
+    the facets that bind it there, and its errors the reference's, with
+    their point, row and least slack."""
+    rng = np.random.default_rng(52)
+    for dom in read_path_domains(rng):
+        X = dom.sample_interior(rng, 20, pull=0.02)
+        Y = dom.sample_interior(rng, 20, pull=0.02)
+        rays = [(x, y - x) for x, y in zip(X, Y)]
+        c = dom.centroid()
+        if dom.kind == "polytope":
+            # through a vertex, along an edge's direction, and away from
+            # a vertex, as minimal_cone_at casts it
+            v = dom.vertices
+            rays += [(c, v[0] - c), (c, v[1] - v[0]), (c, c - v[0])]
+        # outside, on the boundary, a zero direction, off the hull, and
+        # not finite
+        far = 3.0 * X[0] - 2.0 * c
+        rays += [(far, c - far), (c, np.zeros_like(c)),
+                 (np.full_like(c, np.nan), c), (c, np.full_like(c, np.inf))]
+        if dom.kind == "polytope":
+            rays.append((dom.vertices[0], c - dom.vertices[0]))
+        if dom.intrinsic_dim < dom.ambient_dim:
+            rays.append((c, np.eye(dom.ambient_dim)[0]))
+        for start, d in rays:
+            want = outcome(reference_ray, dom, start, d)
+            got = outcome(ray_end, dom, start, d)
+            assert got == want
+            if isinstance(want[0], type):
+                assert outcome(dom.ray, start, d) == want
+                continue
+            r = dom.ray(start, d)
+            assert r.length == pytest.approx(want[0] * np.linalg.norm(d),
+                                             rel=1e-12)
+            assert np.allclose(r.endpoint, r.start + r.length * r.direction,
+                               rtol=0.0, atol=1e-12 * dom._extent())
+            if dom.kind == "polytope":
+                assert dom.boundary_face_of(r.endpoint) == want[1]
+                assert dom.in_relative_interior(want[1], r.endpoint)
 
 
 def test_ball_clips_its_rays_in_one_call():

@@ -352,6 +352,29 @@ def test_cross_section_of_simplex_is_triangle():
         assert abs(amb[3] - 0.5) < 1e-9
 
 
+def test_cross_section_of_the_simplex_and_of_its_chart_agree():
+    """standard_simplex(3) lies in a hyperplane of R^4, so its cut is
+    solved for in its affine hull; its chart in R^3, the vertices with the
+    last coordinate dropped, is full-dimensional, so its cut is the
+    subspace itself.  The same cuts give the same section vertices."""
+    s4 = standard_simplex(3)
+    s3 = build_polytope(np.eye(4)[:, :3])
+    rng = np.random.default_rng(29)
+    for k in (2, 3):
+        for _ in range(15):
+            point = s4.sample_interior(rng, 1, pull=0.3)
+            spans = rng.normal(size=(k, 4))
+            spans -= spans.mean(axis=1, keepdims=True)  # in the hull
+            cuts = [dom.cross_section(p, S) for dom, p, S in (
+                (s4, point, spans), (s3, point[:3], spans[:, :3]))]
+            got, want = (sec.origin + sec.domain.vertices @ sec.basis.T
+                         for sec in cuts)
+            assert len(got) == len(want)
+            gap = np.linalg.norm(got[:, None, :3] - want[None], axis=2)
+            assert gap.min(axis=0).max() <= 1e-12
+            assert gap.min(axis=1).max() <= 1e-12
+
+
 def test_cross_section_misses():
     s3 = standard_simplex(3)
     spans = np.array([[1, -1, 0, 0], [0, 1, -1, 0.0]])

@@ -219,6 +219,27 @@ def test_distance_and_rigidity_are_invariant(e, tau, seed):
 
 
 @settled
+@given(e=exponents, tau=shifts, seed=seeds, d=st.integers(2, 4))
+def test_minimal_cone_is_invariant(e, tau, seed, d):
+    """minimal_cone_at reads its base off the facets that bind the ray
+    from the centroid, so apex and base come out the same at every scale,
+    on a random cloud and on an affine cube, where that ray ends exactly
+    at the vertex opposite the apex."""
+    rng = np.random.default_rng(seed)
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    f = similarity(e, tau, d)
+    for P in (rng.normal(size=(int(rng.integers(d + 2, 12)), d)),
+              cube @ (np.eye(d) + 0.3 * rng.normal(size=(d, d)))):
+        dom, img = build_polytope(P), build_polytope(f(P))
+        assert np.allclose(f(dom.vertices), img.vertices, rtol=1e-9,
+                           atol=1e-9 * 10.0 ** e)
+        for i in rng.choice(len(dom.vertices), 3, replace=False):
+            want = dom.minimal_cone_at(dom.vertices[i])
+            got = img.minimal_cone_at(img.vertices[i])
+            assert (got.apex_face, got.base) == (want.apex_face, want.base)
+
+
+@settled
 @given(e=exponents, tau=shifts, e2=exponents, tau2=shifts, seed=seeds)
 def test_classify_2d_verdict_is_invariant(e, tau, e2, tau2, seed):
     rng = np.random.default_rng(seed)
