@@ -71,11 +71,18 @@ def _nearest_power(m, e):
 
 
 def _lorentz_scale(x, y):
-    """min_scale(x, y) on the Lorentz cone, for interior x; points or rows."""
+    """min_scale(x, y) on the Lorentz cone, for interior x, a point.  x
+    and y are each first brought to x_1 in [1/2, 1) by a power of two, the
+    step cone_distances takes, which is exact, so that no square
+    overflows or underflows; the root is then scaled back by their
+    ratio, also exactly: min_scale(2^a x, 2^b y) = 2^(b - a) min_scale(x,
+    y)."""
+    e = np.frexp([x[0], y[0]])[1]
+    x, y = np.ldexp(x, -e[0]), np.ldexp(y, -e[1])
     qx = _lorentz_q(x)
     B = _lorentz_form(x, y)
     disc = np.maximum(B * B - qx * _lorentz_q(y), 0.0)
-    return (B + np.sqrt(disc)) / qx
+    return np.ldexp((B + np.sqrt(disc)) / qx, e[1] - e[0])
 
 
 def _with_one(p, first=False):

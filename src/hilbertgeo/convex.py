@@ -119,25 +119,25 @@ def _require_finite(P, n, names=("x", "y")):
                 "contains non-finite coordinates", names=names)
 
 
-def _lex_unique(points, tol):
-    """Sort rows lexicographically and drop rows within tol of a kept row.
+def _lex_keep(points, tol):
+    """The positions of the rows left when the rows are sorted
+    lexicographically and each row within tol of a kept row is dropped,
+    in that order.
 
     Rows i < j are within tol when the sum of squared coordinate
     differences, added in column order, is <= tol^2 (cKDTree.query_pairs'
     test).  Such rows have first coordinates within tol, so each row is
     compared only with the earlier rows of that window of the sorted
-    first column, k rows back in the k-th sweep.
+    first column, k rows back in the k-th sweep; when every window holds
+    one row, the sort is the answer.
     """
-    return points[_lex_keep(points, tol)]
-
-
-def _lex_keep(points, tol):
-    """The positions of the rows that _lex_unique keeps, in its order."""
     order = np.lexsort(points.T[::-1])
     pts = points[order]
     back = np.arange(len(pts)) - np.searchsorted(pts[:, 0], pts[:, 0] - tol)
+    if not back.any():
+        return order
     pairs = []
-    for k in range(1, int(back.max(initial=0)) + 1):
+    for k in range(1, int(back.max()) + 1):
         j = np.nonzero(back >= k)[0]
         diff = pts[j] - pts[j - k]
         d2 = diff[:, 0] * diff[:, 0]
@@ -185,19 +185,28 @@ def _nullspace(M):
     return vt[_rank(s, 1e-12):].T
 
 
-def _monotone_chain(points):
+def _monotone_chain(points, order=None, ring=None):
     """Convex hull of points in the plane by Andrew's monotone chain
     (Inf. Process. Lett. 9, 1979), in Qhull's form: the hull vertices in
     ascending order, the edges as index pairs, and their equations
     n.u + c <= 0 with unit outward n.  A repeated point is one vertex
     (its first row), and, as in Qhull's precision merging, a point within
     the distance round-off (about 4 ulp of the largest coordinate) of the
-    line through its neighbours is not a vertex.  The chain, the edge
-    normals (dy, -dx)/|d| and the offsets c = -(n.o) run on the points as
-    Python floats, with one numpy array made per output; n.o is summed
-    from +0.0, as numpy sums a row, so a zero offset has numpy's sign."""
+    line through its neighbours is not a vertex.  The chain runs on the
+    points as Python floats, in the rows' lexicographic order: order when
+    the caller has sorted them (build_polytope's dedupe), else its own.
+
+    ring, when given, orders distinct sorted rows around a convex polygon,
+    in either direction (a plane section's, _cycle).  Its two paths from
+    the first row to the last are then the chain's halves, with no scan,
+    when both rise in row order and each keeps every turn by the chain's
+    own test; otherwise the chain scans.  The edge normals (dy, -dx)/|d|
+    and the offsets c = -(n.o) are taken in Python floats, with one numpy
+    array made per output; n.o is summed from +0.0, as numpy sums a row,
+    so a zero offset has numpy's sign."""
     pts = points.tolist()
-    order = sorted(range(len(pts)), key=pts.__getitem__)
+    if order is None:
+        order = sorted(range(len(pts)), key=pts.__getitem__)
     order = [k for i, k in enumerate(order)
              if not i or pts[k] != pts[order[i - 1]]]
     width = 4.0 * _ULP * max(max(abs(x), abs(y)) for x, y in pts)
@@ -216,7 +225,16 @@ def _monotone_chain(points):
             chain.append(k)
         return chain
 
-    ring = half(order)[:-1] + half(order[::-1])[:-1]  # counterclockwise
+    halves = None
+    if ring is not None:
+        cyc = ring[ring.index(0):] + ring[:ring.index(0)]
+        t = cyc.index(len(cyc) - 1)
+        a, b = cyc[:t + 1], cyc[:1] + cyc[:t - 1:-1]
+        if a == sorted(a) and b == sorted(b):
+            halves = next(((lo, up) for lo, up in ((a, b[::-1]), (b, a[::-1]))
+                           if half(lo) == lo and half(up) == up), None)
+    lower, upper = halves or (half(order), half(order[::-1]))
+    ring = lower[:-1] + upper[:-1]  # counterclockwise
     if len(ring) < 3:
         raise DegenerateInput("points are collinear")
     edges = list(zip(ring, ring[1:] + ring[:1]))
@@ -302,7 +320,7 @@ def _visible_from(f, heights, nbrs, width, m):
     return seen
 
 
-def _quickhull(points):
+def _quickhull(points, flat=0.0):
     """Convex hull of full-dimensional points in R^d, d >= 3, by Quickhull
     (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996), in Qhull's form: the
     hull vertices in ascending order, the facets as rows of d vertex
@@ -318,6 +336,11 @@ def _quickhull(points):
     the new facet they lie farthest beyond, or drop out as inside.  As in
     the monotone chain, a point within the distance round-off, d + 2 ulp
     of the largest coordinate, of a facet's plane is not beyond it.
+
+    The initial simplex's inradius 1 / sum(1 / h_i), h_i its heights over
+    its facets, is a width the hull measures anyway: every direction's
+    width of the points is at least twice it.  Given flat > 0, an inradius
+    within flat raises DegenerateInput (build_polytope's chart test).
     """
     n, d = points.shape
     width = (d + 2) * np.finfo(float).eps * float(np.abs(points).max())
@@ -330,6 +353,8 @@ def _quickhull(points):
     alive = [True] * (d + 1)
     N, C = _facet_planes(points, np.array(verts), inner)
     H = points @ N.T + C
+    if flat and 1.0 / np.sum(-1.0 / H[simplex, np.arange(d + 1)]) <= flat:
+        raise DegenerateInput("points are flat")
     owner = H.argmax(axis=1)
     height = H[np.arange(n), owner]
     owner[height <= width] = -1
@@ -392,11 +417,15 @@ def _quickhull(points):
             np.column_stack([N[live], C[live]]))
 
 
-def _hull_facets(points, tol):
+def _hull_facets(points, tol, flat=0.0, hull=None):
     """Facets of the convex hull of full-dimensional points (dim >= 2).
 
-    The hull comes from the monotone chain in the plane and from
-    Quickhull in every higher dimension, simplices included.
+    The hull, in the chain's form, is given or comes from the monotone
+    chain in the plane and from Quickhull in every higher dimension,
+    simplices included.  Given flat > 0, a hull whose least width flush
+    with a facet, that of the facet's farthest vertex, is within twice
+    flat raises DegenerateInput: in the plane the points' least width
+    (Quickhull takes flat itself, _quickhull).
     Coplanar hull simplices are grouped by their equality set: the hull
     vertices within tol of the simplex's plane, plus the simplex's own
     vertices.  A hull vertex whose facets share another hull vertex lies
@@ -408,11 +437,13 @@ def _hull_facets(points, tol):
     all in row numbering, one entry per facet in the order of
     tuple(sorted(set)).
     """
-    if points.shape[1] == 2:
-        hull_verts, simplices, eq = _monotone_chain(points)
-    else:
-        hull_verts, simplices, eq = _quickhull(points)
-    near = np.abs(points[hull_verts] @ eq[:, :-1].T + eq[:, -1]) <= tol
+    hull_verts, simplices, eq = hull or (_monotone_chain(points)
+                                         if points.shape[1] == 2
+                                         else _quickhull(points))
+    H = points[hull_verts] @ eq[:, :-1].T + eq[:, -1]
+    if flat and H.min(axis=0).max() >= -2.0 * flat:
+        raise DegenerateInput("points are flat")
+    near = np.abs(H) <= tol
     near[np.searchsorted(hull_verts, simplices),
          np.arange(len(simplices))[:, None]] = False
     if not near.any():
@@ -460,6 +491,21 @@ def _bits(x):
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+def _cycle(phis):
+    """An order around a plane section of the section's vertices, whose
+    faces lie on the facets marked in the masks phis: each next vertex
+    shares a facet with the last, the facet whose cut is their edge, or
+    is the first left when none does.  The monotone chain checks the
+    order before it reads it (_monotone_chain)."""
+    ring, left = [], list(range(len(phis)))
+    while left:
+        k = next((j for j in left if ring and phis[ring[-1]] & phis[j]),
+                 left[0])
+        ring.append(k)
+        left.remove(k)
+    return ring
 
 
 @dataclass(frozen=True)
@@ -516,12 +562,13 @@ class FaceLattice:
         self._masks = [x for level in levels for x in level]
         self._dims = [k for k, level in enumerate(levels) for _ in level]
         self._facets = [info[x][1] for x in self._masks]
-        self._at = {x: r for r, x in enumerate(self._masks)}
+        self._at = dict(zip(self._masks, range(len(self._masks))))
         self._span, r = {}, 0  # dim -> range of its positions
         for k, level in enumerate(levels):
             self._span[k], r = range(r, r + len(level)), r + len(level)
         self._N, self._offsets = normals, offsets
         self._built = [None] * len(self._masks)
+        self._groups = {}  # see _grouped
 
     def _face(self, r):
         face = self._built[r]
@@ -587,6 +634,18 @@ class FaceLattice:
         r = self._at[face.mask]
         below = self._below(r)
         return [self._face(s) for s in (below if proper else below + [r])]
+
+    def _grouped(self, k):
+        """The k-faces grouped by vertex count, each group an int array
+        of rows [position, vertex indices] in lattice order; built on the
+        first cut that asks (ConvexDomain._section_vertices) and kept."""
+        if k not in self._groups:
+            rows = {}
+            for r in self._span.get(k, ()):
+                idx = self._info[self._masks[r]][0]
+                rows.setdefault(len(idx), []).append((r, *idx))
+            self._groups[k] = [np.array(g) for g in rows.values()]
+        return self._groups[k]
 
 
 @dataclass(eq=False)
@@ -751,7 +810,8 @@ class ConvexDomain:
             self._normals = (np.linalg.svd(data["basis"])[0][:, d:]
                              * (1.0 / self._size) if d < D
                              else np.empty((D, 0)))
-            self._M = np.hstack([self._basis @ self._A.T, self._normals])
+            M = self._basis @ self._A.T
+            self._M = np.hstack([M, self._normals]) if d < D else M
             self._pivot = self._origin
         else:
             self.center = data["center"]
@@ -866,9 +926,6 @@ class ConvexDomain:
             _reject(least <= 0.0, n, PointNotInterior,
                     "is not strictly interior", least, names)
         return S, R
-
-    def project_to_hull(self, p):
-        return self.to_ambient(self.to_local(p))
 
     # ------------------------------------------------------------ predicates
 
@@ -1266,9 +1323,13 @@ class ConvexDomain:
         On an embedded domain the cut is solved for: the subspace meets
         the hull where point + B0 s = origin + B r, along the null space
         of [B0, -B].  A polytope's section is the hull of its vertices,
-        read off the face lattice in the unit chart (see
-        _section_vertices), and the section's own build_polytope decides
-        whether they span the cut.  Raises EmptyIntersection when the
+        read off the face lattice in the unit chart with the faces they
+        come from (_section_vertices).  A plane section's vertices are
+        then put in order around it from the lattice, since consecutive
+        ones share a facet, the one whose cut is their edge (_cycle), and
+        its build reads its edges off that order with no second scan of a
+        hull (_monotone_chain); the build also decides whether they span
+        the cut.  Raises EmptyIntersection when the
         subspace misses the relative interior: for a polytope, when the
         section's vertices do not span the dimension of the cut, or all
         lie on one facet."""
@@ -1310,9 +1371,13 @@ class ConvexDomain:
             N = np.linalg.svd(Wl)[0][:, W.shape[1]:]
         if self.kind == "ellipsoid":
             return self._ellipsoid_section(q0, W)
-        # the vertices come back in units of _size
-        verts = self._section_vertices((q0 - self._origin) @ self._basis,
-                                       Wl, N)
+        # the vertices come back in units of _size, with the lattice
+        # positions of the faces they come from
+        verts, faces = self._section_vertices(
+            (q0 - self._origin) @ self._basis, Wl, N)
+        if W.shape[1] == 2:  # in order around the section (_cycle)
+            facets = self.face_lattice()._facets
+            verts = verts[_cycle([facets[r] for r in faces.tolist()])]
         try:
             section = build_polytope(verts * self._size, eps_v)
         except DegenerateInput:
@@ -1324,51 +1389,59 @@ class ConvexDomain:
     def _section_vertices(self, c, Wl, N):
         """Vertices of the polytope's section by the local affine subspace
         L = {c + Wl r} (Wl orthonormal, n x k, and N its orthonormal
-        normals, n x (n - k)), in the coordinates r.
+        normals, n x (n - k)), in the coordinates r, and the lattice
+        positions of the faces they come from.
 
         A point of the section is a vertex exactly when it is the single
         point of L ∩ aff(F) for the face F whose relative interior holds
         it, and such an F has dimension at most n - k.  So the vertices are
         the single points of L ∩ aff(F), over the faces F of dimension
-        <= n - k, that lie in the polytope: in codimension 1, the vertices
-        on L and the points where L crosses an edge.  Offsets from L within
-        their round-off (_ROUND per unit of 1 + |c|) count as 0, so a cut
-        through a vertex meets it exactly; the same floor bounds the rank,
-        residual and slack tests.  Raises EmptyIntersection when every
-        vertex found lies on one facet: the section is then in the boundary.
+        <= n - k (the lattice keeps them grouped), that lie in the
+        polytope: in codimension 1, the vertices on L and the points where
+        L crosses an edge.  Offsets from L within their round-off (_ROUND
+        per unit of 1 + |c|) count as 0, so a cut through a vertex meets
+        it exactly, and a face with a vertex on L, whose single point is
+        that vertex, is skipped; the same floor bounds the rank, residual
+        and slack tests.  Raises EmptyIntersection when every vertex found
+        lies on one facet: the section is then in the boundary.
         """
         n, k = Wl.shape
         tol = _ROUND * (1.0 + float(np.abs(c).max()))
         g = (self._lv - c) @ N  # offsets of the vertices from L
         g[np.abs(g) <= tol] = 0.0
-        points = [self._lv[np.all(g == 0.0, axis=1)]]
-        lattice = self.face_lattice()
-        groups = {}  # (dim, vertex count) -> faces of dim 1..n-k
-        for f in range(1, n - k + 1):
-            for r in lattice._span.get(f, ()):
-                idx = lattice._info[lattice._masks[r]][0]
-                groups.setdefault((f, len(idx)), []).append(idx)
-        for (f, _), idx in groups.items():
-            idx = np.array(idx)
+        on = np.all(g == 0.0, axis=1)
+        points, faces = [self._lv[on]], [np.flatnonzero(on)]
+        groups = [(f, G) for f in range(1, n - k + 1)
+                  for G in self.face_lattice()._grouped(f)]
+        for f, G in groups:
+            idx = G[:, 1:]
             g0 = g[idx[:, 0]]
             # aff(F) = {v0 + mu E}; its offsets from L are g0 + D mu
             D = np.swapaxes(g[idx[:, 1:]] - g0[:, None], 1, 2)
-            U, sv, Vt = np.linalg.svd(D, full_matrices=False)
-            single = sv[:, f - 1] > tol  # aff(F) -> offsets is one-to-one
-            y = np.einsum("kci,kc->ki", U[:, :, :f], -g0)
-            y /= np.where(single[:, None], sv[:, :f], 1.0)
-            mu = np.einsum("kij,ki->kj", Vt[:, :f], y)
+            if f == 1:  # an edge: mu = -(d.g0) / |d|^2 of its one column d
+                dd = np.add.reduce(D * D, axis=1)
+                single = dd[:, 0] > tol * tol
+                mu = -np.add.reduce(D[:, :, 0] * g0, axis=1)[:, None]
+                mu /= np.where(single[:, None], dd, 1.0)
+            else:
+                U, sv, Vt = np.linalg.svd(D, full_matrices=False)
+                single = sv[:, f - 1] > tol  # aff(F) -> offsets is 1-1
+                y = np.einsum("kci,kc->ki", U[:, :, :f], -g0)
+                y /= np.where(single[:, None], sv[:, :f], 1.0)
+                mu = np.einsum("kij,ki->kj", Vt[:, :f], y)
             resid = np.linalg.norm(np.einsum("kcj,kj->kc", D, mu) + g0, axis=1)
             E = self._lv[idx[:, 1:]] - self._lv[idx[:, :1]]
             u = self._lv[idx[:, 0]] + np.einsum("kj,kjn->kn", mu, E)
             inside = (self._b - u @ self._A.T).min(axis=1) >= -tol
-            points.append(u[single & (resid <= tol) & inside])
+            ok = single & (resid <= tol) & inside & ~on[idx].any(axis=1)
+            points.append(u[ok])
+            faces.append(G[ok, 0])
         P = np.vstack(points)
         if len(P) and np.any(np.all(self._b - P @ self._A.T <= tol, axis=0)):
             raise EmptyIntersection("subspace meets only the boundary")
-        # a vertex reached from several faces comes out a few ulp apart,
-        # and the section's build_polytope merges those
-        return (P - c) @ Wl
+        # in codimension 2 and up a vertex on a face's boundary can come
+        # from both, a few ulp apart, and the section's build merges those
+        return (P - c) @ Wl, np.concatenate(faces)
 
     def _ellipsoid_section(self, q0, W):
         Q = W.T @ self._shape_inv @ W
@@ -1453,49 +1526,73 @@ class ConvexDomain:
 # -------------------------------------------------------------- constructors
 
 def build_polytope(points, eps=None):
-    """Open polytope from a point cloud.
+    """Open polytope from a point cloud, in one pass from points to facets.
 
     The points are taken to the unit chart: the origin at their centroid,
     divided by half their largest coordinate range, and rotated only when
     they span an affine subspace of lower dimension.  eps is a fraction of
-    that size.  Duplicate points (within eps) are dropped and the rest
-    sorted lexicographically; the vertices are the extreme points among
-    them, in that order.  Facets are the hull facets of the vertices in
-    the unit chart (monotone chain in the plane, Quickhull from dimension
-    3), one per set of vertices within eps of a facet plane, sorted by
-    that set.  The build stops there: the face lattice, every nonempty
-    intersection of facets, is built from the vertex-facet incidences by
-    the first face_lattice() call (boundary faces, chord ends, sections,
-    minimal cones and extreme lines make that call).  A cloud whose hull
-    keeps no vertex of some facet at eps raises DegenerateInput.
+    that size.  One lexicographic sort (_lex_keep) drops duplicate points
+    (within eps) and orders the rest; the vertices are the extreme points
+    among them, in that order.  Facets are the hull facets of the vertices
+    in the unit chart, one per set of vertices within eps of a facet
+    plane, sorted by that set: in the plane from the monotone chain, which
+    reads the sort's order, or, when the rows are given in order around a
+    convex polygon (as a plane section passes its vertices), reads that
+    order with no scan; from dimension 3 from Quickhull.  The hull runs
+    first, in the identity chart, and a width it measures (a polygon's
+    least width, Quickhull's initial simplex) decides that the points span
+    the space; only points that fall short of it take the SVD of
+    _affine_chart, whose verdict stands.  The build stops there: the face
+    lattice, every nonempty intersection of facets, is built by the first
+    face_lattice() call (boundary faces, chord ends, sections, minimal
+    cones and extreme lines make that call).  A cloud whose hull keeps no
+    vertex of some facet at eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
     if P.ndim != 2 or len(P) < 2:
         raise DegenerateInput("need at least two points in an array of rows")
-    origin = P.mean(axis=0)
-    size = 0.5 * float(np.ptp(P, axis=0).max()) or 1.0  # or all one point
+    # the centroid and the ranges, as np.mean and np.ptp take them
+    origin = np.add.reduce(P, axis=0) / len(P)
+    span = np.maximum.reduce(P, axis=0) - np.minimum.reduce(P, axis=0)
+    size = 0.5 * float(span.max()) or 1.0  # or all one point
     U = (P - origin) * (1.0 / size)
     keep = _lex_keep(U, eps_v)
+    # the rows' own order, as a ring for the chain when no row was dropped
+    ring = np.argsort(keep).tolist() if len(keep) == len(P) else None
     P, U = P[keep], U[keep]
-    basis = _affine_chart(U, eps_v)[1]
+    basis = np.eye(U.shape[1])
+    lv = U @ basis
+    # The SVD would find full rank: the centred points' least singular
+    # value is at least half their least width, and the largest at most
+    # 2 sqrt(n D), every coordinate lying within 2 of the others; so a
+    # width above 2 flat leaves a margin of 2 on eps
+    flat = 4.0 * max(eps_v, 1e-12) * math.sqrt(lv.size)
+    try:
+        full = _hull_facets(lv, eps_v, flat, _monotone_chain(
+            lv, range(len(lv)), ring) if lv.shape[1] == 2
+            else _quickhull(lv, flat))
+    except DegenerateInput:
+        full = None
+    if full is None:
+        basis = _affine_chart(U, eps_v)[1]
+        lv = U @ basis
     D, d = basis.shape
     if d == 0 or (d == 1 and D >= 2):
         raise DegenerateInput(
             "affine hull is a point or a segment in ambient dim >= 2")
-    lv = U @ basis
     if d == 1:
         keep = np.sort([np.argmin(lv[:, 0]), np.argmax(lv[:, 0])])
         A = np.sign(lv[keep] - lv[keep[::-1]])  # +1 at the larger end
         b = A[:, 0] * lv[keep, 0]
         facet_sets = [frozenset([0]), frozenset([1])]
     else:
-        keep, A, b, hull_sets = _hull_facets(lv, eps_v)
+        keep, A, b, hull_sets = full or _hull_facets(lv, eps_v)
         if len(keep) <= d:
             # eps merged all but d or fewer of the vertices
             raise DegenerateInput(
                 f"hull keeps {len(keep)} vertices in dimension {d}")
-        renumber = {int(j): i for i, j in enumerate(keep)}
+        renumber = dict(zip(keep.tolist(), range(len(keep))))
         facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
     return ConvexDomain(
         "polytope", vertices=P[keep], origin=origin, size=size, basis=basis,
@@ -1508,15 +1605,19 @@ def _face_lattice(dom):
     incidences (Kaibel & Pfetsch, Comput. Geom. 23, 2002).
 
     A face is a vertex bitset, and its facet mask is the AND of its
-    vertices' facet masks.  Going down from the facets, the own facets of
-    a face F are its maximal intersections F & G with the facets G that
+    vertices' facet masks.  A polygon's faces are read straight off the
+    monotone chain's cycle, its facets: each edge covers its two ends, a
+    face of one dimension less.  Any other polytope's come from the
+    descent (_descend): going down from the facets, the own facets of a
+    face F are its maximal intersections F & G with the facets G that
     miss F: an intersection H is maximal exactly when every facet through
     H but not F meets F in H alone, which counting the facets that give H
     decides.  That reaches every nonempty intersection of facets, and a
-    face has one dimension more than its highest own facet.  Each face
-    carries the supporting hyperplane that normalises the mean of its
-    facets', all from one product.  Raises GeometryError if the 0-faces
-    are not exactly the vertices.
+    face has one dimension more than its highest own facet.  Both fill
+    the one FaceLattice structure.  Each face carries the supporting
+    hyperplane that normalises the mean of its facets', all from one
+    product.  Raises GeometryError if the 0-faces are not exactly the
+    vertices.
     """
     V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
     n, m = len(V), len(facet_sets)
@@ -1528,7 +1629,47 @@ def _face_lattice(dom):
             through[v].append(j)
             vf[v] |= 1 << j
     known = {1 << v: ((v,), f) for v, f in enumerate(vf)}  # -> (idx, facets)
+    if (dom.intrinsic_dim == 2 and all(len(F) == 2 for F in facet_sets)
+            and all(f.bit_count() == 2 for f in vf)):
+        # a polygon, from the chain's cycle: its faces are its vertices and
+        # its edges, the facets, each covering its two ends
+        kids = dict.fromkeys(known, ())
+        for j, x in enumerate(facet_masks):
+            lo, hi = sorted(facet_sets[j])
+            known[x], kids[x] = ((lo, hi), 1 << j), (1 << lo, 1 << hi)
+        dims = {x: x.bit_count() - 1 for x in kids}
+    else:
+        kids, dims = _descend(dom, facet_masks, through, vf, known)
+    rows = sorted(kids, key=lambda x: known[x][0])  # in vertex-tuple order
+    levels = [[] for _ in range(max(dims.values()) + 1)]
+    for r, x in enumerate(rows):
+        levels[dims[x]].append(r)
+    if [rows[r] for r in levels[0]] != [1 << v for v in range(n)]:
+        raise GeometryError("face lattice lost a vertex")
+    # a face's supporting hyperplane is the normalised mean of its
+    # facets', with the product's rows in vertex-tuple order: BLAS rounds
+    # a row differently with its place in the stack, and that order keeps
+    # the planes bitwise those of the closure lattice in tests/test_hull.py
+    nbytes = (m + 7) // 8
+    raw = b"".join(known[x][1].to_bytes(nbytes, "little") for x in rows)
+    member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), -1),
+                           axis=1, count=m, bitorder="little").astype(float)
+    N, ob = (member @ A) @ dom._basis.T, member @ b
+    nn = np.linalg.norm(N, axis=1)
+    N /= nn[:, None]
+    offsets = ob / nn + N @ dom._origin
+    order = [r for level in levels for r in level]
+    return FaceLattice(V, facet_masks,
+                       [[rows[r] for r in level] for level in levels],
+                       known, kids, N[order], offsets[order])
 
+
+def _descend(dom, facet_masks, through, vf, known):
+    """The Kaibel-Pfetsch descent of _face_lattice from the facets, given
+    their vertex masks, the facets through each vertex as a list and as a
+    mask, and known, each vertex mask's (indices, facet mask), which it
+    fills in for every face: returns each face's own facets and its
+    dimension, both keyed by its vertex mask."""
     def info(x):
         out = known.get(x)
         if out is None:
@@ -1572,28 +1713,7 @@ def _face_lattice(dom):
     for x in sorted(kids, key=int.bit_count):  # own facets come first
         own = kids[x]
         dims[x] = 1 + max(map(dims.__getitem__, own)) if own else 0
-    rows = sorted(kids, key=lambda x: known[x][0])  # in vertex-tuple order
-    levels = [[] for _ in range(max(dims.values()) + 1)]
-    for r, x in enumerate(rows):
-        levels[dims[x]].append(r)
-    if [rows[r] for r in levels[0]] != [1 << v for v in range(n)]:
-        raise GeometryError("face lattice lost a vertex")
-    # a face's supporting hyperplane is the normalised mean of its
-    # facets', with the product's rows in vertex-tuple order: BLAS rounds
-    # a row differently with its place in the stack, and that order keeps
-    # the planes bitwise those of the closure lattice in tests/test_hull.py
-    nbytes = (m + 7) // 8
-    raw = b"".join(known[x][1].to_bytes(nbytes, "little") for x in rows)
-    member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), -1),
-                           axis=1, count=m, bitorder="little").astype(float)
-    N, ob = (member @ A) @ dom._basis.T, member @ b
-    nn = np.linalg.norm(N, axis=1)
-    N /= nn[:, None]
-    offsets = ob / nn + N @ dom._origin
-    order = [r for level in levels for r in level]
-    return FaceLattice(V, facet_masks,
-                       [[rows[r] for r in level] for level in levels],
-                       known, kids, N[order], offsets[order])
+    return kids, dims
 
 
 def build_ellipsoid(center, shape):

@@ -260,8 +260,12 @@ class AsymptoticProfile:
 
     x_n = a1 + 2^-n (x0 - a1) and y_n likewise toward a2.  mode is
     'same-point' (both targets equal: distances stay bounded),
-    'parallel' (same face, offset parallel to a2 - a1: finite limit), or
-    'divergent'.  exceeded_at is the first step past the divergence bound.
+    'parallel' (distinct targets in one open face, offset parallel to
+    a2 - a1: finite limit, the cross ratio of the targets in the face),
+    'same-face' (distinct targets in one open face, offset off their
+    line: also a finite limit, since the slacks along both sequences are
+    affine in 2^-n), or 'divergent' (targets in different faces).
+    exceeded_at is the first step past the divergence bound.
     """
 
     mode: str
@@ -278,7 +282,12 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
     """Profile of d(x_n, y_n) for geometric approaches to boundary points.
 
     Targets within eps of the domain's extent count as one point, and
-    y0 - x0 as parallel to a2 - a1 when it is that close to their line."""
+    y0 - x0 as parallel to a2 - a1 when it is that close to their line.
+    Distinct targets in the relative interior of one face (boundary_face_of
+    gives them the same face) have a finite limit: 'parallel' when y0 - x0
+    is parallel to a2 - a1, 'same-face' otherwise.  Targets on different
+    faces are 'divergent'; an ellipsoid's boundary points are each their
+    own face.  Each step's distance is its own query."""
     steps = defaults.DEFAULT_STEPS if steps is None else int(steps)
     bound = defaults.DIVERGENCE_BOUND if bound is None else float(bound)
     eps_v = _eps(eps)
@@ -297,11 +306,13 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
     else:
         f1 = domain.boundary_face_of(a1, eps)
         f2 = domain.boundary_face_of(a2, eps)
-        # on one face, and y0 - x0 within tol of its projection on a2 - a1
+        # on one open face, parallel when y0 - x0 is within tol of its
+        # projection on a2 - a1
         u, v = a2 - a1, y0 - x0
-        parallel = (f1 == f2 and f1.dim >= 1
-                    and np.linalg.norm(v - (u @ v) / (u @ u) * u) <= tol)
-        mode = "parallel" if parallel else "divergent"
+        mode = "divergent"
+        if f1 == f2 and f1.dim >= 1:
+            mode = ("parallel" if np.linalg.norm(v - (u @ v) / (u @ u) * u)
+                    <= tol else "same-face")
     # every step's points at once; each distance is still its own query
     t = (2.0 ** -np.arange(steps + 1.0))[:, None]
     xs, ys = a1 + t * (x0 - a1), a2 + t * (y0 - a2)

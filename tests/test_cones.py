@@ -65,6 +65,24 @@ def test_interior_membership():
         cone_distance(cone, [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
 
 
+def test_lorentz_min_scale_is_exact_under_powers_of_two():
+    """min_scale brings each point to x_1 in [1/2, 1) by a power of two,
+    so x at 2^500 or 2^-500, whose squares would overflow or underflow,
+    reads 2^-k times the unit answer, with no warning."""
+    lor = lorentz_cone(3)
+    x, y = np.array([1.0, 0.2, 0.1]), np.array([1.5, -0.3, 0.2])
+    for a, b in ((x, y), (y, x), (3.0 * x, 0.7 * y)):
+        unit = lor.min_scale(a, b)
+        for k in (500, -500):
+            got = lor.min_scale(np.ldexp(a, k), b)
+            assert abs(got - math.ldexp(unit, -k)) <= 1e-15 * math.ldexp(
+                unit, -k)
+            assert lor.min_scale(a, np.ldexp(b, k)) == math.ldexp(unit, k)
+    for s in (1e160, 1e-170):
+        assert lor.min_scale(s * x, y) * s == pytest.approx(
+            lor.min_scale(x, y), rel=1e-14)
+
+
 def test_lorentz_known_scales():
     lor = lorentz_cone(3)
     x = np.array([1.0, 0.0, 0.0])

@@ -24,7 +24,7 @@ from hilbertgeo import (
     standard_simplex,
 )
 from hilbertgeo import convex
-from hilbertgeo.convex import _affine_rank, _hull_facets, _lex_unique
+from hilbertgeo.convex import _affine_rank, _hull_facets, _lex_keep
 from hilbertgeo.errors import DegenerateInput, EmptyIntersection
 
 TOL = 1e-9
@@ -192,13 +192,13 @@ def test_coplanar_3d_cloud_builds_an_embedded_polygon():
 
 def test_lex_unique_keeps_the_first_of_each_cluster():
     pts = np.array([[1.2e-9, 0.0], [0.0, 0.0], [0.6e-9, 0.0], [5.0, 5.0]])
-    kept = _lex_unique(pts, 1e-9)
+    kept = pts[_lex_keep(pts, 1e-9)]
     # 0.6e-9 is within tol of the kept 0; 1.2e-9 is not
     assert np.array_equal(kept, [[0.0, 0.0], [1.2e-9, 0.0], [5.0, 5.0]])
 
 
 def reference_lex_unique(points, tol):
-    """The cKDTree version of _lex_unique."""
+    """The cKDTree version of points[_lex_keep(points, tol)]."""
     pts = points[np.lexsort(points.T[::-1])]
     pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
     keep = np.ones(len(pts), dtype=bool)
@@ -216,7 +216,7 @@ def test_lex_unique_matches_kdtree_reference():
             centres = rng.normal(size=(int(rng.integers(1, 15)), d))
             pts = np.repeat(centres, rng.integers(1, 6, len(centres)), axis=0)
             pts = pts + spread * TOL * rng.uniform(-1, 1, pts.shape)
-            assert np.array_equal(_lex_unique(pts, TOL),
+            assert np.array_equal(pts[_lex_keep(pts, TOL)],
                                   reference_lex_unique(pts, TOL))
             # grids with spacing at, below and above tol, shifted and
             # jittered, and one column of equal first coordinates
@@ -227,7 +227,7 @@ def test_lex_unique_matches_kdtree_reference():
                             grid * step + 0.2 * step * rng.normal(size=grid.shape),
                             np.c_[np.zeros(40), rng.uniform(0, 5 * TOL, (40, d - 1))]):
                     pts = pts[rng.permutation(len(pts))]
-                    assert np.array_equal(_lex_unique(pts, TOL),
+                    assert np.array_equal(pts[_lex_keep(pts, TOL)],
                                           reference_lex_unique(pts, TOL))
 
 
@@ -344,7 +344,8 @@ def test_plane_hull_matches_qhull_reference(monkeypatch):
                            for off in (1e-12, 1e-10, 1e-8)]
             cases.append(np.vstack([P, q + 1e-13 * rng.normal(size=2)]))
             for C in cases:
-                C = _lex_unique(C - C.mean(axis=0), TOL)
+                C = C - C.mean(axis=0)
+                C = C[_lex_keep(C, TOL)]
                 got = hull_or_degenerate(C)
                 with monkeypatch.context() as mp:
                     mp.setattr(convex, "_monotone_chain", qhull_triple)
@@ -491,7 +492,8 @@ def test_numpy_hull_matches_qhull_reference(monkeypatch):
     rng = np.random.default_rng(29)
     off_qhull = 0
     for name, P in hull_inputs(rng):
-        P = _lex_unique(P - P.mean(axis=0), TOL)
+        P = P - P.mean(axis=0)
+        P = P[_lex_keep(P, TOL)]
         verts, A, b, sets = _hull_facets(P, TOL)
         with monkeypatch.context() as mp:
             mp.setattr(convex, "_quickhull", qhull_triple)
@@ -729,6 +731,197 @@ def test_lazy_lattice_equals_the_eager_reference():
             assert got.leq(faces[i], faces[j]) == leq[i, j]
 
 
+def reference_build(points, eps=TOL):
+    """What build_polytope stores, the way it took the chart before the
+    one-pass build: the SVD of _affine_chart first, then the hull in that
+    chart, with the chain's own sort.  Raises DegenerateInput."""
+    P = np.asarray(points, dtype=float)
+    origin = P.mean(axis=0)
+    size = 0.5 * float(np.ptp(P, axis=0).max()) or 1.0
+    U = (P - origin) * (1.0 / size)
+    keep = _lex_keep(U, eps)
+    P, U = P[keep], U[keep]
+    basis = convex._affine_chart(U, eps)[1]
+    d = basis.shape[1]
+    if d < 2:
+        raise DegenerateInput("affine hull is a point or a segment")
+    lv = U @ basis
+    keep, A, b, sets = _hull_facets(lv, eps)
+    if len(keep) <= d:
+        raise DegenerateInput("hull keeps too few vertices")
+    renumber = {int(j): i for i, j in enumerate(keep)}
+    return (P[keep], origin, basis * (1.0 / size), lv[keep], A, b, size,
+            [frozenset(renumber[j] for j in s) for s in sets])
+
+
+def stored(dom):
+    return (dom.vertices, dom._origin, dom._basis, dom._lv, dom._A, dom._b,
+            dom._size, dom._facet_sets)
+
+
+def assert_same_build(got, want):
+    for g, w in zip(got[:6], want[:6]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert got[6:] == want[6:]
+
+
+def assert_one_pass_build_matches(P, eps=TOL):
+    """build_polytope stores what the chart-first build stores, bit for
+    bit, or both raise DegenerateInput; returns the domain or None."""
+    try:
+        want = reference_build(P, eps)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            build_polytope(P, eps)
+        return None
+    dom = build_polytope(P, eps)
+    assert_same_build(stored(dom), want)
+    return dom
+
+
+def assert_lattice_matches_reference(dom):
+    """The domain's lattice is the closure lattice, face for face, with
+    the same hyperplanes bit for bit and the same order."""
+    got, want = dom.face_lattice(), reference_lattice(dom)
+    assert list(got.counts().items()) == list(want.counts().items())
+    faces = got.faces
+    for f, g in zip(faces, want.faces):
+        assert (f.indices, f.dim, f.facet_ids, f.offset) == \
+            (g.indices, g.dim, g.facet_ids, g.offset)
+        assert f.normal.tobytes() == g.normal.tobytes()
+    leq = want.inclusions()
+    for j, f in enumerate(faces):
+        below = np.flatnonzero(leq[:, j]).tolist()
+        assert got.subfaces(f) == [faces[i] for i in below if i != j]
+
+
+def messy_polygon(rng, m, extras, scale, shuffle=True):
+    """A random convex m-gon, affinely distorted, with interior junk,
+    exact repeats, near-duplicates within eps of the unit chart and
+    points within a few ulp of an edge, at scale: in random order, or the
+    vertices in order around the polygon, from any one, either way, and
+    the extras after them."""
+    th = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+    V = (np.c_[np.cos(th), np.sin(th)] @ (np.eye(2) + 0.3 * rng.normal(
+        size=(2, 2))) + rng.uniform(-3.0, 3.0, 2)) * scale
+    P = [V]
+    for kind in extras:
+        Q = np.vstack(P)
+        size = 0.5 * np.ptp(Q, axis=0).max()
+        if kind == "junk":
+            P.append(rng.dirichlet(np.ones(m), size=2) @ V)
+        elif kind == "repeat":
+            P.append(Q[rng.integers(len(Q))][None])
+        elif kind == "near":
+            u = rng.normal(size=2)
+            P.append(V[rng.integers(m)] + rng.uniform(0.1, 0.9) * TOL
+                     * size * u / np.linalg.norm(u))
+        else:  # a point on an edge, moved a few ulp off it
+            k = int(rng.integers(m))
+            q, r = V[k], V[(k + 1) % m]
+            x = q + rng.uniform(0.1, 0.9) * (r - q)
+            n = np.array([r[1] - q[1], q[0] - r[0]])
+            P.append(x + rng.integers(-4, 5) * np.spacing(np.abs(x).max())
+                     * n / np.linalg.norm(n))
+    P = np.vstack(P)
+    if not shuffle:
+        ring = np.roll(np.arange(m), rng.integers(m))[::rng.choice([1, -1])]
+        return np.vstack([V[ring], P[m:]])
+    return P[rng.permutation(len(P))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 16),
+       exponent=st.integers(-9, 12),
+       extras=st.lists(st.sampled_from(["junk", "repeat", "near", "edge"]),
+                       max_size=6),
+       shuffle=st.booleans())
+def test_one_pass_polygon_builds_match_the_chart_first_build(
+        seed, m, exponent, extras, shuffle):
+    """Polygons with junk, repeats, near-duplicates and points a few ulp
+    off an edge, at scales 1e-9..1e12, shuffled or with the vertices in
+    order around the polygon (which the chain reads as its ring): the
+    one-pass build (one sort, the chart read off the chain's widths)
+    stores the vertices, A, b and facet sets of the chart-first build bit
+    for bit, and the lattice read off the cycle is the closure lattice,
+    planes included."""
+    P = messy_polygon(np.random.default_rng(seed), m, extras,
+                      10.0 ** exponent, shuffle)
+    dom = assert_one_pass_build_matches(P)
+    if dom is not None:
+        assert_lattice_matches_reference(dom)
+
+
+def rotated(rng, P):
+    P = np.asarray(P, dtype=float)
+    Q = np.linalg.qr(rng.normal(size=(P.shape[1], P.shape[1])))[0]
+    return P @ Q + rng.uniform(-2.0, 2.0, P.shape[1])
+
+
+def test_slivers_keep_their_verdict():
+    """Rectangles, triangles, lenses, boxes and tetrahedra whose width is
+    from 1e-11 to 1e-5 of their length, so straddling eps, rotated and at
+    scales 1e-9..1e12: the one-pass build keeps the chart-first build's
+    verdict, DegenerateInput or the same polytope."""
+    rng = np.random.default_rng(43)
+    th = np.linspace(0.0, 2 * np.pi, 9)[:-1]
+    verdicts = []
+    for w in (1e-11, 3e-10, 5e-10, 9e-10, 1e-9, 1.1e-9, 2e-9, 5e-9, 1e-8,
+              1e-7, 1e-5):
+        shapes = [
+            [[-1, -w], [1, -w], [1, w], [-1, w]],
+            [[-1, 0], [1, 0], [0.3, 2 * w]],
+            np.c_[np.cos(th), w * np.sin(th)],
+            CUBE * [2.0, 1.0, w],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, w]],
+        ]
+        for P in shapes:
+            for scale in (1e-9, 1.0, 1e12):
+                dom = assert_one_pass_build_matches(rotated(rng, P) * scale)
+                verdicts.append(dom is None)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_plane_sections_read_their_cycle_off_the_lattice():
+    """A plane section's vertices come in cyclic order from the facets
+    their faces lie on (_cycle).  The monotone chain reads its halves off
+    that order with no scan (given no sort order to scan, it still finds
+    the hull), and the section's build from that order stores what the
+    chart-first build, which scans, stores, bit for bit.  Most cuts of
+    cubes, octahedra and clouds take that path."""
+    rng = np.random.default_rng(44)
+    octa = np.vstack([np.eye(3), -np.eye(3)])
+    rings = cuts = 0
+    for trial in range(60):
+        scale = 10.0 ** rng.integers(-6, 10)
+        P = [CUBE, octa, rng.normal(size=(int(rng.integers(8, 40)), 3))]
+        dom = build_polytope(rotated(rng, P[trial % 3]) * scale)
+        q = np.linalg.qr(rng.normal(size=(3, 2)), mode="complete")[0]
+        c = 0.3 * rng.normal(size=3)
+        try:
+            verts, faces = dom._section_vertices(c, q[:, :2], q[:, 2:])
+        except EmptyIntersection:
+            continue
+        cuts += 1
+        facets = dom.face_lattice()._facets
+        V = verts[convex._cycle([facets[r] for r in faces.tolist()])]
+        if assert_one_pass_build_matches(V * dom._size) is None:
+            continue
+        # the chain's input as the build passes it
+        U = (V - V.mean(axis=0)) / (0.5 * np.ptp(V, axis=0).max())
+        keep = _lex_keep(U, TOL)
+        lv = U[keep] @ np.eye(2)
+        try:
+            got = convex._monotone_chain(lv, [], np.argsort(keep).tolist())
+        except (DegenerateInput, ValueError):
+            continue
+        for g, w in zip(got, convex._monotone_chain(lv)):
+            assert g.tobytes() == w.tobytes()
+        rings += 1
+    assert cuts >= 40 and rings >= 0.8 * cuts
+
+
 def test_distances_chords_and_cones_leave_the_lattice_unbuilt():
     for P in (CUBE, [[0, 0], [2, 0], [2, 1], [0, 1]],
               np.vstack([np.eye(4), -np.eye(4)])):
@@ -847,7 +1040,8 @@ def test_simplicial_hulls_skip_the_grouping_pass():
     simplicial = grouped = 0
     for P in lattice_inputs(rng):
         for scale in (1e-7, 1.0, 1e12):
-            Q = _lex_unique(np.asarray(P, dtype=float) * scale, TOL)
+            Q = np.asarray(P, dtype=float) * scale
+            Q = Q[_lex_keep(Q, TOL)]
             origin, basis = convex._affine_chart(Q, TOL)
             if basis.shape[1] < 2:
                 continue
@@ -961,7 +1155,7 @@ def reference_section(dom, point, spans, eps=TOL):
         except QhullError:
             raise DegenerateInput("Qhull's halfspace intersection failed") \
                 from None
-    sec = build_polytope(_lex_unique(verts, 1e-9), eps)
+    sec = build_polytope(verts[_lex_keep(verts, 1e-9)], eps)
     return q0 + sec.vertices @ W.T
 
 

@@ -472,6 +472,16 @@ def test_asymptotic_same_point_stays_bounded():
     assert prof.exceeded_at is None
 
 
+def test_asymptotic_targets_in_one_edge_off_their_line_converge():
+    """Distinct targets in one open edge have a finite limit whatever the
+    direction of y0 - x0: here log 9, with the offset off their line."""
+    prof = asymptotic_profile(square(), (0.0, 0.0), (0.3, -0.5),
+                              (-0.5, 1.0), (0.5, 1.0), steps=40)
+    assert prof.mode == "same-face"
+    assert prof.exceeded_at is None
+    assert abs(prof.distances[-1] - math.log(9.0)) <= 1e-9
+
+
 def test_asymptotic_parallel_has_cross_ratio_limit():
     prof = asymptotic_profile(square(), [-0.5, 0.0], [0.5, 0.0],
                               [-0.5, 1.0], [0.5, 1.0])
