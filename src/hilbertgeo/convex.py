@@ -185,7 +185,7 @@ def _nullspace(M):
     return vt[_rank(s, 1e-12):].T
 
 
-def _monotone_chain(points, order=None, ring=None):
+def _monotone_chain(points, order=None):
     """Convex hull of points in the plane by Andrew's monotone chain
     (Inf. Process. Lett. 9, 1979), in Qhull's form: the hull vertices in
     ascending order, the edges as index pairs, and their equations
@@ -195,15 +195,9 @@ def _monotone_chain(points, order=None, ring=None):
     line through its neighbours is not a vertex.  The chain runs on the
     points as Python floats, in the rows' lexicographic order: order when
     the caller has sorted them (build_polytope's dedupe), else its own.
-
-    ring, when given, orders distinct sorted rows around a convex polygon,
-    in either direction (a plane section's, _cycle).  Its two paths from
-    the first row to the last are then the chain's halves, with no scan,
-    when both rise in row order and each keeps every turn by the chain's
-    own test; otherwise the chain scans.  The edge normals (dy, -dx)/|d|
-    and the offsets c = -(n.o) are taken in Python floats, with one numpy
-    array made per output; n.o is summed from +0.0, as numpy sums a row,
-    so a zero offset has numpy's sign."""
+    The edge normals (dy, -dx)/|d| and the offsets c = -(n.o) are taken in
+    Python floats, with one numpy array made per output; n.o is summed
+    from +0.0, as numpy sums a row, so a zero offset has numpy's sign."""
     pts = points.tolist()
     if order is None:
         order = sorted(range(len(pts)), key=pts.__getitem__)
@@ -225,16 +219,7 @@ def _monotone_chain(points, order=None, ring=None):
             chain.append(k)
         return chain
 
-    halves = None
-    if ring is not None:
-        cyc = ring[ring.index(0):] + ring[:ring.index(0)]
-        t = cyc.index(len(cyc) - 1)
-        a, b = cyc[:t + 1], cyc[:1] + cyc[:t - 1:-1]
-        if a == sorted(a) and b == sorted(b):
-            halves = next(((lo, up) for lo, up in ((a, b[::-1]), (b, a[::-1]))
-                           if half(lo) == lo and half(up) == up), None)
-    lower, upper = halves or (half(order), half(order[::-1]))
-    ring = lower[:-1] + upper[:-1]  # counterclockwise
+    ring = half(order)[:-1] + half(order[::-1])[:-1]  # counterclockwise
     if len(ring) < 3:
         raise DegenerateInput("points are collinear")
     edges = list(zip(ring, ring[1:] + ring[:1]))
@@ -422,10 +407,10 @@ def _hull_facets(points, tol, flat=0.0, hull=None):
 
     The hull, in the chain's form, is given or comes from the monotone
     chain in the plane and from Quickhull in every higher dimension,
-    simplices included.  Given flat > 0, a hull whose least width flush
-    with a facet, that of the facet's farthest vertex, is within twice
-    flat raises DegenerateInput: in the plane the points' least width
-    (Quickhull takes flat itself, _quickhull).
+    simplices included.  Given flat > 0, a polygon whose least width, the
+    least over its edges of the farthest vertex's distance, is within
+    twice flat raises DegenerateInput (from dimension 3 Quickhull tests
+    its initial simplex, _quickhull).
     Coplanar hull simplices are grouped by their equality set: the hull
     vertices within tol of the simplex's plane, plus the simplex's own
     vertices.  A hull vertex whose facets share another hull vertex lies
@@ -441,7 +426,7 @@ def _hull_facets(points, tol, flat=0.0, hull=None):
                                          if points.shape[1] == 2
                                          else _quickhull(points))
     H = points[hull_verts] @ eq[:, :-1].T + eq[:, -1]
-    if flat and H.min(axis=0).max() >= -2.0 * flat:
+    if flat and points.shape[1] == 2 and H.min(axis=0).max() >= -2.0 * flat:
         raise DegenerateInput("points are flat")
     near = np.abs(H) <= tol
     near[np.searchsorted(hull_verts, simplices),
@@ -491,21 +476,6 @@ def _bits(x):
         out.append(low.bit_length() - 1)
         x ^= low
     return out
-
-
-def _cycle(phis):
-    """An order around a plane section of the section's vertices, whose
-    faces lie on the facets marked in the masks phis: each next vertex
-    shares a facet with the last, the facet whose cut is their edge, or
-    is the first left when none does.  The monotone chain checks the
-    order before it reads it (_monotone_chain)."""
-    ring, left = [], list(range(len(phis)))
-    while left:
-        k = next((j for j in left if ring and phis[ring[-1]] & phis[j]),
-                 left[0])
-        ring.append(k)
-        left.remove(k)
-    return ring
 
 
 @dataclass(frozen=True)
@@ -562,13 +532,12 @@ class FaceLattice:
         self._masks = [x for level in levels for x in level]
         self._dims = [k for k, level in enumerate(levels) for _ in level]
         self._facets = [info[x][1] for x in self._masks]
-        self._at = dict(zip(self._masks, range(len(self._masks))))
+        self._at = {x: r for r, x in enumerate(self._masks)}
         self._span, r = {}, 0  # dim -> range of its positions
         for k, level in enumerate(levels):
             self._span[k], r = range(r, r + len(level)), r + len(level)
         self._N, self._offsets = normals, offsets
         self._built = [None] * len(self._masks)
-        self._groups = {}  # see _grouped
 
     def _face(self, r):
         face = self._built[r]
@@ -634,18 +603,6 @@ class FaceLattice:
         r = self._at[face.mask]
         below = self._below(r)
         return [self._face(s) for s in (below if proper else below + [r])]
-
-    def _grouped(self, k):
-        """The k-faces grouped by vertex count, each group an int array
-        of rows [position, vertex indices] in lattice order; built on the
-        first cut that asks (ConvexDomain._section_vertices) and kept."""
-        if k not in self._groups:
-            rows = {}
-            for r in self._span.get(k, ()):
-                idx = self._info[self._masks[r]][0]
-                rows.setdefault(len(idx), []).append((r, *idx))
-            self._groups[k] = [np.array(g) for g in rows.values()]
-        return self._groups[k]
 
 
 @dataclass(eq=False)
@@ -810,8 +767,7 @@ class ConvexDomain:
             self._normals = (np.linalg.svd(data["basis"])[0][:, d:]
                              * (1.0 / self._size) if d < D
                              else np.empty((D, 0)))
-            M = self._basis @ self._A.T
-            self._M = np.hstack([M, self._normals]) if d < D else M
+            self._M = np.hstack([self._basis @ self._A.T, self._normals])
             self._pivot = self._origin
         else:
             self.center = data["center"]
@@ -1323,13 +1279,10 @@ class ConvexDomain:
         On an embedded domain the cut is solved for: the subspace meets
         the hull where point + B0 s = origin + B r, along the null space
         of [B0, -B].  A polytope's section is the hull of its vertices,
-        read off the face lattice in the unit chart with the faces they
-        come from (_section_vertices).  A plane section's vertices are
-        then put in order around it from the lattice, since consecutive
-        ones share a facet, the one whose cut is their edge (_cycle), and
-        its build reads its edges off that order with no second scan of a
-        hull (_monotone_chain); the build also decides whether they span
-        the cut.  Raises EmptyIntersection when the
+        read off the face lattice in the unit chart (_section_vertices),
+        and the section's own build_polytope, which decides that a plane
+        section spans the cut from its least width with no chart SVD,
+        takes it in one pass.  Raises EmptyIntersection when the
         subspace misses the relative interior: for a polytope, when the
         section's vertices do not span the dimension of the cut, or all
         lie on one facet."""
@@ -1371,13 +1324,9 @@ class ConvexDomain:
             N = np.linalg.svd(Wl)[0][:, W.shape[1]:]
         if self.kind == "ellipsoid":
             return self._ellipsoid_section(q0, W)
-        # the vertices come back in units of _size, with the lattice
-        # positions of the faces they come from
-        verts, faces = self._section_vertices(
-            (q0 - self._origin) @ self._basis, Wl, N)
-        if W.shape[1] == 2:  # in order around the section (_cycle)
-            facets = self.face_lattice()._facets
-            verts = verts[_cycle([facets[r] for r in faces.tolist()])]
+        # the vertices come back in units of _size
+        verts = self._section_vertices((q0 - self._origin) @ self._basis,
+                                       Wl, N)
         try:
             section = build_polytope(verts * self._size, eps_v)
         except DegenerateInput:
@@ -1389,39 +1338,42 @@ class ConvexDomain:
     def _section_vertices(self, c, Wl, N):
         """Vertices of the polytope's section by the local affine subspace
         L = {c + Wl r} (Wl orthonormal, n x k, and N its orthonormal
-        normals, n x (n - k)), in the coordinates r, and the lattice
-        positions of the faces they come from.
+        normals, n x (n - k)), in the coordinates r.
 
         A point of the section is a vertex exactly when it is the single
         point of L ∩ aff(F) for the face F whose relative interior holds
         it, and such an F has dimension at most n - k.  So the vertices are
         the single points of L ∩ aff(F), over the faces F of dimension
-        <= n - k (the lattice keeps them grouped), that lie in the
-        polytope: in codimension 1, the vertices on L and the points where
-        L crosses an edge.  Offsets from L within their round-off (_ROUND
-        per unit of 1 + |c|) count as 0, so a cut through a vertex meets
-        it exactly, and a face with a vertex on L, whose single point is
-        that vertex, is skipped; the same floor bounds the rank, residual
-        and slack tests.  Raises EmptyIntersection when every vertex found
-        lies on one facet: the section is then in the boundary.
+        <= n - k, that lie in the polytope: in codimension 1, the vertices
+        on L and the points where L crosses an edge, in closed form.
+        Offsets from L within their round-off (_ROUND per unit of 1 + |c|)
+        count as 0, so a cut through a vertex meets it exactly, and a face
+        with a vertex on L, whose single point is that vertex, is skipped;
+        the same floor bounds the rank, residual and slack tests.  Raises
+        EmptyIntersection when every vertex found lies on one facet: the
+        section is then in the boundary.
         """
         n, k = Wl.shape
         tol = _ROUND * (1.0 + float(np.abs(c).max()))
         g = (self._lv - c) @ N  # offsets of the vertices from L
         g[np.abs(g) <= tol] = 0.0
         on = np.all(g == 0.0, axis=1)
-        points, faces = [self._lv[on]], [np.flatnonzero(on)]
-        groups = [(f, G) for f in range(1, n - k + 1)
-                  for G in self.face_lattice()._grouped(f)]
-        for f, G in groups:
-            idx = G[:, 1:]
+        points = [self._lv[on]]
+        lattice = self.face_lattice()
+        groups = {}  # (dim, vertex count) -> faces of dim 1..n-k
+        for f in range(1, n - k + 1):
+            for r in lattice._span.get(f, ()):
+                idx = lattice._info[lattice._masks[r]][0]
+                groups.setdefault((f, len(idx)), []).append(idx)
+        for (f, _), idx in groups.items():
+            idx = np.array(idx)
             g0 = g[idx[:, 0]]
             # aff(F) = {v0 + mu E}; its offsets from L are g0 + D mu
             D = np.swapaxes(g[idx[:, 1:]] - g0[:, None], 1, 2)
             if f == 1:  # an edge: mu = -(d.g0) / |d|^2 of its one column d
-                dd = np.add.reduce(D * D, axis=1)
+                dd = (D * D).sum(axis=1)
                 single = dd[:, 0] > tol * tol
-                mu = -np.add.reduce(D[:, :, 0] * g0, axis=1)[:, None]
+                mu = -(D[:, :, 0] * g0).sum(axis=1)[:, None]
                 mu /= np.where(single[:, None], dd, 1.0)
             else:
                 U, sv, Vt = np.linalg.svd(D, full_matrices=False)
@@ -1435,13 +1387,12 @@ class ConvexDomain:
             inside = (self._b - u @ self._A.T).min(axis=1) >= -tol
             ok = single & (resid <= tol) & inside & ~on[idx].any(axis=1)
             points.append(u[ok])
-            faces.append(G[ok, 0])
         P = np.vstack(points)
         if len(P) and np.any(np.all(self._b - P @ self._A.T <= tol, axis=0)):
             raise EmptyIntersection("subspace meets only the boundary")
         # in codimension 2 and up a vertex on a face's boundary can come
         # from both, a few ulp apart, and the section's build merges those
-        return (P - c) @ Wl, np.concatenate(faces)
+        return (P - c) @ Wl
 
     def _ellipsoid_section(self, q0, W):
         Q = W.T @ self._shape_inv @ W
@@ -1536,30 +1487,24 @@ def build_polytope(points, eps=None):
     among them, in that order.  Facets are the hull facets of the vertices
     in the unit chart, one per set of vertices within eps of a facet
     plane, sorted by that set: in the plane from the monotone chain, which
-    reads the sort's order, or, when the rows are given in order around a
-    convex polygon (as a plane section passes its vertices), reads that
-    order with no scan; from dimension 3 from Quickhull.  The hull runs
-    first, in the identity chart, and a width it measures (a polygon's
-    least width, Quickhull's initial simplex) decides that the points span
-    the space; only points that fall short of it take the SVD of
-    _affine_chart, whose verdict stands.  The build stops there: the face
-    lattice, every nonempty intersection of facets, is built by the first
-    face_lattice() call (boundary faces, chord ends, sections, minimal
-    cones and extreme lines make that call).  A cloud whose hull keeps no
-    vertex of some facet at eps raises DegenerateInput.
+    reads the sort's order, and from dimension 3 from Quickhull.  The hull
+    runs first, in the identity chart, and a width it measures (a
+    polygon's least width, Quickhull's initial simplex) decides that the
+    points span the space; only points that fall short of it take the SVD
+    of _affine_chart, whose verdict stands.  The build stops there: the
+    face lattice, every nonempty intersection of facets, is built by the
+    first face_lattice() call (boundary faces, chord ends, sections,
+    minimal cones and extreme lines make that call).  A cloud whose hull
+    keeps no vertex of some facet at eps raises DegenerateInput.
     """
     eps_v = _eps(eps)
     P = _as_array(points, "points")
     if P.ndim != 2 or len(P) < 2:
         raise DegenerateInput("need at least two points in an array of rows")
-    # the centroid and the ranges, as np.mean and np.ptp take them
-    origin = np.add.reduce(P, axis=0) / len(P)
-    span = np.maximum.reduce(P, axis=0) - np.minimum.reduce(P, axis=0)
-    size = 0.5 * float(span.max()) or 1.0  # or all one point
+    origin = P.mean(axis=0)
+    size = 0.5 * float(np.ptp(P, axis=0).max()) or 1.0  # or all one point
     U = (P - origin) * (1.0 / size)
     keep = _lex_keep(U, eps_v)
-    # the rows' own order, as a ring for the chain when no row was dropped
-    ring = np.argsort(keep).tolist() if len(keep) == len(P) else None
     P, U = P[keep], U[keep]
     basis = np.eye(U.shape[1])
     lv = U @ basis
@@ -1570,11 +1515,9 @@ def build_polytope(points, eps=None):
     flat = 4.0 * max(eps_v, 1e-12) * math.sqrt(lv.size)
     try:
         full = _hull_facets(lv, eps_v, flat, _monotone_chain(
-            lv, range(len(lv)), ring) if lv.shape[1] == 2
-            else _quickhull(lv, flat))
+            lv, range(len(lv))) if lv.shape[1] == 2 else _quickhull(lv, flat))
     except DegenerateInput:
         full = None
-    if full is None:
         basis = _affine_chart(U, eps_v)[1]
         lv = U @ basis
     D, d = basis.shape
@@ -1592,7 +1535,7 @@ def build_polytope(points, eps=None):
             # eps merged all but d or fewer of the vertices
             raise DegenerateInput(
                 f"hull keeps {len(keep)} vertices in dimension {d}")
-        renumber = dict(zip(keep.tolist(), range(len(keep))))
+        renumber = {int(j): i for i, j in enumerate(keep)}
         facet_sets = [frozenset(renumber[j] for j in s) for s in hull_sets]
     return ConvexDomain(
         "polytope", vertices=P[keep], origin=origin, size=size, basis=basis,

@@ -307,12 +307,11 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
         f1 = domain.boundary_face_of(a1, eps)
         f2 = domain.boundary_face_of(a2, eps)
         # on one open face, parallel when y0 - x0 is within tol of its
-        # projection on a2 - a1
+        # projection on a2 - a1, else same-face
         u, v = a2 - a1, y0 - x0
-        mode = "divergent"
-        if f1 == f2 and f1.dim >= 1:
-            mode = ("parallel" if np.linalg.norm(v - (u @ v) / (u @ u) * u)
-                    <= tol else "same-face")
+        mode = ("divergent" if f1 != f2 or f1.dim < 1 else "same-face"
+                if np.linalg.norm(v - (u @ v) / (u @ u) * u) > tol
+                else "parallel")
     # every step's points at once; each distance is still its own query
     t = (2.0 ** -np.arange(steps + 1.0))[:, None]
     xs, ys = a1 + t * (x0 - a1), a2 + t * (y0 - a2)

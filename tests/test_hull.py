@@ -841,11 +841,10 @@ def test_one_pass_polygon_builds_match_the_chart_first_build(
         seed, m, exponent, extras, shuffle):
     """Polygons with junk, repeats, near-duplicates and points a few ulp
     off an edge, at scales 1e-9..1e12, shuffled or with the vertices in
-    order around the polygon (which the chain reads as its ring): the
-    one-pass build (one sort, the chart read off the chain's widths)
-    stores the vertices, A, b and facet sets of the chart-first build bit
-    for bit, and the lattice read off the cycle is the closure lattice,
-    planes included."""
+    order around the polygon: the one-pass build (one sort, the chart
+    read off the chain's widths) stores the vertices, A, b and facet sets
+    of the chart-first build bit for bit, and the lattice read off the
+    cycle is the closure lattice, planes included."""
     P = messy_polygon(np.random.default_rng(seed), m, extras,
                       10.0 ** exponent, shuffle)
     dom = assert_one_pass_build_matches(P)
@@ -881,45 +880,6 @@ def test_slivers_keep_their_verdict():
                 dom = assert_one_pass_build_matches(rotated(rng, P) * scale)
                 verdicts.append(dom is None)
     assert any(verdicts) and not all(verdicts)
-
-
-def test_plane_sections_read_their_cycle_off_the_lattice():
-    """A plane section's vertices come in cyclic order from the facets
-    their faces lie on (_cycle).  The monotone chain reads its halves off
-    that order with no scan (given no sort order to scan, it still finds
-    the hull), and the section's build from that order stores what the
-    chart-first build, which scans, stores, bit for bit.  Most cuts of
-    cubes, octahedra and clouds take that path."""
-    rng = np.random.default_rng(44)
-    octa = np.vstack([np.eye(3), -np.eye(3)])
-    rings = cuts = 0
-    for trial in range(60):
-        scale = 10.0 ** rng.integers(-6, 10)
-        P = [CUBE, octa, rng.normal(size=(int(rng.integers(8, 40)), 3))]
-        dom = build_polytope(rotated(rng, P[trial % 3]) * scale)
-        q = np.linalg.qr(rng.normal(size=(3, 2)), mode="complete")[0]
-        c = 0.3 * rng.normal(size=3)
-        try:
-            verts, faces = dom._section_vertices(c, q[:, :2], q[:, 2:])
-        except EmptyIntersection:
-            continue
-        cuts += 1
-        facets = dom.face_lattice()._facets
-        V = verts[convex._cycle([facets[r] for r in faces.tolist()])]
-        if assert_one_pass_build_matches(V * dom._size) is None:
-            continue
-        # the chain's input as the build passes it
-        U = (V - V.mean(axis=0)) / (0.5 * np.ptp(V, axis=0).max())
-        keep = _lex_keep(U, TOL)
-        lv = U[keep] @ np.eye(2)
-        try:
-            got = convex._monotone_chain(lv, [], np.argsort(keep).tolist())
-        except (DegenerateInput, ValueError):
-            continue
-        for g, w in zip(got, convex._monotone_chain(lv)):
-            assert g.tobytes() == w.tobytes()
-        rings += 1
-    assert cuts >= 40 and rings >= 0.8 * cuts
 
 
 def test_distances_chords_and_cones_leave_the_lattice_unbuilt():
