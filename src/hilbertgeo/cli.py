@@ -17,7 +17,7 @@ import numpy as np
 
 from .cones import Cone, cone_distance
 from .domain_io import load_domain
-from .errors import GeometryError, ParseError, ValidationError
+from .errors import GeometryError, ParseError, Unsupported, ValidationError
 from .metric import distance, is_rigid_chord
 
 
@@ -26,6 +26,16 @@ def _point(text):
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise ValidationError(f"could not parse point {text!r}", "point-csv")
+
+
+def _convex_domain(path, command):
+    """The polytope or ellipsoid in a domain file; Unsupported, naming the
+    command, for a cone."""
+    dom = load_domain(path)
+    if isinstance(dom, Cone):
+        raise Unsupported(f"hg {command} takes a polytope or an ellipsoid, "
+                          "not a cone")
+    return dom
 
 
 def _fmt(x):
@@ -43,7 +53,7 @@ def _cmd_distance(args):
 
 
 def _cmd_rigid(args):
-    dom = load_domain(args.domain)
+    dom = _convex_domain(args.domain, "rigid")
     r = is_rigid_chord(dom, _point(args.x), _point(args.y))
     out = {"rigid": r.rigid}
     if r.witness is not None:
@@ -57,8 +67,8 @@ def _cmd_rigid(args):
 def _cmd_classify(args):
     from .isometries import classify_2d
 
-    dom_a = load_domain(args.a)
-    dom_b = load_domain(args.b)
+    dom_a = _convex_domain(args.a, "classify")
+    dom_b = _convex_domain(args.b, "classify")
     c = classify_2d(dom_a, dom_b)
     out = {
         "verdict": c.verdict,
@@ -109,7 +119,7 @@ def _split_pair(spec):
 def _cmd_render(args):
     from .svgfig import render_svg
 
-    dom = load_domain(args.domain)
+    dom = _convex_domain(args.domain, "render")
     overlays = []
     for spec in args.ball or []:
         vals = _point(spec)

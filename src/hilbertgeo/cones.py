@@ -202,8 +202,8 @@ def cone_over(domain, eps=None):
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
-    lifted = not domain._off_hull(np.zeros((1, domain.ambient_dim)),
-                                  _eps(eps)).any()
+    e = _eps(eps)
+    lifted = domain._read(np.zeros(domain.ambient_dim))[1][0] <= e * abs(e)
     if not lifted:
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")

@@ -98,6 +98,15 @@ def _as_array(p, name="point"):
     return a
 
 
+def _as_points(p, dim, name="point"):
+    """_as_array of a point, or of rows of points, of dim coordinates;
+    DegenerateInput for any other shape, which numpy would broadcast."""
+    a = _as_array(p, name)
+    if a.ndim > 2 or a.shape[-1:] != (dim,):
+        raise DegenerateInput(f"{name} must have {dim} coordinates")
+    return a
+
+
 def _reject(bad, n, error, what, min_slack=None, names=("x", "y")):
     """Raise error for the first flagged row of a stacked [X; Y] block of
     n pairs, naming the point as x or y (x[i] or y[i] when n > 1), or by
@@ -234,10 +243,10 @@ def _monotone_chain(points, order=None):
 
 
 def _initial_simplex(points, width):
-    """Rows of d+1 points spanning R^d: the least and greatest along the
-    widest coordinate, then each the farthest from the affine hull of the
-    ones before it.  Raises DegenerateInput when that distance is within
-    width: the points are flat."""
+    """Rows of d+1 points spanning R^d, d >= 1: the least and greatest
+    along the widest coordinate, then each the farthest from the affine
+    hull of the ones before it.  Raises DegenerateInput when that
+    distance is within width: the points are flat."""
     d = points.shape[1]
     span = np.ptp(points, axis=0)
     axis = int(np.argmax(span))
@@ -247,17 +256,15 @@ def _initial_simplex(points, width):
     # R holds the rows' components off the chosen directions: one
     # Gram-Schmidt step per chosen point
     R = points - points[chosen[0]]
-    k = chosen[1]
-    while True:
-        q = R[k] / np.linalg.norm(R[k])
+    while len(chosen) <= d:
+        q = R[chosen[-1]] / np.linalg.norm(R[chosen[-1]])
         R -= np.outer(R @ q, q)
         r = np.einsum("ij,ij->i", R, R)
         k = int(np.argmax(r))
         if r[k] <= width * width:
             raise DegenerateInput("points are flat")
         chosen.append(k)
-        if len(chosen) == d + 1:
-            return chosen
+    return chosen
 
 
 def _facet_planes(points, facets, inner):
@@ -612,7 +619,7 @@ class Chord:
     alpha is the boundary endpoint nearer x, beta the one nearer y, so
     |alpha - x| < |alpha - y| and |beta - y| < |beta - x|.
     t_alpha < 0 and t_beta > 1 parametrize the endpoints on the line
-    x + t (y - x).  _slacks and _binding keep what the chord's pass read
+    x + t (y - x).  _sxy and _binding keep what the chord's pass read
     (ConvexDomain.chord_through): the slacks of x and y, and the binding
     facets of alpha and beta (None on an ellipsoid).
     """
@@ -625,7 +632,7 @@ class Chord:
     face_beta: Face
     t_alpha: float
     t_beta: float
-    _slacks: np.ndarray = field(default=None, repr=False)
+    _sxy: np.ndarray = field(default=None, repr=False)
     _binding: np.ndarray = field(default=None, repr=False)
 
 
@@ -655,7 +662,7 @@ class Section:
         return self.origin + self.basis @ _as_array(u)
 
     def from_ambient(self, p):
-        return self.basis.T @ (_as_array(p) - self.origin)
+        return self.basis.T @ (_as_points(p, len(self.origin)) - self.origin)
 
 
 class JoinRegion:
@@ -680,7 +687,7 @@ class JoinRegion:
         """Whether p lies within eps of the join's affine hull with every
         slack of its chart hull above eps."""
         eps = _eps(eps)
-        z = _as_array(p) - self._origin
+        z = _as_points(p, len(self._origin)) - self._origin
         u = z @ self._basis
         return bool(np.linalg.norm(z - self._basis @ u)
                     <= eps * self._hull._size
@@ -740,11 +747,14 @@ class ConvexDomain:
     ellipsoid's the identity.  Every eps is a fraction of the domain's
     size: of _size on a polytope, of the whitened radius on an ellipsoid.
 
-    Queries on points read them through one matrix _M, as offsets from
-    _pivot (see _stacked): on a polytope the facet rates per ambient
+    Every method that takes ambient points reads them through one matrix
+    _M, as offsets from _pivot: on a polytope the facet rates per ambient
     unit, _basis @ _A.T, followed on an embedded polytope by _normals,
     its unit normals to the affine hull divided by _size, from the chart
-    origin; on an ellipsoid the whitening L^-T, from the center.
+    origin; on an ellipsoid the whitening L^-T, from the center.  Queries
+    take that product in one stacked pass (_stacked, _ray), and the
+    predicates, faces and sections read its slacks and hull residuals
+    (_read), so both accept a point from the same bits.
     """
 
     def __init__(self, kind, **data):
@@ -772,7 +782,6 @@ class ConvexDomain:
         else:
             self.center = data["center"]
             self.shape = data["shape"]
-            self._shape_inv = data["shape_inv"]
             self._chol = data["chol"]
             self._chol_inv = data["chol_inv"]
             self.vertices = None
@@ -790,54 +799,71 @@ class ConvexDomain:
 
     def to_local(self, p):
         """Chart coordinates of a point, or of each row of an array."""
-        return (_as_array(p) - self._origin) @ self._basis
+        return (_as_points(p, self.ambient_dim) - self._origin) @ self._basis
 
     def to_ambient(self, u):
         return self._origin + _as_array(u) @ self._frame.T
 
     def hull_residual(self, p):
         """Euclidean distance from p to the affine hull: the length of its
-        components along the hull's unit normals.  A full-dimensional
-        domain's hull is the whole space: its residual would be pure
-        round-off."""
-        if self.intrinsic_dim == self.ambient_dim:
-            return 0.0
-        return float(np.linalg.norm((_as_array(p) - self._origin)
-                                    @ self._normals)) * self._size
+        components along the hull's unit normals (_read), 0 when the
+        domain is full-dimensional."""
+        return math.sqrt(self._read(p)[1][0]) * self._size
 
-    def _off_hull(self, P, eps):
-        """Flags of the rows of P farther than eps of the size from the
-        affine hull.  A full-dimensional domain's hull is the whole space:
-        one flag, for the residual 0, stands for every row, and no
-        residual is taken."""
-        if self.intrinsic_dim == self.ambient_dim:
-            return np.bool_(0.0 > eps)
-        # the squared components along _normals against eps^2, signed as
-        # eps is
-        G = (P - self._origin) @ self._normals
-        return np.add.reduce(G * G, axis=1) > eps * abs(eps)
+    def _read(self, p):
+        """The slacks S, squared hull residuals g and product R of a point
+        p, or of each row of p, one row each, from a query's product
+        (_product): R = (p - _pivot) @ _M.  A polytope's slacks are
+        b - R[:, :m], its facet slacks in the unit chart, and g is the sum
+        of the squared components along _normals, in units of the size; an
+        ellipsoid's one slack is 1 - |w| of its whitened point w, a row of
+        R.  A full-dimensional domain's g is one 0 for every row.  So a
+        predicate accepts a point from the same bits as a query does.
+        Raises NonFinite, or DegenerateInput for a point of other than
+        ambient_dim coordinates."""
+        D = self.ambient_dim
+        P = _as_points(p, D).reshape(-1, D)
+        # BLAS multiplies one row by another kernel than a stack of rows,
+        # which rounds differently: a point is read as a row of two, as a
+        # query's pass reads it
+        Z = np.concatenate([P, P]) if len(P) == 1 else P
+        R = ((Z - self._pivot) @ self._M)[:len(P)]
+        if self.kind == "ellipsoid":
+            ww = np.add.reduce(R * R, axis=1, keepdims=True)
+            return 1.0 - np.sqrt(ww), _NO_RESIDUAL, R
+        m = len(self._b)
+        if m == R.shape[1]:
+            return self._b - R, _NO_RESIDUAL, R
+        G = R[:, m:]
+        return self._b - R[:, :m], np.add.reduce(G * G, axis=1), R
 
-    def _stacked(self, X, Y, eps):
+    def _stacked(self, X, Y, eps, names=("x", "y")):
         """The one product of a query on the pairs (X[i], Y[i]), rows of
         n x ambient arrays of matching shape: R = [X - o; Y - o; X - Y;
         Y - X] @ _M, o the polytope's origin or the ellipsoid's center.
         Returns S, R and the stack Z = [X - o; Y - o; X - Y; Y - X].  On a
-        polytope S holds the facet slacks of the 2n points X and Y
-        (_slacks), and the last 2n rows of R are sy - sx and sx - sy, the
-        facet rates along X - Y and Y - X, so close pairs keep their
-        digits.  On an ellipsoid the rows of R are whitened, w, and S is
-        1 - |w|^2 of the 2n points, the ball's quadratic slack.
+        polytope S holds the facet slacks of the 2n points X and Y (as
+        _read takes them), and the last 2n rows of R are sy - sx and
+        sx - sy, the facet rates along X - Y and Y - X, so close pairs keep
+        their digits.  On an ellipsoid the rows of R are whitened, w, and S
+        is 1 - |w|^2 of the 2n points, the ball's quadratic slack.
 
-        Every point is checked.  Its coordinates are checked to be finite
-        first, before they enter the product, where an infinite one would
+        Every point is checked, and named by names as _reject does.  X and
+        Y must be n x ambient_dim (DegenerateInput), and their coordinates
+        finite, before they enter the product, where an infinite one would
         make numpy warn (inf * 0); then _product accepts the query.
         """
+        if (X.shape != Y.shape or X.ndim != 2
+                or X.shape[1] != self.ambient_dim):
+            raise DegenerateInput(
+                f"{names[0]} and {names[1]} must be matching rows of "
+                f"{self.ambient_dim} coordinates")
         n = len(X)
         Z = np.concatenate([X, Y, Y, X])
         P, D = Z[:2 * n], Z[2 * n:]
-        _require_finite(P, n)
+        _require_finite(P, n, names)
         np.subtract(P, D, out=D)
-        S, R = self._product(Z, P, eps)
+        S, R = self._product(Z, P, eps, names)
         return S, R, Z
 
     def _product(self, Z, P, eps, names=("x", "y")):
@@ -871,7 +897,7 @@ class ConvexDomain:
         else:
             S = self._b - R[:k]
             g = _NO_RESIDUAL
-        e2 = eps * abs(eps)  # as _off_hull reads eps
+        e2 = eps * abs(eps)  # as the predicates read eps
         if not (np.minimum.reduce(S, axis=None, initial=np.inf) > 0.0
                 and (0.0 if g is _NO_RESIDUAL
                      else np.maximum.reduce(g, initial=0.0)) <= e2):
@@ -885,43 +911,25 @@ class ConvexDomain:
 
     # ------------------------------------------------------------ predicates
 
-    def _slacks(self, u):
-        """Facet slacks b - A u (polytope) or 1 - |L^-1 (p - c)|
-        (ellipsoid, whose chart is the identity) of a local point, or of
-        each row of an array."""
-        if self.kind == "polytope":
-            return self._b - u @ self._A.T
-        w = self._chol_solve(u - self.center)
-        return 1.0 - np.sqrt((w * w).sum(axis=-1, keepdims=True))  # |w|
-
-    def _chol_solve(self, v):
-        # L^-1 v (each row of v) where shape = L L^T, so |L^-1 (p - c)| < 1
-        # is the interior
-        return v @ self._chol_inv.T
-
     def min_slack(self, p):
         """Smallest facet slack (polytope) or 1 - radial coordinate
         (ellipsoid); positive strictly inside the relative interior."""
-        return float(np.min(self._slacks(self.to_local(p))))
+        return float(self._read(p)[0].min())
 
     def contains_interior(self, p, eps=None):
         """Whether p, or each row of p, lies within eps of the affine hull
         with every slack above eps, both of the domain's size."""
         eps = _eps(eps)
-        p = _as_array(p)
-        P = np.atleast_2d(p)
-        ok = (~self._off_hull(P, eps)
-              & (self._slacks(self.to_local(P)).min(axis=1) > eps))
-        return ok if p.ndim > 1 else bool(ok[0])
+        S, g, _ = self._read(p)
+        ok = (g <= eps * abs(eps)) & (S.min(axis=1) > eps)
+        return ok if np.ndim(p) > 1 else bool(ok[0])
 
     def on_boundary(self, p, eps=None):
         """Whether p lies within eps of the affine hull with its least
         slack within eps of 0, both of the domain's size."""
         eps = _eps(eps)
-        p = _as_array(p)
-        if self._off_hull(p[None, :], eps).any():
-            return False
-        return abs(self._slacks(self.to_local(p)).min()) <= eps
+        S, g, _ = self._read(p)
+        return bool(g[0] <= eps * abs(eps) and abs(S.min()) <= eps)
 
     def centroid(self):
         if self.kind == "polytope":
@@ -934,16 +942,6 @@ class ConvexDomain:
         if self.kind == "polytope":
             return 2.0 * self._size
         return 2.0 * float(np.linalg.norm(self._chol, 2))
-
-    def _require_interior(self, p, eps, name="point"):
-        """Chart coordinates of a finite point p (callers check it), which
-        must lie within eps of the affine hull and have strictly positive
-        facet slack, accepted as a query's points are (_product).  The
-        strictness (not an eps margin) is deliberate: asymptotic probes
-        evaluate distances at points within 1e-12 of the boundary."""
-        P = np.array([p], dtype=float)
-        self._product(P, P, _eps(eps), (name, name))
-        return (p - self._origin) @ self._basis
 
     # ------------------------------------------------------------------ faces
 
@@ -960,32 +958,30 @@ class ConvexDomain:
         return self._lattice
 
     def boundary_face_of(self, p, eps=None):
-        """The face whose relative interior contains the boundary point p,
-        read with slacks within eps of the domain's size of 0.  An
-        ellipsoid reads p in whitened coordinates w, where the boundary is
-        |w| = 1.  Chord and ray ends do not come here: chord_through and
-        minimal_cone_at read their faces off the facets that clip them."""
+        """The face whose relative interior contains the boundary point p:
+        where the facets whose slacks (_read) are within eps of the
+        domain's size of 0 meet.  An ellipsoid's one slack is 1 - |w| of
+        the whitened point w, and its face is the point w / |w| of the
+        unit sphere.  Chord and ray ends do not come here: chord_through
+        and minimal_cone_at read their faces off the facets that clip
+        them."""
         eps = _eps(eps)
-        p = _as_array(p)
-        if self._off_hull(p[None, :], eps).any():
+        S, g, R = self._read(p)
+        if g[0] > eps * abs(eps):
             raise NotOnBoundary("point is off the affine hull")
+        least = float(S.min())
+        tight = np.abs(S[:1]) <= eps
         if self.kind == "ellipsoid":
-            w = self._chol_solve(p - self.center)
-            r = np.linalg.norm(w)
-            if r == 0.0:
-                raise NotOnBoundary("point is the center", slack=1.0)
-            if abs(r - 1.0) > eps:
+            if not tight.any():
                 raise NotOnBoundary("point is not on the ellipsoid boundary",
-                                    slack=float(1.0 - r))
-            return self._sphere_faces(w[None, :] / r)[0]
-        s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        least = float(np.minimum.reduce(s))
+                                    slack=least)
+            # 1 - least is |w| exactly: |w| is within eps of 1
+            return self._sphere_faces(R[:1] / (1.0 - least))[0]
         if least < -eps:
             raise NotOnBoundary("point is outside the domain", slack=least)
-        tight = np.abs(s) <= eps
         if not tight.any():
             raise NotOnBoundary("point is interior", slack=least)
-        return self._faces_of(tight[None])[0]
+        return self._faces_of(tight)[0]
 
     def _faces_of(self, tight):
         """The faces where the facets marked in each row of tight meet."""
@@ -1009,36 +1005,28 @@ class ConvexDomain:
                 for i, key in enumerate(np.round(W, 9).tolist())]
 
     def in_relative_interior(self, face, p, eps=None):
-        """Whether p lies in the relative interior of the given face."""
+        """Whether p lies in the relative interior of the given face: on a
+        polytope, within eps of the affine hull with exactly the face's
+        facets tight (_read); on an ellipsoid, within eps of the face's
+        point in whitened coordinates."""
         eps = _eps(eps)
-        p = _as_array(p)
+        S, g, R = self._read(p)
         if self.kind == "ellipsoid":
             return (face.point_key is not None and np.linalg.norm(
-                self._chol_solve(p - face.vertices[0])) <= eps)
-        if self._off_hull(p[None, :], eps).any():
+                R[0] - self._read(face.vertices[0])[2][0]) <= eps)
+        if g[0] > eps * abs(eps) or S.min() < -eps:
             return False
-        s = self._b - self._A @ ((p - self._origin) @ self._basis)
-        if s.min() < -eps:
-            return False
-        tight = frozenset(np.flatnonzero(np.abs(s) <= eps).tolist())
+        tight = frozenset(np.flatnonzero(np.abs(S[0]) <= eps).tolist())
         return tight == face.facet_ids and len(tight) > 0
 
     # ----------------------------------------------------------------- chords
-
-    def _line(self, u, du):
-        """The lines {u + t du} (local points and directions, one or rows)
-        as _clip_line reads them: a polytope's facet slacks at u and their
-        rates of decrease along du, an ellipsoid's whitened u and du."""
-        if self.kind == "polytope":
-            return self._b - u @ self._A.T, du @ self._A.T
-        return self._chol_solve(u - self.center), self._chol_solve(du)
 
     def _clip_line(self, s, rate):
         """Where lines leave the body: on a polytope s are the facet slacks
         of a point and rate their rates of decrease along the line, so the
         slacks at t are s - t rate; on an ellipsoid s and rate are the
-        whitened point and direction (see _line).  One line, or one per
-        row of rate (s one point or matching rows).
+        whitened point and direction, rows of a pass's product (_clip).
+        One line, or one per row of rate (s one point or matching rows).
 
         Returns (t_lo, t_hi, ends): floats for one line and arrays for
         rows, with t_lo < 0 < t_hi for an interior point.  On a polytope
@@ -1103,7 +1091,8 @@ class ConvexDomain:
 
     def _clip(self, S, R, p, d):
         """_clip_line of the line through the checked point of row p of a
-        pass (_product) along the direction of its row d."""
+        pass (_product) along the direction of its row d, or of the lines
+        along its rows d (a slice)."""
         if self.kind == "polytope":
             return self._clip_line(S[p], R[d, :len(self._b)])
         return self._clip_line(R[p], R[d])
@@ -1118,7 +1107,7 @@ class ConvexDomain:
         """_clip_line of the line through the points x and y, from the one
         stacked product of _stacked, which checks both points before they
         are compared, and that pass's S, R and Z."""
-        S, R, Z = self._stacked(x[None, :], y[None, :], _eps(eps))
+        S, R, Z = self._stacked(x[None], y[None], _eps(eps))
         if x.tolist() == y.tolist():
             raise CoincidentPoints("chord needs two distinct points")
         return (*self._clip(S, R, 0, 3), S, R, Z)
@@ -1157,7 +1146,7 @@ class ConvexDomain:
                 W / np.sqrt(np.add.reduce(W * W, axis=1))[:, None])
         return Chord(x=xh, y=yh, alpha=alpha, beta=beta, face_alpha=faces[0],
                      face_beta=faces[1], t_alpha=t_lo, t_beta=t_hi,
-                     _slacks=S, _binding=ends)
+                     _sxy=S, _binding=ends)
 
     def ray(self, start, direction, eps=None):
         """Ray from an interior start toward the boundary.
@@ -1177,13 +1166,21 @@ class ConvexDomain:
     def _ray(self, start, direction, eps):
         """(t_hi, ends, Z) of the ray from start along direction: where it
         leaves the body, the binding facets of both ends of its line (None
-        on an ellipsoid), and Z = [start - o; direction].  The direction
-        must be nonzero and, like a point, within eps of the size, or of
-        its length, of the affine hull; the start is checked and the line
-        clipped by one product, [start - o; direction] @ _M, as a chord's
-        pair is (_product, _clip_line).
+        on an ellipsoid), and Z = [start - o; direction].  start and
+        direction must have ambient_dim coordinates (DegenerateInput), the
+        direction be nonzero and, like a point, within eps of the size, or
+        of its length, of the affine hull; the start is checked and the
+        line clipped by one product, [start - o; direction] @ _M, as a
+        chord's pair is (_product, _clip_line).
         """
-        Z = np.array([start, direction], dtype=float)
+        start = np.asarray(start, dtype=float)
+        direction = np.asarray(direction, dtype=float)
+        if (start.shape != (self.ambient_dim,)
+                or direction.shape != start.shape):
+            raise DegenerateInput(
+                f"start and direction must have {self.ambient_dim} "
+                "coordinates")
+        Z = np.array([start, direction])
         _require_finite(Z, 1, ("start", "direction"))
         dd = Z[1] @ Z[1]
         if dd == 0.0:
@@ -1274,8 +1271,9 @@ class ConvexDomain:
         The result lives in coordinates of subspace ∩ affine hull.  One QR
         of the spans gives an orthonormal basis of the subspace and of its
         normals.  A full-dimensional domain's affine hull is the whole
-        space (as in _off_hull), so its cut is the subspace itself, whose
-        basis is W, orthonormal in the unit chart too, with those normals.
+        space (every hull residual is 0), so its cut is the subspace
+        itself, whose basis is W, orthonormal in the unit chart too, with
+        those normals.
         On an embedded domain the cut is solved for: the subspace meets
         the hull where point + B0 s = origin + B r, along the null space
         of [B0, -B].  A polytope's section is the hull of its vertices,
@@ -1287,8 +1285,8 @@ class ConvexDomain:
         section's vertices do not span the dimension of the cut, or all
         lie on one facet."""
         eps_v = _eps(eps)
-        p0 = _as_array(point, "point")
-        S = np.atleast_2d(_as_array(spans, "spans"))
+        p0 = _as_points(point, self.ambient_dim, "point")
+        S = np.atleast_2d(_as_points(spans, self.ambient_dim, "spans"))
         q, r = np.linalg.qr(S.T, mode="complete")
         keep = np.abs(np.diag(r)) > 1e-12 * np.abs(r).max()
         if not np.all(keep):
@@ -1309,7 +1307,7 @@ class ConvexDomain:
             M = np.hstack([B0, -B])
             sol, *_ = np.linalg.lstsq(M, self._origin - p0, rcond=None)
             q0 = p0 + B0 @ sol[:m]
-            if self._off_hull(q0[None, :], eps_v).any():
+            if self._read(q0)[1][0] > eps_v * abs(eps_v):
                 raise EmptyIntersection("subspace misses the affine hull")
             dirs = B0 @ _nullspace(M)[:m, :]
             qd, rd = np.linalg.qr(dirs)
@@ -1395,9 +1393,13 @@ class ConvexDomain:
         return (P - c) @ Wl
 
     def _ellipsoid_section(self, q0, W):
-        Q = W.T @ self._shape_inv @ W
-        g = W.T @ self._shape_inv @ (q0 - self.center)
-        c0 = float((q0 - self.center) @ self._shape_inv @ (q0 - self.center)) - 1.0
+        """The ellipse cut by {q0 + W r}: in whitened coordinates, the
+        points w0 + V r, of the point w0 of q0 (_read) and the directions V
+        = W^T _M, inside the unit sphere."""
+        V = W.T @ self._M
+        w0 = self._read(q0)[2][0]
+        Q, g = V @ V.T, V @ w0
+        c0 = float(w0 @ w0) - 1.0
         r0 = -np.linalg.solve(Q, g)
         v0 = c0 + float(g @ r0)
         if v0 >= -1e-12:
@@ -1415,16 +1417,7 @@ class ConvexDomain:
             ones = np.ones(n) / np.sqrt(n)
             pts.append(self.center - self._chol @ ones)
             return np.array(pts)
-        chosen = [self.vertices[0]]
-        for v in self.vertices[1:]:
-            trial = np.array(chosen + [v])
-            if _affine_rank(trial, eps_v) == len(chosen):
-                chosen.append(v)
-            if len(chosen) == n + 1:
-                break
-        if len(chosen) != n + 1:
-            raise DegenerateInput("could not find a full-dimensional simplex")
-        return np.array(chosen)
+        return self.vertices[_initial_simplex(self._lv, eps_v)]
 
     # -------------------------------------------------------------- sampling
 
@@ -1451,9 +1444,7 @@ class ConvexDomain:
             x = self.sample_interior(rng, 1, pull=0.3)
             du = rng.normal(size=self.intrinsic_dim)
             du /= np.linalg.norm(du)
-            u = self.to_local(x)
-            t_hi = self._clip_line(*self._line(u, du))[1]
-            out.append(self.to_ambient(u + t_hi * du))
+            out.append(self.ray(x, du @ self._frame.T).endpoint)
         return np.array(out) if k > 1 else out[0]
 
     # ------------------------------------------------------------------ misc
@@ -1672,8 +1663,7 @@ def build_ellipsoid(center, shape):
         raise DegenerateInput("shape matrix must be positive definite")
     L = np.linalg.cholesky(S)
     return ConvexDomain(
-        "ellipsoid", center=c, shape=S, shape_inv=np.linalg.inv(S),
-        chol=L, chol_inv=np.linalg.inv(L),
+        "ellipsoid", center=c, shape=S, chol=L, chol_inv=np.linalg.inv(L),
     )
 
 
@@ -1689,27 +1679,26 @@ def minkowski_functional(K, v, eps=None):
     """Gauge of v, or of each row of v, with respect to a body K whose
     relative interior contains the origin: the smallest t > 0 with v in
     t*K.  Vectors outside the linear span of K (by more than eps of their
-    length) get math.inf."""
+    length) get math.inf.
+
+    The origin's slacks and each v's rates come from one pass,
+    [0 - o; v] @ _M (_product), as a ray's do: on a polytope the gauge is
+    the largest rate over slack, on an ellipsoid 1 / t_hi of the line
+    from the origin along v (_ellipsoid_chords)."""
     eps_v = _eps(eps)
-    v = _as_array(v, "v")
-    origin = np.zeros(K.ambient_dim)
-    if not K.contains_interior(origin, eps_v):
+    v = _as_points(v, K.ambient_dim, "v")
+    if not K.contains_interior(np.zeros(K.ambient_dim), eps_v):
         raise OriginNotInterior("the body does not contain the origin")
-    V = np.atleast_2d(v)
-    norms = np.linalg.norm(V, axis=1)
-    v_loc = V @ K._basis
-    outside = (np.linalg.norm(V - v_loc @ K._frame.T, axis=1)
-               > eps_v * norms)
+    Z = np.vstack([np.zeros(K.ambient_dim), v])
+    S, R = K._product(Z, Z[:1], eps_v, ("origin", "origin"))
     if K.kind == "polytope":
-        shift = K.to_local(origin)  # local coords of the origin
-        den = K._b - K._A @ shift  # facet slack at the origin, positive
-        gauge = np.max((v_loc @ K._A.T) / den, axis=1)
+        m = len(K._b)
+        gauge = np.maximum.reduce(R[1:, :m] / S[0], axis=1)
+        # each v's length off the affine hull, from its components along
+        # _normals
+        G = R[1:, m:] * K._size
+        off = np.sqrt(np.add.reduce(G * G, axis=1))
+        gauge[off > eps_v * np.linalg.norm(Z[1:], axis=1)] = np.inf
     else:
-        Minv = K._shape_inv
-        a = np.sum((V @ Minv) * V, axis=1)
-        bq = V @ (Minv @ K.center)
-        c0 = float(K.center @ Minv @ K.center) - 1.0
-        a = np.where(norms == 0.0, 1.0, a)  # the zero vector's gauge is 0
-        gauge = a / (bq + np.sqrt(bq * bq - a * c0))
-    gauge = np.where(norms == 0.0, 0.0, np.where(outside, np.inf, gauge))
+        gauge = 1.0 / K._ellipsoid_chords(R[0], R[1:])[1]
     return gauge if v.ndim > 1 else float(gauge[0])

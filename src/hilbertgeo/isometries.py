@@ -17,7 +17,7 @@ import numpy as np
 
 from . import defaults
 from .cones import _lorentz_q
-from .convex import _as_array, _eps
+from .convex import _as_array, _as_points, _eps
 from .errors import (
     DegenerateBasis,
     DegenerateInput,
@@ -455,18 +455,19 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     domain, or the last image when they are within 1e-14 of the domain's
     extent.
     """
-    starts = [_as_array(s, "start") for s in starts]
+    starts = [_as_points(s, domain.ambient_dim, "start") for s in starts]
     if len(starts) < 2:
         raise DegenerateInput("need at least two starts to compare limits")
-    target = _as_array(target, "target")
-    for s in starts:
-        domain._require_interior(s, eps, "start")
+    target = _as_points(target, domain.ambient_dim, "target")
     S = np.array(starts)
+    e = _eps(eps)
+    # the starts are checked as a query's points are, each named by its row
+    domain._stacked(S, S, e, ("start", "start"))
     h = horizon + 1
     pts = target + (2.0 ** -np.arange(h))[:, None] * (S - target)[:, None]
     Q = _map_rows(f, pts.reshape(len(S) * h, -1))
-    off = ((domain._slacks(domain.to_local(Q)).min(axis=1) <= 0.0)
-           | domain._off_hull(Q, _eps(eps))).reshape(len(S), h)
+    slack, g, _ = domain._read(Q)
+    off = ((slack.min(axis=1) <= 0.0) | (g > e * abs(e))).reshape(len(S), h)
     kept = np.where(off.any(axis=1), off.argmax(axis=1), h)
     if np.any(kept == 0):
         raise GeometryError("image sequence left the domain immediately")
@@ -593,10 +594,10 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
         cand = ProjectiveMap(M)
         # charts here are ambient (ellipsoids are stored unembedded)
         ends = dom_a.center + np.vstack([dom_a._chol.T, -dom_a._chol.T])
-        r = np.linalg.norm(
-            dom_b._chol_solve(cand.apply(ends) - dom_b.center), axis=1)
+        # the images' slacks 1 - |w| in B, whose boundary is |w| = 1
+        slack = dom_b._read(cand.apply(ends))[0]
         return PlaneClassification(
-            "projectively-equivalent", cand, float(np.abs(r - 1.0).max()),
+            "projectively-equivalent", cand, float(np.abs(slack).max()),
             _chart_map(dom_a, dom_b, cand))
     va, _ = dom_a.polygon_vertices_local()
     vb, _ = dom_b.polygon_vertices_local()

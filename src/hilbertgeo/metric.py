@@ -117,15 +117,10 @@ def distances(domain, X, Y, eps=None):
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if (X.shape != Y.shape or X.ndim not in (1, 2)
-            or X.shape[-1] != domain.ambient_dim):
-        raise DegenerateInput(
-            f"x and y must be matching rows of {domain.ambient_dim} "
-            "coordinates")
     if X.ndim == 1:
-        X, Y = X[None, :], Y[None, :]
-    n = len(X)
+        X, Y = X[None], Y[None]
     S, R, _ = domain._stacked(X, Y, _eps(eps))
+    n = len(X)
     if domain.kind == "polytope":
         return _funk_sum(S, R[2 * n:, :len(domain._b)])
     return _ball_distances(R[:n], R[3 * n:], S)
@@ -232,7 +227,7 @@ def is_rigid_chord(domain, x, y, eps=None):
     # s_k(p) s_i(z) is >= 0 for p = x at beta and y at alpha and <= 0 for
     # p = y at beta and x at alpha (G and DG, rows p = x, y and columns
     # beta, alpha, signed by sign), and the exit, s_k(z) >= 0
-    S = chord._slacks
+    S = chord._sxy
     sm = 0.5 * (S[0] + S[1])
     D = (z0 @ domain._M)[:len(domain._b)]
     ends = chord._binding[::-1]
@@ -298,8 +293,8 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
     for a in (a1, a2):
         if not domain.on_boundary(a, eps):
             raise NotOnBoundary("approach target is not a boundary point")
-    domain._require_interior(x0, eps, "x0")
-    domain._require_interior(y0, eps, "y0")
+    # both starts are checked as a query's points are
+    domain._stacked(x0[None], y0[None], eps_v, ("x0", "y0"))
     tol = eps_v * domain._extent()
     if np.linalg.norm(a1 - a2) <= tol:
         mode = "same-point"
@@ -334,7 +329,10 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
     """Boundary polyline of the metric ball, for 2-dimensional domains.
 
     The chord's cross ratio is solved for the point at radius R along
-    n_dirs local directions; returns ambient points in cyclic order.
+    n_dirs chart directions du, all clipped in the one pass that checks
+    the center, as a ray is (ConvexDomain._ray): the product [center - o;
+    du @ frame.T] @ _M, o the polytope's origin or the ellipsoid's
+    center.  Returns ambient points in cyclic order.
     """
     if domain.intrinsic_dim != 2:
         raise DegenerateInput("metric balls are rendered for 2-dim domains")
@@ -342,11 +340,17 @@ def hilbert_ball(domain, center, radius, n_dirs=360, eps=None):
         raise NonFinite("radius is not finite")
     if radius <= 0.0:
         raise DegenerateInput("radius must be positive")
-    u0 = domain._require_interior(_as_array(center, "center"), eps, "center")
+    center = _as_array(center, "center")
+    if center.shape != (domain.ambient_dim,):
+        raise DegenerateInput(
+            f"center must have {domain.ambient_dim} coordinates")
     th = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
     dirs = np.column_stack([np.cos(th), np.sin(th)])
-    t_lo, t_hi, _ = domain._clip_line(*domain._line(u0, dirs))
+    Z = np.vstack([center, dirs @ domain._frame.T])
+    S, R = domain._product(Z, Z[:1], _eps(eps), ("center", "center"))
+    t_lo, t_hi, _ = domain._clip(S, R, 0, slice(1, None))
     # d(u0, u0 + t du) = R times e^-R: a huge R lands on t_hi, not on nan
     t = (t_hi * -t_lo * -math.expm1(-radius)
          / (t_hi * math.exp(-radius) - t_lo))
-    return domain.to_ambient(u0 + t[:, None] * dirs)
+    return domain._pivot + ((Z[0] @ domain._basis + t[:, None] * dirs)
+                            @ domain._frame.T)

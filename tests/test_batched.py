@@ -12,6 +12,7 @@ from hilbertgeo import (
     HilbertSpace,
     ProjectiveMap,
     WSpace,
+    asymptotic_profile,
     axis_coords,
     axis_coords_inv,
     build_ellipsoid,
@@ -769,15 +770,131 @@ def test_ball_clips_its_rays_in_one_call():
         u0 = dom.to_local(center)
         th = 2.0 * math.pi * np.arange(90) / 90
         dirs = np.column_stack([np.cos(th), np.sin(th)])
-        t_lo, t_hi = np.array([dom._clip_line(*dom._line(u0, du))[:2]
+        # the line u0 + t du as _clip_line reads it: a polytope's facet
+        # slacks at u0 and rates along du, an ellipsoid's whitened u0, du
+        if dom.kind == "polytope":
+            s, to_rate = dom._b - u0 @ dom._A.T, dom._A.T
+        else:
+            s, to_rate = (u0 - dom.center) @ dom._M, dom._M
+        t_lo, t_hi = np.array([dom._clip_line(s, du @ to_rate)[:2]
                                for du in dirs]).T
-        assert np.array_equal(dom._clip_line(*dom._line(u0, dirs[7]))[:2],
+        assert np.array_equal(dom._clip_line(s, dirs[7] @ to_rate)[:2],
                               (t_lo[7], t_hi[7]))
         t = (t_hi * -t_lo * -math.expm1(-0.8)
              / (t_hi * math.exp(-0.8) - t_lo))
         want = dom.to_ambient(u0 + t[:, None] * dirs)
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert err.max() <= 1e-14
+
+
+def agreement_domains(rng, n):
+    """n random polygons and 3-polytopes at scales 1e-6..1e9, translated,
+    every third embedded one dimension up, and two ellipsoids."""
+    out = []
+    for k in range(n):
+        scale = 10.0 ** rng.uniform(-6.0, 9.0)
+        d = 2 + k % 2
+        P = rng.normal(size=(5 + k % 7, d))
+        if k % 3 == 0:
+            Q = np.linalg.qr(rng.normal(size=(d + 1, d + 1)))[0][:, :d]
+            P = P @ Q.T
+        out.append(build_polytope(scale * (P + rng.normal(size=P.shape[1]))))
+    for d in (2, 3):
+        scale = 10.0 ** rng.uniform(-6.0, 9.0)
+        out.append(build_ellipsoid(scale * rng.normal(size=d),
+                                   scale * scale * tilted_shape(rng, d)))
+    return out
+
+
+def test_predicates_accept_a_point_as_a_query_does():
+    """contains_interior([p, c], 0.0)[0], and contains_interior(p, 0.0),
+    hold exactly when distance(p, c) at eps 0 raises no PointNotInterior,
+    for points p at the boundary's round-off: ray ends from the centroid
+    c, and those times 1 +- 2^-52 and 1 - 2^-50, about the origin and
+    about c.  All read p's slacks and hull residual off the one product
+    (p - o) @ M."""
+    rng = np.random.default_rng(61)
+    shrink = (1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -50, 1.0)
+    disagree = []
+    for dom in agreement_domains(rng, 24):
+        c = dom.centroid()
+        for _ in range(10):
+            end = dom.ray(c, rng.normal(size=dom.intrinsic_dim)
+                          @ dom._frame.T).endpoint
+            for f in shrink:
+                for p in (end * f, c + (end - c) * f):
+                    inside = dom.contains_interior(np.array([p, c]), 0.0)[0]
+                    try:
+                        distance(dom, p, c, eps=0.0)
+                        accepted = True
+                    except PointNotInterior:
+                        accepted = False
+                    single = dom.contains_interior(p, 0.0)
+                    if (inside, single) != (accepted, accepted):
+                        disagree.append((dom, p))
+    assert not disagree
+
+
+def _face_point(dom):
+    c = dom.centroid()
+    return dom.ray(c, dom.vertices[0] - c if dom.kind == "polytope"
+                   else dom._chol[:, 0]).endpoint
+
+
+WIDTH_ENTRY_POINTS = {
+    "contains_interior": lambda dom, bad: dom.contains_interior(bad),
+    "on_boundary": lambda dom, bad: dom.on_boundary(bad),
+    "min_slack": lambda dom, bad: dom.min_slack(bad),
+    "hull_residual": lambda dom, bad: dom.hull_residual(bad),
+    "boundary_face_of": lambda dom, bad: dom.boundary_face_of(bad),
+    "in_relative_interior": lambda dom, bad: dom.in_relative_interior(
+        dom.boundary_face_of(_face_point(dom)), bad),
+    "to_local": lambda dom, bad: dom.to_local(bad),
+    "distances": lambda dom, bad: distances(dom, bad, bad),
+    "distance_x": lambda dom, bad: distance(dom, bad, dom.centroid()),
+    "chord_through": lambda dom, bad: dom.chord_through(
+        dom.centroid(), bad),
+    "chord_params": lambda dom, bad: dom.chord_params(bad, dom.centroid()),
+    "ray_start": lambda dom, bad: dom.ray(bad, dom.centroid()),
+    "ray_direction": lambda dom, bad: dom.ray(dom.centroid(), bad),
+    "hilbert_ball": lambda dom, bad: hilbert_ball(dom, bad, 0.5),
+    "minkowski_functional": lambda dom, bad: minkowski_functional(
+        build_polytope(dom.vertices - dom.centroid())
+        if dom.kind == "polytope" else dom, bad),
+    "asymptotic_profile": lambda dom, bad: asymptotic_profile(
+        dom, bad, bad, _face_point(dom), _face_point(dom)),
+    "focusing_probe": lambda dom, bad: focusing_probe(
+        dom, lambda P: P, _face_point(dom), [bad, bad]),
+    "focusing_probe_target": lambda dom, bad: focusing_probe(
+        dom, lambda P: P, bad, [dom.centroid(), dom.centroid()]),
+    "cross_section_point": lambda dom, bad: dom.cross_section(
+        bad, np.eye(dom.ambient_dim)[:2]),
+    "cross_section_spans": lambda dom, bad: dom.cross_section(
+        dom.centroid(), bad),
+    "join_region": lambda dom, bad: _chord_join(dom)(bad),
+}
+
+
+def _chord_join(dom):
+    """The join of the end faces of a chord through the centroid."""
+    c = dom.centroid()
+    chord = dom.chord_through(c, c + 0.1 * (_face_point(dom) - c))
+    return dom.join_region(chord.face_alpha, chord.face_beta)
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_ENTRY_POINTS))
+def test_points_of_the_wrong_width_are_rejected(entry):
+    """A point with one coordinate would broadcast against the domain's
+    arrays; every entry point raises DegenerateInput for it, and for
+    points one coordinate too wide, scalars and 3-d blocks."""
+    call = WIDTH_ENTRY_POINTS[entry]
+    for dom in (build_polytope(SQUARE), standard_simplex(2),
+                build_ellipsoid([0.0, 0.0], np.eye(2))):
+        D = dom.ambient_dim
+        for bad in ([0.5], np.full(D + 1, 0.1), 0.5,
+                    np.zeros((2, 2, D))):
+            with pytest.raises(DegenerateInput, match="coordinates"):
+                call(dom, bad)
 
 
 # ---------------------------------------------------------------- rows

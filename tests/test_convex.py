@@ -198,11 +198,12 @@ def test_clip_line_matches_per_facet_reference():
             # along a facet: that facet's denominator is at round-off level
             facet = dom._A[rng.integers(len(dom._A))]
             along = du - (du @ facet) * facet
+            s = dom._b - u @ dom._A.T  # the facet slacks at u
             for d in (du, along, 1e-9 * du, 1e-16 * du):
-                assert (dom._clip_line(*dom._line(u, d))[:2]
+                assert (dom._clip_line(s, d @ dom._A.T)[:2]
                         == _clip_line_by_facet(dom, u, d))
         with pytest.raises(GeometryError, match="escapes"):
-            dom._clip_line(*dom._line(u, 0.0 * du))
+            dom._clip_line(s, (0.0 * du) @ dom._A.T)
 
 
 def test_ellipsoid_chord_and_boundary_face():
@@ -440,6 +441,26 @@ def test_find_extreme_simplex():
     cube = build_polytope([[sx, sy, sz] for sx in (0, 1)
                            for sy in (0, 1) for sz in (0, 1)])
     assert cube.find_extreme_simplex().shape == (4, 3)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e6, 1e12])
+def test_find_extreme_simplex_spans_with_distinct_vertices(scale):
+    """n+1 distinct vertices, affinely independent, on a segment in R^1,
+    random polygons, the cube and an embedded simplex, at every scale."""
+    rng = np.random.default_rng(64)
+    clouds = ([np.array([[0.0], [1.0], [0.3]]),
+               np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+               np.eye(4)] + [rng.normal(size=(8, 2)) for _ in range(4)])
+    for P in clouds:
+        dom = build_polytope(scale * (P + rng.normal(size=P.shape[1])))
+        n = dom.intrinsic_dim
+        S = dom.find_extreme_simplex()
+        assert S.shape == (n + 1, dom.ambient_dim)
+        corners = {tuple(v) for v in S.tolist()}
+        assert len(corners) == n + 1
+        assert corners <= {tuple(v) for v in dom.vertices.tolist()}
+        sv = np.linalg.svd((S[1:] - S[0]) / dom._size, compute_uv=False)
+        assert sv[n - 1] > 1e-3
 
 
 def test_ray_hits_boundary():

@@ -174,6 +174,55 @@ def test_cli_render_rejects_non_finite_radius(square_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def assert_one_error_line(code, capsys):
+    """Exit 1 with one 'error:' line on stderr and no traceback; returns
+    that line."""
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_cli_plane_commands_reject_a_cone(square_file, tmp_path, capsys):
+    cone = tmp_path / "lorentz3.json"
+    cone.write_text('{"kind": "lorentz", "n": 3}')
+    svg = tmp_path / "fig.svg"
+    for command, argv in (
+            ("rigid", ["--domain", str(cone), "--x=1,0,0", "--y=2,0.1,0"]),
+            ("render", ["--domain", str(cone), "--out", str(svg),
+                        "--ball", "1,0,0,0.5"]),
+            ("classify", ["--a", str(cone), "--b", square_file]),
+            ("classify", ["--a", square_file, "--b", str(cone)])):
+        line = assert_one_error_line(main([command] + argv), capsys)
+        assert f"hg {command}" in line and "cone" in line
+    assert not svg.exists()
+    src = os.path.dirname(os.path.dirname(hilbertgeo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbertgeo.cli", "rigid", "--domain",
+         str(cone), "--x=1,0,0", "--y=2,0.1,0"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: hg rigid")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_cli_rejects_points_of_the_wrong_width(square_file, tmp_path,
+                                               capsys):
+    svg = tmp_path / "fig.svg"
+    render = ["render", "--domain", square_file, "--out", str(svg)]
+    for argv in (
+            ["rigid", "--domain", square_file, "--x=0,0,0", "--y=0.5,0"],
+            ["distance", "--domain", square_file, "--x=0,0", "--y=0.5"],
+            render + ["--ball=0.5"],
+            render + ["--segment=0,0;0.5"],
+            render + ["--chord=0,0;0.5"]):
+        line = assert_one_error_line(main(argv), capsys)
+        assert "coordinates" in line
+    assert not svg.exists()
+
+
 def test_console_script_entry_point(square_file):
     proc = subprocess.run(
         [sys.executable, "-m", "hilbertgeo.cli", "distance",
