@@ -110,21 +110,30 @@ class Cone:
     lifted: bool = False
 
     def _interior(self, X):
-        """Interior test of a point, or of each row, without checks."""
+        """Interior test of each row of X, without checks, read as
+        cone_distances accepts a query's points: each row scaled by a
+        power of two, which is exact (on a polyhedral cone its largest
+        coordinate, on the Lorentz cone x_1, into [1/2, 1)), and the
+        product taken on a stack of at least two rows, as a query's is,
+        since BLAS multiplies one row by another kernel than a stack of
+        rows, which rounds differently."""
+        Z = np.concatenate([X, X]) if len(X) == 1 else X
         if self.kind == "polyhedral":
-            return np.min(X @ self.functionals.T, axis=-1) > 0.0
-        # each row times the power of two that brings x_1 into [1/2, 1),
-        # which is exact, so that q cannot overflow
-        X = np.ldexp(X, -np.frexp(X[..., :1])[1])
-        return (X[..., 0] > 0.0) & (_lorentz_q(X) > 0.0)
+            # a zero row keeps its exponent finite (initial), and stays 0
+            e = np.frexp(np.maximum.reduce(np.abs(Z), axis=1,
+                                           initial=_TINY))[1]
+            S = np.ldexp(Z, -e[:, None]) @ self.functionals.T
+            return S.min(axis=1)[:len(X)] > 0.0
+        Z = np.ldexp(Z, -np.frexp(Z[:, :1])[1])
+        return ((Z[:, 0] > 0.0) & (_lorentz_q(Z) > 0.0))[:len(X)]
 
     def contains_interior(self, x):
         """Whether x, or each row of x, is interior to the cone."""
         x = _as_array(x, "x")
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise DegenerateInput("point dimension does not match the cone")
-        ok = self._interior(x)
-        return ok if x.ndim > 1 else bool(ok)
+        ok = self._interior(np.atleast_2d(x))
+        return ok if x.ndim > 1 else bool(ok[0])
 
     def min_scale(self, x, y):
         """Smallest lambda with lambda*x - y in the closed cone.

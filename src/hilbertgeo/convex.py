@@ -772,6 +772,7 @@ class ConvexDomain:
             self._b = data["b"]
             self._facet_sets = data["facet_sets"]
             self._lattice = None  # built on first use, see face_lattice
+            self._cycle = None  # see polygon_vertices_local
             self.ambient_dim, self.intrinsic_dim = D, d = data["basis"].shape
             # the orthogonal complement of the orthonormal basis
             self._normals = (np.linalg.svd(data["basis"])[0][:, d:]
@@ -1450,13 +1451,19 @@ class ConvexDomain:
     # ------------------------------------------------------------------ misc
 
     def polygon_vertices_local(self):
-        """Local vertices of a 2-dimensional polytope in cyclic order."""
+        """Local vertices of a 2-dimensional polytope in cyclic order, and
+        that order of the vertex indices: found on the first call and
+        kept, as read-only arrays, like the face lattice."""
         if self.kind != "polytope" or self.intrinsic_dim != 2:
             raise Unsupported("cyclic vertex order needs a 2-dim polytope")
-        c = self._lv.mean(axis=0)
-        ang = np.arctan2(self._lv[:, 1] - c[1], self._lv[:, 0] - c[0])
-        order = np.argsort(ang)
-        return self._lv[order], order
+        if self._cycle is None:
+            c = self._lv.mean(axis=0)
+            order = np.argsort(np.arctan2(self._lv[:, 1] - c[1],
+                                          self._lv[:, 0] - c[0]))
+            lv = self._lv[order]
+            lv.flags.writeable = order.flags.writeable = False
+            self._cycle = lv, order
+        return self._cycle
 
     def __repr__(self):
         if self.kind == "polytope":

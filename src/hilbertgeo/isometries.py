@@ -558,6 +558,171 @@ def _pencils_agree(va, vb, match, delta):
     return near.all(axis=1)
 
 
+# the round-off of a plane frame's determinants (Cramer's rule) and of
+# LAPACK's solve, in units of kappa (1 + sum |c|) (_plane_frame)
+_EPS = float(np.finfo(float).eps)
+_FRAME_ROUND = 256.0 * _EPS
+
+
+def _plane_frame(P):
+    """The projective frame of four points (x, y) of the plane, as _frames
+    takes it on the _unit_frames copy, in Python floats: a failure code (0,
+    1 where the first three do not span, 2 where the fourth lies on a face
+    of their triangle), the coefficients c of the fourth point over the
+    first three (None on failure), and the copy's columns and centroid and
+    scale.
+
+    D, the determinant of the first three columns H, is the product of
+    H's singular values, so |D| > 2e-10 |H|_F^3 proves that they span.
+    The least singular value is at most |D| over the largest cross product
+    of two columns (the third's height over them), so a |D| below
+    0.5e-10 |H|_F / sqrt(3) times that proves that they do not; both hold
+    with a margin that no round-off of D or of _frames's SVD takes away.
+    c is Cramer's rule, the ratios of the determinants of the columns with
+    the fourth point in place of each to D.  With kappa = G^3 / |D|, G the
+    norm of all four columns, Cramer's c and LAPACK's solve each lie
+    within _FRAME_ROUND kappa (1 + sum |c|) of the exact coefficients,
+    which decides the 1e-10 general-position test unless c's least entry
+    falls in that band around it.  Only frames these bounds cannot decide
+    go to numpy's SVD or solve, as in _frames, so every code is _frames's.
+    """
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = P
+    cx = (x0 + x1 + x2 + x3) / 4.0
+    cy = (y0 + y1 + y2 + y3) / 4.0
+    r = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
+            max(y0, y1, y2, y3) - min(y0, y1, y2, y3))
+    r = r if r > 0.0 else 1.0
+    u = u0, u1, u2, u3 = (x0 - cx) / r, (x1 - cx) / r, (x2 - cx) / r, \
+        (x3 - cx) / r
+    v = v0, v1, v2, v3 = (y0 - cy) / r, (y1 - cy) / r, (y2 - cy) / r, \
+        (y3 - cy) / r
+    # the rows of adj(H), each the cross product of H's other two columns
+    adj = ((v1 - v2, u2 - u1, u1 * v2 - u2 * v1),
+           (v2 - v0, u0 - u2, u2 * v0 - u0 * v2),
+           (v0 - v1, u1 - u0, u0 * v1 - u1 * v0))
+    frame = (u, v, cx, cy, r, adj)
+    # the determinants, each from differences to one of its columns
+    a1, b1, a2, b2, a3, b3 = u1 - u0, v1 - v0, u2 - u0, v2 - v0, u3 - u0, \
+        v3 - v0
+    D = a1 * b2 - a2 * b1
+    F2 = u0 * u0 + u1 * u1 + u2 * u2 + v0 * v0 + v1 * v1 + v2 * v2 + 3.0
+    F3 = F2 ** 1.5
+    if abs(D) > 2e-10 * F3:
+        c = ((a1 - a3) * (b2 - b3) - (a2 - a3) * (b1 - b3)) / D, \
+            (a3 * b2 - a2 * b3) / D, (a1 * b3 - a3 * b1) / D
+        mag = abs(c[0]), abs(c[1]), abs(c[2])
+        lo, hi = min(mag), max(mag)
+        err = (_FRAME_ROUND * (F2 + u3 * u3 + v3 * v3 + 1.0) ** 1.5
+               * (1.0 + sum(mag)) / abs(D))
+        if lo - err > 1e-10 * (hi + err):
+            # one step of refinement, c + adj(H) (star - H c) / D, leaves
+            # a small residual, as LAPACK's solve does: the fitted map is
+            # far more sensitive to that than to c's forward error
+            rx = u3 - (u0 * c[0] + u1 * c[1] + u2 * c[2])
+            ry = v3 - (v0 * c[0] + v1 * c[1] + v2 * c[2])
+            r1 = 1.0 - (c[0] + c[1] + c[2])
+            return 0, [t + (w0 * rx + w1 * ry + w2 * r1) / D
+                       for t, (w0, w1, w2) in zip(c, adj)], frame
+        if lo + err < 1e-10 * (hi - err):
+            return 2, None, frame
+    elif ((abs(D) + 32.0 * _EPS * F2) * 3.0 ** 0.5 < 0.5e-10 * F2 ** 0.5
+          * (max(w0 * w0 + w1 * w1 + w2 * w2 for w0, w1, w2 in adj) ** 0.5
+             - 8.0 * _EPS * F2)):
+        return 1, None, frame
+    H = np.array([u[:3], v[:3], [1.0, 1.0, 1.0]])
+    if not abs(D) > 2e-10 * F3:
+        s = np.linalg.svd(H, compute_uv=False)
+        if not s[-1] > 1e-10 * s[0]:
+            return 1, None, frame
+    c = np.linalg.solve(H, [u3, v3, 1.0]).tolist()
+    mag = [abs(t) for t in c]
+    return ((0, c, frame) if min(mag) > 1e-10 * max(mag)
+            else (2, None, frame))
+
+
+def _plane_source(S):
+    """The source half of a plane fit from four points (x, y): the failure
+    code of their frame (_plane_frame), and the rows of
+    diag(1/c) adj(H) back^-1, the inverse of the frame's H diag(c) on its
+    unit copy and of the copy's map back, each up to a scalar."""
+    code, c, (u, v, cx, cy, r, adj) = _plane_frame(S)
+    if code:
+        return code, None
+    return 0, [(w0 / t, w1 / t, (r * w2 - cx * w0 - cy * w1) / t)
+               for t, (w0, w1, w2) in zip(c, adj)]
+
+
+def _plane_fit(A, T):
+    """The projective map of the plane sending a source frame, given by
+    its _plane_source rows A, to four target points (x, y), in Python
+    floats: a failure code as _fit_stack's, and on success the matrix,
+    row by row in one list of nine, in ProjectiveMap's normal form.  The
+    map is back_T H_T diag(c_T) (H_S diag(c_S))^-1 back_S^-1 of the two
+    frames' unit copies (_plane_frame); scalars drop out in the normal
+    form."""
+    code, c, (u, v, cx, cy, r, _) = _plane_frame(T)
+    if code:
+        return code, None
+    g = [[c[k] * t for t in A[k]] for k in range(3)]
+    # H diag(c) A on the unit copy, then the copy's map back
+    z = [g[0][j] + g[1][j] + g[2][j] for j in range(3)]
+    M = [r * (u[0] * g[0][j] + u[1] * g[1][j] + u[2] * g[2][j]) + cx * z[j]
+         for j in range(3)]
+    M += [r * (v[0] * g[0][j] + v[1] * g[1][j] + v[2] * g[2][j]) + cy * z[j]
+          for j in range(3)]
+    M += z
+    if not all(map(math.isfinite, M)):
+        return 3, None
+    top = max(map(abs, M))
+    M = [t / top for t in M]
+    return 0, M if next(t for t in M if abs(t) > 1e-12) > 0.0 else \
+        [-t for t in M]
+
+
+def _first_witness(va, vb, match, size, tol):
+    """The first candidate of match, in its order, whose map (_plane_fit)
+    sends every vertex va[i] within tol of its match vb[match[k, i]], in
+    units of vb's size, with denominators of one sign on va: its matrix (a
+    list of nine) and its largest vertex deviation, or None.  Triangles
+    take their centroids as the fourth frame point, larger polygons their
+    first four vertices.  Candidates are fitted one at a time and the
+    search stops at the witness."""
+    if not len(match):
+        return None
+    va, vb = va.tolist(), vb.tolist()
+    m = len(va)
+
+    def frame(V):
+        if m > 3:
+            return V[:4]
+        (x0, y0), (x1, y1), (x2, y2) = V
+        return V + [[(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]]
+
+    code, A = _plane_source(frame(va))
+    if code:
+        return None
+    for row in match.tolist():
+        W = [vb[j] for j in row]
+        code, M = _plane_fit(A, frame(W))
+        if code:
+            continue
+        a, b, c, d, e, f, g, h, k = M
+        up = g * va[0][0] + h * va[0][1] + k > 0.0
+        worst = 0.0
+        for (x, y), (wx, wy) in zip(va, W):
+            z = g * x + h * y + k
+            if not (z > 0.0 if up else z < 0.0):
+                break
+            dx = (a * x + b * y + c) / z - wx
+            dy = (d * x + e * y + f) / z - wy
+            worst = max(worst, dx * dx + dy * dy)
+        else:
+            dev = math.sqrt(worst) / size
+            if dev <= tol:
+                return M, dev
+    return None
+
+
 def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     """Decide whether two plane domains are isometric, with a witness.
 
@@ -571,11 +736,14 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     second polygon's ratio when its vertices move by tol of its size, so
     no candidate the vertex test accepts is dropped (_pencils_agree).
     Every triangle, and every quadrilateral, is equivalent, so for
-    m <= 4 all 2m candidates are fitted.  The fits run in one stacked
-    solve.  The witness is the first in shift order that sends every
-    vertex within tol of its match, in the second polygon's unit frame,
-    with denominators of one sign on the first's vertices: then it maps
-    the first polygon onto the second.  Ellipses compose their affine
+    m <= 4 all 2m candidates are fitted.  The survivors are fitted one
+    at a time, in shift order, each in closed form in Python floats on
+    unit-size copies of the frames (_plane_fit; _fit_stack, the stacked
+    fit of any dimension, stays for fit_projective), and the search stops
+    at the witness: the first that sends every vertex within tol of its
+    match, in the second polygon's unit frame, with denominators of one
+    sign on the first's vertices; then it maps the first polygon onto
+    the second (_first_witness).  Ellipses compose their affine
     charts.  max_deviation is the vertex residual, or the radial one of
     the chart's axis ends.  A polygon and an ellipse are never isometric.
     rng is accepted and not used.
@@ -608,30 +776,15 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     # vb[(shift + orient i) % m], for shift in 0..m-1 and orient 1, -1
     i = np.arange(m)
     match = (i[:, None, None] + np.outer([1, -1], i)).reshape(2 * m, m) % m
-    size = np.ptp(vb, axis=0).max()
+    size = float(np.ptp(vb, axis=0).max())
     if m >= 5:
         match = match[_pencils_agree(va, vb, match, tol * size)]
-        if not len(match):
-            return PlaneClassification("not-isometric", None, math.inf)
-    W = vb[match]
-    if m == 3:
-        src = np.vstack([va, va.mean(axis=0)])
-        tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
-    else:
-        src, tgt = va[:4], W[:, :4]
-    M, fail = _fit_stack(src, tgt)
-    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M, 1, 2)
-    den = h[:, :, -1:]
-    one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
-    img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
-    dev = np.linalg.norm(img - W, axis=2).max(axis=1) / size
-    ok = (fail == 0) & one_sign & (dev <= tol)
-    if not ok.any():
+    found = _first_witness(va, vb, match, size, tol)
+    if found is None:
         return PlaneClassification("not-isometric", None, math.inf)
-    k = int(np.argmax(ok))
-    cand = ProjectiveMap._normalised(M[k])
-    return PlaneClassification("projectively-equivalent", cand,
-                               float(dev[k]), _chart_map(dom_a, dom_b, cand))
+    cand = ProjectiveMap._normalised(np.array(found[0]).reshape(3, 3))
+    return PlaneClassification("projectively-equivalent", cand, found[1],
+                               _chart_map(dom_a, dom_b, cand))
 
 
 def is_cone_3d(domain):

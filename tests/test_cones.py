@@ -118,3 +118,45 @@ def test_slice_reproduces_domain_metric():
             x, y = dom.sample_interior(rng, 2, pull=0.02)
             assert abs(cone_distance(cone, cone.embed(x), cone.embed(y))
                        - distance(dom, x, y)) < 1e-10
+
+
+def _accepted(cone, x, y):
+    try:
+        cone_distance(cone, x, y)
+    except XNotInteriorOfCone:
+        return False
+    return True
+
+
+def test_interior_test_reads_points_as_cone_distance_accepts_them():
+    # points within a few ulp of the boundary: ray ends from the centroid
+    # of a polygon times 1 +- 2^-52 and 1 - 2^-50 on the cone over it, and
+    # points 1 +- 2^-52 off the Lorentz cone's boundary; contains_interior
+    # of a point, or of a row of a stack, says what cone_distance accepts,
+    # as x and as y
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(12):
+        th = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 12))))
+        V = np.c_[np.cos(th), np.sin(th)] * rng.uniform(0.5, 3.0)
+        dom = build_polytope(V + 3.0 * rng.normal(size=2))
+        cone, c = cone_over(dom), dom.centroid()
+        for _ in range(8):
+            e = dom.ray(c, rng.normal(size=2)).endpoint
+            for f in (1 + 2.0 ** -52, 1 - 2.0 ** -52, 1 - 2.0 ** -50):
+                cases.append((cone, cone.embed(c + (e - c) * f),
+                              cone.embed(c)))
+    for n in (3, 4):
+        cone = lorentz_cone(n)
+        for _ in range(100):
+            u = rng.normal(size=n - 1)
+            for f in (1 + 2.0 ** -52, 1 - 2.0 ** -52, 1 - 2.0 ** -50):
+                p = np.r_[1.0, u / np.linalg.norm(u) * f] * rng.uniform(0.5, 3)
+                cases.append((cone, p, np.r_[1.0, np.zeros(n - 1)]))
+    inside = 0
+    for cone, p, y in cases:
+        got = cone.contains_interior(p)
+        assert got == bool(cone.contains_interior(np.array([p, y]))[0])
+        assert got == _accepted(cone, p, y) == _accepted(cone, y, p)
+        inside += got
+    assert 0 < inside < len(cases)

@@ -450,8 +450,7 @@ def test_classifier_finds_projective_images_at_large_scale():
         va, _ = big.polygon_vertices_local()
         vb, _ = image.polygon_vertices_local()
         m = len(va)
-        W = vb[(np.repeat(np.arange(m), 2)[:, None]
-                + np.tile([1, -1], m)[:, None] * np.arange(m)) % m]
+        W = vb[_candidates(m)]
         _, fail = _fit_stack(va[:4], W[:, :4])
         assert list(fail) == [0] * (2 * m)
         for a, b in ((big, image), (image, big)):
@@ -492,8 +491,7 @@ def test_stacked_classifier_with_a_collinear_frame_triple():
     va, _ = dom.polygon_vertices_local()
     assert len(va) == 9
     m = 9
-    W = va[(np.repeat(np.arange(m), 2)[:, None]
-            + np.tile([1, -1], m)[:, None] * np.arange(m)) % m]
+    W = va[_candidates(m)]
     _, fail = _fit_stack(va[:4], W[:, :4])
     assert 1 in fail and 0 in fail
     rng = np.random.default_rng(3)
@@ -567,14 +565,12 @@ def _two_pass_fit_stack(S, T):
     return _normal_form(np.where(finite[:, None, None], M, eye)), fail
 
 
-def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
-    # one _unit_frames and _frames pass on [S; T] does each family's own
-    # arithmetic: the same matrices and failure codes, byte for byte, on
-    # candidate stacks of every size with flat and degenerate families
-    from hilbertgeo.isometries import _fit_stack
-
-    rng = np.random.default_rng(36)
-    codes = set()
+def _fit_families(rng):
+    """Random fit problems (d, S, T) in R^1..R^3 at scales 1e-8..1e10: a
+    source family S of d+2 points and a stack T of target families, with
+    flat ones (the first d+1 do not span), ones with the last point on a
+    reference face, now and then a flat source, and in the plane half the
+    targets projective images of S."""
     for d in (1, 2, 3):
         for _ in range(40):
             scale = 10.0 ** rng.uniform(-8, 10)
@@ -588,15 +584,92 @@ def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
                 S[1] = S[0]
             if d == 2:
                 T[:len(T) // 2] = _projective_image(rng, S / scale) * scale
-            M, fail = _fit_stack(S, T)
-            M_ref, fail_ref = _two_pass_fit_stack(S, T)
-            assert M.tobytes() == M_ref.tobytes()
-            assert fail.tobytes() == fail_ref.tobytes()
-            codes.update(fail.tolist())
+            yield d, S, T
+
+
+def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
+    # one _unit_frames and _frames pass on [S; T] does each family's own
+    # arithmetic: the same matrices and failure codes, byte for byte, on
+    # candidate stacks of every size with flat and degenerate families
+    from hilbertgeo.isometries import _fit_stack
+
+    codes = set()
+    for d, S, T in _fit_families(np.random.default_rng(36)):
+        M, fail = _fit_stack(S, T)
+        M_ref, fail_ref = _two_pass_fit_stack(S, T)
+        assert M.tobytes() == M_ref.tobytes()
+        assert fail.tobytes() == fail_ref.tobytes()
+        codes.update(fail.tolist())
     assert codes == {0, 1, 2}
 
 
+def _float_fit(S, T):
+    """The plane classifier's float fit of one source family S to each
+    family of a stack T, as _fit_stack returns them (a failure code per
+    candidate, the identity where it fails)."""
+    from hilbertgeo.isometries import _plane_fit, _plane_source
+
+    code, A = _plane_source(S.tolist())
+    out = [(code, None) if code else _plane_fit(A, W) for W in T.tolist()]
+    return (np.array([np.eye(3) if M is None else np.reshape(M, (3, 3))
+                      for _, M in out]), np.array([f for f, _ in out]))
+
+
+def _near_threshold_families(rng):
+    """Plane fit problems on the edge of _frames's 1e-10 tests: the last
+    point's least coefficient near 1e-10 of its largest, and the first
+    three points nearly on a line, with the least singular value near
+    1e-10 of the largest."""
+    for _ in range(40):
+        S = rng.normal(size=(4, 2))
+        T = np.repeat(S[None], 6, axis=0)
+        w = 1e-10 * (1.0 + rng.uniform(-1e-3, 1e-3, 3))
+        w[1] = 1e-10 * (1.0 + 1e-14 * rng.normal())
+        for k in range(3):
+            c = np.array([1.0, 1.0, 1.0])
+            c[k] = w[k]
+            T[k, 3] = (c @ T[k, :3]) / c.sum()
+        for k in range(3, 6):
+            # the third point off the first two's line by about 1e-10
+            t = rng.uniform(0.2, 0.8)
+            along = T[k, 0] + t * (T[k, 1] - T[k, 0])
+            e = T[k, 1] - T[k, 0]
+            n = np.array([-e[1], e[0]])
+            T[k, 2] = along + (10.0 ** rng.uniform(-10.5, -9.5)) * n
+        yield S, T
+
+
+def test_float_fit_is_the_stacked_fit():
+    # the plane classifier's float fit gives every candidate _fit_stack's
+    # failure code, on the plane families of the generator above and on
+    # frames at the edge of its tests, and maps within 1e-12 of the
+    # largest entry
+    from hilbertgeo.isometries import _fit_stack
+
+    codes, worst = set(), 0.0
+    families = [(S, T) for d, S, T in _fit_families(np.random.default_rng(36))
+                if d == 2]
+    families += list(_near_threshold_families(np.random.default_rng(37)))
+    for S, T in families:
+        M, fail = _fit_stack(S, T)
+        M_f, fail_f = _float_fit(S, T)
+        assert fail_f.tolist() == fail.tolist()
+        ok = fail == 0
+        if ok.any():
+            worst = max(worst, float(np.abs(M_f[ok] - M[ok]).max()))
+        codes.update(fail.tolist())
+    assert codes == {0, 1, 2}
+    assert worst <= 1e-12
+
+
 # ------------------------------------------- pruning by pencil cross ratios
+
+def _candidates(m):
+    """The 2m vertex matchings of two m-gons in shift order: row
+    2 shift + (orient == -1) matches vertex i with (shift + orient i) % m."""
+    i = np.arange(m)
+    return (np.repeat(i, 2)[:, None] + np.tile([1, -1], m)[:, None] * i) % m
+
 
 def _all_candidates_classify(dom_a, dom_b, tol=1e-7):
     """classify_2d on two polygons with every one of the 2m vertex
@@ -604,37 +677,20 @@ def _all_candidates_classify(dom_a, dom_b, tol=1e-7):
     from hilbertgeo.isometries import (
         PlaneClassification,
         _chart_map,
-        _fit_stack,
+        _first_witness,
     )
 
     va, _ = dom_a.polygon_vertices_local()
     vb, _ = dom_b.polygon_vertices_local()
-    m = len(va)
-    if len(vb) != m:
+    if len(vb) != len(va):
         return PlaneClassification("not-isometric", None, math.inf)
-    i = np.arange(m)
-    shift = np.repeat(i, 2)[:, None]
-    orient = np.tile([1, -1], m)[:, None]
-    W = vb[(shift + orient * i) % m]
-    if m == 3:
-        src = np.vstack([va, va.mean(axis=0)])
-        tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
-    else:
-        src, tgt = va[:4], W[:, :4]
-    M, fail = _fit_stack(src, tgt)
-    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M, 1, 2)
-    den = h[:, :, -1:]
-    one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
-    img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
-    dev = (np.linalg.norm(img - W, axis=2).max(axis=1)
-           / np.ptp(vb, axis=0).max())
-    ok = (fail == 0) & one_sign & (dev <= tol)
-    if not ok.any():
+    found = _first_witness(va, vb, _candidates(len(va)),
+                           float(np.ptp(vb, axis=0).max()), tol)
+    if found is None:
         return PlaneClassification("not-isometric", None, math.inf)
-    k = int(np.argmax(ok))
-    cand = ProjectiveMap._normalised(M[k])
-    return PlaneClassification("projectively-equivalent", cand,
-                               float(dev[k]), _chart_map(dom_a, dom_b, cand))
+    cand = ProjectiveMap._normalised(np.reshape(found[0], (3, 3)))
+    return PlaneClassification("projectively-equivalent", cand, found[1],
+                               _chart_map(dom_a, dom_b, cand))
 
 
 def _assert_as_all_candidates(dom_a, dom_b):
@@ -684,19 +740,175 @@ def test_pruned_classifier_matches_all_candidates():
     assert "not-isometric" in pushed[3.0]
 
 
-def test_regular_polygons_keep_every_candidate(monkeypatch):
+def _exact_fit(S, T):
+    """The projective map sending four points S to four points T of the
+    plane, at 40 digits, in normal form."""
+    import mpmath
+
+    from hilbertgeo.isometries import _normal_form
+
+    with mpmath.workdps(40):
+        def frame(P):
+            H = mpmath.matrix([[p[0] for p in P[:3]], [p[1] for p in P[:3]],
+                               [1, 1, 1]])
+            star = mpmath.matrix([P[3][0], P[3][1], 1])
+            return H * mpmath.diag(mpmath.lu_solve(H, star))
+
+        M = np.array((frame(T) * mpmath.inverse(frame(S))).tolist(),
+                     dtype=float)
+    return _normal_form(M[None])[0]
+
+
+def test_float_fit_is_as_accurate_as_the_stacked_fit():
+    # narrow frames, four consecutive vertices of 24- to 64-gons, sent to
+    # projective images: the float fit stays within 2.5 times the stacked
+    # fit's error against a 40-digit fit (the refinement of its
+    # coefficients; Cramer's rule alone reads about 3 to 5 times)
+    from hilbertgeo.isometries import _fit_stack, _plane_fit, _plane_source
+
+    rng = np.random.default_rng(0)
+    worst = worst_stacked = 0.0
+    for _ in range(40):
+        V = _ngon(rng, int(rng.choice([24, 48, 64])))
+        U = _projective_image(rng, V)
+        for k in range(0, len(V), len(V) // 4):
+            S, T = V[:4], np.roll(U, -k, axis=0)[:4]
+            exact = _exact_fit(S, T)
+            _, M = _plane_fit(_plane_source(S.tolist())[1], T.tolist())
+            worst = max(worst, np.abs(np.reshape(M, (3, 3)) - exact).max())
+            M_s = _fit_stack(S, T[None])[0][0]
+            worst_stacked = max(worst_stacked, np.abs(M_s - exact).max())
+    assert worst <= 2.5 * worst_stacked
+
+
+def _stacked_classify(dom_a, dom_b, tol=1e-7):
+    """classify_2d's polygon path as one stacked fit: the candidates that
+    pass the pencil test fitted in one _fit_stack call, checked on the
+    vertices in numpy, the first that passes chosen.  Returns the verdict,
+    the chosen row of _candidates, the witness matrix and max_deviation."""
+    from hilbertgeo.isometries import _fit_stack, _pencils_agree
+
+    va, _ = dom_a.polygon_vertices_local()
+    vb, _ = dom_b.polygon_vertices_local()
+    m = len(va)
+    if len(vb) != m:
+        return "not-isometric", None, None, math.inf
+    rows = np.arange(2 * m)
+    size = np.ptp(vb, axis=0).max()
+    if m >= 5:
+        rows = rows[_pencils_agree(va, vb, _candidates(m), tol * size)]
+        if not len(rows):
+            return "not-isometric", None, None, math.inf
+    W = vb[_candidates(m)[rows]]
+    if m == 3:
+        src = np.vstack([va, va.mean(axis=0)])
+        tgt = np.concatenate([W, W.mean(axis=1)[:, None]], axis=1)
+    else:
+        src, tgt = va[:4], W[:, :4]
+    M, fail = _fit_stack(src, tgt)
+    h = np.hstack([va, np.ones((m, 1))]) @ np.swapaxes(M, 1, 2)
+    den = h[:, :, -1:]
+    one_sign = (den > 0.0).all(axis=(1, 2)) | (den < 0.0).all(axis=(1, 2))
+    img = h[:, :, :-1] / np.where(one_sign[:, None, None], den, 1.0)
+    dev = np.linalg.norm(img - W, axis=2).max(axis=1) / size
+    ok = (fail == 0) & one_sign & (dev <= tol)
+    if not ok.any():
+        return "not-isometric", None, None, math.inf
+    k = int(np.argmax(ok))
+    return "projectively-equivalent", int(rows[k]), M[k], float(dev[k])
+
+
+def _chosen_candidate(dom_a, dom_b, witness):
+    """The row of _candidates that a witness's vertex images match."""
+    va, _ = dom_a.polygon_vertices_local()
+    vb, _ = dom_b.polygon_vertices_local()
+    img = _ReferenceMap(witness.matrix).apply(va)
+    j = np.linalg.norm(img[:2, None] - vb[None], axis=2).argmin(axis=1)
+    m = len(va)
+    return 2 * int(j[0]) + int((j[1] - j[0]) % m != 1)
+
+
+def test_float_fit_classifier_matches_the_stacked_fit():
+    # the one-at-a-time float fit, stopped at the witness, gives the
+    # stacked fit's verdict and candidate, and its witness and
+    # max_deviation within 1e-12, on projective images, other polygons,
+    # reflections and images pushed to either side of tol, m = 3..64
+    rng = np.random.default_rng(95)
+    seen = set()
+    for m in list(range(3, 13)) + [16, 24, 40, 64]:
+        for scale in (1e-9, 1e-3, 1.0, 1e6, 1e12):
+            V = _ngon(rng, m)
+            U = _projective_image(rng, V)
+            for B in (U, _ngon(rng, m), V[::-1] + 0.25,
+                      _pushed(rng, U, 0.3), _pushed(rng, U, 3.0)):
+                a, b = build_polytope(V * scale), build_polytope(B * scale)
+                for x, y in ((a, b), (b, a)):
+                    got = classify_2d(x, y)
+                    verdict, k, M, dev = _stacked_classify(x, y)
+                    assert got.verdict == verdict
+                    seen.add(verdict)
+                    if M is None:
+                        assert got.witness is None
+                        continue
+                    assert np.abs(got.witness.matrix - M).max() <= 1e-12
+                    assert abs(got.max_deviation - dev) <= 1e-12
+                    assert _chosen_candidate(x, y, got.witness) == k
+    assert seen == {"projectively-equivalent", "not-isometric"}
+
+
+def test_polygon_order_is_kept_on_the_domain():
+    rng = np.random.default_rng(96)
+    V = _ngon(rng, 9)
+    dom = build_polytope(V)
+    lv, order = dom.polygon_vertices_local()
+    again = dom.polygon_vertices_local()
+    assert again[0].tobytes() == lv.tobytes()
+    assert again[1].tobytes() == order.tobytes()
+    # the same bits as a fresh domain's first call
+    fresh = build_polytope(V).polygon_vertices_local()
+    assert fresh[0].tobytes() == lv.tobytes()
+    assert fresh[1].tobytes() == order.tobytes()
+    for arr in (lv, order):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    assert dom.polygon_vertices_local()[0].tobytes() == lv.tobytes()
+    # classifying one domain against two partners in turn reads its kept
+    # order and gives what fresh copies give
+    for B in (_projective_image(rng, V), _ngon(rng, 9)):
+        for x, y in ((dom, build_polytope(B)), (build_polytope(B), dom)):
+            got = classify_2d(x, y)
+            want = classify_2d(
+                *(build_polytope(V) if z is dom else build_polytope(B)
+                  for z in (x, y)))
+            assert got.verdict == want.verdict
+            assert (np.float64(got.max_deviation).tobytes()
+                    == np.float64(want.max_deviation).tobytes())
+            if want.witness is not None:
+                assert (got.witness.matrix.tobytes()
+                        == want.witness.matrix.tobytes())
+
+
+def _count_survivors(monkeypatch):
+    """A list that gets, on every pencil test classify_2d makes, the
+    number of candidates that pass it."""
     from hilbertgeo import isometries
 
-    # every vertex of a regular m-gon has the same pencil, so every shift
-    # and orientation survives the pruning and is fitted
     counts = []
-    fit = isometries._fit_stack
+    agree = isometries._pencils_agree
 
-    def counting(S, T):
-        counts.append(len(T))
-        return fit(S, T)
+    def counting(*args):
+        ok = agree(*args)
+        counts.append(int(ok.sum()))
+        return ok
 
-    monkeypatch.setattr(isometries, "_fit_stack", counting)
+    monkeypatch.setattr(isometries, "_pencils_agree", counting)
+    return counts
+
+
+def test_regular_polygons_keep_every_candidate(monkeypatch):
+    # every vertex of a regular m-gon has the same pencil, so every shift
+    # and orientation survives the pruning
+    counts = _count_survivors(monkeypatch)
     rng = np.random.default_rng(92)
     for m in (5, 6, 8, 13):
         th = 2 * math.pi * np.arange(m) / m
@@ -707,8 +919,8 @@ def test_regular_polygons_keep_every_candidate(monkeypatch):
             assert _assert_as_all_candidates(build_polytope(V),
                                              build_polytope(B)) == \
                 ["projectively-equivalent"] * 2
-            # the classifier and the reference, both ways round
-            assert counts == [2 * m] * 4
+            # the classifier, both ways round
+            assert counts == [2 * m] * 2
 
 
 def test_pruning_with_a_vertex_of_tiny_exterior_angle():
@@ -736,16 +948,7 @@ def test_pruning_with_a_vertex_of_tiny_exterior_angle():
 
 
 def test_64_gons_fit_at_most_two_candidates(monkeypatch):
-    from hilbertgeo import isometries
-
-    counts = []
-    fit = isometries._fit_stack
-
-    def counting(S, T):
-        counts.append(len(T))
-        return fit(S, T)
-
-    monkeypatch.setattr(isometries, "_fit_stack", counting)
+    counts = _count_survivors(monkeypatch)
     rng = np.random.default_rng(94)
     for _ in range(10):
         V = _ngon(rng, 64)
@@ -757,4 +960,4 @@ def test_64_gons_fit_at_most_two_candidates(monkeypatch):
         counts.clear()
         got = classify_2d(a, build_polytope(_ngon(rng, 64)))
         assert got.verdict == "not-isometric"
-        assert counts == []
+        assert counts == [0]
