@@ -10,6 +10,7 @@ the domain along its defining slice.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,7 +208,10 @@ def cone_over(domain, eps=None):
     at the generators' centroid.  The null vector is taken from the first
     generator and the differences of the others from it, each scaled to
     unit length, which keeps it accurate on short facets, whose generators
-    are nearly parallel.
+    are nearly parallel.  A lifted domain is first scaled by 2^-k, k the
+    exponent of its size, so that a small or large one's generators
+    [v 2^-k, 1] are as far from parallel as a unit one's; its functionals
+    then take the factor 2^-k on their first columns, which is exact.
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
@@ -217,10 +221,12 @@ def cone_over(domain, eps=None):
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")
         G, embed = domain.vertices, _as_array
+        unit = 1.0
     else:
         if domain.intrinsic_dim != domain.ambient_dim:
             raise DegenerateInput("generators do not span the space")
         G, embed = _with_one(domain.vertices), _with_one
+        unit = math.ldexp(1.0, 1 - math.frexp(domain._size)[1])
     facets = [sorted(F) for F in domain._facet_sets]
     by_size = {}
     for i, F in enumerate(facets):
@@ -230,9 +236,11 @@ def cone_over(domain, eps=None):
         # one stacked SVD per facet size: the last right singular vector
         # spans the null space of the facet's generators
         M = G[[facets[i] for i in rows]]
+        M[..., :-1] *= unit
         M[:, 1:] -= M[:, :1]
         M /= np.linalg.norm(M, axis=2, keepdims=True)
         L[rows] = np.linalg.svd(M)[2][:, -1]
+    L[:, :-1] *= unit
     L /= (L @ G.mean(axis=0))[:, None]
     return Cone(kind="polyhedral", dim=G.shape[1], generators=G,
                 functionals=L, embed=embed, lifted=lifted)

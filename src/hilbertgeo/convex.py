@@ -169,12 +169,6 @@ def _rank(s, tol):
     return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
-def _affine_rank(points, tol):
-    if len(points) <= 1:
-        return 0
-    return _rank(np.linalg.svd(points[1:] - points[0], compute_uv=False), tol)
-
-
 def _affine_chart(points, tol):
     """Orthonormal chart of the affine hull: origin plus direction basis,
     of the singular directions above tol of the largest; the identity

@@ -558,34 +558,16 @@ def _pencils_agree(va, vb, match, delta):
     return near.all(axis=1)
 
 
-# the round-off of a plane frame's determinants (Cramer's rule) and of
-# LAPACK's solve, in units of kappa (1 + sum |c|) (_plane_frame)
-_EPS = float(np.finfo(float).eps)
-_FRAME_ROUND = 256.0 * _EPS
-
-
 def _plane_frame(P):
     """The projective frame of four points (x, y) of the plane, as _frames
     takes it on the _unit_frames copy, in Python floats: a failure code (0,
     1 where the first three do not span, 2 where the fourth lies on a face
     of their triangle), the coefficients c of the fourth point over the
     first three (None on failure), and the copy's columns and centroid and
-    scale.
-
-    D, the determinant of the first three columns H, is the product of
-    H's singular values, so |D| > 2e-10 |H|_F^3 proves that they span.
-    The least singular value is at most |D| over the largest cross product
-    of two columns (the third's height over them), so a |D| below
-    0.5e-10 |H|_F / sqrt(3) times that proves that they do not; both hold
-    with a margin that no round-off of D or of _frames's SVD takes away.
-    c is Cramer's rule, the ratios of the determinants of the columns with
-    the fourth point in place of each to D.  With kappa = G^3 / |D|, G the
-    norm of all four columns, Cramer's c and LAPACK's solve each lie
-    within _FRAME_ROUND kappa (1 + sum |c|) of the exact coefficients,
-    which decides the 1e-10 general-position test unless c's least entry
-    falls in that band around it.  Only frames these bounds cannot decide
-    go to numpy's SVD or solve, as in _frames, so every code is _frames's.
-    """
+    scale.  c is Cramer's rule with one step of refinement.  A frame fails
+    only where it cannot be fitted: D, the first three's determinant, is
+    zero, or a coefficient is zero or not finite.  Its conditioning is
+    left to the vertex test of its map (_first_witness)."""
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = P
     cx = (x0 + x1 + x2 + x3) / 4.0
     cy = (y0 + y1 + y2 + y3) / 4.0
@@ -605,46 +587,29 @@ def _plane_frame(P):
     a1, b1, a2, b2, a3, b3 = u1 - u0, v1 - v0, u2 - u0, v2 - v0, u3 - u0, \
         v3 - v0
     D = a1 * b2 - a2 * b1
-    F2 = u0 * u0 + u1 * u1 + u2 * u2 + v0 * v0 + v1 * v1 + v2 * v2 + 3.0
-    F3 = F2 ** 1.5
-    if abs(D) > 2e-10 * F3:
-        c = ((a1 - a3) * (b2 - b3) - (a2 - a3) * (b1 - b3)) / D, \
-            (a3 * b2 - a2 * b3) / D, (a1 * b3 - a3 * b1) / D
-        mag = abs(c[0]), abs(c[1]), abs(c[2])
-        lo, hi = min(mag), max(mag)
-        err = (_FRAME_ROUND * (F2 + u3 * u3 + v3 * v3 + 1.0) ** 1.5
-               * (1.0 + sum(mag)) / abs(D))
-        if lo - err > 1e-10 * (hi + err):
-            # one step of refinement, c + adj(H) (star - H c) / D, leaves
-            # a small residual, as LAPACK's solve does: the fitted map is
-            # far more sensitive to that than to c's forward error
-            rx = u3 - (u0 * c[0] + u1 * c[1] + u2 * c[2])
-            ry = v3 - (v0 * c[0] + v1 * c[1] + v2 * c[2])
-            r1 = 1.0 - (c[0] + c[1] + c[2])
-            return 0, [t + (w0 * rx + w1 * ry + w2 * r1) / D
-                       for t, (w0, w1, w2) in zip(c, adj)], frame
-        if lo + err < 1e-10 * (hi - err):
-            return 2, None, frame
-    elif ((abs(D) + 32.0 * _EPS * F2) * 3.0 ** 0.5 < 0.5e-10 * F2 ** 0.5
-          * (max(w0 * w0 + w1 * w1 + w2 * w2 for w0, w1, w2 in adj) ** 0.5
-             - 8.0 * _EPS * F2)):
+    if D == 0.0:
         return 1, None, frame
-    H = np.array([u[:3], v[:3], [1.0, 1.0, 1.0]])
-    if not abs(D) > 2e-10 * F3:
-        s = np.linalg.svd(H, compute_uv=False)
-        if not s[-1] > 1e-10 * s[0]:
-            return 1, None, frame
-    c = np.linalg.solve(H, [u3, v3, 1.0]).tolist()
-    mag = [abs(t) for t in c]
-    return ((0, c, frame) if min(mag) > 1e-10 * max(mag)
-            else (2, None, frame))
+    c = ((a1 - a3) * (b2 - b3) - (a2 - a3) * (b1 - b3)) / D, \
+        (a3 * b2 - a2 * b3) / D, (a1 * b3 - a3 * b1) / D
+    # one step of refinement, c + adj(H) (star - H c) / D, leaves a small
+    # residual, as LAPACK's solve does: the fitted map is far more
+    # sensitive to that than to c's forward error
+    rx = u3 - (u0 * c[0] + u1 * c[1] + u2 * c[2])
+    ry = v3 - (v0 * c[0] + v1 * c[1] + v2 * c[2])
+    r1 = 1.0 - (c[0] + c[1] + c[2])
+    c = [t + (w0 * rx + w1 * ry + w2 * r1) / D
+         for t, (w0, w1, w2) in zip(c, adj)]
+    if not all(t != 0.0 and math.isfinite(t) for t in c):
+        return 2, None, frame
+    return 0, c, frame
 
 
 def _plane_source(S):
     """The source half of a plane fit from four points (x, y): the failure
-    code of their frame (_plane_frame), and the rows of
-    diag(1/c) adj(H) back^-1, the inverse of the frame's H diag(c) on its
-    unit copy and of the copy's map back, each up to a scalar."""
+    code of their frame (_plane_frame; nonzero only where it cannot be
+    fitted), and the rows of diag(1/c) adj(H) back^-1, the inverse of the
+    frame's H diag(c) on its unit copy and of the copy's map back, each
+    up to a scalar."""
     code, c, (u, v, cx, cy, r, adj) = _plane_frame(S)
     if code:
         return code, None
@@ -655,11 +620,11 @@ def _plane_source(S):
 def _plane_fit(A, T):
     """The projective map of the plane sending a source frame, given by
     its _plane_source rows A, to four target points (x, y), in Python
-    floats: a failure code as _fit_stack's, and on success the matrix,
-    row by row in one list of nine, in ProjectiveMap's normal form.  The
-    map is back_T H_T diag(c_T) (H_S diag(c_S))^-1 back_S^-1 of the two
-    frames' unit copies (_plane_frame); scalars drop out in the normal
-    form."""
+    floats: a failure code (the target frame's, or 3 where the matrix is
+    not finite), and on success the matrix, row by row in one list of
+    nine, in ProjectiveMap's normal form.  The map is
+    back_T H_T diag(c_T) (H_S diag(c_S))^-1 back_S^-1 of the two frames'
+    unit copies (_plane_frame); scalars drop out in the normal form."""
     code, c, (u, v, cx, cy, r, _) = _plane_frame(T)
     if code:
         return code, None
@@ -683,10 +648,13 @@ def _first_witness(va, vb, match, size, tol):
     """The first candidate of match, in its order, whose map (_plane_fit)
     sends every vertex va[i] within tol of its match vb[match[k, i]], in
     units of vb's size, with denominators of one sign on va: its matrix (a
-    list of nine) and its largest vertex deviation, or None.  Triangles
-    take their centroids as the fourth frame point, larger polygons their
-    first four vertices.  Candidates are fitted one at a time and the
-    search stops at the witness."""
+    list of nine) and its largest vertex deviation, or None.  This vertex
+    test alone accepts a map.  Triangles take their centroids as the
+    fourth frame point, larger polygons the vertices at 0, m/4, m/2 and
+    3m/4, rounded down: for m >= 6 no three of them are consecutive, so
+    a vertex nearly on its neighbours' line, which spoils a frame that
+    holds all three, never does.  Candidates are fitted one at a time and
+    the search stops at the witness."""
     if not len(match):
         return None
     va, vb = va.tolist(), vb.tolist()
@@ -694,7 +662,7 @@ def _first_witness(va, vb, match, size, tol):
 
     def frame(V):
         if m > 3:
-            return V[:4]
+            return [V[0], V[m // 4], V[m // 2], V[3 * m // 4]]
         (x0, y0), (x1, y1), (x2, y2) = V
         return V + [[(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]]
 
@@ -743,10 +711,11 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     at the witness: the first that sends every vertex within tol of its
     match, in the second polygon's unit frame, with denominators of one
     sign on the first's vertices; then it maps the first polygon onto
-    the second (_first_witness).  Ellipses compose their affine
-    charts.  max_deviation is the vertex residual, or the radial one of
-    the chart's axis ends.  A polygon and an ellipse are never isometric.
-    rng is accepted and not used.
+    the second (_first_witness).  That vertex test alone decides: a frame
+    is skipped only where it cannot be fitted.  Ellipses compose their
+    affine charts.  max_deviation is the vertex residual, or the radial
+    one of the chart's axis ends.  A polygon and an ellipse are never
+    isometric.  rng is accepted and not used.
     """
     if dom_a.intrinsic_dim != 2 or dom_b.intrinsic_dim != 2:
         raise Unsupported("the classifier compares plane domains")

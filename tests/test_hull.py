@@ -24,10 +24,19 @@ from hilbertgeo import (
     standard_simplex,
 )
 from hilbertgeo import convex
-from hilbertgeo.convex import _affine_rank, _hull_facets, _lex_keep
+from hilbertgeo.convex import _hull_facets, _lex_keep, _rank
 from hilbertgeo.errors import DegenerateInput, EmptyIntersection
 
 TOL = 1e-9
+
+
+def _affine_rank(points, tol):
+    """The dimension of the points' affine hull: the number of singular
+    values of their differences from the first above tol of the
+    largest."""
+    if len(points) <= 1:
+        return 0
+    return _rank(np.linalg.svd(points[1:] - points[0], compute_uv=False), tol)
 
 
 def reference_vertices(P):

@@ -684,6 +684,17 @@ def test_cone_over_polygon_reproduces_distance():
             want = distance(dom, x, y)
             got = cone_distance(cone, cone.embed(x), cone.embed(y))
             assert abs(got - want) <= 1e-15 * want
+    # the lift is made at unit size, so a small or large polygon's cone
+    # keeps its metric too
+    for scale in (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
+        for verts in (SQUARE, PENTAGON, OCTAGON):
+            dom = build_polytope(np.array(verts, dtype=float) * scale)
+            cone = cone_over(dom)
+            for _ in range(100):
+                x, y = dom.sample_interior(rng, 2, pull=0.05)
+                want = distance(dom, x, y)
+                got = cone_distance(cone, cone.embed(x), cone.embed(y))
+                assert abs(got - want) <= 1e-14 * want
 
 
 def _distance_by_row(dom, x, y):
