@@ -10,7 +10,6 @@ the domain along its defining slice.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,48 +198,52 @@ def build_cone(generators, eps=None):
 def cone_over(domain, eps=None):
     """The cone over a polytope domain, with the slice embedding attached.
 
-    If the affine hull avoids the origin (by more than eps of the domain's
-    size) the vertices themselves generate the cone and points embed as
-    themselves; otherwise the domain, which must then be full-dimensional,
-    is lifted by an appended coordinate 1.  The cone's facets are spanned
-    by the generators of the domain's facets, so no hull is built: each
-    functional is the null vector of one facet's generators, scaled to 1
-    at the generators' centroid.  The null vector is taken from the first
-    generator and the differences of the others from it, each scaled to
-    unit length, which keeps it accurate on short facets, whose generators
-    are nearly parallel.  A lifted domain is first scaled by 2^-k, k the
-    exponent of its size, so that a small or large one's generators
-    [v 2^-k, 1] are as far from parallel as a unit one's; its functionals
-    then take the factor 2^-k on their first columns, which is exact.
+    A full-dimensional domain is lifted by an appended coordinate 1: its
+    generators are the vertices [v, 1] and points embed as [p, 1].  Its
+    functionals are the domain's own facet rows, homogenised: the slack
+    b_i - (p - o).M_i (M the facet columns of _M, o the chart origin)
+    becomes l_i(p, t) = (b_i + o.M_i) t - p.M_i, so at t = 1 a lifted
+    point's functional values are the domain's slacks, scaled to 1 at the
+    generators' centroid, and no null vector is solved for.
+
+    An embedded domain of one dimension less, whose affine hull avoids the
+    origin by more than eps of its size, is not lifted: its vertices
+    generate the cone and points embed as themselves.  Each functional is
+    then the null vector of one facet's generators, from one stacked SVD
+    per facet size, taken on the first generator and the differences of
+    the others from it, each scaled to unit length, which keeps it
+    accurate on short facets, whose generators are nearly parallel.  The
+    SVD is kept here because a closed form from the chart rows leaves
+    round-off where a functional must vanish exactly: the orthant's
+    functionals over the standard simplex get entries of 2e-16 in place of
+    0, and [1, 0, 3] would read as interior.
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
-    e = _eps(eps)
-    lifted = domain._read(np.zeros(domain.ambient_dim))[1][0] <= e * abs(e)
-    if not lifted:
+    lifted = domain.intrinsic_dim == domain.ambient_dim
+    if lifted:
+        M = domain._M[:, :len(domain._b)]
+        G, embed = _with_one(domain.vertices), _with_one
+        L = np.hstack([-M.T, (domain._b + domain._origin @ M)[:, None]])
+    else:
+        e = _eps(eps)
+        if domain._read(np.zeros(domain.ambient_dim))[1][0] <= e * abs(e):
+            raise DegenerateInput("generators do not span the space")
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")
         G, embed = domain.vertices, _as_array
-        unit = 1.0
-    else:
-        if domain.intrinsic_dim != domain.ambient_dim:
-            raise DegenerateInput("generators do not span the space")
-        G, embed = _with_one(domain.vertices), _with_one
-        unit = math.ldexp(1.0, 1 - math.frexp(domain._size)[1])
-    facets = [sorted(F) for F in domain._facet_sets]
-    by_size = {}
-    for i, F in enumerate(facets):
-        by_size.setdefault(len(F), []).append(i)
-    L = np.empty((len(facets), G.shape[1]))
-    for rows in by_size.values():
-        # one stacked SVD per facet size: the last right singular vector
-        # spans the null space of the facet's generators
-        M = G[[facets[i] for i in rows]]
-        M[..., :-1] *= unit
-        M[:, 1:] -= M[:, :1]
-        M /= np.linalg.norm(M, axis=2, keepdims=True)
-        L[rows] = np.linalg.svd(M)[2][:, -1]
-    L[:, :-1] *= unit
+        facets = [sorted(F) for F in domain._facet_sets]
+        by_size = {}
+        for i, F in enumerate(facets):
+            by_size.setdefault(len(F), []).append(i)
+        L = np.empty((len(facets), G.shape[1]))
+        for rows in by_size.values():
+            # one stacked SVD per facet size: the last right singular
+            # vector spans the null space of the facet's generators
+            N = G[[facets[i] for i in rows]]
+            N[:, 1:] -= N[:, :1]
+            N /= np.linalg.norm(N, axis=2, keepdims=True)
+            L[rows] = np.linalg.svd(N)[2][:, -1]
     L /= (L @ G.mean(axis=0))[:, None]
     return Cone(kind="polyhedral", dim=G.shape[1], generators=G,
                 functionals=L, embed=embed, lifted=lifted)

@@ -644,25 +644,46 @@ def _plane_fit(A, T):
         [-t for t in M]
 
 
+def _frame_at(va):
+    """The positions of the four frame vertices of an m-gon, m >= 4, its
+    vertices a list of [x, y]: for m >= 6 those at 0, m/4, m/2 and 3m/4,
+    rounded down, of which no three are consecutive, so a vertex nearly
+    on its neighbours' line, which spoils a frame that holds all three,
+    never does; for a pentagon the four other than its flattest vertex,
+    the one of least height over its neighbours' line per squared length
+    of their chord."""
+    m = len(va)
+    if m != 5:
+        return [0, m // 4, m // 2, 3 * m // 4]
+
+    def flatness(i):
+        (px, py), (x, y), (qx, qy) = va[i - 1], va[i], va[(i + 1) % 5]
+        cx, cy = qx - px, qy - py
+        return abs(cx * (y - py) - cy * (x - px)) / (cx * cx + cy * cy) ** 1.5
+
+    k = min(range(5), key=flatness)
+    return [(k + j) % 5 for j in range(1, 5)]
+
+
 def _first_witness(va, vb, match, size, tol):
     """The first candidate of match, in its order, whose map (_plane_fit)
     sends every vertex va[i] within tol of its match vb[match[k, i]], in
     units of vb's size, with denominators of one sign on va: its matrix (a
     list of nine) and its largest vertex deviation, or None.  This vertex
     test alone accepts a map.  Triangles take their centroids as the
-    fourth frame point, larger polygons the vertices at 0, m/4, m/2 and
-    3m/4, rounded down: for m >= 6 no three of them are consecutive, so
-    a vertex nearly on its neighbours' line, which spoils a frame that
-    holds all three, never does.  Candidates are fitted one at a time and
-    the search stops at the witness."""
+    fourth frame point, larger polygons four of their vertices, at the
+    same positions (_frame_at) in va and in each candidate's match.
+    Candidates are fitted one at a time and the search stops at the
+    witness."""
     if not len(match):
         return None
     va, vb = va.tolist(), vb.tolist()
     m = len(va)
+    at = _frame_at(va) if m > 3 else None
 
     def frame(V):
-        if m > 3:
-            return [V[0], V[m // 4], V[m // 2], V[3 * m // 4]]
+        if at:
+            return [V[i] for i in at]
         (x0, y0), (x1, y1), (x2, y2) = V
         return V + [[(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]]
 

@@ -673,8 +673,8 @@ def test_distance_is_exactly_symmetric():
 
 
 def test_cone_over_polygon_reproduces_distance():
-    # Both sides evaluate one Funk sum; their facet normals come from two
-    # Qhull runs and agree to an ulp or so on these polygons.
+    # Both sides evaluate one Funk sum of the same facet rows, the cone's
+    # homogenised.
     rng = np.random.default_rng(23)
     for verts in (SQUARE, PENTAGON, OCTAGON):
         dom = build_polytope(verts)
@@ -684,11 +684,23 @@ def test_cone_over_polygon_reproduces_distance():
             want = distance(dom, x, y)
             got = cone_distance(cone, cone.embed(x), cone.embed(y))
             assert abs(got - want) <= 1e-15 * want
-    # the lift is made at unit size, so a small or large polygon's cone
-    # keeps its metric too
-    for scale in (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
-        for verts in (SQUARE, PENTAGON, OCTAGON):
-            dom = build_polytope(np.array(verts, dtype=float) * scale)
+    # a lifted cone's functionals are the domain's facet rows, so a small
+    # or large domain's cone keeps its metric too, in R^2 to R^4: an
+    # affine cube, points on an ellipsoid, a Gaussian cloud, a bipyramid
+    u = rng.normal(size=(26, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    th = 2 * np.pi * np.arange(12) / 12
+    shapes = [np.array(verts, dtype=float)
+              for verts in (SQUARE, PENTAGON, OCTAGON)]
+    shapes += [CUBE @ np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4],
+                                [-0.3, 0.2, 1.2]]) + [0.3, -0.2, 0.1],
+               u * [1.5, 1.0, 0.6],
+               rng.normal(size=(12, 4)),
+               np.vstack([np.c_[np.cos(th), np.sin(th), np.zeros(12)],
+                          [[0.0, 0.0, 1.1], [0.0, 0.0, -0.9]]])]
+    for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        for verts in shapes:
+            dom = build_polytope(verts * scale)
             cone = cone_over(dom)
             for _ in range(100):
                 x, y = dom.sample_interior(rng, 2, pull=0.05)
