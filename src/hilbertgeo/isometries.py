@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class ProjectiveMap:
         M = _as_array(matrix, "matrix")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DegenerateInput("projective matrix must be square")
+        if len(M) < 2:
+            raise DegenerateInput("projective matrix must be at least 2 x 2")
         s = np.linalg.svd(M, compute_uv=False)
         if not s[-1] > 1e-12 * s[0]:
             raise DegenerateInput("projective matrix is singular")
@@ -117,26 +120,7 @@ def _normal_form(M):
     return np.where((lead < 0)[:, None, None], -M, M)
 
 
-def _frames(P):
-    """Projective frames of a stack of d+2 point families in R^d: H has the
-    first d+1 points of a family as homogeneous columns, and c holds the
-    coefficients of the last point over them.  Also returns which
-    families span (smallest singular value of H above 1e-10 of the
-    largest) and which are in general position (spanning, with every
-    coefficient above 1e-10 of the largest)."""
-    K, _, d = P.shape
-    H = np.concatenate([np.swapaxes(P[:, :d + 1], 1, 2),
-                        np.ones((K, 1, d + 1))], axis=1)
-    star = np.concatenate([P[:, d + 1], np.ones((K, 1))], axis=1)
-    sv = np.linalg.svd(H, compute_uv=False)
-    spans = sv[:, -1] > 1e-10 * sv[:, 0]
-    c = np.linalg.solve(np.where(spans[:, None, None], H, np.eye(d + 1)),
-                        star[..., None])[..., 0]
-    a = np.abs(c)
-    return H, c, spans, spans & (a.min(axis=1) > 1e-10 * a.max(axis=1))
-
-
-# why _fit_stack rejects a candidate, by its failure code
+# why a fit rejects a frame or a map, by its failure code
 _FIT_FAILURES = {
     1: (DegenerateBasis, "reference points do not span"),
     2: (DegenerateBasis, "last point lies on a reference face"),
@@ -144,65 +128,146 @@ _FIT_FAILURES = {
 }
 
 
-def _unit_frames(P):
-    """Unit-size copies of a stack of point families, each moved to
-    centroid 0 and scaled to largest coordinate range 1, and the
-    homogeneous matrices that carry each copy back onto its family."""
-    d = P.shape[2]
-    c = P.mean(axis=1)
-    r = np.ptp(P, axis=1).max(axis=1)
-    r = np.where(r > 0.0, r, 1.0)
-    back = np.zeros((len(P), d + 1, d + 1))
-    back[:, :d, :d] = r[:, None, None] * np.eye(d)
-    back[:, :, d] = np.c_[c, np.ones(len(P))]
-    return (P - c[:, None]) / r[:, None, None], back
+def _frame(P):
+    """The projective frame of d+2 points of R^d, a list of lists, in
+    Python floats on their unit copy: the points moved to centroid 0 and
+    scaled to largest coordinate range 1.  Returns a failure code (0, 1
+    where the first d+1 points do not span, 2 where the last lies on a
+    face of their simplex), the coefficients c of the last point over
+    the first d+1 in homogeneous coordinates (None on failure), the
+    copy's coordinates X, X[i][k] the i-th of point k, its centroid and
+    scale, and W, the inverse of the d x d matrix whose columns are the
+    differences u_j - u_0, j = 1..d.
+
+    c_1..c_d solve sum c_j (u_j - u_0) = u_* - u_0, by Gauss-Jordan
+    elimination with partial pivoting that also yields W, and
+    c_0 = 1 - sum c.  One step of refinement on the residual of the
+    homogeneous system H c = [u_*; 1], H the columns [u_k; 1], leaves a
+    small residual, as LAPACK's solve does: the fitted map is far more
+    sensitive to that than to c's forward error.  A frame fails only
+    where it cannot be fitted: a pivot is zero, or a coefficient is zero
+    or not finite.  Its conditioning is left to the caller's tests."""
+    n = len(P)
+    d = n - 2
+    X = list(zip(*P))
+    cen = [sum(x) / n for x in X]
+    r = max([max(x) - min(x) for x in X]) or 1.0
+    X = [[(t - m) / r for t in x] for x, m in zip(X, cen)]
+    # [differences | right-hand side | identity], one row per coordinate,
+    # reduced to [I | c | W]; each step drops the column it reduces, so
+    # row k ends as [c_k, W_k]
+    R = []
+    for i, x in enumerate(X):
+        R.append([t - x[0] for t in x[1:]] + [0.0] * d)
+        R[i][d + 1 + i] = 1.0
+    for k in range(d):
+        col = [abs(row[0]) for row in R[k:]]
+        p = k + col.index(max(col))
+        t = R[p][0]
+        if t == 0.0:
+            return 1, None, X, cen, r, None
+        R[p], R[k] = R[k], R[p]
+        pivot = [x / t for x in R[k][1:]]
+        for i, row in enumerate(R):
+            f = row[0]
+            R[i] = pivot if i == k else [x - f * y
+                                         for x, y in zip(row[1:], pivot)]
+    W = [row[1:] for row in R]
+    c = [row[0] for row in R]
+    c.insert(0, 1.0 - sum(c))
+    # the correction H^-1 (residual): rows j >= 1 of H^-1 are
+    # [W_j, -W_j . u_0], and row 0 makes the corrections sum to e; map
+    # stops each coordinate at the first d+1 points, the columns of H
+    e = 1.0 - sum(c)
+    g = [x[-1] - sum(map(mul, c, x)) - e * x[0] for x in X]
+    dc = [sum(map(mul, w, g)) for w in W]
+    c = [c[0] + e - sum(dc)] + list(map(add, c[1:], dc))
+    if 0.0 in c or not all(map(math.isfinite, c)):
+        return 2, None, X, cen, r, W
+    return 0, c, X, cen, r, W
 
 
-def _fit_stack(S, T):
-    """The projective maps sending one family S of d+2 points in R^d to
-    each family of a stack T, as a stack of matrices in ProjectiveMap's
-    normal form, with a failure code per candidate: 0 for a map, else a
-    key of _FIT_FAILURES, the first of fit_projective's checks that
-    fails (source frame, then target frame, then the matrix).  The fit
-    runs on _unit_frames copies, so no test depends on scale or place;
-    S and T share one stack, [S; T], and each family's arithmetic is its
-    own."""
-    K = len(T)
-    P, back = _unit_frames(np.concatenate([S[None], T]))
-    H, c, spans, general = _frames(P)
-    fail = np.where(general[1:], 0, np.where(spans[1:], 2, 1))
-    if not general[0]:
-        fail[:] = 2 if spans[0] else 1
-    eye = np.eye(S.shape[1] + 1)
-    M = np.broadcast_to(eye, (K,) + eye.shape)
-    if general[0]:
-        fit = (back[1:] @ (H[1:] * c[1:, None, :])
-               @ np.linalg.inv(H[0] * c[0]) @ np.linalg.inv(back[0]))
-        M = np.where((fail == 0)[:, None, None], fit, M)
-    finite = np.isfinite(M).all(axis=(1, 2))
-    fail[(fail == 0) & ~finite] = 3
-    return _normal_form(np.where(finite[:, None, None], M, eye)), fail
+def _source(F):
+    """The source half of a fit from its frame F (_frame): F's failure
+    code, and the rows of diag(1/c) H^-1 back^-1, the inverse of the
+    frame's H diag(c) on its unit copy and of the copy's map back,
+    p = r u + centroid, up to the scalar r.  Row j >= 1 of H^-1 is
+    [W_j, -W_j . u_0], and row 0 is [-sum W_j, 1 + sum W_j . u_0]."""
+    code, c, X, cen, r, W = F
+    if code:
+        return code, None
+    u0 = [x[0] for x in X]
+    rows = [w + [-sum(map(mul, w, u0))] for w in W]
+    first = [-sum(x) for x in zip(*rows)]
+    first[-1] += 1.0
+    return 0, [[x / t for x in h[:-1]] + [(r * h[-1] - sum(map(mul, h, cen)))
+                                          / t]
+               for t, h in zip(c, [first] + rows)]
+
+
+def _fit(A, F):
+    """The projective map of R^d sending a source frame, given by its
+    _source rows A, to the target frame F (_frame), in Python floats: a
+    failure code (F's, or 3 where the matrix is not finite), and on
+    success the matrix, row by row in one list of (d+1)^2, in
+    ProjectiveMap's normal form.  The map is
+    back_T H_T diag(c_T) (H_S diag(c_S))^-1 back_S^-1 of the two frames'
+    unit copies; scalars drop out in the normal form."""
+    code, c, X, cen, r, _ = F
+    if code:
+        return code, None
+    cols = list(zip(*[[t * x for x in a] for t, a in zip(c, A)]))
+    z = list(map(sum, cols))
+    # H diag(c) A on the unit copy, then the copy's map back; map stops
+    # each coordinate at the first d+1 points, the columns of H
+    M = [r * sum(map(mul, x, col)) + m * s
+         for x, m in zip(X, cen) for col, s in zip(cols, z)] + z
+    if not all(map(math.isfinite, M)):
+        return 3, None
+    top = max(map(abs, M))
+    M = [t / top for t in M]
+    return 0, M if next(t for t in M if abs(t) > 1e-12) > 0.0 else \
+        [-t for t in M]
 
 
 def fit_projective(src, dst):
     """The projective map of R^d sending d+2 source points to d+2 targets.
 
-    Both families must be in general position: the first d+1 span, and the
-    last point has no vanishing coefficient over them (no point on a face
-    of the reference simplex).  Extra point pairs beyond d+2 are ignored.
+    src and dst are k x d arrays, d >= 1; extra point pairs beyond d+2
+    are ignored.  Both families must be in general position: the first
+    d+1 span, and the last point has no vanishing coefficient over them
+    (no point on a face of the reference simplex).  Both tests read the
+    families' unit copies (_frame): the first d+1 span when the least
+    singular value of their homogeneous columns, from one SVD of both
+    families, is above 1e-10 of the largest, and a coefficient of the
+    fit's own c vanishes when it is at most 1e-10 of the largest.  The
+    map is the plane classifier's fit in Python floats (_frame, _source,
+    _fit).
     """
-    S = np.atleast_2d(_as_array(src, "src"))
-    T = np.atleast_2d(_as_array(dst, "dst"))
+    S, T = _as_array(src, "src"), _as_array(dst, "dst")
+    if S.ndim != 2 or T.ndim != 2 or 0 in S.shape[1:] + T.shape[1:]:
+        raise DegenerateInput("points must be k x d arrays with d >= 1")
     if S.shape != T.shape:
         raise DegenerateInput("source and target point counts differ")
     d = S.shape[1]
     if len(S) < d + 2:
         raise DegenerateBasis(f"need {d + 2} point pairs in dimension {d}")
-    M, fail = _fit_stack(S[: d + 2], T[None, : d + 2])
-    if fail[0]:
-        error, message = _FIT_FAILURES[int(fail[0])]
+    F = [_frame(P[: d + 2].tolist()) for P in (S, T)]
+    H = np.array([[x[: d + 1] for x in X] + [[1.0] * (d + 1)]
+                  for _, _, X, *_ in F])
+    for (code, c, *_), s in zip(F, np.linalg.svd(H, compute_uv=False)):
+        if not s[-1] > 1e-10 * s[0]:
+            code = 1
+        elif not code and min(map(abs, c)) <= 1e-10 * max(map(abs, c)):
+            code = 2
+        if code:
+            break
+    else:
+        code, M = _fit(_source(F[0])[1], F[1])
+    if code:
+        error, message = _FIT_FAILURES[code]
         raise error(message)
-    return ProjectiveMap._normalised(M[0])
+    return ProjectiveMap._normalised(np.reshape(M, (d + 1, d + 1)))
 
 
 # ---------------------------------------------------- simplex log chart
@@ -558,92 +623,6 @@ def _pencils_agree(va, vb, match, delta):
     return near.all(axis=1)
 
 
-def _plane_frame(P):
-    """The projective frame of four points (x, y) of the plane, as _frames
-    takes it on the _unit_frames copy, in Python floats: a failure code (0,
-    1 where the first three do not span, 2 where the fourth lies on a face
-    of their triangle), the coefficients c of the fourth point over the
-    first three (None on failure), and the copy's columns and centroid and
-    scale.  c is Cramer's rule with one step of refinement.  A frame fails
-    only where it cannot be fitted: D, the first three's determinant, is
-    zero, or a coefficient is zero or not finite.  Its conditioning is
-    left to the vertex test of its map (_first_witness)."""
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = P
-    cx = (x0 + x1 + x2 + x3) / 4.0
-    cy = (y0 + y1 + y2 + y3) / 4.0
-    r = max(max(x0, x1, x2, x3) - min(x0, x1, x2, x3),
-            max(y0, y1, y2, y3) - min(y0, y1, y2, y3))
-    r = r if r > 0.0 else 1.0
-    u = u0, u1, u2, u3 = (x0 - cx) / r, (x1 - cx) / r, (x2 - cx) / r, \
-        (x3 - cx) / r
-    v = v0, v1, v2, v3 = (y0 - cy) / r, (y1 - cy) / r, (y2 - cy) / r, \
-        (y3 - cy) / r
-    # the rows of adj(H), each the cross product of H's other two columns
-    adj = ((v1 - v2, u2 - u1, u1 * v2 - u2 * v1),
-           (v2 - v0, u0 - u2, u2 * v0 - u0 * v2),
-           (v0 - v1, u1 - u0, u0 * v1 - u1 * v0))
-    frame = (u, v, cx, cy, r, adj)
-    # the determinants, each from differences to one of its columns
-    a1, b1, a2, b2, a3, b3 = u1 - u0, v1 - v0, u2 - u0, v2 - v0, u3 - u0, \
-        v3 - v0
-    D = a1 * b2 - a2 * b1
-    if D == 0.0:
-        return 1, None, frame
-    c = ((a1 - a3) * (b2 - b3) - (a2 - a3) * (b1 - b3)) / D, \
-        (a3 * b2 - a2 * b3) / D, (a1 * b3 - a3 * b1) / D
-    # one step of refinement, c + adj(H) (star - H c) / D, leaves a small
-    # residual, as LAPACK's solve does: the fitted map is far more
-    # sensitive to that than to c's forward error
-    rx = u3 - (u0 * c[0] + u1 * c[1] + u2 * c[2])
-    ry = v3 - (v0 * c[0] + v1 * c[1] + v2 * c[2])
-    r1 = 1.0 - (c[0] + c[1] + c[2])
-    c = [t + (w0 * rx + w1 * ry + w2 * r1) / D
-         for t, (w0, w1, w2) in zip(c, adj)]
-    if not all(t != 0.0 and math.isfinite(t) for t in c):
-        return 2, None, frame
-    return 0, c, frame
-
-
-def _plane_source(S):
-    """The source half of a plane fit from four points (x, y): the failure
-    code of their frame (_plane_frame; nonzero only where it cannot be
-    fitted), and the rows of diag(1/c) adj(H) back^-1, the inverse of the
-    frame's H diag(c) on its unit copy and of the copy's map back, each
-    up to a scalar."""
-    code, c, (u, v, cx, cy, r, adj) = _plane_frame(S)
-    if code:
-        return code, None
-    return 0, [(w0 / t, w1 / t, (r * w2 - cx * w0 - cy * w1) / t)
-               for t, (w0, w1, w2) in zip(c, adj)]
-
-
-def _plane_fit(A, T):
-    """The projective map of the plane sending a source frame, given by
-    its _plane_source rows A, to four target points (x, y), in Python
-    floats: a failure code (the target frame's, or 3 where the matrix is
-    not finite), and on success the matrix, row by row in one list of
-    nine, in ProjectiveMap's normal form.  The map is
-    back_T H_T diag(c_T) (H_S diag(c_S))^-1 back_S^-1 of the two frames'
-    unit copies (_plane_frame); scalars drop out in the normal form."""
-    code, c, (u, v, cx, cy, r, _) = _plane_frame(T)
-    if code:
-        return code, None
-    g = [[c[k] * t for t in A[k]] for k in range(3)]
-    # H diag(c) A on the unit copy, then the copy's map back
-    z = [g[0][j] + g[1][j] + g[2][j] for j in range(3)]
-    M = [r * (u[0] * g[0][j] + u[1] * g[1][j] + u[2] * g[2][j]) + cx * z[j]
-         for j in range(3)]
-    M += [r * (v[0] * g[0][j] + v[1] * g[1][j] + v[2] * g[2][j]) + cy * z[j]
-          for j in range(3)]
-    M += z
-    if not all(map(math.isfinite, M)):
-        return 3, None
-    top = max(map(abs, M))
-    M = [t / top for t in M]
-    return 0, M if next(t for t in M if abs(t) > 1e-12) > 0.0 else \
-        [-t for t in M]
-
-
 def _frame_at(va):
     """The positions of the four frame vertices of an m-gon, m >= 4, its
     vertices a list of [x, y]: for m >= 6 those at 0, m/4, m/2 and 3m/4,
@@ -666,7 +645,7 @@ def _frame_at(va):
 
 
 def _first_witness(va, vb, match, size, tol):
-    """The first candidate of match, in its order, whose map (_plane_fit)
+    """The first candidate of match, in its order, whose map (_fit)
     sends every vertex va[i] within tol of its match vb[match[k, i]], in
     units of vb's size, with denominators of one sign on va: its matrix (a
     list of nine) and its largest vertex deviation, or None.  This vertex
@@ -683,16 +662,16 @@ def _first_witness(va, vb, match, size, tol):
 
     def frame(V):
         if at:
-            return [V[i] for i in at]
+            return _frame([V[i] for i in at])
         (x0, y0), (x1, y1), (x2, y2) = V
-        return V + [[(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]]
+        return _frame(V + [[(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]])
 
-    code, A = _plane_source(frame(va))
+    code, A = _source(frame(va))
     if code:
         return None
     for row in match.tolist():
         W = [vb[j] for j in row]
-        code, M = _plane_fit(A, frame(W))
+        code, M = _fit(A, frame(W))
         if code:
             continue
         a, b, c, d, e, f, g, h, k = M
@@ -726,9 +705,10 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     no candidate the vertex test accepts is dropped (_pencils_agree).
     Every triangle, and every quadrilateral, is equivalent, so for
     m <= 4 all 2m candidates are fitted.  The survivors are fitted one
-    at a time, in shift order, each in closed form in Python floats on
-    unit-size copies of the frames (_plane_fit; _fit_stack, the stacked
-    fit of any dimension, stays for fit_projective), and the search stops
+    at a time, in shift order, each in Python floats on unit-size copies
+    of the frames by the one projective fit of every dimension (_frame,
+    _source and _fit, which fit_projective also uses, with one SVD for
+    its span test); the source half is made once, and the search stops
     at the witness: the first that sends every vertex within tol of its
     match, in the second polygon's unit frame, with denominators of one
     sign on the first's vertices; then it maps the first polygon onto

@@ -299,6 +299,68 @@ def test_is_cone_3d():
 
 # ------------------------------------------------ stacked candidate fits
 
+def _frames(P):
+    """Projective frames of a stack of d+2 point families in R^d: H has the
+    first d+1 points of a family as homogeneous columns, and c holds the
+    coefficients of the last point over them.  Also returns which
+    families span (smallest singular value of H above 1e-10 of the
+    largest) and which are in general position (spanning, with every
+    coefficient above 1e-10 of the largest)."""
+    K, _, d = P.shape
+    H = np.concatenate([np.swapaxes(P[:, :d + 1], 1, 2),
+                        np.ones((K, 1, d + 1))], axis=1)
+    star = np.concatenate([P[:, d + 1], np.ones((K, 1))], axis=1)
+    sv = np.linalg.svd(H, compute_uv=False)
+    spans = sv[:, -1] > 1e-10 * sv[:, 0]
+    c = np.linalg.solve(np.where(spans[:, None, None], H, np.eye(d + 1)),
+                        star[..., None])[..., 0]
+    a = np.abs(c)
+    return H, c, spans, spans & (a.min(axis=1) > 1e-10 * a.max(axis=1))
+
+
+def _unit_frames(P):
+    """Unit-size copies of a stack of point families, each moved to
+    centroid 0 and scaled to largest coordinate range 1, and the
+    homogeneous matrices that carry each copy back onto its family."""
+    d = P.shape[2]
+    c = P.mean(axis=1)
+    r = np.ptp(P, axis=1).max(axis=1)
+    r = np.where(r > 0.0, r, 1.0)
+    back = np.zeros((len(P), d + 1, d + 1))
+    back[:, :d, :d] = r[:, None, None] * np.eye(d)
+    back[:, :, d] = np.c_[c, np.ones(len(P))]
+    return (P - c[:, None]) / r[:, None, None], back
+
+
+def _fit_stack(S, T):
+    """The stacked numpy fit, the reference for the float fit: the
+    projective maps sending one family S of d+2 points in R^d to each
+    family of a stack T, as a stack of matrices in ProjectiveMap's normal
+    form, with a failure code per candidate: 0 for a map, else the key of
+    fit_projective's _FIT_FAILURES for the first of its checks that fails
+    (source frame, then target frame, then the matrix), the identity in
+    its place.  The fit runs on _unit_frames copies, so no test depends
+    on scale or place; S and T share one stack, [S; T], and each family's
+    arithmetic is its own."""
+    from hilbertgeo.isometries import _normal_form
+
+    K = len(T)
+    P, back = _unit_frames(np.concatenate([S[None], T]))
+    H, c, spans, general = _frames(P)
+    fail = np.where(general[1:], 0, np.where(spans[1:], 2, 1))
+    if not general[0]:
+        fail[:] = 2 if spans[0] else 1
+    eye = np.eye(S.shape[1] + 1)
+    M = np.broadcast_to(eye, (K,) + eye.shape)
+    if general[0]:
+        fit = (back[1:] @ (H[1:] * c[1:, None, :])
+               @ np.linalg.inv(H[0] * c[0]) @ np.linalg.inv(back[0]))
+        M = np.where((fail == 0)[:, None, None], fit, M)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    fail[(fail == 0) & ~finite] = 3
+    return _normal_form(np.where(finite[:, None, None], M, eye)), fail
+
+
 def _reference_fit(S, T):
     """The per-candidate fit: fit_projective and ProjectiveMap's checks
     and normal form, one candidate at a time; None where they raise."""
@@ -386,17 +448,22 @@ def _reference_classify(dom_a, dom_b, rng, tol=1e-7):
 
 
 def _projective_image(rng, V):
+    d = V.shape[1]
     while True:
-        M = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
-        M[2, :2] = 0.1 * rng.normal(size=2)
+        M = np.eye(d + 1) + 0.15 * rng.normal(size=(d + 1, d + 1))
+        M[d, :d] = 0.1 * rng.normal(size=d)
         h = np.c_[V, np.ones(len(V))] @ M.T
-        if np.all(h[:, 2] > 0.3):
-            return h[:, :2] / h[:, 2:]
+        if np.all(h[:, d] > 0.3):
+            return h[:, :d] / h[:, d:]
 
 
-def _ngon(rng, m):
+def _ngon(rng, m, d=2):
+    """m points in cyclic order on the trigonometric moment curve
+    (a cos t, sin t, cos 2t, sin 2t) cut to R^d, d <= 4, at jittered
+    angles: for d = 2 a convex m-gon."""
     th = 2 * math.pi * (np.arange(m) + rng.uniform(0, 0.4, m)) / m
-    return np.c_[rng.uniform(1, 1.5) * np.cos(th), np.sin(th)]
+    return np.c_[rng.uniform(1, 1.5) * np.cos(th), np.sin(th),
+                 np.cos(2 * th), np.sin(2 * th)][:, :d]
 
 
 def _assert_witness(dom_a, dom_b, got, rng):
@@ -438,8 +505,6 @@ def test_classifier_verdicts_match_the_sampled_candidate_loop():
 
 
 def test_classifier_finds_projective_images_at_large_scale():
-    from hilbertgeo.isometries import _fit_stack
-
     # a perspective map between squares at 1e9 has entries from about 1e-9
     # to 1e9; fitted on unit frames, every candidate is still a map
     rng = np.random.default_rng(7)
@@ -478,8 +543,6 @@ def test_classifier_witness_applies_at_1e15():
 
 
 def test_stacked_classifier_with_a_collinear_frame_triple():
-    from hilbertgeo.isometries import _fit_stack
-
     # a 9-gon at 1e9 with one vertex 1e-3 outside an edge of an octagon:
     # 1e-12 of the size, so at eps 1e-13 it stays a vertex, and the frames
     # through it and that edge's ends fail the spanning test
@@ -573,7 +636,7 @@ def _two_pass_fit_stack(S, T):
     """_fit_stack with the source and the targets in separate
     _unit_frames and _frames passes, the form that one stacked pass
     replaced."""
-    from hilbertgeo.isometries import _frames, _normal_form, _unit_frames
+    from hilbertgeo.isometries import _normal_form
 
     K = len(T)
     S1, s_back = _unit_frames(S[None])
@@ -620,8 +683,6 @@ def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
     # one _unit_frames and _frames pass on [S; T] does each family's own
     # arithmetic: the same matrices and failure codes, byte for byte, on
     # candidate stacks of every size with flat and degenerate families
-    from hilbertgeo.isometries import _fit_stack
-
     codes = set()
     for d, S, T in _fit_families(np.random.default_rng(36)):
         M, fail = _fit_stack(S, T)
@@ -633,14 +694,15 @@ def test_stacked_fit_is_the_two_pass_fit_bit_for_bit():
 
 
 def _float_fit(S, T):
-    """The plane classifier's float fit of one source family S to each
-    family of a stack T, as _fit_stack returns them (a failure code per
+    """The float fit of one source family S of d+2 points to each family
+    of a stack T, as _fit_stack returns them (a failure code per
     candidate, the identity where it fails)."""
-    from hilbertgeo.isometries import _plane_fit, _plane_source
+    from hilbertgeo.isometries import _fit, _frame, _source
 
-    code, A = _plane_source(S.tolist())
-    out = [(code, None) if code else _plane_fit(A, W) for W in T.tolist()]
-    return (np.array([np.eye(3) if M is None else np.reshape(M, (3, 3))
+    n = S.shape[1] + 1
+    code, A = _source(_frame(S.tolist()))
+    out = [(code, None) if code else _fit(A, _frame(W)) for W in T.tolist()]
+    return (np.array([np.eye(n) if M is None else np.reshape(M, (n, n))
                       for _, M in out]), np.array([f for f, _ in out]))
 
 
@@ -671,24 +733,20 @@ def _near_threshold_families(rng):
 def _exact_degeneracy(P):
     """The failure code of a frame that cannot be fitted at all, as the
     generators above make them: 1 where the second point repeats the
-    first (the first three do not span), 2 where the fourth does (it lies
-    on a reference face), else 0."""
+    first (the first d+1 do not span), 2 where the last does (it lies on
+    a reference face), else 0."""
     if (P[1] == P[0]).all():
         return 1
-    return 2 if (P[3] == P[0]).all() else 0
+    return 2 if (P[-1] == P[0]).all() else 0
 
 
 def test_float_fit_is_the_stacked_fit():
-    # the plane classifier's float fit refuses only the frames that
-    # cannot be fitted, with _fit_stack's codes, and fits every other
-    # one, the frames at the edge of _fit_stack's 1e-10 tests too; where
-    # _fit_stack fits, the two maps agree within 1e-12 of the largest
-    # entry
-    from hilbertgeo.isometries import _fit_stack
-
+    # the float fit refuses only the frames that cannot be fitted, with
+    # _fit_stack's codes, and fits every other one, the frames at the
+    # edge of _fit_stack's 1e-10 tests too; where _fit_stack fits, the
+    # two maps agree within 1e-12 of the largest entry, in R^1..R^3
     codes, worst, near = set(), 0.0, 0
-    families = [(S, T) for d, S, T in _fit_families(np.random.default_rng(36))
-                if d == 2]
+    families = [(S, T) for d, S, T in _fit_families(np.random.default_rng(36))]
     families += list(_near_threshold_families(np.random.default_rng(37)))
     for S, T in families:
         M, fail = _fit_stack(S, T)
@@ -706,6 +764,68 @@ def test_float_fit_is_the_stacked_fit():
     # frames _fit_stack refuses at its 1e-10 thresholds that are fitted
     assert near > 0
     assert worst <= 1e-12
+
+
+def test_fit_projective_refuses_where_the_stacked_fit_does():
+    # the public 1e-10 contract: fit_projective raises exactly where the
+    # numpy reference's failure code is nonzero, with its message, on
+    # random families in R^1..R^3 and on frames at the edge of both
+    # tests; only a target whose least coefficient is within 1e-4
+    # relative of 1e-10 of its largest may go either way, fitted or on a
+    # reference face, as its coefficients' round-off decides there (the
+    # fit's and LAPACK's differ by about 1e-5 relative in such a
+    # coefficient)
+    from hilbertgeo.isometries import _FIT_FAILURES
+
+    def at_threshold(P):
+        _, c, spans, _ = _frames(_unit_frames(P[None])[0])
+        a = np.abs(c[0])
+        return spans[0] and abs(a.min() / a.max() / 1e-10 - 1.0) <= 1e-4
+
+    families = [(S, T) for d, S, T in _fit_families(np.random.default_rng(36))]
+    families += list(_near_threshold_families(np.random.default_rng(37)))
+    codes, edge = set(), 0
+    for S, T in families:
+        assert not at_threshold(S)
+        _, fail = _fit_stack(S, T)
+        for W, code in zip(T, fail.tolist()):
+            try:
+                fit_projective(S, W)
+                got = 0
+            except GeometryError as err:
+                got = next(k for k, (error, message) in _FIT_FAILURES.items()
+                           if type(err) is error and str(err) == message)
+            codes.add(got)
+            if at_threshold(W):
+                edge += 1
+                assert {got, code} <= {0, 2}
+            else:
+                assert got == code
+    assert codes == {0, 1, 2}
+    assert edge > 0
+
+
+def test_fit_projective_rejects_malformed_shapes():
+    # any shape other than k x d with d >= 1 is DegenerateInput, not a
+    # bare numpy error
+    rng = np.random.default_rng(4)
+    for P in (rng.normal(size=(6, 4, 2)), np.zeros((3, 0)), np.zeros(4),
+              np.zeros((0, 0)), 1.0):
+        with pytest.raises(DegenerateInput):
+            fit_projective(P, P)
+    S = rng.normal(size=(4, 2))
+    with pytest.raises(DegenerateInput):
+        fit_projective(S, S[None])
+    with pytest.raises(DegenerateInput, match="counts differ"):
+        fit_projective(S, S[:3])
+    with pytest.raises(DegenerateBasis, match="need 4"):
+        fit_projective(S[:3], S[:3])
+
+
+def test_projective_map_rejects_matrices_below_2x2():
+    for M in (np.zeros((0, 0)), [[2.0]]):
+        with pytest.raises(DegenerateInput, match="at least 2 x 2"):
+            ProjectiveMap(M)
 
 
 # ------------------------------------------- pruning by pencil cross ratios
@@ -787,17 +907,18 @@ def test_pruned_classifier_matches_all_candidates():
 
 
 def _exact_fit(S, T):
-    """The projective map sending four points S to four points T of the
-    plane, at 40 digits, in normal form."""
+    """The projective map sending d+2 points S to d+2 points T of R^d, at
+    40 digits, in normal form."""
     import mpmath
 
     from hilbertgeo.isometries import _normal_form
 
+    d = S.shape[1]
     with mpmath.workdps(40):
         def frame(P):
-            H = mpmath.matrix([[p[0] for p in P[:3]], [p[1] for p in P[:3]],
-                               [1, 1, 1]])
-            star = mpmath.matrix([P[3][0], P[3][1], 1])
+            H = mpmath.matrix([list(P[: d + 1, i]) for i in range(d)]
+                              + [[1] * (d + 1)])
+            star = mpmath.matrix(list(P[d + 1]) + [1])
             return H * mpmath.diag(mpmath.lu_solve(H, star))
 
         M = np.array((frame(T) * mpmath.inverse(frame(S))).tolist(),
@@ -806,25 +927,25 @@ def _exact_fit(S, T):
 
 
 def test_float_fit_is_as_accurate_as_the_stacked_fit():
-    # narrow frames, four consecutive vertices of 24- to 64-gons, sent to
-    # projective images: the float fit stays within 2.5 times the stacked
-    # fit's error against a 40-digit fit (the refinement of its
-    # coefficients; Cramer's rule alone reads about 3 to 5 times)
-    from hilbertgeo.isometries import _fit_stack, _plane_fit, _plane_source
-
-    rng = np.random.default_rng(0)
-    worst = worst_stacked = 0.0
-    for _ in range(40):
-        V = _ngon(rng, int(rng.choice([24, 48, 64])))
-        U = _projective_image(rng, V)
-        for k in range(0, len(V), len(V) // 4):
-            S, T = V[:4], np.roll(U, -k, axis=0)[:4]
-            exact = _exact_fit(S, T)
-            _, M = _plane_fit(_plane_source(S.tolist())[1], T.tolist())
-            worst = max(worst, np.abs(np.reshape(M, (3, 3)) - exact).max())
-            M_s = _fit_stack(S, T[None])[0][0]
-            worst_stacked = max(worst_stacked, np.abs(M_s - exact).max())
-    assert worst <= 2.5 * worst_stacked
+    # narrow frames, d+2 consecutive points of 24- to 64-gons on the
+    # trigonometric moment curve in R^d, sent to projective images: in
+    # each of d = 2, 3, 4 the float fit, with its one refinement step,
+    # stays within 2.5 times the stacked fit's error against a 40-digit
+    # fit
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(0)
+        worst = worst_stacked = 0.0
+        for _ in range(40):
+            V = _ngon(rng, int(rng.choice([24, 48, 64])), d)
+            U = _projective_image(rng, V)
+            for k in range(0, len(V), len(V) // 4):
+                S, T = V[: d + 2], np.roll(U, -k, axis=0)[: d + 2]
+                exact = _exact_fit(S, T)
+                M = _float_fit(S, T[None])[0][0]
+                worst = max(worst, np.abs(M - exact).max())
+                M_s = _fit_stack(S, T[None])[0][0]
+                worst_stacked = max(worst_stacked, np.abs(M_s - exact).max())
+        assert worst <= 2.5 * worst_stacked, d
 
 
 def _stacked_classify(dom_a, dom_b, tol=1e-7):
@@ -832,7 +953,7 @@ def _stacked_classify(dom_a, dom_b, tol=1e-7):
     pass the pencil test fitted in one _fit_stack call, checked on the
     vertices in numpy, the first that passes chosen.  Returns the verdict,
     the chosen row of _candidates, the witness matrix and max_deviation."""
-    from hilbertgeo.isometries import _fit_stack, _frame_at, _pencils_agree
+    from hilbertgeo.isometries import _frame_at, _pencils_agree
 
     va, _ = dom_a.polygon_vertices_local()
     vb, _ = dom_b.polygon_vertices_local()
