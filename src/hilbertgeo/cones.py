@@ -10,7 +10,7 @@ the domain along its defining slice.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .convex import (
 )
 from .errors import (
     DegenerateInput,
-    GeometryError,
     Unsupported,
     XNotInteriorOfCone,
 )
@@ -189,7 +188,7 @@ def build_cone(generators, eps=None):
         ell = -normal
         scale = float(ell @ center)
         if scale <= eps_v * np.linalg.norm(center):
-            raise GeometryError("generator centroid is not interior")
+            raise DegenerateInput("generator centroid is not interior")
         rows.append(ell / scale)
     return Cone(kind="polyhedral", dim=D, generators=G,
                 functionals=np.array(rows))
@@ -207,46 +206,25 @@ def cone_over(domain, eps=None):
     generators' centroid, and no null vector is solved for.
 
     An embedded domain of one dimension less, whose affine hull avoids the
-    origin by more than eps of its size, is not lifted: its vertices
-    generate the cone and points embed as themselves.  Each functional is
-    then the null vector of one facet's generators, from one stacked SVD
-    per facet size, taken on the first generator and the differences of
-    the others from it, each scaled to unit length, which keeps it
-    accurate on short facets, whose generators are nearly parallel.  The
-    SVD is kept here because a closed form from the chart rows leaves
-    round-off where a functional must vanish exactly: the orthant's
-    functionals over the standard simplex get entries of 2e-16 in place of
-    0, and [1, 0, 3] would read as interior.
+    origin by more than eps of its size, is not lifted: it is build_cone
+    over its vertices, the one hull routine of every cone, and points
+    embed as themselves.
     """
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
-    lifted = domain.intrinsic_dim == domain.ambient_dim
-    if lifted:
-        M = domain._M[:, :len(domain._b)]
-        G, embed = _with_one(domain.vertices), _with_one
-        L = np.hstack([-M.T, (domain._b + domain._origin @ M)[:, None]])
-    else:
+    if domain.intrinsic_dim < domain.ambient_dim:
         e = _eps(eps)
         if domain._read(np.zeros(domain.ambient_dim))[1][0] <= e * abs(e):
             raise DegenerateInput("generators do not span the space")
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")
-        G, embed = domain.vertices, _as_array
-        facets = [sorted(F) for F in domain._facet_sets]
-        by_size = {}
-        for i, F in enumerate(facets):
-            by_size.setdefault(len(F), []).append(i)
-        L = np.empty((len(facets), G.shape[1]))
-        for rows in by_size.values():
-            # one stacked SVD per facet size: the last right singular
-            # vector spans the null space of the facet's generators
-            N = G[[facets[i] for i in rows]]
-            N[:, 1:] -= N[:, :1]
-            N /= np.linalg.norm(N, axis=2, keepdims=True)
-            L[rows] = np.linalg.svd(N)[2][:, -1]
+        return replace(build_cone(domain.vertices, eps), embed=_as_array)
+    M = domain._M[:, :len(domain._b)]
+    G = _with_one(domain.vertices)
+    L = np.hstack([-M.T, (domain._b + domain._origin @ M)[:, None]])
     L /= (L @ G.mean(axis=0))[:, None]
     return Cone(kind="polyhedral", dim=G.shape[1], generators=G,
-                functionals=L, embed=embed, lifted=lifted)
+                functionals=L, embed=_with_one, lifted=True)
 
 
 def lorentz_cone(n):

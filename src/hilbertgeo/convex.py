@@ -1434,13 +1434,13 @@ class ConvexDomain:
         return pts if k != 1 else pts[0]
 
     def sample_boundary(self, rng, k=1):
-        out = []
-        for _ in range(k):
+        out = np.empty((k, self.ambient_dim))
+        for i in range(k):
             x = self.sample_interior(rng, 1, pull=0.3)
             du = rng.normal(size=self.intrinsic_dim)
             du /= np.linalg.norm(du)
-            out.append(self.ray(x, du @ self._frame.T).endpoint)
-        return np.array(out) if k > 1 else out[0]
+            out[i] = self.ray(x, du @ self._frame.T).endpoint
+        return out if k != 1 else out[0]
 
     # ------------------------------------------------------------------ misc
 

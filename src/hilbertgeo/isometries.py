@@ -22,7 +22,6 @@ from .convex import _as_array, _as_points, _eps
 from .errors import (
     DegenerateBasis,
     DegenerateInput,
-    GeometryError,
     ImageEscapedDomain,
     NonFinite,
     NotInSimplex,
@@ -524,6 +523,8 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     if len(starts) < 2:
         raise DegenerateInput("need at least two starts to compare limits")
     target = _as_points(target, domain.ambient_dim, "target")
+    if horizon < 0:
+        raise DegenerateInput("horizon must be at least 0")
     S = np.array(starts)
     e = _eps(eps)
     # the starts are checked as a query's points are, each named by its row
@@ -535,7 +536,7 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     off = ((slack.min(axis=1) <= 0.0) | (g > e * abs(e))).reshape(len(S), h)
     kept = np.where(off.any(axis=1), off.argmax(axis=1), h)
     if np.any(kept == 0):
-        raise GeometryError("image sequence left the domain immediately")
+        raise ImageEscapedDomain("image sequence left the domain immediately")
     limits, extent = [], domain._extent()
     for q, k in zip(Q.reshape(len(S), h, -1), kept):
         last = q[k - 1]
@@ -703,8 +704,11 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     4 rho |r| plus round-off, where rho bounds the relative change of the
     second polygon's ratio when its vertices move by tol of its size, so
     no candidate the vertex test accepts is dropped (_pencils_agree).
-    Every triangle, and every quadrilateral, is equivalent, so for
-    m <= 4 all 2m candidates are fitted.  The survivors are fitted one
+    Any two triangles, and any two quadrilaterals, are equivalent, so for
+    m <= 4 all 2m candidates are fitted and the verdict is
+    projectively-equivalent whatever the fits give: the witness is the
+    first candidate that passes the vertex test, or None, with
+    max_deviation inf, when none does.  The survivors are fitted one
     at a time, in shift order, each in Python floats on unit-size copies
     of the frames by the one projective fit of every dimension (_frame,
     _source and _fit, which fit_projective also uses, with one SVD for
@@ -712,9 +716,9 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
     at the witness: the first that sends every vertex within tol of its
     match, in the second polygon's unit frame, with denominators of one
     sign on the first's vertices; then it maps the first polygon onto
-    the second (_first_witness).  That vertex test alone decides: a frame
-    is skipped only where it cannot be fitted.  Ellipses compose their
-    affine charts.  max_deviation is the vertex residual, or the radial
+    the second (_first_witness).  For m >= 5 that test alone decides: a
+    frame is skipped only where it cannot be fitted.  Ellipses compose
+    their affine charts.  max_deviation is the vertex residual, or the radial
     one of the chart's axis ends.  A polygon and an ellipse are never
     isometric.  rng is accepted and not used.
     """
@@ -751,7 +755,10 @@ def classify_2d(dom_a, dom_b, rng=None, tol=1e-7):
         match = match[_pencils_agree(va, vb, match, tol * size)]
     found = _first_witness(va, vb, match, size, tol)
     if found is None:
-        return PlaneClassification("not-isometric", None, math.inf)
+        # any two triangles, and any two quadrilaterals, are equivalent
+        return PlaneClassification(
+            "projectively-equivalent" if m <= 4 else "not-isometric", None,
+            math.inf)
     cand = ProjectiveMap._normalised(np.array(found[0]).reshape(3, 3))
     return PlaneClassification("projectively-equivalent", cand, found[1],
                                _chart_map(dom_a, dom_b, cand))

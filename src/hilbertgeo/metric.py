@@ -284,6 +284,8 @@ def asymptotic_profile(domain, x0, y0, a1, a2, steps=None, eps=None,
     faces are 'divergent'; an ellipsoid's boundary points are each their
     own face.  Each step's distance is its own query."""
     steps = defaults.DEFAULT_STEPS if steps is None else int(steps)
+    if steps < 0:
+        raise DegenerateInput("steps must be at least 0")
     bound = defaults.DIVERGENCE_BOUND if bound is None else float(bound)
     eps_v = _eps(eps)
     x0 = _as_array(x0, "x0")

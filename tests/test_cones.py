@@ -56,13 +56,43 @@ def test_build_cone_rejects_flat_and_unpointed():
 
 
 def test_interior_membership():
-    cone = cone_over(standard_simplex(2))
-    assert cone.contains_interior([1.0, 2.0, 3.0])
-    assert not cone.contains_interior([1.0, 0.0, 3.0])
+    """The orthant over the n-simplex is build_cone's over its vertices:
+    every functional is an exact multiple of a unit vector, so no point
+    with a zero coordinate reads as interior."""
+    for n in range(2, 8):
+        cone = cone_over(standard_simplex(n))
+        assert not cone.lifted
+        for row in cone.functionals:
+            assert np.count_nonzero(row) == 1 and row.max() > 0.0
+        x, y = np.arange(1.0, n + 2), np.ones(n + 1)
+        assert cone.contains_interior(x)
+        x[1] = 0.0
+        assert not cone.contains_interior(x)
+        with pytest.raises(XNotInteriorOfCone):
+            cone.min_scale(x, y)
+        with pytest.raises(XNotInteriorOfCone):
+            cone_distance(cone, x, y)
+        with pytest.raises(XNotInteriorOfCone):
+            cone_distance(cone, y, -x)
+        rng = np.random.default_rng(0)
+        boundary = []
+        for _ in range(200):
+            p = rng.uniform(0.5, 3.0, n + 1)
+            p[rng.integers(n + 1)] = 0.0
+            boundary.append(p)
+        assert not cone.contains_interior(np.array(boundary)).any()
     with pytest.raises(XNotInteriorOfCone):
-        cone.min_scale([1.0, 0.0, 3.0], [1.0, 1.0, 1.0])
-    with pytest.raises(XNotInteriorOfCone):
-        cone_distance(cone, [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
+        cone_distance(cone_over(standard_simplex(3)), [1.0, 0.0, 3.0, 1.0],
+                      np.ones(4))
+
+
+def test_cone_over_refuses_embedded_domains_it_cannot_span():
+    triangle = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    with pytest.raises(Unsupported):
+        cone_over(build_polytope(np.array(triangle) + [0, 0, 0, 1]))
+    # a triangle about the origin: its affine hull passes through it
+    with pytest.raises(DegenerateInput, match="do not span"):
+        cone_over(build_polytope([[1, 0, 0], [0, 1, 0], [-1, -1, 0]]))
 
 
 def test_lorentz_min_scale_is_exact_under_powers_of_two():

@@ -934,8 +934,9 @@ def exact_functional(G, key):
 
 
 def test_cone_over_matches_build_cone_reference(monkeypatch):
-    """cone_over reads the cone's facets off the domain's facets; a Qhull
-    build_cone on the same generators gives the same facets, and
+    """cone_over reads a lifted cone's facets off the domain's facets,
+    and an unlifted cone is build_cone's over the domain's vertices; a
+    Qhull build_cone on the same generators gives the same facets, and
     functionals equal to 1e-14 of their size.  Where a row differs by
     more, Qhull's is the one off: the row then equals the exact null
     vector of its facet's generators within 4e-15 of its size (polygon 17

@@ -594,6 +594,29 @@ def test_classifier_verdict_does_not_depend_on_the_rotation():
                 assert got.max_deviation <= 1e-7
 
 
+def test_quadrilateral_verdict_is_decided_by_the_theorem():
+    # any two convex quadrilaterals are projectively equivalent, so the
+    # verdict holds at every rotation, also where every frame holds the
+    # flat vertex and both neighbours and no candidate passes the vertex
+    # test; a witness, when one passes, is within tol
+    shear = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    witnesses = 0
+    for k in range(72):
+        V = _bumped(4, k / 72)
+        dom = build_polytope(V, 1e-13)
+        assert len(dom.polygon_vertices_local()[0]) == 4
+        image = build_polytope(V @ shear.T + [3e8, -1e8], 1e-13)
+        for other in (dom, image):
+            got = classify_2d(dom, other)
+            assert got.verdict == "projectively-equivalent"
+            if got.witness is None:
+                assert got.max_deviation == math.inf
+            else:
+                assert got.max_deviation <= 1e-7
+                witnesses += 1
+    assert witnesses > 0
+
+
 def test_classifier_does_not_depend_on_the_seed():
     rng = np.random.default_rng(82)
     V = _ngon(rng, 7)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hilbertgeo import (
     asymptotic_profile,
+    build_cone,
     build_ellipsoid,
     build_polytope,
     cone_distance,
@@ -18,6 +19,7 @@ from hilbertgeo import (
     cross_ratio,
     distance,
     distances,
+    focusing_probe,
     gromov_product,
     hilbert_ball,
     is_rigid_chord,
@@ -26,6 +28,8 @@ from hilbertgeo import (
 from hilbertgeo.convex import ConvexDomain, _nullspace
 from hilbertgeo.errors import (
     DegenerateDenominator,
+    DegenerateInput,
+    ImageEscapedDomain,
     NonFinite,
     NotCollinear,
     NotOnBoundary,
@@ -811,3 +815,45 @@ def test_distance_at_large_scale_and_offset():
         got = distances(dom, s * (X + shift), s * (Y + shift))
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def _edge_cases():
+    sq = build_polytope(SQUARE)
+    disk = build_ellipsoid([0, 0], np.eye(2))
+    starts = [[0.1, 0.2], [-0.3, 0.1]]
+    rng = np.random.default_rng(0)
+    return [
+        pytest.param(
+            lambda: asymptotic_profile(
+                sq, [0, 0], [0.1, 0], [1, 0], [1, 0.5], steps=-1),
+            (DegenerateInput, "steps must be at least 0"), id="steps"),
+        pytest.param(
+            lambda: focusing_probe(
+                sq, lambda P: P, [1, 0], starts, horizon=-1),
+            (DegenerateInput, "horizon must be at least 0"), id="horizon"),
+        pytest.param(
+            lambda: focusing_probe(sq, lambda P: P + 10.0, [1, 0], starts),
+            (ImageEscapedDomain, "left the domain immediately"),
+            id="escaped"),
+        # the unit rays span the orthant, and the centroid lies 1e-12 of
+        # its size off the facet x_2 = 0
+        pytest.param(
+            lambda: build_cone([[1e12, 0], [0, 1]]),
+            (DegenerateInput, "centroid is not interior"), id="centroid"),
+        pytest.param(lambda: sq.sample_boundary(rng, 0), (0, 2),
+                     id="empty-polytope-sample"),
+        pytest.param(lambda: disk.sample_boundary(rng, 0), (0, 2),
+                     id="empty-ellipsoid-sample"),
+    ]
+
+
+@pytest.mark.parametrize("call, expected", _edge_cases())
+def test_edge_inputs_raise_a_specific_error_or_return_empty(call, expected):
+    """Each failure raises its GeometryError subclass with its message,
+    and an empty boundary sample is an empty array, as an empty interior
+    sample is."""
+    if isinstance(expected[0], int):
+        assert call().shape == expected
+        return
+    with pytest.raises(expected[0], match=expected[1]):
+        call()
