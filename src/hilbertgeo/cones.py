@@ -213,8 +213,7 @@ def cone_over(domain, eps=None):
     if domain.kind != "polytope":
         raise Unsupported("cones are built over polytopes here")
     if domain.intrinsic_dim < domain.ambient_dim:
-        e = _eps(eps)
-        if domain._read(np.zeros(domain.ambient_dim))[1][0] <= e * abs(e):
+        if not domain._read(np.zeros(domain.ambient_dim), _eps(eps))[2][0]:
             raise DegenerateInput("generators do not span the space")
         if domain.intrinsic_dim != domain.ambient_dim - 1:
             raise Unsupported("vertex rays would not span the space")

@@ -51,7 +51,6 @@ from .errors import (
     DegenerateInput,
     DimensionOutOfRange,
     EmptyIntersection,
-    GeometryError,
     NonFinite,
     NotOnBoundary,
     NotOpposite,
@@ -85,6 +84,9 @@ _ROUND = 64.0 * _ULP
 # whose hull is the whole space
 _NO_RESIDUAL = np.zeros(1)
 _NO_RESIDUAL.flags.writeable = False
+# and its hull verdicts (_off_hull): all on the hull, or at eps < 0 all off;
+# _ON_HULL is also every domain's verdict when eps alone accepts every point
+_ON_HULL, _OFF_HULL = np.zeros(1, bool), np.ones(1, bool)
 
 
 def _eps(eps):
@@ -746,9 +748,11 @@ class ConvexDomain:
     unit, _basis @ _A.T, followed on an embedded polytope by _normals,
     its unit normals to the affine hull divided by _size, from the chart
     origin; on an ellipsoid the whitening L^-T, from the center.  Queries
-    take that product in one stacked pass (_stacked, _ray), and the
-    predicates, faces and sections read its slacks and hull residuals
-    (_read), so both accept a point from the same bits.
+    take that product in one stacked pass (_stacked, _ray), the
+    predicates, faces and sections point by point (_read), and both turn
+    it into slacks and hull residuals by one routine (_slacks) and decide
+    the affine hull by one rule (_off_hull), so both accept a point from
+    the same bits.
     """
 
     def __init__(self, kind, **data):
@@ -802,17 +806,16 @@ class ConvexDomain:
     def hull_residual(self, p):
         """Euclidean distance from p to the affine hull: the length of its
         components along the hull's unit normals (_read), 0 when the
-        domain is full-dimensional."""
+        domain is full-dimensional.  It is the raw distance, with none of
+        the hull rule's round-off allowance (_off_hull)."""
         return math.sqrt(self._read(p)[1][0]) * self._size
 
-    def _read(self, p):
-        """The slacks S, squared hull residuals g and product R of a point
-        p, or of each row of p, one row each, from a query's product
-        (_product): R = (p - _pivot) @ _M.  A polytope's slacks are
-        b - R[:, :m], its facet slacks in the unit chart, and g is the sum
-        of the squared components along _normals, in units of the size; an
-        ellipsoid's one slack is 1 - |w| of its whitened point w, a row of
-        R.  A full-dimensional domain's g is one 0 for every row.  So a
+    def _read(self, p, eps=None):
+        """The slacks S, squared hull residuals g, product R and hull
+        verdicts off of a point p, or of each row of p, one row each, in
+        the one pass of the queries: R = (p - _pivot) @ _M, read by
+        _slacks, with off None when no eps is given.  An ellipsoid's one
+        slack is 1 - |w| of its whitened point w, a row of R.  So a
         predicate accepts a point from the same bits as a query does.
         Raises NonFinite, or DegenerateInput for a point of other than
         ambient_dim coordinates."""
@@ -821,16 +824,51 @@ class ConvexDomain:
         # BLAS multiplies one row by another kernel than a stack of rows,
         # which rounds differently: a point is read as a row of two, as a
         # query's pass reads it
-        Z = np.concatenate([P, P]) if len(P) == 1 else P
-        R = ((Z - self._pivot) @ self._M)[:len(P)]
+        Z = (np.concatenate([P, P]) if len(P) == 1 else P) - self._pivot
+        R = (Z @ self._M)[:len(P)]
+        return (*self._slacks(R, Z[:len(P)], eps), R)
+
+    def _slacks(self, R, Q, eps=None, squared=False):
+        """The slacks S, squared hull residuals g and hull verdicts off
+        (_off_hull, None without eps) of the k points Q, offsets from
+        _pivot, from R[:k], the rows of their product with _M.  A
+        polytope's slacks are b - R[:, :m], its facet slacks in the unit
+        chart, and g is the sum of the squared components along _normals,
+        in units of the size; a full-dimensional domain's g is one 0 for
+        every row.  An ellipsoid's slack is 1 - |w| of the whitened point
+        w, one column, or with squared 1 - |w|^2, one per point, the
+        form the ball's distance reads (_ball_distances): it is > 0
+        exactly when 1 - |w| is, since sqrt(v) < 1 for every double
+        v < 1."""
+        k = len(Q)
+        g = _NO_RESIDUAL
         if self.kind == "ellipsoid":
-            ww = np.add.reduce(R * R, axis=1, keepdims=True)
-            return 1.0 - np.sqrt(ww), _NO_RESIDUAL, R
-        m = len(self._b)
-        if m == R.shape[1]:
-            return self._b - R, _NO_RESIDUAL, R
-        G = R[:, m:]
-        return self._b - R[:, :m], np.add.reduce(G * G, axis=1), R
+            W = R[:k]
+            ww = np.add.reduce(W * W, axis=1, keepdims=not squared)
+            S = 1.0 - ww if squared else 1.0 - np.sqrt(ww)
+        else:
+            m = len(self._b)
+            S = self._b - R[:k, :m]
+            if m < R.shape[1]:
+                G = R[:k, m:]
+                g = np.add.reduce(G * G, axis=1)
+        return S, g, None if eps is None else self._off_hull(g, Q, eps)
+
+    def _off_hull(self, g, Q, eps):
+        """The affine-hull rule: which of the points Q, offsets from
+        _pivot with squared hull residuals g (_slacks), lie farther from
+        the affine hull than eps of the size, eps read with its sign, plus
+        the round-off of the point's own coordinates, _ROUND of its
+        largest in units of the size.  A domain far from the origin
+        relative to its size rounds its points by more than eps of it.
+        That allowance is taken only when eps alone refuses a point."""
+        if g is _NO_RESIDUAL:
+            return _OFF_HULL if 0.0 > eps * abs(eps) else _ON_HULL
+        if not np.logical_or.reduce(g > eps * abs(eps)):
+            return _ON_HULL
+        top = np.abs(Q + self._pivot).max(axis=1)
+        tol = eps + _ROUND * top / self._size
+        return g > tol * np.abs(tol)
 
     def _stacked(self, X, Y, eps, names=("x", "y")):
         """The one product of a query on the pairs (X[i], Y[i]), rows of
@@ -864,42 +902,25 @@ class ConvexDomain:
     def _product(self, Z, P, eps, names=("x", "y")):
         """R = Z @ _M, once P, the view of the first k rows of Z, finite
         points, is taken to _pivot in place (the rows below are
-        directions), and the slacks S of those k points (see _stacked).
-        The points are accepted by one reduction of their slacks, with one
-        of their squared components along _normals on an embedded
-        polytope.  Only a query that fails is scanned row by row:
-        PointNotInterior for a point farther than eps of the size from the
-        affine hull, then for one with a slack <= 0 (1 - |w| on an
-        ellipsoid), naming the first bad point as _reject does, the first
-        half of the k rows by names[0] and the rest by names[1].
+        directions), and the slacks S of those k points, read by the
+        predicates' routine (_slacks; 1 - |w|^2 on an ellipsoid).  The
+        points are accepted by the hull rule (_off_hull) and one reduction
+        of their slacks.  Only a query that fails is scanned row by row:
+        PointNotInterior for a point off the affine hull, then for one
+        with a slack <= 0 (1 - |w| on an ellipsoid, read again as the
+        predicates read it), naming the first bad point as _reject does,
+        the first half of the k rows by names[0] and the rest by
+        names[1].
         """
-        polytope = self.kind == "polytope"
         P -= self._pivot
         R = Z @ self._M
-        k = len(P)
-        if not polytope:
-            W = R[:k]
-            ww = np.add.reduce(W * W, axis=1)
-            # 1 - |w|^2 > 0 exactly when 1 - |w| > 0: sqrt(v) < 1 for
-            # every double v < 1
-            S = 1.0 - ww
-            g = _NO_RESIDUAL
-        elif len(self._b) < R.shape[1]:
-            m = len(self._b)
-            S = self._b - R[:k, :m]
-            G = R[:k, m:]
-            g = np.add.reduce(G * G, axis=1)
-        else:
-            S = self._b - R[:k]
-            g = _NO_RESIDUAL
-        e2 = eps * abs(eps)  # as the predicates read eps
+        S, _, off = self._slacks(R, P, eps, squared=True)
         if not (np.minimum.reduce(S, axis=None, initial=np.inf) > 0.0
-                and (0.0 if g is _NO_RESIDUAL
-                     else np.maximum.reduce(g, initial=0.0)) <= e2):
-            n = (k + 1) // 2
-            _reject(g > e2, n, PointNotInterior, "is off the affine hull",
+                and (off is _ON_HULL or not np.logical_or.reduce(off))):
+            n = (len(P) + 1) // 2
+            _reject(off, n, PointNotInterior, "is off the affine hull",
                     names=names)
-            least = S.min(axis=1) if polytope else 1.0 - np.sqrt(ww)
+            least = self._slacks(R, P)[0].min(axis=1)
             _reject(least <= 0.0, n, PointNotInterior,
                     "is not strictly interior", least, names)
         return S, R
@@ -915,16 +936,16 @@ class ConvexDomain:
         """Whether p, or each row of p, lies within eps of the affine hull
         with every slack above eps, both of the domain's size."""
         eps = _eps(eps)
-        S, g, _ = self._read(p)
-        ok = (g <= eps * abs(eps)) & (S.min(axis=1) > eps)
+        S, _, off, _ = self._read(p, eps)
+        ok = ~off & (S.min(axis=1) > eps)
         return ok if np.ndim(p) > 1 else bool(ok[0])
 
     def on_boundary(self, p, eps=None):
         """Whether p lies within eps of the affine hull with its least
         slack within eps of 0, both of the domain's size."""
         eps = _eps(eps)
-        S, g, _ = self._read(p)
-        return bool(g[0] <= eps * abs(eps) and abs(S.min()) <= eps)
+        S, _, off, _ = self._read(p, eps)
+        return bool(not off[0] and abs(S.min()) <= eps)
 
     def centroid(self):
         if self.kind == "polytope":
@@ -961,8 +982,8 @@ class ConvexDomain:
         and minimal_cone_at read their faces off the facets that clip
         them."""
         eps = _eps(eps)
-        S, g, R = self._read(p)
-        if g[0] > eps * abs(eps):
+        S, _, off, R = self._read(p, eps)
+        if off[0]:
             raise NotOnBoundary("point is off the affine hull")
         least = float(S.min())
         tight = np.abs(S[:1]) <= eps
@@ -1005,11 +1026,11 @@ class ConvexDomain:
         facets tight (_read); on an ellipsoid, within eps of the face's
         point in whitened coordinates."""
         eps = _eps(eps)
-        S, g, R = self._read(p)
+        S, _, off, R = self._read(p, eps)
         if self.kind == "ellipsoid":
             return (face.point_key is not None and np.linalg.norm(
-                R[0] - self._read(face.vertices[0])[2][0]) <= eps)
-        if g[0] > eps * abs(eps) or S.min() < -eps:
+                R[0] - self._read(face.vertices[0])[3][0]) <= eps)
+        if off[0] or S.min() < -eps:
             return False
         tight = frozenset(np.flatnonzero(np.abs(S[0]) <= eps).tolist())
         return tight == face.facet_ids and len(tight) > 0
@@ -1040,7 +1061,7 @@ class ConvexDomain:
         if self.kind == "ellipsoid":
             t_lo, t_hi = self._ellipsoid_chords(s, rate)
             if not ((-np.inf < t_lo) & (t_lo < t_hi) & (t_hi < np.inf)).all():
-                raise GeometryError("degenerate chord direction")
+                raise DegenerateInput("degenerate chord direction")
             if rate.ndim == 1:
                 return float(t_lo), float(t_hi), None
             return t_lo, t_hi, None
@@ -1053,7 +1074,7 @@ class ConvexDomain:
                                  where=ratio > 0.0)
         ok = t_hi - t_lo < np.inf
         if not (ok if rate.ndim == 1 else ok.all()):
-            raise GeometryError("line escapes the polytope")
+            raise DegenerateInput("line escapes the polytope")
         if rate.ndim > 1:
             return t_lo, t_hi, None
         t_lo, t_hi, scale = float(t_lo), float(t_hi), float(scale[0])
@@ -1164,9 +1185,10 @@ class ConvexDomain:
         on an ellipsoid), and Z = [start - o; direction].  start and
         direction must have ambient_dim coordinates (DegenerateInput), the
         direction be nonzero and, like a point, within eps of the size, or
-        of its length, of the affine hull; the start is checked and the
-        line clipped by one product, [start - o; direction] @ _M, as a
-        chord's pair is (_product, _clip_line).
+        of its length, of the affine hull, with the start's round-off
+        (_off_hull); the start is checked and the line clipped by one
+        product, [start - o; direction] @ _M, as a chord's pair is
+        (_product, _clip_line).
         """
         start = np.asarray(start, dtype=float)
         direction = np.asarray(direction, dtype=float)
@@ -1182,7 +1204,7 @@ class ConvexDomain:
             raise DegenerateInput("zero ray direction")
         g = Z[1] @ self._normals
         tol = _eps(eps) * max(math.sqrt(dd) / self._size, 1.0)
-        if g @ g > tol * abs(tol):
+        if self._off_hull(np.atleast_1d(g @ g), Z[:1] - self._pivot, tol)[0]:
             raise DegenerateInput("ray direction leaves the affine hull")
         S, R = self._product(Z, Z[:1], _eps(eps), ("start", "direction"))
         _, t_hi, ends = self._clip(S, R, 0, 1)
@@ -1302,7 +1324,7 @@ class ConvexDomain:
             M = np.hstack([B0, -B])
             sol, *_ = np.linalg.lstsq(M, self._origin - p0, rcond=None)
             q0 = p0 + B0 @ sol[:m]
-            if self._read(q0)[1][0] > eps_v * abs(eps_v):
+            if self._read(q0, eps_v)[2][0]:
                 raise EmptyIntersection("subspace misses the affine hull")
             dirs = B0 @ _nullspace(M)[:m, :]
             qd, rd = np.linalg.qr(dirs)
@@ -1392,7 +1414,7 @@ class ConvexDomain:
         points w0 + V r, of the point w0 of q0 (_read) and the directions V
         = W^T _M, inside the unit sphere."""
         V = W.T @ self._M
-        w0 = self._read(q0)[2][0]
+        w0 = self._read(q0)[3][0]
         Q, g = V @ V.T, V @ w0
         c0 = float(w0 @ w0) - 1.0
         r0 = -np.linalg.solve(Q, g)
@@ -1551,7 +1573,7 @@ def _face_lattice(dom):
     face has one dimension more than its highest own facet.  Both fill
     the one FaceLattice structure.  Each face carries the supporting
     hyperplane that normalises the mean of its facets', all from one
-    product.  Raises GeometryError if the 0-faces are not exactly the
+    product.  Raises DegenerateInput if the 0-faces are not exactly the
     vertices.
     """
     V, A, b, facet_sets = dom.vertices, dom._A, dom._b, dom._facet_sets
@@ -1580,7 +1602,7 @@ def _face_lattice(dom):
     for r, x in enumerate(rows):
         levels[dims[x]].append(r)
     if [rows[r] for r in levels[0]] != [1 << v for v in range(n)]:
-        raise GeometryError("face lattice lost a vertex")
+        raise DegenerateInput("face lattice lost a vertex")
     # a face's supporting hyperplane is the normalised mean of its
     # facets', with the product's rows in vertex-tuple order: BLAS rounds
     # a row differently with its place in the stack, and that order keeps

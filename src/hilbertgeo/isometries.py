@@ -68,7 +68,7 @@ class ProjectiveMap:
         s = np.linalg.svd(M, compute_uv=False)
         if not s[-1] > 1e-12 * s[0]:
             raise DegenerateInput("projective matrix is singular")
-        self.matrix = _normal_form(M[None])[0]
+        self.matrix = np.reshape(_normal_form(M.ravel().tolist()), M.shape)
         self.dim = len(M) - 1
 
     @classmethod
@@ -108,15 +108,15 @@ class ProjectiveMap:
 
 
 def _normal_form(M):
-    """A stack of matrices scaled to largest entry 1 in absolute value,
-    with the first entry above 1e-12 positive.  ProjectiveMap checks that
-    a matrix is invertible (smallest singular value above 1e-12 of the
-    largest) before it takes this form."""
-    top = np.abs(M).max(axis=(1, 2), keepdims=True)
-    M = M / np.where(top > 0.0, top, 1.0)
-    flat = M.reshape(len(M), -1)
-    lead = flat[np.arange(len(M)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
-    return np.where((lead < 0)[:, None, None], -M, M)
+    """A matrix's entries, row by row in one list of Python floats,
+    scaled to largest 1 in absolute value, with the first entry above
+    1e-12 positive.  ProjectiveMap checks that a matrix is invertible
+    (smallest singular value above 1e-12 of the largest), and _fit that
+    its matrix is finite, before they take this form."""
+    top = max(map(abs, M))
+    M = [t / top for t in M]
+    return M if next(t for t in M if abs(t) > 1e-12) > 0.0 else \
+        [-t for t in M]
 
 
 # why a fit rejects a frame or a map, by its failure code
@@ -223,10 +223,7 @@ def _fit(A, F):
          for x, m in zip(X, cen) for col, s in zip(cols, z)] + z
     if not all(map(math.isfinite, M)):
         return 3, None
-    top = max(map(abs, M))
-    M = [t / top for t in M]
-    return 0, M if next(t for t in M if abs(t) > 1e-12) > 0.0 else \
-        [-t for t in M]
+    return 0, _normal_form(M)
 
 
 def fit_projective(src, dst):
@@ -340,11 +337,14 @@ def reciprocal_map(x):
 
 def simplex_projective(matrix):
     """Projective self-map of the simplex induced by an invertible matrix
-    with nonnegative action: x -> Mx / sum(Mx)."""
+    with nonnegative action: x -> Mx / sum(Mx).  The matrix is refused
+    as singular when its smallest singular value is at most 1e-12 of its
+    largest, as ProjectiveMap refuses one, whatever its scale."""
     M = _as_array(matrix, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DegenerateInput("matrix must be square")
-    if abs(np.linalg.det(M)) <= 1e-12:
+    s = np.linalg.svd(M, compute_uv=False)
+    if not (len(s) and s[-1] > 1e-12 * s[0]):
         raise DegenerateInput("matrix is singular")
 
     def apply(x):
@@ -514,7 +514,7 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     The points target + 2^-i (start - target), i = 0..horizon, of every
     start are mapped in one call of f.  A sequence's images count up to
     the first that lands numerically on the boundary (no positive slack,
-    or off the affine hull by more than eps of the size), and its limit
+    or off the affine hull by the domain's hull rule at eps), and its limit
     is where the ray through its last two counted images leaves the
     domain, or the last image when they are within 1e-14 of the domain's
     extent.
@@ -532,8 +532,8 @@ def focusing_probe(domain, f, target, starts, horizon=24, eps=None):
     h = horizon + 1
     pts = target + (2.0 ** -np.arange(h))[:, None] * (S - target)[:, None]
     Q = _map_rows(f, pts.reshape(len(S) * h, -1))
-    slack, g, _ = domain._read(Q)
-    off = ((slack.min(axis=1) <= 0.0) | (g > e * abs(e))).reshape(len(S), h)
+    slack, _, off, _ = domain._read(Q, e)
+    off = ((slack.min(axis=1) <= 0.0) | off).reshape(len(S), h)
     kept = np.where(off.any(axis=1), off.argmax(axis=1), h)
     if np.any(kept == 0):
         raise ImageEscapedDomain("image sequence left the domain immediately")

@@ -20,7 +20,6 @@ from hilbertgeo.errors import (
     DegenerateInput,
     DimensionOutOfRange,
     EmptyIntersection,
-    GeometryError,
     NonFinite,
     NotOnBoundary,
     NotOpposite,
@@ -202,8 +201,11 @@ def test_clip_line_matches_per_facet_reference():
             for d in (du, along, 1e-9 * du, 1e-16 * du):
                 assert (dom._clip_line(s, d @ dom._A.T)[:2]
                         == _clip_line_by_facet(dom, u, d))
-        with pytest.raises(GeometryError, match="escapes"):
+        with pytest.raises(DegenerateInput, match="escapes"):
             dom._clip_line(s, (0.0 * du) @ dom._A.T)
+    disk = build_ellipsoid([0, 0], np.eye(2))
+    with pytest.raises(DegenerateInput, match="degenerate chord direction"):
+        disk._clip_line(np.zeros(2), np.zeros(2))
 
 
 def test_ellipsoid_chord_and_boundary_face():

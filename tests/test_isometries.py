@@ -189,6 +189,19 @@ def test_simplex_projective_validates():
         g([1 / 3, 1 / 3, 1 / 3])
 
 
+def test_simplex_projective_singularity_is_scale_free():
+    """The singular-value ratio decides, as ProjectiveMap's does: the
+    identity at 1e-5 is a map, and a matrix of condition 4e13 is singular
+    at any scale."""
+    x = np.array([0.2, 0.3, 0.5])
+    assert simplex_projective(1e-5 * np.eye(3))(x).tolist() == x.tolist()
+    for scale in (1e-6, 1.0, 1e6):
+        with pytest.raises(DegenerateInput, match="singular"):
+            simplex_projective(np.diag([1.0, 1.0, 2.5e-14]) * scale)
+    with pytest.raises(DegenerateInput):
+        simplex_projective(np.zeros((0, 0)))
+
+
 def test_focusing_distinguishes_the_reciprocal():
     s2 = standard_simplex(2)
     target = np.array([1.0, 0.0, 0.0])
@@ -332,6 +345,17 @@ def _unit_frames(P):
     return (P - c[:, None]) / r[:, None, None], back
 
 
+def _normal_form(M):
+    """A stack of matrices scaled to largest entry 1 in absolute value,
+    with the first entry above 1e-12 positive: ProjectiveMap's normal
+    form, taken on the whole stack in numpy."""
+    top = np.abs(M).max(axis=(1, 2), keepdims=True)
+    M = M / np.where(top > 0.0, top, 1.0)
+    flat = M.reshape(len(M), -1)
+    lead = flat[np.arange(len(M)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
+    return np.where((lead < 0)[:, None, None], -M, M)
+
+
 def _fit_stack(S, T):
     """The stacked numpy fit, the reference for the float fit: the
     projective maps sending one family S of d+2 points in R^d to each
@@ -342,8 +366,6 @@ def _fit_stack(S, T):
     its place.  The fit runs on _unit_frames copies, so no test depends
     on scale or place; S and T share one stack, [S; T], and each family's
     arithmetic is its own."""
-    from hilbertgeo.isometries import _normal_form
-
     K = len(T)
     P, back = _unit_frames(np.concatenate([S[None], T]))
     H, c, spans, general = _frames(P)
@@ -659,8 +681,6 @@ def _two_pass_fit_stack(S, T):
     """_fit_stack with the source and the targets in separate
     _unit_frames and _frames passes, the form that one stacked pass
     replaced."""
-    from hilbertgeo.isometries import _normal_form
-
     K = len(T)
     S1, s_back = _unit_frames(S[None])
     T1, t_back = _unit_frames(T)
@@ -933,8 +953,6 @@ def _exact_fit(S, T):
     """The projective map sending d+2 points S to d+2 points T of R^d, at
     40 digits, in normal form."""
     import mpmath
-
-    from hilbertgeo.isometries import _normal_form
 
     d = S.shape[1]
     with mpmath.workdps(40):

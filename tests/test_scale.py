@@ -21,9 +21,11 @@ from hilbertgeo import (
     classify_2d,
     cone_distances,
     distance,
+    distances,
     is_rigid_chord,
+    standard_simplex,
 )
-from hilbertgeo.errors import GeometryError
+from hilbertgeo.errors import GeometryError, PointNotInterior
 
 SCALES = (1e-9, 1e-7, 1e-6, 1e3, 1e9, 1e12)
 CUBE = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
@@ -111,6 +113,44 @@ def test_extreme_scales_build_and_read_the_boundary():
     cube = build_polytope((CUBE - 0.5) * 1e-8)
     assert not cube.on_boundary([0.5e-8 * (1 + 2e-3), 0.0, 0.0])
     assert cube.contains_interior([0.5e-8 * (1 - 2e-3), 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [1e-8, 1e-10])
+def test_embedded_simplex_far_from_the_origin_reads_its_own_points(n, s):
+    """standard_simplex(n) shrunk by s about its centroid lies about 1/s
+    of its size from the origin, so each coordinate of its points rounds
+    by more than eps of the size off its affine hull.  The hull rule
+    allows that round-off: the domain accepts its sampled points and its
+    vertices, and its distances are the unit simplex's at the same
+    barycentric points.  A point farther off than eps plus that allowance
+    is still refused, and hull_residual reads the raw distance."""
+    unit = standard_simplex(n)
+    c = unit.vertices.mean(axis=0)
+    dom = build_polytope(c + s * (unit.vertices - c))
+    rng = np.random.default_rng(1)
+    pairs = np.array([dom.sample_interior(rng, 2, pull=0.05)
+                      for _ in range(200)])
+    assert dom.contains_interior(pairs[:, 0]).all()
+    assert np.isfinite(distances(dom, pairs[:, 0], pairs[:, 1])).all()
+    for v in dom.vertices:
+        assert dom.boundary_face_of(v).dim == 0
+        dom.minimal_cone_at(v)
+    rng = np.random.default_rng(1)
+    B = np.array([unit.sample_interior(rng, 2, pull=0.05)
+                  for _ in range(200)])
+    want = distances(unit, B[:, 0], B[:, 1])
+    got = distances(dom, c + s * (B[:, 0] - c), c + s * (B[:, 1] - c))
+    assert np.allclose(got, want, rtol=1e-6 if s == 1e-8 else 1e-4, atol=0)
+    # 10 times eps plus the round-off allowance off the hull
+    x = pairs[0, 0]
+    allowance = 64 * np.finfo(float).eps * np.abs(x).max() / dom._size
+    step = 10 * (1e-9 + allowance) * dom._size
+    off = x + step * np.ones(n + 1) / np.sqrt(n + 1)
+    with pytest.raises(PointNotInterior, match="is off the affine hull"):
+        distance(dom, off, pairs[0, 1])
+    assert not dom.contains_interior(off)
+    assert dom.hull_residual(off) == pytest.approx(step, rel=0.05)
 
 
 def test_asymptotic_profile_modes_are_scale_free():
