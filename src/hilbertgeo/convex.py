@@ -30,9 +30,11 @@ The same hull answers the other hull questions.  A polytope's
 cross-section takes its vertices from the face lattice: the single
 points where the cut meets the affine hull of a face inside the
 polytope, in codimension 1 the vertices on the cut and its crossings of
-edges.  A join region (and so a minimal cone) is the relative interior
-of the hull of its two faces' vertices, built once in the chart of
-their affine hull.  All of it is numpy code, with no linear program.
+edges.  A join region is the relative interior of the hull of its two
+faces' vertices, built once in the chart of their affine hull within
+the domain's unit chart.  A minimal cone needs no hull of its own: it
+is read off the domain's facet slacks at the apex and at the point.
+All of it is numpy code, with no linear program.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -509,7 +510,7 @@ class Face:
         singular directions of its vertices above 1e-12 of the largest."""
         if len(self.vertices) <= 1:
             return np.zeros((self.vertices.shape[1], 0))
-        _, basis = _affine_chart(self.vertices, 1e-12)
+        _, basis = _affine_chart(self.vertices - self.vertices[0], 1e-12)
         return basis
 
 
@@ -657,9 +658,6 @@ class Section:
     def to_ambient(self, u):
         return self.origin + self.basis @ _as_array(u)
 
-    def from_ambient(self, p):
-        return self.basis.T @ (_as_points(p, len(self.origin)) - self.origin)
-
 
 class JoinRegion:
     """Union of open segments between the relative interiors of two faces.
@@ -667,33 +665,47 @@ class JoinRegion:
     z is in the join iff strictly positive convex weights on the vertices
     of both faces reproduce z, that is, iff z lies in the relative
     interior of conv(Va ∪ Vb).  That hull is built once, in the chart of
-    its affine hull (a segment when both faces are vertices), and eps is a
-    fraction of its size.  The region is convex.
+    its affine hull (a segment when both faces are vertices), taken from
+    the vertices' coordinates in the domain's unit chart, which are
+    relative to the domain's size wherever it sits.  The region is convex.
     """
 
     def __init__(self, domain, face_a, face_b):
         self.domain = domain
         self.face_a = face_a
         self.face_b = face_b
-        V = np.vstack([face_a.vertices, face_b.vertices])
-        self._origin, self._basis = _affine_chart(V, defaults.EPS_GEO)
-        self._hull = build_polytope((V - self._origin) @ self._basis)
+        L = domain.to_local(np.vstack([face_a.vertices, face_b.vertices]))
+        self._origin, self._basis = _affine_chart(L, defaults.EPS_GEO)
+        self._hull = build_polytope((L - self._origin) @ self._basis)
 
     def __call__(self, p, eps=None):
-        """Whether p lies within eps of the join's affine hull with every
-        slack of its chart hull above eps."""
-        eps = _eps(eps)
-        z = _as_points(p, len(self._origin)) - self._origin
+        """Whether p lies on the join's affine hull, by the domain's hull
+        rule (_off_hull) on its squared residuals off the domain's hull
+        and off the join's chart, at eps of the join hull's size, with
+        every slack of its chart hull above eps."""
+        eps, dom, x = _eps(eps), self.domain, _as_array(p)
+        z = dom.to_local(x) - self._origin
         u = z @ self._basis
-        return bool(np.linalg.norm(z - self._basis @ u)
-                    <= eps * self._hull._size
-                    and self._hull.contains_interior(u, eps))
+        r = z - self._basis @ u
+        off = dom._off_hull(dom._read(x)[1] + r @ r, x[None] - dom._pivot,
+                            eps * self._hull._size)
+        return bool(not off[0] and self._hull.contains_interior(u, eps))
 
 
 @dataclass(eq=False)
 class MinimalCone:
     """Cone of open segments from an extreme point over a face interior,
-    whose relative boundary stays on the domain boundary."""
+    whose relative boundary stays on the domain boundary.
+
+    It is read off the domain's own facet slacks s, with no hull of its
+    own.  Let F be the facets through the base B; none holds the apex e,
+    since the two faces are opposite.  z = k e + (1 - k) q with q in the
+    relative interior of B and 0 < k < 1 exactly when z is on the affine
+    hull, s_i(z) = k s_i(e) for every i in F with k > 0, and
+    s_j(z) > k s_j(e) for every other facet j: then q = (z - k e) / (1 - k)
+    is on B's affine hull with every other slack positive, and k < 1
+    follows, as positive weights on the facet normals sum to zero.
+    """
 
     apex: np.ndarray
     apex_face: Face
@@ -704,13 +716,22 @@ class MinimalCone:
     def dim(self):
         return self.base.dim + 1
 
-    @cached_property
-    def _join(self):
-        return JoinRegion(self.domain, self.apex_face, self.base)
-
     def contains(self, p, eps=None):
-        """Whether p lies in the open cone: the join of apex and base."""
-        return self._join(p, eps)
+        """Whether p lies in the open cone, eps a fraction of the domain's
+        size.  The apex's slacks a and p's s come from one pass (_read),
+        and k = s_i / a_i on the base facet i where a is largest.  Over F
+        the differences s - k a are a residual off the cone's affine hull,
+        which is added to p's off the domain's and decided by the hull
+        rule (_off_hull).  s_i, and on every other facet s - k a, must
+        exceed eps."""
+        eps, dom, e = _eps(eps), self.domain, self.apex_face.vertices
+        P = np.vstack([e, _as_points(p, dom.ambient_dim)])
+        (a, s), g, _, _ = dom._read(P)
+        F = sorted(self.base.facet_ids, key=a.__getitem__)  # i = F[-1]
+        t = s - s[F[-1]] / a[F[-1]] * a
+        off = dom._off_hull(g[-1:] + t[F] @ t[F], P[1:] - dom._pivot, eps)
+        t[F] = np.inf
+        return bool(not off[0] and s[F[-1]] > eps and t.min() > eps)
 
     def sample_relative_boundary(self, rng, k):
         """k points on the relative boundary of the cone."""

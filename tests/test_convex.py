@@ -302,6 +302,38 @@ def test_join_region_matches_lp_reference():
     assert {True, False} <= {g for _, _, g in seen}
 
 
+def test_minimal_cone_matches_lp_reference_at_every_scale():
+    """The slack rule of MinimalCone.contains agrees with the LP reference
+    on the join of the apex and the base, on random polytopes in R^2..R^4
+    built at scales 1e-9..1e12 and offsets up to 1e8 of their size.  The
+    LP reads the unit-size points; the cone reads their images.  The test
+    points are inside the cone (every weight >= 1e-3), interior points of
+    the domain, and cone points pushed off by 1e-3 of the size."""
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        U = rng.normal(size=(int(rng.integers(d + 2, d + 8)), d))
+        s = 10.0 ** rng.uniform(-9, 12)
+        tau = rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(0, 8)
+        unit, dom = build_polytope(U), build_polytope(s * (tau + U))
+        e = unit.vertices[rng.integers(len(unit.vertices))]
+        mc = unit.minimal_cone_at(e)
+        near = np.linalg.norm(dom.vertices - s * (tau + e), axis=1)
+        got = dom.minimal_cone_at(dom.vertices[np.argmin(near)])
+        B = mc.base.vertices
+        W = 1e-3 + (1 - 1e-3 * len(B)) * rng.dirichlet(np.ones(len(B)), 3)
+        Z = list(e + rng.uniform(0.05, 0.95, (3, 1)) * (W @ B - e))
+        Z += list(unit.sample_interior(rng, 3))
+        Z += [z + 1e-3 * rng.normal(size=d) for z in Z[:3]]
+        for z in Z:
+            want = reference_join(e[None], B, z)
+            assert mc.contains(z) == want
+            assert got.contains(s * (tau + z)) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_minimal_cone_square_corner_is_diagonal():
     dom = square()
     mc = dom.minimal_cone_at([-1.0, -1.0])

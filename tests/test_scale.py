@@ -153,6 +153,52 @@ def test_embedded_simplex_far_from_the_origin_reads_its_own_points(n, s):
     assert dom.hull_residual(off) == pytest.approx(step, rel=0.05)
 
 
+def shrunk_simplex(n, s):
+    """standard_simplex(n) shrunk by s about its centroid, with that
+    centroid."""
+    unit = standard_simplex(n)
+    c = unit.vertices.mean(axis=0)
+    return build_polytope(c + s * (unit.vertices - c)), c
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-12])
+def test_minimal_cone_of_a_shrunk_simplex_holds_its_centroid(s):
+    """The minimal cone at a vertex of the 3-simplex shrunk about its
+    centroid is the open cone over the opposite facet.  Read off the
+    domain's own slacks, it holds the centroid and the midpoint of the
+    apex and the base's centroid at 1e-8 and 1e-12, and refuses the apex
+    reflected through the centroid, which lies beyond the base."""
+    dom, c = shrunk_simplex(3, s)
+    mc = dom.minimal_cone_at(dom.vertices[0])
+    assert mc.base.dim == 2
+    assert mc.contains(c)
+    assert mc.contains(0.5 * (mc.apex + mc.base.centroid()))
+    assert not mc.contains(2.0 * c - mc.apex)
+
+
+def test_face_direction_bases_far_from_the_origin():
+    """A face's direction basis has one column per dimension of the face,
+    and spans the same directions as the unit face's, on the 3-simplex
+    shrunk about its centroid and on random clouds at scales 1e-9..1e3
+    offset by up to 1e6 of their size."""
+    unit = standard_simplex(3)
+    want = {f.indices: f.direction_basis() for f in unit.face_lattice()}
+    for s in (1e-6, 1e-8, 1e-12):
+        dom, _ = shrunk_simplex(3, s)
+        for f in dom.face_lattice():
+            B, U = f.direction_basis(), want[f.indices]
+            assert B.shape == (4, f.dim)
+            assert np.allclose(B @ B.T, U @ U.T, atol=1e-6)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        scale = 10.0 ** rng.uniform(-9, 3)
+        tau = rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(0, 6)
+        dom = build_polytope(scale * (tau + rng.normal(size=(d + 3, d))))
+        for f in dom.face_lattice():
+            assert f.direction_basis().shape == (d, f.dim)
+
+
 def test_asymptotic_profile_modes_are_scale_free():
     square = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
     x0 = np.array([0.5, 0.0])
@@ -214,6 +260,59 @@ def test_join_regions_at_small_scale():
                 assert dom.join_region(fa, fb)(w @ V)
                 tried += 1
         assert tried >= 170
+    # a cube and an octahedron of size 1e-8 and 1e-10 far from the origin
+    # for their size: every opposite pair, 1-D and 2-D joins included
+    c = np.array([0.3137, -0.2718, 0.1414])
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    rng = np.random.default_rng(3)
+    for s in (1e-8, 1e-10):
+        for Q in (2.0 * CUBE - 1.0, octahedron):
+            dom = build_polytope(c + s * Q)
+            faces = dom.face_lattice().faces
+            for fa, fb in itertools.combinations(faces, 2):
+                if not dom.opposite_faces(fa, fb):
+                    continue
+                join = dom.join_region(fa, fb)
+                V = np.vstack([fa.vertices, fb.vertices])
+                n = len(V)
+                w = 1e-3 + (1.0 - 1e-3 * n) * rng.dirichlet(np.ones(n))
+                assert join(w @ V)
+                assert not join(2.0 * V[rng.integers(n)] - w @ V)
+
+
+def test_points_off_a_join_are_refused():
+    """On a 1-D and a 2-D join of the offset cube at 1e-8, and of a cube
+    of that size in the plane sum(x) = 1 of R^4, a point inside the join
+    is accepted, and the same point moved off the join's affine hull
+    (within the domain's) by 10 times eps of the join's size plus the
+    hull rule's round-off allowance is refused."""
+    Q = 2.0 * CUBE - 1.0
+    # orthonormal rows spanning the plane's directions
+    T = np.linalg.qr((np.eye(4)[:3] - np.eye(4)[3]).T)[0].T
+    domains = [(build_polytope(0.3137 + 1e-8 * Q), np.eye(3)),
+               (build_polytope(0.25 + 1e-8 * Q @ T), T)]
+    rng = np.random.default_rng(4)
+    for dom, T in domains:
+        seen = set()
+        for fa, fb in itertools.combinations(dom.face_lattice().faces, 2):
+            V = np.vstack([fa.vertices, fb.vertices])
+            k = np.linalg.matrix_rank(V[1:] - V[0], tol=1e-3 * dom._size)
+            if k in seen or k > 2 or not dom.opposite_faces(fa, fb):
+                continue
+            seen.add(k)
+            join = dom.join_region(fa, fb)
+            w = 1e-3 + (1.0 - 1e-3 * len(V)) * rng.dirichlet(np.ones(len(V)))
+            z = w @ V
+            assert join(z)
+            # a unit direction of the domain normal to the join
+            E = (V[1:] - V[0]) / dom._size
+            n = T.T @ np.linalg.svd(E @ T.T)[2][-1]
+            allowance = 64 * np.finfo(float).eps * np.abs(z).max() / dom._size
+            step = 10 * (1e-9 * join._hull._size + allowance) * dom._size
+            assert not join(z + step * n)
+        assert seen == {1, 2}
+
+
 
 
 # ------------------------------------------------ invariance properties
